@@ -51,6 +51,14 @@ def _optional_time(doc, key, errors, default=None):
     return float(v)
 
 
+def _master_seed(cfg: dict, errors: list) -> int:
+    seed = cfg.get("master_seed", 0)
+    if not isinstance(seed, int):
+        errors.append(f"master_seed must be an integer, got {seed!r}")
+        return 0
+    return seed
+
+
 def build_pulse_spec(doc: dict, errors: list) -> sequences.PulseSpec:
     mode = doc.get("mode", "hard")
     if mode == "hard":
@@ -173,10 +181,7 @@ def parse_simulation_config(cfg: dict):
     if record not in ("acquires", "events"):
         errors.append(f"record must be 'acquires' or 'events', got {record!r}")
         record = "acquires"
-    seed = cfg.get("master_seed", 0)
-    if not isinstance(seed, int):
-        errors.append(f"master_seed must be an integer, got {seed!r}")
-        seed = 0
+    seed = _master_seed(cfg, errors)
     if errors:
         _fail(errors)
     return program, spec, noise, relax, initial, record, seed
@@ -261,6 +266,7 @@ def cmd_tomography(args) -> int:
     spec = build_ensemble(cfg.get("ensemble", {}), errors)
     noise = build_noise(cfg.get("noise"), errors)
     relax = build_relaxation(cfg.get("relaxation"), errors)
+    seed = _master_seed(cfg, errors)
     if tau1 is None or tau_c is None:
         errors.append("tomography needs sequence.tau1_s and sequence.tau_c_s")
     if errors:
@@ -276,7 +282,7 @@ def cmd_tomography(args) -> int:
         pulse_spec=pulse_spec,
         noise=noise,
         relax=relax,
-        master_seed=cfg.get("master_seed", 0),
+        master_seed=seed,
         n_threads=args.threads,
     )
     os.makedirs(args.out_dir, exist_ok=True)
@@ -319,6 +325,7 @@ def cmd_sweep(args) -> int:
     spec = build_ensemble(cfg.get("ensemble", {}), errors)
     noise = build_noise(cfg.get("noise"), errors)
     relax = build_relaxation(cfg.get("relaxation"), errors)
+    seed = _master_seed(cfg, errors)
     if noise is not None and noise.kind == "none":
         errors.append("sweep needs a stochastic noise model (noise.kind != 'none')")
     if errors:
@@ -333,7 +340,7 @@ def cmd_sweep(args) -> int:
         total_time=total_time,
         tau1=sweep_cfg.get("tau1_s"),
         pulse_spec=pulse_spec,
-        master_seed=cfg.get("master_seed", 0),
+        master_seed=seed,
         relax=relax,
         n_threads=args.threads,
     )
@@ -366,6 +373,16 @@ def cmd_critical_point(args) -> int:
     if not (isinstance(levels, list) and len(levels) == 2
             and all(isinstance(x, int) and 0 <= x <= 5 for x in levels)):
         errors.append(f"search.level_pair must be two level indices in [0, 5], got {levels!r}")
+    box_halfwidth = search.get("box_halfwidth_g", 50.0)
+    if not isinstance(box_halfwidth, (int, float)) or not box_halfwidth > 0:
+        errors.append(f"search.box_halfwidth_g must be a positive number, got {box_halfwidth!r}")
+    n_starts = search.get("n_starts", 8)
+    if not isinstance(n_starts, int) or n_starts < 1:
+        errors.append(f"search.n_starts must be a positive integer, got {n_starts!r}")
+    seed = search.get("seed", 0)
+    if not isinstance(seed, int):
+        errors.append(f"search.seed must be an integer, got {seed!r}")
+    tolerance = _optional_time(search, "tolerance_hz_per_g", errors)
     if errors:
         _fail(errors)
     if args.validate_only:
@@ -377,10 +394,10 @@ def cmd_critical_point(args) -> int:
         np.asarray(b_init, dtype=float),
         i,
         j,
-        box_halfwidth=float(search.get("box_halfwidth_g", 50.0)),
-        n_starts=int(search.get("n_starts", 8)),
-        tolerance=search.get("tolerance_hz_per_g"),
-        seed=int(search.get("seed", 0)),
+        box_halfwidth=float(box_halfwidth),
+        n_starts=n_starts,
+        tolerance=tolerance,
+        seed=seed,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     _write(
@@ -420,7 +437,10 @@ def cmd_fit(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     if "spin_system" in cfg:
-        hamiltonian.spin_system_from_dict(cfg["spin_system"])
+        try:
+            hamiltonian.spin_system_from_dict(cfg["spin_system"])
+        except ValueError as exc:
+            raise ConfigError(f"spin_system: {exc}") from exc
         print("config ok")
         return 0
     parse_simulation_config(cfg)

@@ -7,10 +7,10 @@ evolve independently; observables are weighted means.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
-randomness from a stream derived only from ``(master_seed, i)``, chunk
-partial sums combine in fixed chunk order, and chunk size never depends
-on the worker count -- so results are bit-identical for any number of
-threads.
+randomness from a stream derived only from ``(master_seed, i)`` and
+consumes it in order, whatever the draw block size; chunk partial sums
+combine in fixed chunk order, and chunk size never depends on the
+worker count -- so results are bit-identical for any number of threads.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import roots_hermite
 
-from .bloch import NO_RELAXATION, RelaxationParams, rotate
+from .bloch import NO_RELAXATION, RelaxationParams, apply_finite_pulse, evolve_free, rotate
 from .sequences import Acquire, Pulse, PulseProgram, Wait
 
 __all__ = [
@@ -124,8 +124,10 @@ class NoiseModel:
     (Hz) and correlation time ``tau_b`` (s); the effective bath cutoff
     is ``omega_c ~ 1/tau_b``.  ``telegraph``: jumps between
     ``+-amplitude`` (Hz) at Poisson rate ``flip_rate`` (Hz).  ``dt`` is
-    the trajectory resolution; it defaults to a hundredth of the
-    correlation time and must resolve it (``dt <= tau_b/10``).
+    only the sample spacing of :func:`generate_ou_trajectory`;
+    :func:`run_program` propagates baths exactly and never reads it.  It
+    defaults to a hundredth of the correlation time and must resolve it
+    (``dt <= tau_b/10``).
     """
 
     kind: str = "none"
@@ -193,7 +195,7 @@ def generate_ou_trajectory(noise: NoiseModel, duration: float, member_seed) -> n
 # ---------------------------------------------------------------------------
 
 class SimulationBudgetError(RuntimeError):
-    """size x noise-steps exceeds the configured memory/work budget."""
+    """size x bath intervals exceeds the configured work budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +274,13 @@ def _noise_list(noise) -> list[NoiseModel]:
 
 
 def _wait_steps(duration: float, dt: float) -> list[float]:
-    """Split a wait into full dt steps plus a remainder (sum == duration)."""
+    """Split a wait into full dt steps plus a remainder (sum == duration).
+
+    Not called by the package: ``run_program`` no longer steps waits.
+    ``bench/tracer.py`` still lists it as a counting target and the
+    benchmark's tests require every target to resolve; remove it together
+    with that target.
+    """
     if duration <= 0:
         return []
     k = int(math.floor(duration / dt + 1e-9))
@@ -283,7 +291,127 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
     return steps
 
 
+# Bath random numbers are drawn per member this many bath intervals (OU)
+# or flips (telegraph) at a time.  It bounds memory only: each member's
+# draws are consumed in stream order, so results never depend on it.
+_DRAW_BLOCK = 256
 _MEMBER_CHUNK = 512  # fixed: never derived from thread count
+_BATH_STREAM_STRIDE = 2**120  # draws between the streams of one member's baths
+
+
+def _ou_integral_bracket(r: float) -> float:
+    """``2r - 3 + 4e^-r - e^-2r``: Var of the OU integral over ``h = r tau_b``
+    in units of ``(sigma tau_b)^2``."""
+    if r < 0.1:
+        # the closed form cancels to O(r^3); sum its Taylor series instead
+        return sum(
+            (-1) ** n * (4 - 2**n) * r**n / math.factorial(n) for n in range(17, 2, -1)
+        )
+    return 2.0 * r + 4.0 * math.expm1(-r) - math.expm1(-2.0 * r)
+
+
+def _ou_factors(h: float, sigma: float, tau_b: float) -> tuple:
+    """Exact one-interval OU draw as ``(a, b, l11, l21, l22)``.
+
+    Given ``x0`` and standard normals ``z1, z2``, the value after ``h`` is
+    ``a x0 + l11 z1`` and the integral over ``h`` is ``b x0 + l21 z1 +
+    l22 z2``: the Cholesky factor of their bivariate Gaussian (Gillespie,
+    PRE 54, 2084 (1996)).
+    """
+    r = h / tau_b
+    one_minus_a = -math.expm1(-r)
+    var_x = sigma**2 * -math.expm1(-2.0 * r)
+    var_int = (sigma * tau_b) ** 2 * _ou_integral_bracket(r)
+    cov = sigma**2 * tau_b * one_minus_a**2
+    l11 = math.sqrt(var_x)
+    l21 = cov / l11 if l11 > 0 else 0.0
+    l22 = math.sqrt(max(var_int - l21 * l21, 0.0))
+    return math.exp(-r), tau_b * one_minus_a, l11, l21, l22
+
+
+def _ou_advance(x0: np.ndarray, factors: np.ndarray, z: np.ndarray) -> tuple:
+    """Carry OU values across consecutive intervals.
+
+    ``x0`` is ``(m,)``, ``factors`` is ``(B, 5)`` rows of
+    :func:`_ou_factors`, ``z`` is ``(B, m, 2)`` standard normals.  Returns
+    ``(xs, integrals)``: the values at the ``B + 1`` interval boundaries,
+    ``(B + 1, m)``, and the integral over each interval, ``(B, m)``.
+    """
+    a, b, l11, l21, l22 = (factors[:, j, None] for j in range(5))
+    kick = l11 * z[..., 0]
+    xs = np.empty((len(factors) + 1, len(x0)))
+    xs[0] = x0
+    for k in range(len(factors)):
+        xs[k + 1] = a[k] * xs[k] + kick[k]
+    return xs, b * xs[:-1] + l21 * z[..., 0] + l22 * z[..., 1]
+
+
+class _OUBath:
+    """One Ornstein-Uhlenbeck process per member, drawn exactly per interval."""
+
+    def __init__(self, model: NoiseModel, rngs: list, factors: np.ndarray):
+        self.rngs = rngs
+        self.factors = factors
+        self.x = model.sigma * np.array([rng.standard_normal() for rng in rngs])
+
+    def block(self, lo: int, hi: int, edges: np.ndarray) -> tuple:
+        z = np.empty((hi - lo, len(self.rngs), 2))
+        for i, rng in enumerate(self.rngs):
+            z[:, i] = rng.standard_normal((hi - lo, 2))
+        xs, integrals = _ou_advance(self.x, self.factors[lo:hi], z)
+        self.x = xs[-1]
+        return xs[:-1], integrals
+
+
+class _TelegraphBath:
+    """One random telegraph process per member, integrated exactly.
+
+    Flip times are cumulative sums of exponential gaps, so the sign is
+    piecewise constant between known times and its integral over any
+    interval is exact.
+    """
+
+    def __init__(self, model: NoiseModel, rngs: list):
+        self.rngs = rngs
+        self.amplitude = model.amplitude
+        self.rate = model.flip_rate
+        self.sign = np.array([1.0 if rng.random() < 0.5 else -1.0 for rng in rngs])
+        m = len(rngs)
+        self.gaps = np.empty((m, _DRAW_BLOCK))
+        self.col = np.full(m, _DRAW_BLOCK)
+        self.next_flip = np.zeros(m)
+        self._advance(np.arange(m))
+
+    def _advance(self, idx: np.ndarray) -> None:
+        """Move members ``idx`` on to their next flip time."""
+        for i in idx[self.col[idx] == self.gaps.shape[1]]:
+            self.gaps[i] = self.rngs[i].standard_exponential(self.gaps.shape[1])
+            self.col[i] = 0
+        self.next_flip[idx] += self.gaps[idx, self.col[idx]] / self.rate
+        self.col[idx] += 1
+
+    def block(self, lo: int, hi: int, edges: np.ndarray) -> tuple:
+        t = edges[lo : hi + 1]
+        # flips[k] is -1 where a member flips an odd number of times in interval k
+        flips = np.ones((hi - lo, len(self.rngs)))
+        correction = np.zeros_like(flips)
+        start = np.empty_like(flips)
+        start[0] = self.amplitude * self.sign
+        # each round takes every member's next flip inside the block
+        while True:
+            idx = np.flatnonzero(self.next_flip <= t[-1])
+            if idx.size == 0:
+                break
+            f = self.next_flip[idx]
+            k = np.searchsorted(t[1:], f)  # t[k] < f <= t[k + 1]
+            # flipping s -> -s at f changes the interval's integral by -2 s (t[k+1] - f)
+            correction[k, idx] -= 2.0 * self.amplitude * self.sign[idx] * (t[k + 1] - f)
+            flips[k, idx] = -flips[k, idx]
+            self.sign[idx] = -self.sign[idx]
+            self._advance(idx)
+        np.cumprod(flips[:-1], axis=0, out=start[1:])
+        start[1:] *= start[0]
+        return start, start * np.diff(t)[:, None] + correction
 
 
 def run_program(
@@ -301,20 +429,25 @@ def run_program(
     """Run a pulse program over the ensemble and average.
 
     Each member carries its static detuning plus (optionally) its own
-    noise trajectory; hard pulses are instantaneous rotations, finite
-    pulses rotate about the member's tilted axis with the noise value
-    frozen at the pulse start.  ``record="events"`` samples the mean
-    Bloch vector at every expanded event boundary instead of only at
-    t=0, acquires and the end.
+    bath.  The bath is propagated exactly once per interval -- every
+    wait and every finite pulse -- with no time step: a wait rotates
+    about z by ``2*pi*(detuning*h + integral of the bath over h)``.  Hard
+    pulses are instantaneous rotations; finite pulses rotate about the
+    member's tilted axis with the bath value frozen at the pulse start,
+    while the bath clock runs on through the pulse.  ``record="events"``
+    samples the mean Bloch vector at every expanded event boundary
+    instead of only at t=0, acquires and the end.
 
     ``noise`` may be a single :class:`NoiseModel` or a sequence of them
     (independent processes, detunings summed) -- e.g. two
     Ornstein-Uhlenbeck components standing in for a structured bath.
-    ``t2_per_member`` (length ``size``) models a coherence-time spread
-    across the ensemble.
+    ``NoiseModel.dt`` is not used.  Member ``i`` draws from one PCG64
+    stream seeded by ``(master_seed, i)``; bath ``j`` of the member
+    starts ``j * 2**120`` draws along it.  ``t2_per_member`` (length
+    ``size``) models a coherence-time spread across the ensemble.
 
     Raises :class:`SimulationBudgetError` when ``size`` times the number
-    of noise steps exceeds ``max_member_steps``.
+    of bath intervals exceeds ``max_member_steps``.
     """
     if record not in ("acquires", "events"):
         raise ValueError(f"unknown record mode {record!r}")
@@ -325,35 +458,25 @@ def run_program(
     events = list(program.expand())
     models = _noise_list(noise)
 
-    # Pre-split every wait and lay out the timeline once; identical for
-    # all chunks, so sample times are exact and shared.
-    wait_steps: list[list[float]] = []
-    n_draw_steps = 0
-    for ev in events:
-        if isinstance(ev, Wait):
-            steps = _wait_steps(ev.duration, models[0].dt) if models else [ev.duration]
-            wait_steps.append(steps)
-            n_draw_steps += len(steps)
-    if models and ensemble.size * n_draw_steps > max_member_steps:
-        raise SimulationBudgetError(
-            f"{ensemble.size} members x {n_draw_steps} noise steps exceeds the "
-            f"budget of {max_member_steps:.0f}; raise max_member_steps or coarsen dt"
-        )
-
-    detunings, weights = sample_detunings(ensemble)
-    seeds = np.random.SeedSequence(master_seed).spawn(ensemble.size) if models else None
-
-    # timeline bookkeeping (config-determined, thread-independent)
+    # timeline bookkeeping (config-determined, thread-independent):
+    # sample times, acquires, bath intervals and hard-pulse matrices
     sample_times: list[float] = [0.0]
     acquire_meta: list[tuple[str, float]] = []
+    spans: list[float] = []
+    hard: dict = {}
     t = 0.0
-    wi = 0
     for ev in events:
         if isinstance(ev, Wait):
             t += ev.duration
-            wi += 1
+            spans.append(ev.duration)
         elif isinstance(ev, Pulse):
-            t += ev.event.elapsed
+            p = ev.event
+            t += p.elapsed
+            if p.mode == "finite":
+                spans.append(p.duration)
+            elif p not in hard:
+                axis = np.array([math.cos(p.phase), math.sin(p.phase), 0.0])
+                hard[p] = rotate(np.eye(3), axis, p.area)  # row j = image of e_j
         else:
             acquire_meta.append((ev.label, t))
         if record == "events":
@@ -363,40 +486,63 @@ def run_program(
         sample_times.append(t)
     total_duration = t
 
+    if models and ensemble.size * len(spans) > max_member_steps:
+        raise SimulationBudgetError(
+            f"{ensemble.size} members x {len(spans)} bath intervals exceeds the "
+            f"budget of {max_member_steps:.0f}; raise max_member_steps"
+        )
+
+    detunings, weights = sample_detunings(ensemble)
+    seeds = np.random.SeedSequence(master_seed).spawn(ensemble.size) if models else None
+    edges = np.concatenate(([0.0], np.cumsum(spans)))
+    # per-interval OU draw factors, shared by every chunk
+    factor_tables = []
+    for mod in models:
+        table = None
+        if mod.kind == "ornstein_uhlenbeck":
+            cache = {h: _ou_factors(h, mod.sigma, mod.tau_b) for h in set(spans)}
+            table = np.array([cache[h] for h in spans]).reshape(-1, 5)
+        factor_tables.append(table)
+    block = _DRAW_BLOCK
+
     n_samples = len(sample_times)
     n_acquires = len(acquire_meta)
 
     def run_chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        m = hi - lo
         det = detunings[lo:hi]
         w = weights[lo:hi]
         t2o = None if t2_per_member is None else np.asarray(t2_per_member, float)[lo:hi]
-        v = np.tile(initial, (m, 1))
+        v = np.tile(initial, (hi - lo, 1))
 
-        # pre-draw every random number this chunk will consume; member i's
-        # stream depends only on (master_seed, i), never on chunking
-        draws = None
-        x = np.zeros(m)
-        if models:
-            draws = np.empty((len(models), m, n_draw_steps))
-            values = np.empty((len(models), m))
-            for i in range(m):
-                rng = np.random.Generator(np.random.PCG64(seeds[lo + i]))
-                for j, mod in enumerate(models):
-                    if mod.kind == "ornstein_uhlenbeck":
-                        draws[j, i] = rng.standard_normal(n_draw_steps)
-                        values[j, i] = mod.sigma * rng.standard_normal()
-                    else:
-                        draws[j, i] = rng.random(n_draw_steps)
-                        values[j, i] = mod.amplitude * (1.0 if rng.random() < 0.5 else -1.0)
-            x = values.sum(axis=0)
+        baths = []
+        for j, (mod, table) in enumerate(zip(models, factor_tables)):
+            rngs = []
+            for seed in seeds[lo:hi]:
+                bits = np.random.PCG64(seed)
+                bits.advance(j * _BATH_STREAM_STRIDE)
+                rngs.append(np.random.Generator(bits))
+            if mod.kind == "ornstein_uhlenbeck":
+                baths.append(_OUBath(mod, rngs, table))
+            else:
+                baths.append(_TelegraphBath(mod, rngs))
+        drawn = (None, None)
+        k = 0  # index of the next bath interval
+
+        def next_interval() -> tuple[np.ndarray, np.ndarray]:
+            """Summed bath (value at start, integral) over the next interval."""
+            nonlocal drawn, k
+            j = k % block
+            if j == 0:
+                end = min(k + block, len(spans))
+                parts = [b.block(k, end, edges) for b in baths]
+                drawn = (sum(p[0] for p in parts), sum(p[1] for p in parts))
+            k += 1
+            return drawn[0][j], drawn[1][j]
 
         sums = np.zeros((n_samples, 3))
         acq_sums = np.zeros((n_acquires, 3))
         si = 0
         ai = 0
-        wi = 0
-        col = 0
 
         def record_sample():
             nonlocal si
@@ -405,90 +551,37 @@ def run_program(
 
         record_sample()  # t = 0
 
-        z_eq = relax.z_equilibrium
-        t1 = relax.t1
-        # per-(h) relaxation factor cache; waits reuse a handful of values
-        fac_cache: dict[float, tuple] = {}
-
-        def factors(h: float):
-            hit = fac_cache.get(h)
-            if hit is None:
-                e1 = math.exp(-h / t1)
-                if t2o is None:
-                    e2 = math.exp(-h / relax.t2)
-                else:
-                    e2 = np.exp(-h / t2o)
-                hit = (e1, e2)
-                fac_cache[h] = hit
-            return hit
-
-        def advance_noise(h: float, step_col: int):
-            nonlocal x
-            for j, mod in enumerate(models):
-                u = draws[j, :, step_col]
-                if mod.kind == "ornstein_uhlenbeck":
-                    a = math.exp(-h / mod.tau_b)
-                    b = mod.sigma * math.sqrt(1.0 - a * a)
-                    values[j] = values[j] * a + b * u
-                else:
-                    # u uniform; parity of a Poisson flip count over h
-                    p_odd = 0.5 * (1.0 - math.exp(-2.0 * mod.flip_rate * h))
-                    values[j] = np.where(u < p_odd, -values[j], values[j])
-            x = values.sum(axis=0)
-
         for ev in events:
             if isinstance(ev, Pulse):
                 p = ev.event
                 if p.mode == "hard":
-                    axis = np.array([math.cos(p.phase), math.sin(p.phase), 0.0])
-                    v = rotate(v, axis, p.area)
+                    v = v @ hard[p]
                 else:
-                    eff = det + x if models else det
-                    omega = np.hypot(p.rabi, eff)
-                    angle = 2.0 * math.pi * omega * p.duration
-                    axis = np.stack(
-                        [
-                            np.full(m, p.rabi * math.cos(p.phase)),
-                            np.full(m, p.rabi * math.sin(p.phase)),
-                            eff if np.ndim(eff) else np.full(m, eff),
-                        ],
-                        axis=-1,
-                    ) / omega[:, None]
-                    v = rotate(v, axis, angle)
+                    eff = det + next_interval()[0] if baths else det
+                    v = apply_finite_pulse(v, p.rabi, p.duration, p.phase, eff)
             elif isinstance(ev, Wait):
-                for h in wait_steps[wi]:
-                    eff = det + x if models else det
-                    theta = 2.0 * math.pi * eff * h
-                    c = np.cos(theta)
-                    s = np.sin(theta)
-                    e1, e2 = factors(h)
-                    vx = (v[:, 0] * c - v[:, 1] * s) * e2
-                    vy = (v[:, 0] * s + v[:, 1] * c) * e2
-                    vz = z_eq + (v[:, 2] - z_eq) * e1
-                    v = np.stack([vx, vy, vz], axis=-1)
-                    if models:
-                        advance_noise(h, col)
-                        col += 1
-                wi += 1
+                h = ev.duration
+                eff = det
+                if baths:
+                    integral = next_interval()[1]
+                    if h > 0:
+                        eff = det + integral / h
+                v = evolve_free(v, h, eff, relax, t2o)
             else:  # Acquire
                 acq_sums[ai] = w @ v
                 ai += 1
             if record == "events":
                 record_sample()
         if record != "events":
-            for k in range(n_acquires):
-                sums[1 + k] = acq_sums[k]
+            for j in range(n_acquires):
+                sums[1 + j] = acq_sums[j]
             sums[-1] = w @ v
         return sums, acq_sums
 
-    # Chunk size depends on the configuration only (memory bound on the
-    # pre-drawn noise), never on the thread count.
-    chunk = _MEMBER_CHUNK
-    if models:
-        budget_elems = 2.0e7
-        chunk = max(16, min(_MEMBER_CHUNK, int(budget_elems // max(1, n_draw_steps * len(models)))))
-    starts = list(range(0, ensemble.size, chunk))
-    bounds = [(lo, min(lo + chunk, ensemble.size)) for lo in starts]
+    bounds = [
+        (lo, min(lo + _MEMBER_CHUNK, ensemble.size))
+        for lo in range(0, ensemble.size, _MEMBER_CHUNK)
+    ]
     if n_threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             parts = list(pool.map(lambda b: run_chunk(*b), bounds))

@@ -1,0 +1,75 @@
+"""Command-line config errors: every bad config exits with code 1."""
+
+import json
+
+import pytest
+
+from blochdd import cli
+
+Q_SYNTH = [
+    [1230.1533574825742, -295923.15062440216, -106997.12638238954],
+    [-295923.15062440216, -454670.7851717225, 174284.34527903557],
+    [-106997.12638238954, 174284.34527903557, -492206.5185513296],
+]
+M_SYNTH = [
+    [1379.5251001800596, 489.8420501851982, 356.88700816006076],
+    [105.41424899789855, 1069.5319552917954, -29.251822463273488],
+    [695.3031944582879, -1344.2145472850818, 1542.384238959782],
+]
+
+
+def run_cli(tmp_path, command, cfg, *extra):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main([command, "--config", str(path), "--out-dir", str(tmp_path / "out"), *extra])
+
+
+def critical_point_config(**search):
+    return {
+        "spin_system": {"q_tensor_hz": Q_SYNTH, "m_tensor_hz_per_g": M_SYNTH},
+        "search": {"b_init_g": [-256.0, 950.6, -192.5], **search},
+    }
+
+
+def test_validate_rejects_asymmetric_q_tensor(tmp_path):
+    q = [row[:] for row in Q_SYNTH]
+    q[0][1] += 1.0
+    cfg = {"spin_system": {"q_tensor_hz": q, "m_tensor_hz_per_g": M_SYNTH}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("validate_only", [True, False])
+@pytest.mark.parametrize(
+    "search",
+    [{"n_starts": "abc"}, {"n_starts": 0}, {"seed": "abc"},
+     {"box_halfwidth_g": "abc"}, {"box_halfwidth_g": -1.0},
+     {"tolerance_hz_per_g": "abc"}],
+)
+def test_critical_point_rejects_bad_search_settings(tmp_path, search, validate_only):
+    extra = ("--validate-only",) if validate_only else ()
+    assert run_cli(tmp_path, "critical-point", critical_point_config(**search), *extra) == 1
+
+
+@pytest.mark.parametrize("validate_only", [True, False])
+def test_tomography_rejects_non_integer_master_seed(tmp_path, validate_only):
+    cfg = {
+        "sequence": {"tau1_s": 5e-4, "tau_c_s": 1e-3},
+        "ensemble": {"size": 4, "fwhm_hz": 1000.0},
+        "master_seed": "abc",
+    }
+    extra = ("--n-list", "1", "--validate-only") if validate_only else ("--n-list", "1")
+    assert run_cli(tmp_path, "tomography", cfg, *extra) == 1
+
+
+@pytest.mark.parametrize("validate_only", [True, False])
+def test_sweep_rejects_non_integer_master_seed(tmp_path, validate_only):
+    cfg = {
+        "sweep": {"tau_c_s": [1e-3], "total_time_s": 0.01},
+        "ensemble": {"size": 4, "fwhm_hz": 1000.0},
+        "noise": {"kind": "ornstein_uhlenbeck", "sigma_hz": 5.0, "tau_b_s": 5e-3},
+        "master_seed": "abc",
+    }
+    extra = ("--validate-only",) if validate_only else ()
+    assert run_cli(tmp_path, "sweep", cfg, *extra) == 1

@@ -1,12 +1,15 @@
 """Ensemble sampling, bath trajectories, and program-run contracts."""
 
+import dataclasses
 import json
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from blochdd import ensemble
 from blochdd.bloch import RelaxationParams
 from blochdd.ensemble import (
     EnsembleSpec,
@@ -127,6 +130,53 @@ def test_ou_stationary_variance_and_autocorrelation():
     assert abs(corr - expect) < 3 * se_corr
 
 
+def ou_interval_moments_exact(r, sigma, tau_b, x0):
+    """Closed-form (mean_x, mean_int, var_x, var_int, cov) in 40-digit decimals."""
+    getcontext().prec = 40
+    r, s2, tau = Decimal(r), Decimal(sigma) ** 2, Decimal(tau_b)
+    a = (-r).exp()
+    moments = (
+        a * Decimal(x0),
+        tau * (1 - a) * Decimal(x0),
+        s2 * (1 - a * a),
+        s2 * tau * tau * (2 * r - 3 + 4 * a - a * a),
+        s2 * tau * (1 - a) ** 2,
+    )
+    return [float(m) for m in moments]
+
+
+@pytest.mark.parametrize("r", [1e-9, 1e-3, 1.0, 50.0])
+def test_ou_interval_draw_matches_closed_form(r):
+    # one exact OU interval from a fixed start: the sample mean and
+    # covariance of (x_h, integral) against the bivariate Gaussian
+    sigma, tau_b, x0, n = 25.0, 4e-3, 17.0, 200_000
+    factors = np.array([ensemble._ou_factors(r * tau_b, sigma, tau_b)])
+    z = np.random.default_rng(11).standard_normal((1, n, 2))
+    xs, integrals = ensemble._ou_advance(np.full(n, x0), factors, z)
+    x, s = xs[1], integrals[0]
+    mx, ms, vx, vs, cov = ou_interval_moments_exact(r, sigma, tau_b, x0)
+    assert vx > 0 and vs > 0
+    assert abs(x.mean() - mx) < 3 * math.sqrt(vx / n)
+    assert abs(s.mean() - ms) < 3 * math.sqrt(vs / n)
+    assert abs(x.var() - vx) < 3 * vx * math.sqrt(2.0 / n)
+    assert abs(s.var() - vs) < 3 * vs * math.sqrt(2.0 / n)
+    sample_cov = np.mean((x - x.mean()) * (s - s.mean()))
+    assert abs(sample_cov - cov) < 3 * math.sqrt((vx * vs + cov**2) / n)
+
+
+def test_ou_interval_variances_are_never_negative():
+    sigma, tau_b = 3.0, 1e-3
+    for r in np.logspace(-15, 3, 400):
+        a, b, l11, l21, l22 = ensemble._ou_factors(r * tau_b, sigma, tau_b)
+        assert ensemble._ou_integral_bracket(r) > 0
+        assert l11 > 0 and l22 > 0
+    # the series and the closed form meet at the branch point
+    r = 0.1
+    closed = 2 * r - 3 + 4 * math.exp(-r) - math.exp(-2 * r)
+    assert ensemble._ou_integral_bracket(r) == pytest.approx(closed, rel=1e-12)
+    assert ensemble._ou_integral_bracket(r * (1 - 1e-12)) == pytest.approx(closed, rel=1e-10)
+
+
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(kind="ornstein_uhlenbeck", sigma=1.0, tau_b=0.0)
@@ -191,10 +241,53 @@ def test_run_is_deterministic_and_thread_invariant():
     assert not np.array_equal(a.mean_bloch, c.mean_bloch)
 
 
+def invariance_run(noise, n_threads=1):
+    spec = EnsembleSpec(size=1100, distribution="gaussian", fwhm=500.0, seed=4)
+    prog = build_bangbang(
+        BangBangParams(tau1=0.5e-3, tau_c=1e-3, n_cycles=6),
+        PulseSpec(rabi=50e3),
+        acquire_every=2,
+    )
+    return run_program(prog, spec, noise=noise, master_seed=7, record="events",
+                       n_threads=n_threads)
+
+
+def assert_same_run(a, b):
+    np.testing.assert_array_equal(a.mean_bloch, b.mean_bloch)
+    for sa, sb in zip(a.acquires, b.acquires):
+        np.testing.assert_array_equal(sa.mean, sb.mean)
+
+
+INVARIANCE_BATHS = (
+    NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=2e-3),
+    NoiseModel(kind="telegraph", amplitude=40.0, flip_rate=3000.0),
+)
+
+
+def test_run_does_not_read_dt():
+    # dt = tau/10 against tau/1000, tau the correlation time (default dt = tau/100)
+    def with_dt(fraction):
+        return tuple(dataclasses.replace(m, dt=m.dt * 100 * fraction) for m in INVARIANCE_BATHS)
+
+    assert_same_run(invariance_run(with_dt(1 / 10)), invariance_run(with_dt(1 / 1000)))
+
+
+def test_run_is_thread_invariant_with_mixed_baths():
+    assert_same_run(invariance_run(INVARIANCE_BATHS, 1), invariance_run(INVARIANCE_BATHS, 8))
+
+
+def test_run_is_invariant_to_draw_block(monkeypatch):
+    default = invariance_run(INVARIANCE_BATHS)
+    # 3 intervals or flips per draw: every member refills many times
+    monkeypatch.setattr(ensemble, "_DRAW_BLOCK", 3)
+    assert_same_run(default, invariance_run(INVARIANCE_BATHS))
+
+
 def test_budget_guard():
     spec = EnsembleSpec(size=1000, distribution="gaussian", fwhm=100.0, seed=1)
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=1.0, tau_b=1e-3, dt=1e-5)
-    prog = parse("wait 1s\nacquire a")
+    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=1.0, tau_b=1e-3)
+    # 1000 members x 2000 bath intervals = 2e6 > 1e6
+    prog = parse("repeat 2000 { wait 0.5ms }\nacquire a")
     with pytest.raises(SimulationBudgetError):
         run_program(prog, spec, noise=noise, max_member_steps=1e6)
 
@@ -308,6 +401,54 @@ def test_decoupling_beats_two_pulse_echo_in_fast_pulsing_regime():
     assert bb_mag > hahn_mag
     # and the two-pulse value itself should sit near the analytic law
     assert hahn_mag == pytest.approx(float(ou_hahn_coherence(total, sigma, tau_b)), abs=0.1)
+
+
+def filter_function_coherence(edges, signs, sigma, tau_b):
+    """exp(-1/2 (2 pi sigma)^2 int int y(t) y(s) e^(-|t-s|/tau_b)) for a
+    switching function y = signs[j] on [edges[j], edges[j+1]]."""
+    edges = np.asarray(edges, dtype=float)
+    signs = np.asarray(signs, dtype=float)
+    length = np.diff(edges)
+    g = -np.expm1(-length / tau_b)
+    # same segment: 2 tau_b^2 (L/tau_b - 1 + e^(-L/tau_b))
+    total = np.sum(2 * tau_b**2 * (length / tau_b - g))
+    # segment j before segment l: tau_b^2 g_j g_l e^(-(edges[l] - edges[j+1])/tau_b)
+    gap = np.clip(edges[None, :-1] - edges[1:, None], 0.0, None)
+    pairs = np.outer(signs * g, signs * g) * np.exp(-gap / tau_b)
+    total += 2 * tau_b**2 * np.triu(pairs, 1).sum()
+    return math.exp(-0.5 * (2 * math.pi * sigma) ** 2 * total)
+
+
+def test_filter_function_reproduces_the_fid_and_hahn_laws():
+    sigma, tau_b, t = 40.0, 3e-3, 5e-3
+    fid = filter_function_coherence([0, t], [1], sigma, tau_b)
+    assert fid == pytest.approx(float(ou_fid_coherence(t, sigma, tau_b)), rel=1e-12)
+    hahn = filter_function_coherence([0, t / 2, t], [1, -1], sigma, tau_b)
+    assert hahn == pytest.approx(float(ou_hahn_coherence(t, sigma, tau_b)), rel=1e-12)
+
+
+def test_bangbang_matches_filter_function_oracle():
+    # zero-detuning members under a hard-pulse train with tau_c/tau_b = 1;
+    # each pi pulse flips the switching function, and the ideal echo lies
+    # along -y, so -my is the mean of cos(phase)
+    sigma, tau_b = 80.0, 2e-3
+    tau1, tau_c, n_cycles, every = 1e-3, 2e-3, 8, 2
+    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b)
+    n = 4000
+    spec = EnsembleSpec(size=n, distribution="explicit", detunings=(0.0,) * n)
+    prog = build_bangbang(
+        BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n_cycles), acquire_every=every
+    )
+    res = run_program(prog, spec, noise=noise, master_seed=23)
+    assert len(res.acquires) == n_cycles // every
+    for c, acq in zip(range(every, n_cycles + 1, every), res.acquires):
+        edges = [0.0] + [tau1 + k * tau_c for k in range(2 * c)] + [2 * c * tau_c]
+        assert acq.time == pytest.approx(edges[-1], abs=1e-12)
+        expect = filter_function_coherence(edges, [(-1) ** j for j in range(2 * c + 1)],
+                                           sigma, tau_b)
+        var_phase = -2.0 * math.log(expect)
+        var_cos = (1 + math.exp(-2 * var_phase)) / 2 - math.exp(-var_phase)
+        assert abs(-acq.mean[1] - expect) < 3 * math.sqrt(var_cos / n)
 
 
 def test_bangbang_against_brute_force_rotation_oracle():
