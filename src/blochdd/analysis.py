@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from .bloch import NO_RELAXATION, RelaxationParams
 from .ensemble import (
     EnsembleSpec,
     NoiseModel,
@@ -295,8 +296,7 @@ def sweep_t2_vs_tauc(
     pulse_spec: PulseSpec = HARD_PULSES,
     master_seed: int = 0,
     max_fit_points: int = 200,
-    relax=None,
-    n_threads: int = 1,
+    relax: RelaxationParams = NO_RELAXATION,
     label: str = "echo",
 ):
     """Extract the decoupled coherence time at each pulse spacing.
@@ -312,9 +312,6 @@ def sweep_t2_vs_tauc(
     with ``t2 = inf``.  Fit failures are recorded and the sweep
     continues.  Returns points sorted by ``tau_c``.
     """
-    from .bloch import NO_RELAXATION
-
-    relax = relax if relax is not None else NO_RELAXATION
     points = []
     for tau_c in sorted(float(x) for x in tau_c_values):
         if not tau_c > 0:
@@ -334,7 +331,6 @@ def sweep_t2_vs_tauc(
             relax=relax,
             master_seed=master_seed,
             record="acquires",
-            n_threads=n_threads,
         )
         times, mags, _ = acquire_series(result, label)
         if len(times) > max_fit_points:

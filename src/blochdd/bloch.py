@@ -31,7 +31,6 @@ __all__ = [
     "PulseEvent",
     "apply_hard_pulse",
     "apply_finite_pulse",
-    "apply_pulse",
     "evolve_free",
     "evolve_noisy",
     "rotate",
@@ -195,13 +194,6 @@ def apply_finite_pulse(
         axis=-1,
     ) / omega_eff[..., None]
     return rotate(state, axis, angle)
-
-
-def apply_pulse(state: np.ndarray, pulse: PulseEvent, detuning=0.0) -> np.ndarray:
-    """Apply a :class:`PulseEvent`, dispatching on its mode."""
-    if pulse.mode == "hard":
-        return apply_hard_pulse(state, pulse.area, pulse.phase)
-    return apply_finite_pulse(state, pulse.rabi, pulse.duration, pulse.phase, detuning)
 
 
 def evolve_free(

@@ -140,7 +140,6 @@ def build_noise(doc: dict | None, errors: list):
             tau_b=doc.get("tau_b_s"),
             amplitude=doc.get("amplitude_hz", 0.0),
             flip_rate=doc.get("flip_rate_hz"),
-            dt=doc.get("dt_s"),
         )
     except (ValueError, TypeError) as exc:
         errors.append(f"noise: {exc}")
@@ -232,7 +231,6 @@ def cmd_simulate(args) -> int:
         master_seed=seed,
         initial_state=initial,
         record=record,
-        n_threads=args.threads,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     _write(os.path.join(args.out_dir, "trajectory.csv"), ensemble.result_to_csv(result))
@@ -283,7 +281,6 @@ def cmd_tomography(args) -> int:
         noise=noise,
         relax=relax,
         master_seed=seed,
-        n_threads=args.threads,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     summary = ["n_cycles,fidelity,average_gate_fidelity"]
@@ -342,7 +339,6 @@ def cmd_sweep(args) -> int:
         pulse_spec=pulse_spec,
         master_seed=seed,
         relax=relax,
-        n_threads=args.threads,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     _write(os.path.join(args.out_dir, "sweep.csv"), analysis.sweep_to_csv(points))
@@ -463,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
         p.add_argument(
             "--validate-only", action="store_true",
             help="check the config (including the bath-cutoff criterion) and exit",

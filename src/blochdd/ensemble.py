@@ -8,9 +8,9 @@ evolve independently; observables are weighted means.
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
 randomness from a stream derived only from ``(master_seed, i)`` and
-consumes it in order, whatever the draw block size; chunk partial sums
-combine in fixed chunk order, and chunk size never depends on the
-worker count -- so results are bit-identical for any number of threads.
+consumes it in order, so results are bit-identical for any draw block
+size.  Members run in chunks of a fixed size, one after another, and
+the chunk partial sums are reduced serially in chunk order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,11 +122,8 @@ class NoiseModel:
     ``ornstein_uhlenbeck``: stationary Gaussian noise with rms ``sigma``
     (Hz) and correlation time ``tau_b`` (s); the effective bath cutoff
     is ``omega_c ~ 1/tau_b``.  ``telegraph``: jumps between
-    ``+-amplitude`` (Hz) at Poisson rate ``flip_rate`` (Hz).  ``dt`` is
-    only the sample spacing of :func:`generate_ou_trajectory`;
-    :func:`run_program` propagates baths exactly and never reads it.  It
-    defaults to a hundredth of the correlation time and must resolve it
-    (``dt <= tau_b/10``).
+    ``+-amplitude`` (Hz) at Poisson rate ``flip_rate`` (Hz).
+    :func:`run_program` propagates both exactly, with no time step.
     """
 
     kind: str = "none"
@@ -135,7 +131,6 @@ class NoiseModel:
     tau_b: float | None = None
     amplitude: float = 0.0
     flip_rate: float | None = None
-    dt: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("none", "ornstein_uhlenbeck", "telegraph"):
@@ -147,39 +142,32 @@ class NoiseModel:
                 raise ValueError(f"sigma must be >= 0, got {self.sigma}")
             if self.tau_b is None or not self.tau_b > 0:
                 raise ValueError(f"tau_b must be positive, got {self.tau_b}")
-            corr = self.tau_b
         else:
             if self.amplitude < 0:
                 raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
             if self.flip_rate is None or not self.flip_rate > 0:
                 raise ValueError(f"flip_rate must be positive, got {self.flip_rate}")
-            corr = 1.0 / (2.0 * self.flip_rate)
-        if self.dt is None:
-            object.__setattr__(self, "dt", corr / 100.0)
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.dt > corr / 10.0 + 1e-15:
-            raise ValueError(
-                f"dt ({self.dt}) must resolve the bath: require dt <= {corr / 10.0}"
-            )
 
 
 NO_NOISE = NoiseModel()
 
 
-def generate_ou_trajectory(noise: NoiseModel, duration: float, member_seed) -> np.ndarray:
+def generate_ou_trajectory(noise: NoiseModel, duration: float, dt: float, member_seed) -> np.ndarray:
     """One stationary Ornstein-Uhlenbeck detuning trajectory.
 
     Returns samples at the start of each ``dt`` step covering
     ``duration`` (``ceil(duration/dt)`` values).  Uses the exact
     discrete update ``x' = x e^(-dt/tau_b) + sigma sqrt(1-e^(-2dt/tau_b)) xi``
     with ``x_0 ~ N(0, sigma^2)``, so the statistics are independent of dt.
+    A test oracle: :func:`run_program` draws its baths exactly per interval.
     """
     if noise.kind != "ornstein_uhlenbeck":
         raise ValueError("generate_ou_trajectory requires an ornstein_uhlenbeck model")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     rng = np.random.Generator(np.random.PCG64(member_seed))
-    n = max(1, int(math.ceil(duration / noise.dt - 1e-9)))
-    a = math.exp(-noise.dt / noise.tau_b)
+    n = max(1, int(math.ceil(duration / dt - 1e-9)))
+    a = math.exp(-dt / noise.tau_b)
     b = noise.sigma * math.sqrt(1.0 - a * a)
     xi = rng.standard_normal(n)
     out = np.empty(n)
@@ -195,7 +183,7 @@ def generate_ou_trajectory(noise: NoiseModel, duration: float, member_seed) -> n
 # ---------------------------------------------------------------------------
 
 class SimulationBudgetError(RuntimeError):
-    """size x bath intervals exceeds the configured work budget."""
+    """size x expanded events exceeds the configured work budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +283,9 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 # or flips (telegraph) at a time.  It bounds memory only: each member's
 # draws are consumed in stream order, so results never depend on it.
 _DRAW_BLOCK = 256
-_MEMBER_CHUNK = 512  # fixed: never derived from thread count
+# Members per chunk: a constant, so the chunk partial sums, reduced
+# serially in chunk order, round the same way in every run.
+_MEMBER_CHUNK = 512
 _BATH_STREAM_STRIDE = 2**120  # draws between the streams of one member's baths
 
 
@@ -422,7 +412,6 @@ def run_program(
     master_seed: int = 0,
     initial_state: Sequence[float] = (0.0, 0.0, 1.0),
     record: str = "acquires",
-    n_threads: int = 1,
     t2_per_member: np.ndarray | None = None,
     max_member_steps: float = 2e9,
 ) -> SimulationResult:
@@ -441,13 +430,15 @@ def run_program(
     ``noise`` may be a single :class:`NoiseModel` or a sequence of them
     (independent processes, detunings summed) -- e.g. two
     Ornstein-Uhlenbeck components standing in for a structured bath.
-    ``NoiseModel.dt`` is not used.  Member ``i`` draws from one PCG64
-    stream seeded by ``(master_seed, i)``; bath ``j`` of the member
-    starts ``j * 2**120`` draws along it.  ``t2_per_member`` (length
-    ``size``) models a coherence-time spread across the ensemble.
+    Member ``i`` draws from one PCG64 stream seeded by ``(master_seed,
+    i)``; bath ``j`` of the member starts ``j * 2**120`` draws along it.
+    Members run serially in chunks of ``_MEMBER_CHUNK``.
+    ``t2_per_member`` (length ``size``) models a coherence-time spread
+    across the ensemble.
 
-    Raises :class:`SimulationBudgetError` when ``size`` times the number
-    of bath intervals exceeds ``max_member_steps``.
+    Raises :class:`SimulationBudgetError`, before any work, when
+    ``size`` times the number of expanded events
+    (:meth:`PulseProgram.expanded_count`) exceeds ``max_member_steps``.
     """
     if record not in ("acquires", "events"):
         raise ValueError(f"unknown record mode {record!r}")
@@ -455,10 +446,16 @@ def run_program(
     if initial.shape != (3,):
         raise ValueError("initial_state must be a 3-vector")
 
+    n_events = program.expanded_count()
+    if ensemble.size * n_events > max_member_steps:
+        raise SimulationBudgetError(
+            f"{ensemble.size} members x {n_events} events exceeds the "
+            f"budget of {max_member_steps:.0f}; raise max_member_steps"
+        )
     events = list(program.expand())
     models = _noise_list(noise)
 
-    # timeline bookkeeping (config-determined, thread-independent):
+    # timeline bookkeeping (config-determined, member-independent):
     # sample times, acquires, bath intervals and hard-pulse matrices
     sample_times: list[float] = [0.0]
     acquire_meta: list[tuple[str, float]] = []
@@ -485,12 +482,6 @@ def run_program(
         sample_times.extend(tm for _, tm in acquire_meta)
         sample_times.append(t)
     total_duration = t
-
-    if models and ensemble.size * len(spans) > max_member_steps:
-        raise SimulationBudgetError(
-            f"{ensemble.size} members x {len(spans)} bath intervals exceeds the "
-            f"budget of {max_member_steps:.0f}; raise max_member_steps"
-        )
 
     detunings, weights = sample_detunings(ensemble)
     seeds = np.random.SeedSequence(master_seed).spawn(ensemble.size) if models else None
@@ -578,15 +569,10 @@ def run_program(
             sums[-1] = w @ v
         return sums, acq_sums
 
-    bounds = [
-        (lo, min(lo + _MEMBER_CHUNK, ensemble.size))
+    parts = [
+        run_chunk(lo, min(lo + _MEMBER_CHUNK, ensemble.size))
         for lo in range(0, ensemble.size, _MEMBER_CHUNK)
     ]
-    if n_threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        parts = [run_chunk(*b) for b in bounds]
 
     total_w = float(weights.sum())
     mean = sum(p[0] for p in parts) / total_w

@@ -229,7 +229,6 @@ def find_critical_point(
     gap_threshold: float = 1.0,
     seed: int = 0,
     max_iter: int = 4000,
-    hessian_step: float = 0.5,
 ) -> CriticalPointResult:
     """Locate a zero of the transition-frequency field gradient.
 
@@ -291,7 +290,7 @@ def find_critical_point(
     return CriticalPointResult(
         b_cp=b_cp,
         residual_gradient_norm=residual,
-        curvature=frequency_hessian(system, b_cp, i, j, step=hessian_step),
+        curvature=frequency_hessian(system, b_cp, i, j),
         converged=residual <= tolerance,
         n_evaluations=evaluations,
         frequency=transition_frequency(system, b_cp, i, j),

@@ -153,7 +153,14 @@ class PulseProgram:
         return total
 
     def expanded_count(self) -> int:
-        return sum(1 for _ in self.expand())
+        """Number of primitive events :meth:`expand` yields, without expanding."""
+
+        def count(events):
+            return sum(
+                ev.count * count(ev.body) if isinstance(ev, Repeat) else 1 for ev in events
+            )
+
+        return count(self.events)
 
 
 # ---------------------------------------------------------------------------

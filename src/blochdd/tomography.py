@@ -26,7 +26,7 @@ Fidelity here is the entanglement (process) fidelity
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,7 +104,6 @@ def run_process_tomography(
     noise=None,
     relax: RelaxationParams = NO_RELAXATION,
     master_seed: int = 0,
-    n_threads: int = 1,
 ) -> ProcessResult:
     """Characterize a program body as a channel.
 
@@ -124,7 +123,6 @@ def run_process_tomography(
             master_seed=master_seed,
             initial_state=vec,
             record="acquires",
-            n_threads=n_threads,
         )
         outputs[label] = res.mean_bloch[-1]
     ptm = assemble_ptm(outputs)
@@ -144,7 +142,6 @@ def tomography_series(
     noise=None,
     relax: RelaxationParams = NO_RELAXATION,
     master_seed: int = 0,
-    n_threads: int = 1,
 ) -> list[ProcessResult]:
     """Tomography of the decoupling train at each cycle count in ``n_list``.
 
@@ -167,18 +164,9 @@ def tomography_series(
             pulse_spec,
         )
         res = run_process_tomography(
-            body, ensemble, noise=noise, relax=relax,
-            master_seed=master_seed, n_threads=n_threads,
+            body, ensemble, noise=noise, relax=relax, master_seed=master_seed
         )
-        results.append(
-            ProcessResult(
-                ptm=res.ptm,
-                fidelity=res.fidelity,
-                inputs=res.inputs,
-                outputs=res.outputs,
-                n_cycles=int(n),
-            )
-        )
+        results.append(replace(res, n_cycles=int(n)))
     return results
 
 

@@ -255,10 +255,10 @@ def test_ou_ensemble_matches_gaussian_phase_oracle():
     # 3 Monte-Carlo standard errors (variance also from the oracle).
     sigma, tau_b, dt = 60.0, 5e-3, 5e-5
     n_members, n_steps = 10_000, 200  # covers t = 10 ms = 2 tau_b
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b, dt=dt)
+    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b)
     seeds = np.random.SeedSequence(2024).spawn(n_members)
     trajs = np.stack(
-        [generate_ou_trajectory(noise, n_steps * dt, s) for s in seeds]
+        [generate_ou_trajectory(noise, n_steps * dt, dt, s) for s in seeds]
     )
     v = np.tile([1.0, 0.0, 0.0], (n_members, 1))
     checkpoints = [40, 80, 120, 160, 200]

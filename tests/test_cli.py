@@ -1,4 +1,4 @@
-"""Command-line config errors: every bad config exits with code 1."""
+"""Command-line config handling: bad configs exit with code 1, retired keys are ignored."""
 
 import json
 
@@ -73,3 +73,24 @@ def test_sweep_rejects_non_integer_master_seed(tmp_path, validate_only):
     }
     extra = ("--validate-only",) if validate_only else ()
     assert run_cli(tmp_path, "sweep", cfg, *extra) == 1
+
+
+def test_simulate_ignores_retired_dt_key(tmp_path):
+    # dt_s no longer exists: even one far coarser than tau_b_s / 10 is
+    # ignored like any unknown key, and the run is unchanged
+    cfg = {
+        "sequence": {"template": "bangbang", "tau1_s": 5e-4, "tau_c_s": 1e-3,
+                     "n_cycles": 3, "acquire_every": 1},
+        "ensemble": {"size": 16, "fwhm_hz": 500.0, "seed": 2},
+        "noise": {"kind": "ornstein_uhlenbeck", "sigma_hz": 20.0, "tau_b_s": 5e-3},
+        "master_seed": 3,
+    }
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert run_cli(plain, "simulate", cfg) == 0
+    cfg["noise"]["dt_s"] = 1e-3
+    with_dt = tmp_path / "with_dt"
+    with_dt.mkdir()
+    assert run_cli(with_dt, "simulate", cfg) == 0
+    trajectory = "out/trajectory.csv"
+    assert (with_dt / trajectory).read_bytes() == (plain / trajectory).read_bytes()

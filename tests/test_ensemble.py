@@ -1,6 +1,5 @@
 """Ensemble sampling, bath trajectories, and program-run contracts."""
 
-import dataclasses
 import json
 import math
 from decimal import Decimal, getcontext
@@ -28,6 +27,7 @@ from blochdd.ensemble import (
 )
 from blochdd.sequences import (
     BangBangParams,
+    PulseProgram,
     PulseSpec,
     build_bangbang,
     build_hahn_echo,
@@ -104,20 +104,22 @@ def test_spec_validation():
 
 def test_ou_zero_sigma_is_silent():
     noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=0.0, tau_b=0.01)
-    traj = generate_ou_trajectory(noise, 0.05, member_seed=1)
+    traj = generate_ou_trajectory(noise, 0.05, 1e-4, member_seed=1)
     assert np.all(traj == 0.0)
+    with pytest.raises(ValueError):
+        generate_ou_trajectory(noise, 0.05, 0.0, member_seed=1)
 
 
 def test_ou_stationary_variance_and_autocorrelation():
     sigma, tau_b, dt = 25.0, 2e-3, 2e-5
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b, dt=dt)
+    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b)
     n = 10_000
     lag = int(round(tau_b / dt))
     seeds = np.random.SeedSequence(77).spawn(n)
     x0 = np.empty(n)
     xlag = np.empty(n)
     for k, s in enumerate(seeds):
-        traj = generate_ou_trajectory(noise, (lag + 1) * dt, s)
+        traj = generate_ou_trajectory(noise, (lag + 1) * dt, dt, s)
         x0[k] = traj[0]
         xlag[k] = traj[lag]
     var = np.mean(x0**2)
@@ -181,11 +183,7 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(kind="ornstein_uhlenbeck", sigma=1.0, tau_b=0.0)
     with pytest.raises(ValueError):
-        NoiseModel(kind="ornstein_uhlenbeck", sigma=1.0, tau_b=1e-3, dt=5e-4)  # dt too coarse
-    with pytest.raises(ValueError):
         NoiseModel(kind="telegraph", amplitude=1.0, flip_rate=0.0)
-    defaulted = NoiseModel(kind="ornstein_uhlenbeck", sigma=1.0, tau_b=0.1)
-    assert defaulted.dt == pytest.approx(1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +226,13 @@ def test_quadrature_and_monte_carlo_agree():
     assert abs(m_quad - m_mc) < 3 * se
 
 
-def test_run_is_deterministic_and_thread_invariant():
+def test_run_is_deterministic_and_seed_sensitive():
+    # 700 members span two chunks
     spec = EnsembleSpec(size=700, distribution="gaussian", fwhm=500.0, seed=4)
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=5e-3, dt=1e-4)
+    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=5e-3)
     prog = build_bangbang(BangBangParams(tau1=0.5e-3, tau_c=1e-3, n_cycles=5))
-    a = run_program(prog, spec, noise=noise, master_seed=99, n_threads=1)
-    b = run_program(prog, spec, noise=noise, master_seed=99, n_threads=8)
+    a = run_program(prog, spec, noise=noise, master_seed=99)
+    b = run_program(prog, spec, noise=noise, master_seed=99)
     np.testing.assert_array_equal(a.mean_bloch, b.mean_bloch)
     for sa, sb in zip(a.acquires, b.acquires):
         np.testing.assert_array_equal(sa.mean, sb.mean)
@@ -241,15 +240,14 @@ def test_run_is_deterministic_and_thread_invariant():
     assert not np.array_equal(a.mean_bloch, c.mean_bloch)
 
 
-def invariance_run(noise, n_threads=1):
+def invariance_run(noise):
     spec = EnsembleSpec(size=1100, distribution="gaussian", fwhm=500.0, seed=4)
     prog = build_bangbang(
         BangBangParams(tau1=0.5e-3, tau_c=1e-3, n_cycles=6),
         PulseSpec(rabi=50e3),
         acquire_every=2,
     )
-    return run_program(prog, spec, noise=noise, master_seed=7, record="events",
-                       n_threads=n_threads)
+    return run_program(prog, spec, noise=noise, master_seed=7, record="events")
 
 
 def assert_same_run(a, b):
@@ -262,18 +260,6 @@ INVARIANCE_BATHS = (
     NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=2e-3),
     NoiseModel(kind="telegraph", amplitude=40.0, flip_rate=3000.0),
 )
-
-
-def test_run_does_not_read_dt():
-    # dt = tau/10 against tau/1000, tau the correlation time (default dt = tau/100)
-    def with_dt(fraction):
-        return tuple(dataclasses.replace(m, dt=m.dt * 100 * fraction) for m in INVARIANCE_BATHS)
-
-    assert_same_run(invariance_run(with_dt(1 / 10)), invariance_run(with_dt(1 / 1000)))
-
-
-def test_run_is_thread_invariant_with_mixed_baths():
-    assert_same_run(invariance_run(INVARIANCE_BATHS, 1), invariance_run(INVARIANCE_BATHS, 8))
 
 
 def test_run_is_invariant_to_draw_block(monkeypatch):
@@ -292,9 +278,22 @@ def test_budget_guard():
         run_program(prog, spec, noise=noise, max_member_steps=1e6)
 
 
+def test_budget_guard_counts_events_before_expanding(monkeypatch):
+    # noise-free too: 64 members x 800,000 events = 5.12e7 > 1e6
+    spec = EnsembleSpec(size=64, distribution="gaussian", fwhm=100.0, seed=1)
+    prog = parse("repeat 200000 { pulse area=pi phase=0; wait 1us; pulse area=-pi phase=0; wait 1us }")
+
+    def unrolled(self):
+        raise AssertionError("the budget must be checked before expanding")
+
+    monkeypatch.setattr(PulseProgram, "expand", unrolled)
+    with pytest.raises(SimulationBudgetError):
+        run_program(prog, spec, max_member_steps=1e6)
+
+
 def test_ou_fid_through_simulator_matches_analytic():
     sigma, tau_b = 40.0, 0.01
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b, dt=1e-4)
+    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b)
     n = 3000
     spec = EnsembleSpec(size=n, distribution="explicit", detunings=(0.0,) * n)
     prog = parse(
@@ -318,8 +317,8 @@ def test_two_ou_components_multiply():
     # of the two analytic factors
     n = 3000
     spec = EnsembleSpec(size=n, distribution="explicit", detunings=(0.0,) * n)
-    n1 = NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=5e-3, dt=1e-4)
-    n2 = NoiseModel(kind="ornstein_uhlenbeck", sigma=45.0, tau_b=1.5e-3, dt=1e-4)
+    n1 = NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=5e-3)
+    n2 = NoiseModel(kind="ornstein_uhlenbeck", sigma=45.0, tau_b=1.5e-3)
     prog = parse("pulse area=pi/2 phase=0\nwait 4ms\nacquire a")
     res = run_program(prog, spec, noise=(n1, n2), master_seed=21)
     mag, _ = echo_amplitude(res, "a")
@@ -334,7 +333,7 @@ def test_telegraph_noise_dephases():
     n = 2000
     amp_hz, flip = 100.0, 2000.0
     spec = EnsembleSpec(size=n, distribution="explicit", detunings=(0.0,) * n)
-    noise = NoiseModel(kind="telegraph", amplitude=amp_hz, flip_rate=flip, dt=2e-5)
+    noise = NoiseModel(kind="telegraph", amplitude=amp_hz, flip_rate=flip)
     prog = parse("pulse area=pi/2 phase=0\nwait 5ms\nacquire a")
     res = run_program(prog, spec, noise=noise, master_seed=31)
     mag, _ = echo_amplitude(res, "a")
@@ -388,7 +387,7 @@ def test_decoupling_beats_two_pulse_echo_in_fast_pulsing_regime():
     # at t = 5 tau_b must beat the two-pulse echo at the same total time
     tau_b = 50e-3
     sigma = calibrate_ou_sigma(tau_b)
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b, dt=tau_b / 100)
+    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b)
     n = 512
     spec = EnsembleSpec(size=n, distribution="explicit", detunings=(0.0,) * n)
     total = 5 * tau_b
