@@ -1,10 +1,41 @@
 """Command-line front end.
 
 Subcommands: simulate | tomography | sweep | critical-point | fit |
-validate.  Experiment configs are JSON documents with unit-suffixed
-keys (tau_c_s, fwhm_hz, ...); outputs are CSV/JSON data files written
-atomically, so identical configs and seeds reproduce them byte for
-byte.  Exit codes: 0 ok, 1 config error, 2 simulation error.
+validate.  Experiment configs are JSON objects with unit-suffixed keys;
+outputs are CSV/JSON data files written atomically, so identical configs
+and seeds reproduce them byte for byte.  Exit codes: 0 ok, 1 config
+error, 2 simulation error.
+
+Sections and top-level keys each subcommand reads (defaults in brackets;
+every section is a JSON object, unknown keys are ignored):
+
+  simulate        sequence, ensemble, pulses, noise, relaxation,
+                  initial_state [0, 0, 1], record [acquires] | events,
+                  master_seed [0]
+  tomography      sequence (tau1_s, tau_c_s), ensemble, pulses, noise,
+                  relaxation, master_seed; cycle counts from --n-list
+  sweep           sweep (tau_c_s list, total_time_s, tau1_s), ensemble,
+                  pulses, noise (kind not none), relaxation, master_seed
+  critical-point  spin_system (q_tensor_hz, m_tensor_hz_per_g), search
+                  (b_init_g, level_pair [2, 3], box_halfwidth_g [50],
+                  n_starts [8], seed [0], tolerance_hz_per_g)
+
+  sequence    dsl text, or template bangbang (tau1_s, tau_c_s, n_cycles,
+              acquire_every, initial_area_rad [pi/2]), hahn_echo (tau_s)
+              or inversion_recovery (delay_s)
+  ensemble    size, distribution [gaussian], fwhm_hz, detunings_hz,
+              sampling [monte_carlo], seed [0]
+  pulses      mode [hard] | finite (rabi_hz)
+  noise       kind [none] | ornstein_uhlenbeck (sigma_hz, tau_b_s) |
+              telegraph (amplitude_hz, flip_rate_hz)
+  relaxation  t1_s [inf], t2_s [inf], z_equilibrium [0]
+
+Each subcommand has one parse function, which ``--validate-only``, the
+run and ``validate`` all call: validating applies the run's own checks
+and lists every problem in one ``invalid config`` error.  ``validate``
+picks the function from the sections present: spin_system ->
+critical-point, sweep -> sweep, a sequence with template or dsl ->
+simulate, any other sequence -> tomography.
 """
 
 from __future__ import annotations
@@ -20,15 +51,14 @@ import numpy as np
 from . import analysis, ensemble, hamiltonian, sequences, tomography
 from .bloch import RelaxationParams
 
-_TEMPLATES = ("bangbang", "hahn_echo", "inversion_recovery")
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; message lists every problem found."""
 
 
-def _fail(errors):
-    raise ConfigError("invalid config:\n  - " + "\n  - ".join(errors))
+def _check(errors: list) -> None:
+    if errors:
+        raise ConfigError("invalid config:\n  - " + "\n  - ".join(errors))
 
 
 def load_config(path: str) -> dict:
@@ -36,208 +66,312 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        _check([f"the config must be a JSON object, got {cfg!r}"])
+    return cfg
 
 
-def _optional_time(doc, key, errors, default=None):
-    v = doc.get(key, default)
-    if v is None:
+# Section readers append each problem to ``errors`` and return a
+# placeholder (None or a default) for what they cannot read.
+
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _positive(errors: list, name: str, value) -> float | None:
+    """``value`` as a float when it is a finite number > 0."""
+    if _real(value) and value > 0:
+        return float(value)
+    errors.append(f"{name} must be a positive number, got {value!r}")
+    return None
+
+
+def _integer(errors: list, name: str, value, lo: int, hi: int | None = None) -> int | None:
+    """``value`` when it is an integer in ``[lo, hi]`` (no upper bound for None)."""
+    if (isinstance(value, int) and not isinstance(value, bool) and lo <= value
+            and (hi is None or value <= hi)):
+        return value
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    errors.append(f"{name} must be an integer {bound}, got {value!r}")
+    return None
+
+
+def _section(cfg: dict, name: str, errors: list, required: bool = False) -> dict | None:
+    """The ``name`` object; else None if it is required, {} if not."""
+    doc = cfg.get(name)
+    if isinstance(doc, dict):
+        return doc
+    if doc is not None or required:
+        errors.append(f"missing '{name}' section" if doc is None
+                      else f"{name} must be a JSON object, got {doc!r}")
+    return None if required else {}
+
+
+def _make(errors: list, name: str, factory, **kw):
+    """``factory(**kw)``; a ValueError or TypeError it raises becomes an error."""
+    try:
+        return factory(**kw)
+    except (ValueError, TypeError) as exc:
+        errors.append(f"{name}: {exc}")
         return None
-    if not isinstance(v, (int, float)) or not v > 0:
-        errors.append(f"{key} must be a positive number, got {v!r}")
-        return None
-    return float(v)
 
 
-def _master_seed(cfg: dict, errors: list) -> int:
-    seed = cfg.get("master_seed", 0)
-    if not isinstance(seed, int):
-        errors.append(f"master_seed must be an integer, got {seed!r}")
-        return 0
-    return seed
-
-
-def build_pulse_spec(doc: dict, errors: list) -> sequences.PulseSpec:
+def read_pulses(cfg: dict, errors: list) -> sequences.PulseSpec:
+    doc = _section(cfg, "pulses", errors)
     mode = doc.get("mode", "hard")
-    if mode == "hard":
-        return sequences.HARD_PULSES
     if mode == "finite":
-        rabi = doc.get("rabi_hz")
-        if not isinstance(rabi, (int, float)) or not rabi > 0:
-            errors.append(f"pulses.rabi_hz must be positive, got {rabi!r}")
-            return sequences.HARD_PULSES
-        return sequences.PulseSpec(rabi=float(rabi))
-    errors.append(f"pulses.mode must be 'hard' or 'finite', got {mode!r}")
+        rabi = _positive(errors, "pulses.rabi_hz", doc.get("rabi_hz"))
+        return sequences.PulseSpec(rabi=rabi) if rabi else sequences.HARD_PULSES
+    if mode != "hard":
+        errors.append(f"pulses.mode must be 'hard' or 'finite', got {mode!r}")
     return sequences.HARD_PULSES
 
 
-def build_sequence(doc: dict, pulse_spec, errors: list):
+def read_train(cfg: dict, errors: list) -> tuple:
+    """``(tau1, tau_c)`` of the bang-bang train in the sequence section."""
+    doc = _section(cfg, "sequence", errors, required=True)
+    if doc is None:
+        return None, None
+    return (_positive(errors, "sequence.tau1_s", doc.get("tau1_s")),
+            _positive(errors, "sequence.tau_c_s", doc.get("tau_c_s")))
+
+
+def read_sequence(cfg: dict, errors: list, pulse_spec) -> sequences.PulseProgram | None:
+    doc = _section(cfg, "sequence", errors, required=True)
+    if doc is None:
+        return None
     if "dsl" in doc:
         try:
             return sequences.parse(doc["dsl"])
-        except sequences.SequenceError as exc:
+        except (sequences.SequenceError, TypeError) as exc:
             errors.append(f"sequence.dsl: {exc}")
             return None
     template = doc.get("template")
-    if template not in _TEMPLATES:
-        errors.append(f"sequence.template must be one of {_TEMPLATES}, got {template!r}")
+    if template == "hahn_echo":
+        tau = _positive(errors, "sequence.tau_s", doc.get("tau_s"))
+        return None if tau is None else sequences.build_hahn_echo(tau, pulse_spec)
+    if template == "inversion_recovery":
+        delay = _positive(errors, "sequence.delay_s", doc.get("delay_s"))
+        return None if delay is None else sequences.build_inversion_recovery(delay, pulse_spec)
+    if template != "bangbang":
+        errors.append("sequence.template must be bangbang, hahn_echo or "
+                      f"inversion_recovery, got {template!r}")
         return None
-    try:
-        if template == "hahn_echo":
-            tau = _optional_time(doc, "tau_s", errors)
-            return sequences.build_hahn_echo(tau, pulse_spec) if tau else None
-        if template == "inversion_recovery":
-            delay = _optional_time(doc, "delay_s", errors)
-            return sequences.build_inversion_recovery(delay, pulse_spec) if delay else None
-        tau1 = _optional_time(doc, "tau1_s", errors)
-        tau_c = _optional_time(doc, "tau_c_s", errors)
-        n_cycles = doc.get("n_cycles")
-        if not isinstance(n_cycles, int) or n_cycles < 0:
-            errors.append(f"sequence.n_cycles must be a non-negative integer, got {n_cycles!r}")
-            return None
-        if tau1 is None or tau_c is None:
-            return None
-        params = sequences.BangBangParams(
-            tau1=tau1,
-            tau_c=tau_c,
-            n_cycles=n_cycles,
-            initial_area=float(doc.get("initial_area_rad", math.pi / 2)),
-        )
-        acquire_every = doc.get("acquire_every")
-        if acquire_every is not None and (not isinstance(acquire_every, int) or acquire_every < 1):
-            errors.append(f"sequence.acquire_every must be a positive integer, got {acquire_every!r}")
-            acquire_every = None
-        return sequences.build_bangbang(params, pulse_spec, acquire_every=acquire_every)
-    except ValueError as exc:
-        errors.append(f"sequence: {exc}")
+    tau1, tau_c = read_train(cfg, errors)
+    n_cycles = _integer(errors, "sequence.n_cycles", doc.get("n_cycles"), 0)
+    area = _positive(errors, "sequence.initial_area_rad", doc.get("initial_area_rad", math.pi / 2))
+    every = doc.get("acquire_every")
+    every = every if every is None else _integer(errors, "sequence.acquire_every", every, 1)
+    if None in (tau1, tau_c, n_cycles, area):
         return None
+    params = sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n_cycles, initial_area=area)
+    return sequences.build_bangbang(params, pulse_spec, acquire_every=every)
 
 
-def build_ensemble(doc: dict, errors: list):
-    try:
-        return ensemble.EnsembleSpec(
-            size=doc.get("size", 0),
-            distribution=doc.get("distribution", "gaussian"),
-            fwhm=doc.get("fwhm_hz"),
-            detunings=doc.get("detunings_hz"),
-            sampling=doc.get("sampling", "monte_carlo"),
-            seed=doc.get("seed", 0),
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(f"ensemble: {exc}")
-        return None
+def read_ensemble(cfg: dict, errors: list) -> ensemble.EnsembleSpec | None:
+    doc = _section(cfg, "ensemble", errors, required=True)
+    return None if doc is None else _make(
+        errors, "ensemble", ensemble.EnsembleSpec, size=doc.get("size", 0),
+        distribution=doc.get("distribution", "gaussian"), fwhm=doc.get("fwhm_hz"),
+        detunings=doc.get("detunings_hz"), sampling=doc.get("sampling", "monte_carlo"),
+        seed=doc.get("seed", 0),
+    )
 
 
-def build_noise(doc: dict | None, errors: list):
-    if doc is None:
-        return ensemble.NO_NOISE
-    try:
-        return ensemble.NoiseModel(
-            kind=doc.get("kind", "none"),
-            sigma=doc.get("sigma_hz", 0.0),
-            tau_b=doc.get("tau_b_s"),
-            amplitude=doc.get("amplitude_hz", 0.0),
-            flip_rate=doc.get("flip_rate_hz"),
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(f"noise: {exc}")
-        return ensemble.NO_NOISE
+def read_noise(cfg: dict, errors: list) -> ensemble.NoiseModel:
+    doc = _section(cfg, "noise", errors)
+    return _make(
+        errors, "noise", ensemble.NoiseModel, kind=doc.get("kind", "none"),
+        sigma=doc.get("sigma_hz", 0.0), tau_b=doc.get("tau_b_s"),
+        amplitude=doc.get("amplitude_hz", 0.0), flip_rate=doc.get("flip_rate_hz"),
+    ) or ensemble.NO_NOISE
 
 
-def build_relaxation(doc: dict | None, errors: list):
-    if doc is None:
-        return RelaxationParams()
-    try:
-        return RelaxationParams(
-            t1=math.inf if doc.get("t1_s") is None else float(doc["t1_s"]),
-            t2=math.inf if doc.get("t2_s") is None else float(doc["t2_s"]),
-            z_equilibrium=float(doc.get("z_equilibrium", 0.0)),
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(f"relaxation: {exc}")
-        return RelaxationParams()
+def read_relaxation(cfg: dict, errors: list) -> RelaxationParams | None:
+    doc = _section(cfg, "relaxation", errors)
+    return _make(
+        errors, "relaxation", RelaxationParams,
+        t1=math.inf if doc.get("t1_s") is None else doc["t1_s"],
+        t2=math.inf if doc.get("t2_s") is None else doc["t2_s"],
+        z_equilibrium=doc.get("z_equilibrium", 0.0),
+    )
 
 
-def parse_simulation_config(cfg: dict):
-    """Validate a simulation config in full; collect every error."""
-    errors: list[str] = []
-    if "sequence" not in cfg:
-        errors.append("missing 'sequence' section")
-    if "ensemble" not in cfg:
-        errors.append("missing 'ensemble' section")
-    pulse_spec = build_pulse_spec(cfg.get("pulses", {}), errors)
-    program = build_sequence(cfg.get("sequence", {}), pulse_spec, errors) if "sequence" in cfg else None
-    spec = build_ensemble(cfg.get("ensemble", {}), errors) if "ensemble" in cfg else None
-    noise = build_noise(cfg.get("noise"), errors)
-    relax = build_relaxation(cfg.get("relaxation"), errors)
+def read_master_seed(cfg: dict, errors: list) -> int | None:
+    return _integer(errors, "master_seed", cfg.get("master_seed", 0), 0)
+
+
+def read_initial_state(cfg: dict, errors: list) -> list | None:
     initial = cfg.get("initial_state", [0.0, 0.0, 1.0])
-    if not (isinstance(initial, list) and len(initial) == 3):
-        errors.append(f"initial_state must be a 3-element list, got {initial!r}")
-        initial = [0.0, 0.0, 1.0]
+    if isinstance(initial, list) and len(initial) == 3 and all(map(_real, initial)):
+        return initial
+    errors.append(f"initial_state must be a list of 3 finite numbers, got {initial!r}")
+    return None
+
+
+def read_record(cfg: dict, errors: list) -> str:
     record = cfg.get("record", "acquires")
     if record not in ("acquires", "events"):
         errors.append(f"record must be 'acquires' or 'events', got {record!r}")
-        record = "acquires"
-    seed = _master_seed(cfg, errors)
-    if errors:
-        _fail(errors)
-    return program, spec, noise, relax, initial, record, seed
+    return record
 
 
-def _decoupling_warnings(cfg: dict) -> list[str]:
-    """Bath-cutoff criterion check for decoupling configs."""
-    notes = []
-    seq = cfg.get("sequence", {})
-    noise = cfg.get("noise") or {}
-    tau_c = seq.get("tau_c_s")
-    tau_b = noise.get("tau_b_s")
-    if seq.get("template") == "bangbang" and tau_c and tau_b:
+def read_sweep(cfg: dict, errors: list) -> tuple:
+    """``(tau_c values, total_time, tau1)`` from the sweep section."""
+    doc = _section(cfg, "sweep", errors, required=True)
+    if doc is None:
+        return None, None, None
+    values = doc.get("tau_c_s")
+    if isinstance(values, list) and values:
+        values = [_positive(errors, f"sweep.tau_c_s[{k}]", x) for k, x in enumerate(values)]
+    else:
+        errors.append(f"sweep.tau_c_s must be a non-empty list, got {values!r}")
+    total_time = _positive(errors, "sweep.total_time_s", doc.get("total_time_s"))
+    tau1 = doc.get("tau1_s")
+    tau1 = tau1 if tau1 is None else _positive(errors, "sweep.tau1_s", tau1)
+    return values, total_time, tau1
+
+
+def read_spin_system(cfg: dict, errors: list) -> hamiltonian.SpinSystem | None:
+    doc = _section(cfg, "spin_system", errors, required=True)
+    return None if doc is None else _make(
+        errors, "spin_system", hamiltonian.spin_system_from_dict, doc=doc
+    )
+
+
+def read_search(cfg: dict, errors: list) -> dict:
+    """Keyword arguments of :func:`hamiltonian.find_critical_point` but the system."""
+    doc = _section(cfg, "search", errors)
+    b_init = doc.get("b_init_g")
+    if not (isinstance(b_init, list) and len(b_init) == 3 and all(map(_real, b_init))):
+        errors.append(f"search.b_init_g must be a list of 3 finite numbers, got {b_init!r}")
+        b_init = None
+    pair = doc.get("level_pair", [2, 3])
+    if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]):
+        errors.append(f"search.level_pair must be two different level indices, got {pair!r}")
+        pair = [2, 3]
+    levels = [_integer(errors, "search.level_pair", n, 0, 5) for n in pair]
+    i, j = (None, None) if None in levels else sorted(levels)
+    tol = doc.get("tolerance_hz_per_g")
+    tol = tol if tol is None else _positive(errors, "search.tolerance_hz_per_g", tol)
+    return dict(
+        b_init=None if b_init is None else np.asarray(b_init, dtype=float),
+        i=i,
+        j=j,
+        box_halfwidth=_positive(errors, "search.box_halfwidth_g",
+                                doc.get("box_halfwidth_g", 50.0)),
+        n_starts=_integer(errors, "search.n_starts", doc.get("n_starts", 8), 1),
+        tolerance=tol,
+        seed=_integer(errors, "search.seed", doc.get("seed", 0), 0),
+    )
+
+
+def _ensemble_run(cfg: dict, errors: list) -> dict:
+    """Keyword arguments shared by the ensemble subcommands."""
+    return dict(
+        ensemble=read_ensemble(cfg, errors),
+        pulse_spec=read_pulses(cfg, errors),
+        noise=read_noise(cfg, errors),
+        relax=read_relaxation(cfg, errors),
+        master_seed=read_master_seed(cfg, errors),
+    )
+
+
+# One parse function per subcommand: it raises ConfigError listing every
+# problem, or returns the keyword arguments of the subcommand's engine call.
+
+def parse_simulation_config(cfg: dict) -> dict:
+    """For :func:`ensemble.run_program`; warns when the train is too slow."""
+    errors: list[str] = []
+    kw = _ensemble_run(cfg, errors)
+    kw.update(
+        program=read_sequence(cfg, errors, kw.pop("pulse_spec")),
+        initial_state=read_initial_state(cfg, errors),
+        record=read_record(cfg, errors),
+    )
+    _check(errors)
+    seq, noise = cfg["sequence"], kw["noise"]
+    if seq.get("template") == "bangbang" and noise.kind == "ornstein_uhlenbeck":
         check = sequences.validate_bangbang(
-            sequences.BathCutoff(omega_c=1.0 / float(tau_b)), float(tau_c)
+            sequences.BathCutoff(omega_c=1.0 / noise.tau_b), float(seq["tau_c_s"])
         )
         if not check.passed:
-            notes.append(
-                f"omega_c*tau_c = {check.product:.3g} > 1: the pulse train is too "
-                "slow for this bath; decoupling will be ineffective"
-            )
-    return notes
+            print(f"warning: omega_c*tau_c = {check.product:.3g} > 1: the pulse train is too "
+                  "slow for this bath; decoupling will be ineffective", file=sys.stderr)
+    return kw
 
 
-def _write(path: str, text: str) -> None:
-    ensemble.write_text_atomic(path, text)
+def parse_tomography_config(cfg: dict) -> dict:
+    """For :func:`tomography.tomography_series`, which sets the cycle counts."""
+    errors: list[str] = []
+    tau1, tau_c = read_train(cfg, errors)
+    kw = _ensemble_run(cfg, errors)
+    _check(errors)
+    kw["params"] = sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=0)
+    return kw
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
+def parse_sweep_config(cfg: dict) -> dict:
+    """For :func:`analysis.sweep_t2_vs_tauc`."""
+    errors: list[str] = []
+    tau_c_values, total_time, tau1 = read_sweep(cfg, errors)
+    kw = _ensemble_run(cfg, errors)
+    if kw["noise"].kind == "none":
+        errors.append("sweep needs a stochastic noise model (noise.kind != 'none')")
+    _check(errors)
+    kw.update(tau_c_values=tau_c_values, total_time=total_time, tau1=tau1)
+    return kw
 
-def cmd_simulate(args) -> int:
+
+def parse_critical_point_config(cfg: dict) -> dict:
+    """For :func:`hamiltonian.find_critical_point`."""
+    errors: list[str] = []
+    kw = dict(system=read_spin_system(cfg, errors), **read_search(cfg, errors))
+    _check(errors)
+    return kw
+
+
+def _parser_for(cfg: dict):
+    """The parse function of the subcommand a config is written for."""
+    if "spin_system" in cfg:
+        return parse_critical_point_config
+    if "sweep" in cfg:
+        return parse_sweep_config
+    seq = cfg.get("sequence")
+    if isinstance(seq, dict) and "template" not in seq and "dsl" not in seq:
+        return parse_tomography_config
+    return parse_simulation_config
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    ensemble.write_text_atomic(os.path.join(out_dir, name), text)
+
+
+# Subcommands.
+
+def _load(args, parse) -> tuple:
+    """``(config, parsed)``; ``parsed`` is None when only validating."""
     cfg = load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg["master_seed"] = args.seed
-    program, spec, noise, relax, initial, record, seed = parse_simulation_config(cfg)
-    for note in _decoupling_warnings(cfg):
-        print(f"warning: {note}", file=sys.stderr)
+    kw = parse(cfg)
     if args.validate_only:
         print("config ok")
+        return cfg, None
+    return cfg, kw
+
+
+def cmd_simulate(args) -> int:
+    cfg, kw = _load(args, parse_simulation_config)
+    if kw is None:
         return 0
-    result = ensemble.run_program(
-        program,
-        spec,
-        noise=noise,
-        relax=relax,
-        master_seed=seed,
-        initial_state=initial,
-        record=record,
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write(os.path.join(args.out_dir, "trajectory.csv"), ensemble.result_to_csv(result))
-    _write(
-        os.path.join(args.out_dir, "result.json"),
-        ensemble.result_to_json(result, config=cfg),
-    )
+    result = ensemble.run_program(**kw)
+    _write(args.out_dir, "trajectory.csv", ensemble.result_to_csv(result))
+    _write(args.out_dir, "result.json", ensemble.result_to_json(result, config=cfg))
     print(f"members: {result.n_members}")
     print(f"duration_s: {result.duration:.9g}")
     for label in result.labels():
@@ -247,102 +381,35 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
     try:
         n_list = [int(x) for x in args.n_list.split(",")]
     except ValueError:
         raise ConfigError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
     if n_list != sorted(n_list) or any(n < 0 for n in n_list):
         raise ConfigError("--n-list must be non-negative and ascending")
-    errors: list[str] = []
-    seq = cfg.get("sequence", {})
-    pulse_spec = build_pulse_spec(cfg.get("pulses", {}), errors)
-    tau1 = _optional_time(seq, "tau1_s", errors)
-    tau_c = _optional_time(seq, "tau_c_s", errors)
-    spec = build_ensemble(cfg.get("ensemble", {}), errors)
-    noise = build_noise(cfg.get("noise"), errors)
-    relax = build_relaxation(cfg.get("relaxation"), errors)
-    seed = _master_seed(cfg, errors)
-    if tau1 is None or tau_c is None:
-        errors.append("tomography needs sequence.tau1_s and sequence.tau_c_s")
-    if errors:
-        _fail(errors)
-    if args.validate_only:
-        print("config ok")
+    cfg, kw = _load(args, parse_tomography_config)
+    if kw is None:
         return 0
-    params = sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=max(n_list))
-    results = tomography.tomography_series(
-        params,
-        n_list,
-        spec,
-        pulse_spec=pulse_spec,
-        noise=noise,
-        relax=relax,
-        master_seed=seed,
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
     summary = ["n_cycles,fidelity,average_gate_fidelity"]
     print("n_cycles  fidelity")
-    for res in results:
-        _write(
-            os.path.join(args.out_dir, f"ptm_n{res.n_cycles}.json"),
-            tomography.process_result_to_json(res, config=cfg),
-        )
-        _write(
-            os.path.join(args.out_dir, f"ptm_n{res.n_cycles}.csv"),
-            tomography.ptm_to_csv(res.ptm),
-        )
-        summary.append(
-            f"{res.n_cycles},{res.fidelity:.17g},"
-            f"{tomography.average_gate_fidelity(res.fidelity):.17g}"
-        )
+    for res in tomography.tomography_series(n_list=n_list, **kw):
+        name = f"ptm_n{res.n_cycles}"
+        _write(args.out_dir, name + ".json", tomography.process_result_to_json(res, config=cfg))
+        _write(args.out_dir, name + ".csv", tomography.ptm_to_csv(res.ptm))
+        gate = tomography.average_gate_fidelity(res.fidelity)
+        summary.append(f"{res.n_cycles},{res.fidelity:.17g},{gate:.17g}")
         print(f"{res.n_cycles:8d}  {res.fidelity:.4f}")
-    _write(os.path.join(args.out_dir, "fidelity_summary.csv"), "\n".join(summary) + "\n")
+    _write(args.out_dir, "fidelity_summary.csv", "\n".join(summary) + "\n")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    errors: list[str] = []
-    sweep_cfg = cfg.get("sweep")
-    if not isinstance(sweep_cfg, dict):
-        _fail(["missing 'sweep' section"])
-    tau_c_values = sweep_cfg.get("tau_c_s")
-    if not (isinstance(tau_c_values, list) and tau_c_values
-            and all(isinstance(x, (int, float)) and x > 0 for x in tau_c_values)):
-        errors.append(f"sweep.tau_c_s must be a list of positive numbers, got {tau_c_values!r}")
-    total_time = _optional_time(sweep_cfg, "total_time_s", errors)
-    if total_time is None:
-        errors.append("sweep.total_time_s is required")
-    pulse_spec = build_pulse_spec(cfg.get("pulses", {}), errors)
-    spec = build_ensemble(cfg.get("ensemble", {}), errors)
-    noise = build_noise(cfg.get("noise"), errors)
-    relax = build_relaxation(cfg.get("relaxation"), errors)
-    seed = _master_seed(cfg, errors)
-    if noise is not None and noise.kind == "none":
-        errors.append("sweep needs a stochastic noise model (noise.kind != 'none')")
-    if errors:
-        _fail(errors)
-    if args.validate_only:
-        print("config ok")
+    cfg, kw = _load(args, parse_sweep_config)
+    if kw is None:
         return 0
-    points = analysis.sweep_t2_vs_tauc(
-        tau_c_values,
-        noise=noise,
-        ensemble=spec,
-        total_time=total_time,
-        tau1=sweep_cfg.get("tau1_s"),
-        pulse_spec=pulse_spec,
-        master_seed=seed,
-        relax=relax,
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write(os.path.join(args.out_dir, "sweep.csv"), analysis.sweep_to_csv(points))
-    _write(os.path.join(args.out_dir, "sweep.json"), analysis.sweep_to_json(points, config=cfg))
+    points = analysis.sweep_t2_vs_tauc(**kw)
+    _write(args.out_dir, "sweep.csv", analysis.sweep_to_csv(points))
+    _write(args.out_dir, "sweep.json", analysis.sweep_to_json(points, config=cfg))
     print("tau_c_s    t2_s        status")
     for p in points:
         print(f"{p.tau_c:<10.4g} {p.t2:<11.5g} {p.status}")
@@ -350,56 +417,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_critical_point(args) -> int:
-    cfg = load_config(args.config)
-    errors: list[str] = []
-    sys_doc = cfg.get("spin_system")
-    search = cfg.get("search", {})
-    system = None
-    if not isinstance(sys_doc, dict):
-        errors.append("missing 'spin_system' section")
-    else:
-        try:
-            system = hamiltonian.spin_system_from_dict(sys_doc)
-        except ValueError as exc:
-            errors.append(str(exc))
-    b_init = search.get("b_init_g")
-    if not (isinstance(b_init, list) and len(b_init) == 3):
-        errors.append(f"search.b_init_g must be a 3-element list, got {b_init!r}")
-    levels = search.get("level_pair", [2, 3])
-    if not (isinstance(levels, list) and len(levels) == 2
-            and all(isinstance(x, int) and 0 <= x <= 5 for x in levels)):
-        errors.append(f"search.level_pair must be two level indices in [0, 5], got {levels!r}")
-    box_halfwidth = search.get("box_halfwidth_g", 50.0)
-    if not isinstance(box_halfwidth, (int, float)) or not box_halfwidth > 0:
-        errors.append(f"search.box_halfwidth_g must be a positive number, got {box_halfwidth!r}")
-    n_starts = search.get("n_starts", 8)
-    if not isinstance(n_starts, int) or n_starts < 1:
-        errors.append(f"search.n_starts must be a positive integer, got {n_starts!r}")
-    seed = search.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append(f"search.seed must be an integer, got {seed!r}")
-    tolerance = _optional_time(search, "tolerance_hz_per_g", errors)
-    if errors:
-        _fail(errors)
-    if args.validate_only:
-        print("config ok")
+    cfg, kw = _load(args, parse_critical_point_config)
+    if kw is None:
         return 0
-    i, j = sorted(levels)
-    result = hamiltonian.find_critical_point(
-        system,
-        np.asarray(b_init, dtype=float),
-        i,
-        j,
-        box_halfwidth=float(box_halfwidth),
-        n_starts=n_starts,
-        tolerance=tolerance,
-        seed=seed,
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write(
-        os.path.join(args.out_dir, "critical_point.json"),
-        hamiltonian.critical_point_report_json(result, system, i, j, config=cfg),
-    )
+    result = hamiltonian.find_critical_point(**kw)
+    report = hamiltonian.critical_point_report_json(
+        result, kw["system"], kw["i"], kw["j"], config=cfg)
+    _write(args.out_dir, "critical_point.json", report)
     print(f"b_cp_g: ({result.b_cp[0]:.4f}, {result.b_cp[1]:.4f}, {result.b_cp[2]:.4f})")
     print(f"frequency_hz: {result.frequency:.6g}")
     print(f"residual_gradient_norm_hz_per_g: {result.residual_gradient_norm:.6g}")
@@ -423,8 +447,7 @@ def cmd_fit(args) -> int:
     except (analysis.FitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write(os.path.join(args.out_dir, "fit.json"), analysis.fit_to_json(fit, config={"csv": args.csv}))
+    _write(args.out_dir, "fit.json", analysis.fit_to_json(fit, config={"csv": args.csv}))
     for name in sorted(fit.params):
         print(f"{name} = {fit.params[name]:.6g} +- {fit.uncertainties[name]:.2g}")
     return 0
@@ -432,62 +455,38 @@ def cmd_fit(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    if "spin_system" in cfg:
-        try:
-            hamiltonian.spin_system_from_dict(cfg["spin_system"])
-        except ValueError as exc:
-            raise ConfigError(f"spin_system: {exc}") from exc
-        print("config ok")
-        return 0
-    parse_simulation_config(cfg)
-    notes = _decoupling_warnings(cfg)
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
+    _parser_for(cfg)(cfg)
     print("config ok")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="blochdd",
-        description="Simulate decoupled spin ensembles and analyze the results.",
+        prog="blochdd", description="Simulate decoupled spin ensembles and analyze the results."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+    for name, func, help_text in (
+        ("simulate", cmd_simulate, "run a pulse program over the ensemble"),
+        ("tomography", cmd_tomography, "process tomography of the decoupling train"),
+        ("sweep", cmd_sweep, "extract T2 versus pulse spacing"),
+        ("critical-point", cmd_critical_point, "search for a zero-gradient field point"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument(
-            "--validate-only", action="store_true",
-            help="check the config (including the bath-cutoff criterion) and exit",
-        )
-
-    p = sub.add_parser("simulate", help="run a pulse program over the ensemble")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("tomography", help="process tomography of the decoupling train")
-    common(p)
-    p.add_argument("--n-list", default="1,10,100,1000", help="comma-separated cycle counts")
-    p.set_defaults(func=cmd_tomography)
-
-    p = sub.add_parser("sweep", help="extract T2 versus pulse spacing")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("critical-point", help="search for a zero-gradient field point")
-    common(p)
-    p.set_defaults(func=cmd_critical_point)
+        if name != "critical-point":  # the search has its own search.seed
+            p.add_argument("--seed", type=int, default=None, help="override master_seed")
+        p.add_argument("--validate-only", action="store_true",
+                       help="check the config (including the bath-cutoff criterion) and exit")
+        p.set_defaults(func=func)
+        if name == "tomography":
+            p.add_argument("--n-list", default="1,10,100,1000",
+                           help="comma-separated cycle counts")
 
     p = sub.add_parser("fit", help="fit a decay curve from CSV")
     p.add_argument("--csv", required=True, help="CSV file: time_s,amplitude[,sigma]")
-    p.add_argument(
-        "--model",
-        default="single_exp",
-        choices=["single_exp", "stretched", "inv_recovery"],
-    )
+    p.add_argument("--model", default="single_exp",
+                   choices=["single_exp", "stretched", "inv_recovery"])
     p.add_argument("--out-dir", default=".", help="directory for output files")
     p.set_defaults(func=cmd_fit)
 
@@ -498,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -71,6 +71,12 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.distribution not in ("gaussian", "lorentzian", "explicit"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.sampling not in ("monte_carlo", "gauss_quadrature"):

@@ -88,9 +88,11 @@ class SpinSystem:
             raise ValueError("q_tensor must be symmetric")
         object.__setattr__(self, "q_tensor", q)
         object.__setattr__(self, "m_tensor", m)
-        # field-independent part, reused by every diagonalization
+        # field-independent part and the Zeeman operators (M I)_k =
+        # sum_l M_kl I_l, reused by every diagonalization
         hq = np.einsum("kl,kab,lbc->ac", q, _IOPS, _IOPS)
         object.__setattr__(self, "_h_quad", hq)
+        object.__setattr__(self, "_zeeman", np.einsum("kl,lab->kab", m, _IOPS))
 
 
 class DegenerateLevelsError(ValueError):
@@ -121,10 +123,9 @@ def _check_levels(i: int, j: int) -> None:
 
 
 def hamiltonian_matrix(system: SpinSystem, b) -> np.ndarray:
-    """6x6 Hermitian Hamiltonian (Hz) at field ``b`` (gauss, 3-vector)."""
+    """Hermitian Hamiltonian (Hz), ``(..., 6, 6)``, at fields ``b`` (gauss, ``(..., 3)``)."""
     b = np.asarray(b, dtype=float)
-    heff = system.m_tensor.T @ b  # sum_k b_k M_kl -> coefficient of I_l
-    return np.einsum("l,lab->ab", heff, _IOPS) + system._h_quad
+    return np.einsum("...k,kab->...ab", b, system._zeeman) + system._h_quad
 
 
 def eigensystem(system: SpinSystem, b) -> LevelDiagram:
@@ -143,10 +144,7 @@ def transition_frequency(system: SpinSystem, b, i: int, j: int) -> float:
 def transition_frequencies_batch(system: SpinSystem, b_points, i: int, j: int) -> np.ndarray:
     """Vectorized ``e_j - e_i`` over fields of shape ``(..., 3)``."""
     _check_levels(i, j)
-    b_points = np.asarray(b_points, dtype=float)
-    heff = b_points @ system.m_tensor  # (..., 3): b_k M_kl summed over k
-    h = np.einsum("...l,lab->...ab", heff, _IOPS) + system._h_quad
-    w = np.linalg.eigvalsh(h)
+    w = np.linalg.eigvalsh(hamiltonian_matrix(system, b_points))
     return w[..., j] - w[..., i]
 
 
@@ -173,13 +171,9 @@ def field_gradient(
                 f"level {n} is within {gap:.3g} Hz of a neighbor "
                 f"(threshold {gap_threshold} Hz); gradient undefined"
             )
-    grad = np.empty(3)
-    vi = v[:, i]
-    vj = v[:, j]
-    for k in range(3):
-        a_k = np.einsum("l,lab->ab", system.m_tensor[k], _IOPS)
-        grad[k] = (vj.conj() @ a_k @ vj).real - (vi.conj() @ a_k @ vi).real
-    return grad
+    vij = v[:, [i, j]]
+    e = np.einsum("an,kab,bn->kn", vij.conj(), system._zeeman, vij).real
+    return e[:, 1] - e[:, 0]
 
 
 def frequency_hessian(

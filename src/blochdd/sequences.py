@@ -142,25 +142,28 @@ class PulseProgram:
 
         return walk(self.events)
 
+    def _fold(self, leaf):
+        """Sum of ``leaf(event)`` over the expanded events, a repeat as count x body."""
+
+        def walk(events):
+            return sum(ev.count * walk(ev.body) if isinstance(ev, Repeat) else leaf(ev)
+                       for ev in events)
+
+        return walk(self.events)
+
     def duration(self) -> float:
         """Total expanded duration in seconds (hard pulses take no time)."""
-        total = 0.0
-        for ev in self.expand():
+
+        def elapsed(ev):
             if isinstance(ev, Wait):
-                total += ev.duration
-            elif isinstance(ev, Pulse):
-                total += ev.event.elapsed
-        return total
+                return ev.duration
+            return ev.event.elapsed if isinstance(ev, Pulse) else 0.0
+
+        return float(self._fold(elapsed))
 
     def expanded_count(self) -> int:
         """Number of primitive events :meth:`expand` yields, without expanding."""
-
-        def count(events):
-            return sum(
-                ev.count * count(ev.body) if isinstance(ev, Repeat) else 1 for ev in events
-            )
-
-        return count(self.events)
+        return self._fold(lambda ev: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +587,7 @@ def _bangbang_cycle(pulse_spec: PulseSpec, tau_c: float) -> tuple:
     )
 
 
-def _bangbang_cycle_acquire(
-    pulse_spec: PulseSpec, tau_c: float, tau1: float, label: str, trailing_wait: bool
-) -> tuple:
+def _bangbang_cycle_acquire(pulse_spec: PulseSpec, tau_c: float, tau1: float, label: str) -> tuple:
     """One pi,-pi cycle with the acquire at the echo instant.
 
     With pulses every tau_c after an initial delay tau1 <= tau_c, the
@@ -603,13 +604,12 @@ def _bangbang_cycle_acquire(
         if tau_c - tau1 > 0:
             events.append(Wait(tau_c - tau1))
         events.append(Acquire(label))
-        if trailing_wait and tau1 > 0:
+        if tau1 > 0:
             events.append(Wait(tau1))
     else:
         # No refocusing instant exists for tau1 > tau_c with this train;
         # read at the cycle end (documented limitation).
-        if trailing_wait:
-            events.append(Wait(tau_c))
+        events.append(Wait(tau_c))
         events.append(Acquire(label))
     return tuple(events)
 
@@ -619,7 +619,6 @@ def build_bangbang(
     pulse_spec: PulseSpec = HARD_PULSES,
     label: str = "echo",
     acquire_every: int | None = None,
-    trailing_wait: bool = True,
 ) -> PulseProgram:
     """Decoupling train: initial pulse -- tau1 -- N x (pi -- tau_c -- -pi -- tau_c).
 
@@ -628,8 +627,6 @@ def build_bangbang(
     requires ``tau1 <= tau_c``; the full expanded duration is
     ``tau1 + 2*N*tau_c``.  ``acquire_every=m`` additionally reads the
     echo every m-th cycle so a single run yields a decay curve.
-    ``trailing_wait=False`` drops the wait after the second pulse of each
-    pair (the pairs then no longer tile periodically).
     """
     events: list[Event] = []
     if p.initial_area is not None:
@@ -641,9 +638,7 @@ def build_bangbang(
         return PulseProgram(tuple(events))
 
     plain = _bangbang_cycle(pulse_spec, p.tau_c)
-    if not trailing_wait:
-        plain = plain[:-1]
-    acq = _bangbang_cycle_acquire(pulse_spec, p.tau_c, p.tau1, label, trailing_wait)
+    acq = _bangbang_cycle_acquire(pulse_spec, p.tau_c, p.tau1, label)
 
     if acquire_every is None:
         if n > 1:

@@ -1,10 +1,19 @@
 """Command-line config handling: bad configs exit with code 1, retired keys are ignored."""
 
+import copy
 import json
+import os
+import sys
 
 import pytest
 
 from blochdd import cli
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+
+import workloads  # noqa: E402
 
 Q_SYNTH = [
     [1230.1533574825742, -295923.15062440216, -106997.12638238954],
@@ -22,6 +31,12 @@ def run_cli(tmp_path, command, cfg, *extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return cli.main([command, "--config", str(path), "--out-dir", str(tmp_path / "out"), *extra])
+
+
+def run_validate(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main(["validate", "--config", str(path)])
 
 
 def critical_point_config(**search):
@@ -94,3 +109,103 @@ def test_simulate_ignores_retired_dt_key(tmp_path):
     assert run_cli(with_dt, "simulate", cfg) == 0
     trajectory = "out/trajectory.csv"
     assert (with_dt / trajectory).read_bytes() == (plain / trajectory).read_bytes()
+
+
+SIMULATE = {
+    "sequence": {"template": "bangbang", "tau1_s": 5e-4, "tau_c_s": 1e-3, "n_cycles": 2},
+    "ensemble": {"size": 4, "fwhm_hz": 1000.0},
+    "noise": {"kind": "ornstein_uhlenbeck", "sigma_hz": 5.0, "tau_b_s": 5e-3},
+}
+TOMOGRAPHY = {
+    "sequence": {"tau1_s": 5e-4, "tau_c_s": 1e-3},
+    "ensemble": {"size": 4, "fwhm_hz": 1000.0},
+    "noise": {"kind": "telegraph", "amplitude_hz": 2.0, "flip_rate_hz": 20.0},
+}
+SWEEP = {
+    "sweep": {"tau_c_s": [1e-3], "total_time_s": 0.01},
+    "ensemble": {"size": 4, "fwhm_hz": 1000.0},
+    "noise": {"kind": "ornstein_uhlenbeck", "sigma_hz": 5.0, "tau_b_s": 5e-3},
+}
+BASES = {
+    "simulate": SIMULATE,
+    "tomography": TOMOGRAPHY,
+    "sweep": SWEEP,
+    "critical-point": critical_point_config(),
+}
+
+
+def with_value(command, path, value):
+    """The base config of ``command`` with ``path`` (keys joined by '.') set."""
+    cfg = copy.deepcopy(BASES[command])
+    if path is None:
+        return value
+    *parents, key = path.split(".")
+    doc = cfg
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+    return cfg
+
+
+BAD_CONFIGS = [
+    ("critical-point", "search.level_pair", [2, 2]),
+    ("critical-point", "search.b_init_g", ["a", 0, 0]),
+    ("sweep", "sweep.tau1_s", "x"),
+    ("sweep", "sweep.tau1_s", -1),
+    ("simulate", "ensemble.seed", "x"),
+    ("tomography", "ensemble.seed", -1),
+    ("sweep", "ensemble.size", 4.5),
+    ("tomography", "master_seed", -1),
+    ("sweep", "master_seed", -1),
+    ("simulate", "initial_state", ["a", 0, 1]),
+    ("simulate", "sequence.initial_area_rad", [1]),
+    ("simulate", "sequence", [1]),
+    ("tomography", "sequence", [1]),
+    ("sweep", "noise", [1]),
+    ("tomography", "ensemble", 5),
+    ("simulate", None, [1, 2]),
+    ("critical-point", None, [1, 2]),
+]
+
+
+@pytest.mark.parametrize("mode", ["validate", "validate-only", "run"])
+@pytest.mark.parametrize(
+    "command,path,value", BAD_CONFIGS,
+    ids=[f"{c}:{p}={v!r}" for c, p, v in BAD_CONFIGS],
+)
+def test_bad_config_exits_1_in_every_mode(tmp_path, capsys, command, path, value, mode):
+    cfg = with_value(command, path, value)
+    if mode == "validate":
+        code = run_validate(tmp_path, cfg)
+    else:
+        extra = ("--n-list", "1") if command == "tomography" else ()
+        if mode == "validate-only":
+            extra += ("--validate-only",)
+        code = run_cli(tmp_path, command, cfg, *extra)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: invalid config")
+    assert "config ok" not in out
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_base_configs_validate_and_run(tmp_path, capsys, command):
+    extra = ("--n-list", "1") if command == "tomography" else ()
+    assert run_validate(tmp_path, BASES[command]) == 0
+    assert run_cli(tmp_path, command, BASES[command], "--validate-only", *extra) == 0
+    assert run_cli(tmp_path, command, BASES[command], *extra) == 0
+
+
+@pytest.mark.parametrize("size", workloads.SIZES)
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_benchmark_configs_validate(tmp_path, name, size):
+    w = workloads.make(name, 21, size)
+    path = tmp_path / "config.json"
+    path.write_text(w.config_text())
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    assert cli.main([*w.argv(str(path), str(tmp_path / "out")), "--validate-only"]) == 0
+
+
+def test_critical_point_takes_no_seed_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        run_cli(tmp_path, "critical-point", critical_point_config(), "--seed", "1")

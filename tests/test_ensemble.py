@@ -96,6 +96,15 @@ def test_spec_validation():
         EnsembleSpec(size=4, distribution="lorentzian", fwhm=1.0, sampling="gauss_quadrature")
     with pytest.raises(ValueError):
         EnsembleSpec(size=3, distribution="explicit", detunings=(1.0, 2.0))
+    for size in (4.5, True, "4"):
+        with pytest.raises(TypeError):
+            EnsembleSpec(size=size, fwhm=1.0)
+    for seed in (1.0, "x"):
+        with pytest.raises(TypeError):
+            EnsembleSpec(size=4, fwhm=1.0, seed=seed)
+    with pytest.raises(ValueError):
+        EnsembleSpec(size=4, fwhm=1.0, seed=-1)
+    assert EnsembleSpec(size=np.int64(4), fwhm=1.0, seed=np.int64(2)).size == 4
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,18 @@ def test_expand_repeat_counts_and_duration():
     assert prog.duration() == pytest.approx(7 * 3e-3)
 
 
+def test_duration_folds_repeats_without_expanding(monkeypatch):
+    prog = parse("repeat 200000 { pulse area=pi phase=0; wait 1us; pulse area=-pi phase=0; wait 1us }")
+
+    def unrolled(self):
+        raise AssertionError("duration must come from the repeat tree")
+
+    monkeypatch.setattr(PulseProgram, "expand", unrolled)
+    # count x body: no drift from 800,000 additions (the sum reads 0.399999999996216)
+    assert prog.duration() == 200000 * (1e-6 + 1e-6)
+    assert prog.expanded_count() == 800000
+
+
 # ---------------------------------------------------------------------------
 # round trip
 # ---------------------------------------------------------------------------
