@@ -310,8 +310,7 @@ def parse_tomography_config(cfg: dict) -> dict:
     tau1, tau_c = read_train(cfg, errors)
     kw = _ensemble_run(cfg, errors)
     _check(errors)
-    kw["params"] = sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=0)
-    return kw
+    return dict(kw, tau1=tau1, tau_c=tau_c)
 
 
 def parse_sweep_config(cfg: dict) -> dict:

@@ -9,16 +9,19 @@ Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
 randomness from a stream derived only from ``(master_seed, i)`` and
 consumes it in order, so results are bit-identical for any draw block
-size.  Members run in chunks of a fixed size, one after another, and
-the chunk partial sums are reduced serially in chunk order.
+size.  Members run in chunks of a fixed size, all stepped through each
+event in turn, and the chunk partial sums are reduced serially in chunk
+order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,9 +90,11 @@ class EnsembleSpec:
             object.__setattr__(self, "detunings", tuple(float(d) for d in self.detunings))
             if self.size != len(self.detunings):
                 raise ValueError("size must equal len(detunings) for explicit distribution")
+            if not all(map(math.isfinite, self.detunings)):
+                raise ValueError(f"detunings must be finite, got {self.detunings}")
         else:
-            if self.fwhm is None or not self.fwhm > 0:
-                raise ValueError(f"fwhm must be positive, got {self.fwhm}")
+            if self.fwhm is None or not 0 < self.fwhm < math.inf:
+                raise ValueError(f"fwhm must be positive and finite, got {self.fwhm}")
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.sampling == "gauss_quadrature" and self.distribution != "gaussian":
@@ -144,15 +149,15 @@ class NoiseModel:
         if self.kind == "none":
             return
         if self.kind == "ornstein_uhlenbeck":
-            if self.sigma < 0:
-                raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-            if self.tau_b is None or not self.tau_b > 0:
-                raise ValueError(f"tau_b must be positive, got {self.tau_b}")
+            if not 0 <= self.sigma < math.inf:
+                raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma}")
+            if self.tau_b is None or not 0 < self.tau_b < math.inf:
+                raise ValueError(f"tau_b must be positive and finite, got {self.tau_b}")
         else:
-            if self.amplitude < 0:
-                raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-            if self.flip_rate is None or not self.flip_rate > 0:
-                raise ValueError(f"flip_rate must be positive, got {self.flip_rate}")
+            if not 0 <= self.amplitude < math.inf:
+                raise ValueError(f"amplitude must be >= 0 and finite, got {self.amplitude}")
+            if self.flip_rate is None or not 0 < self.flip_rate < math.inf:
+                raise ValueError(f"flip_rate must be positive and finite, got {self.flip_rate}")
 
 
 NO_NOISE = NoiseModel()
@@ -285,9 +290,10 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
     return steps
 
 
-# Bath random numbers are drawn per member this many bath intervals (OU)
-# or flips (telegraph) at a time.  It bounds memory only: each member's
-# draws are consumed in stream order, so results never depend on it.
+# Program events are read this many at a time, and each member's bath
+# draws come this many intervals (OU) or flips (telegraph) at most at a
+# time.  It bounds memory only: each member's draws are consumed in
+# stream order, so results never depend on it.
 _DRAW_BLOCK = 256
 # Members per chunk: a constant, so the chunk partial sums, reduced
 # serially in chunk order, round the same way in every run.
@@ -345,16 +351,20 @@ def _ou_advance(x0: np.ndarray, factors: np.ndarray, z: np.ndarray) -> tuple:
 class _OUBath:
     """One Ornstein-Uhlenbeck process per member, drawn exactly per interval."""
 
-    def __init__(self, model: NoiseModel, rngs: list, factors: np.ndarray):
+    def __init__(self, model: NoiseModel, rngs: list):
         self.rngs = rngs
-        self.factors = factors
+        self.model = model
+        self.factors: dict = {}  # interval length -> row of _ou_factors
         self.x = model.sigma * np.array([rng.standard_normal() for rng in rngs])
 
-    def block(self, lo: int, hi: int, edges: np.ndarray) -> tuple:
-        z = np.empty((hi - lo, len(self.rngs), 2))
+    def block(self, lengths: list, edges: np.ndarray) -> tuple:
+        for h in lengths:
+            if h not in self.factors:
+                self.factors[h] = _ou_factors(h, self.model.sigma, self.model.tau_b)
+        z = np.empty((len(lengths), len(self.rngs), 2))
         for i, rng in enumerate(self.rngs):
-            z[:, i] = rng.standard_normal((hi - lo, 2))
-        xs, integrals = _ou_advance(self.x, self.factors[lo:hi], z)
+            z[:, i] = rng.standard_normal((len(lengths), 2))
+        xs, integrals = _ou_advance(self.x, np.array([self.factors[h] for h in lengths]), z)
         self.x = xs[-1]
         return xs[:-1], integrals
 
@@ -386,28 +396,52 @@ class _TelegraphBath:
         self.next_flip[idx] += self.gaps[idx, self.col[idx]] / self.rate
         self.col[idx] += 1
 
-    def block(self, lo: int, hi: int, edges: np.ndarray) -> tuple:
-        t = edges[lo : hi + 1]
+    def block(self, lengths: list, edges: np.ndarray) -> tuple:
         # flips[k] is -1 where a member flips an odd number of times in interval k
-        flips = np.ones((hi - lo, len(self.rngs)))
+        flips = np.ones((len(lengths), len(self.rngs)))
         correction = np.zeros_like(flips)
         start = np.empty_like(flips)
         start[0] = self.amplitude * self.sign
         # each round takes every member's next flip inside the block
         while True:
-            idx = np.flatnonzero(self.next_flip <= t[-1])
+            idx = np.flatnonzero(self.next_flip <= edges[-1])
             if idx.size == 0:
                 break
             f = self.next_flip[idx]
-            k = np.searchsorted(t[1:], f)  # t[k] < f <= t[k + 1]
-            # flipping s -> -s at f changes the interval's integral by -2 s (t[k+1] - f)
-            correction[k, idx] -= 2.0 * self.amplitude * self.sign[idx] * (t[k + 1] - f)
+            k = np.searchsorted(edges[1:], f)  # edges[k] < f <= edges[k + 1]
+            # flipping s -> -s at f changes the interval's integral by -2 s (edges[k + 1] - f)
+            correction[k, idx] -= 2.0 * self.amplitude * self.sign[idx] * (edges[k + 1] - f)
             flips[k, idx] = -flips[k, idx]
             self.sign[idx] = -self.sign[idx]
             self._advance(idx)
         np.cumprod(flips[:-1], axis=0, out=start[1:])
         start[1:] *= start[0]
-        return start, start * np.diff(t)[:, None] + correction
+        return start, start * np.diff(edges)[:, None] + correction
+
+
+class _Chunk:
+    """A fixed slice of members: Bloch vectors, static detunings, weights and baths."""
+
+    def __init__(self, members: slice, detunings, weights, t2, initial, models, seeds):
+        self.det = detunings[members]
+        self.w = weights[members]
+        self.t2 = None if t2 is None else t2[members]
+        self.v = np.tile(initial, (len(self.det), 1))
+        self.baths = []
+        for j, mod in enumerate(models):
+            rngs = []
+            for seed in seeds[members]:
+                bits = np.random.PCG64(seed)
+                bits.advance(j * _BATH_STREAM_STRIDE)
+                rngs.append(np.random.Generator(bits))
+            bath = _OUBath if mod.kind == "ornstein_uhlenbeck" else _TelegraphBath
+            self.baths.append(bath(mod, rngs))
+
+    def draw(self, lengths: list, edges: np.ndarray) -> None:
+        """Summed bath values at the start of, and integrals over, the next intervals."""
+        parts = [b.block(lengths, edges) for b in self.baths]
+        self.starts = sum(p[0] for p in parts)
+        self.integrals = sum(p[1] for p in parts)
 
 
 def run_program(
@@ -438,13 +472,20 @@ def run_program(
     Ornstein-Uhlenbeck components standing in for a structured bath.
     Member ``i`` draws from one PCG64 stream seeded by ``(master_seed,
     i)``; bath ``j`` of the member starts ``j * 2**120`` draws along it.
-    Members run serially in chunks of ``_MEMBER_CHUNK``.
     ``t2_per_member`` (length ``size``) models a coherence-time spread
     across the ensemble.
 
+    The program is streamed: one lazy walk of :meth:`PulseProgram.expand`,
+    read ``_DRAW_BLOCK`` events at a time, moves every chunk of
+    ``_MEMBER_CHUNK`` members through each event in turn.  The baths
+    draw for the bath intervals of each such run at once.  Nothing sized
+    by the expanded program is kept but the samples returned.
+
     Raises :class:`SimulationBudgetError`, before any work, when
-    ``size`` times the number of expanded events
-    (:meth:`PulseProgram.expanded_count`) exceeds ``max_member_steps``.
+    ``size`` times the work per member -- the expanded events
+    (:meth:`PulseProgram.expanded_count`) plus the expected telegraph
+    flips, ``flip_rate * duration`` summed over telegraph baths --
+    exceeds ``max_member_steps``.
     """
     if record not in ("acquires", "events"):
         raise ValueError(f"unknown record mode {record!r}")
@@ -452,148 +493,93 @@ def run_program(
     if initial.shape != (3,):
         raise ValueError("initial_state must be a 3-vector")
 
-    n_events = program.expanded_count()
-    if ensemble.size * n_events > max_member_steps:
-        raise SimulationBudgetError(
-            f"{ensemble.size} members x {n_events} events exceeds the "
-            f"budget of {max_member_steps:.0f}; raise max_member_steps"
-        )
-    events = list(program.expand())
     models = _noise_list(noise)
-
-    # timeline bookkeeping (config-determined, member-independent):
-    # sample times, acquires, bath intervals and hard-pulse matrices
-    sample_times: list[float] = [0.0]
-    acquire_meta: list[tuple[str, float]] = []
-    spans: list[float] = []
-    hard: dict = {}
-    t = 0.0
-    for ev in events:
-        if isinstance(ev, Wait):
-            t += ev.duration
-            spans.append(ev.duration)
-        elif isinstance(ev, Pulse):
-            p = ev.event
-            t += p.elapsed
-            if p.mode == "finite":
-                spans.append(p.duration)
-            elif p not in hard:
-                axis = np.array([math.cos(p.phase), math.sin(p.phase), 0.0])
-                hard[p] = rotate(np.eye(3), axis, p.area)  # row j = image of e_j
-        else:
-            acquire_meta.append((ev.label, t))
-        if record == "events":
-            sample_times.append(t)
-    if record != "events":
-        sample_times.extend(tm for _, tm in acquire_meta)
-        sample_times.append(t)
-    total_duration = t
+    n_events = program.expanded_count()
+    flips = sum(m.flip_rate for m in models if m.kind == "telegraph") * program.duration()
+    if ensemble.size * (n_events + flips) > max_member_steps:
+        raise SimulationBudgetError(
+            f"{ensemble.size} members x ({n_events} events + {flips:.3g} telegraph flips) "
+            f"exceeds the budget of {max_member_steps:.0f}; raise max_member_steps"
+        )
 
     detunings, weights = sample_detunings(ensemble)
     seeds = np.random.SeedSequence(master_seed).spawn(ensemble.size) if models else None
-    edges = np.concatenate(([0.0], np.cumsum(spans)))
-    # per-interval OU draw factors, shared by every chunk
-    factor_tables = []
-    for mod in models:
-        table = None
-        if mod.kind == "ornstein_uhlenbeck":
-            cache = {h: _ou_factors(h, mod.sigma, mod.tau_b) for h in set(spans)}
-            table = np.array([cache[h] for h in spans]).reshape(-1, 5)
-        factor_tables.append(table)
-    block = _DRAW_BLOCK
-
-    n_samples = len(sample_times)
-    n_acquires = len(acquire_meta)
-
-    def run_chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        det = detunings[lo:hi]
-        w = weights[lo:hi]
-        t2o = None if t2_per_member is None else np.asarray(t2_per_member, float)[lo:hi]
-        v = np.tile(initial, (hi - lo, 1))
-
-        baths = []
-        for j, (mod, table) in enumerate(zip(models, factor_tables)):
-            rngs = []
-            for seed in seeds[lo:hi]:
-                bits = np.random.PCG64(seed)
-                bits.advance(j * _BATH_STREAM_STRIDE)
-                rngs.append(np.random.Generator(bits))
-            if mod.kind == "ornstein_uhlenbeck":
-                baths.append(_OUBath(mod, rngs, table))
-            else:
-                baths.append(_TelegraphBath(mod, rngs))
-        drawn = (None, None)
-        k = 0  # index of the next bath interval
-
-        def next_interval() -> tuple[np.ndarray, np.ndarray]:
-            """Summed bath (value at start, integral) over the next interval."""
-            nonlocal drawn, k
-            j = k % block
-            if j == 0:
-                end = min(k + block, len(spans))
-                parts = [b.block(k, end, edges) for b in baths]
-                drawn = (sum(p[0] for p in parts), sum(p[1] for p in parts))
-            k += 1
-            return drawn[0][j], drawn[1][j]
-
-        sums = np.zeros((n_samples, 3))
-        acq_sums = np.zeros((n_acquires, 3))
-        si = 0
-        ai = 0
-
-        def record_sample():
-            nonlocal si
-            sums[si] = w @ v
-            si += 1
-
-        record_sample()  # t = 0
-
-        for ev in events:
-            if isinstance(ev, Pulse):
-                p = ev.event
-                if p.mode == "hard":
-                    v = v @ hard[p]
-                else:
-                    eff = det + next_interval()[0] if baths else det
-                    v = apply_finite_pulse(v, p.rabi, p.duration, p.phase, eff)
-            elif isinstance(ev, Wait):
-                h = ev.duration
-                eff = det
-                if baths:
-                    integral = next_interval()[1]
-                    if h > 0:
-                        eff = det + integral / h
-                v = evolve_free(v, h, eff, relax, t2o)
-            else:  # Acquire
-                acq_sums[ai] = w @ v
-                ai += 1
-            if record == "events":
-                record_sample()
-        if record != "events":
-            for j in range(n_acquires):
-                sums[1 + j] = acq_sums[j]
-            sums[-1] = w @ v
-        return sums, acq_sums
-
-    parts = [
-        run_chunk(lo, min(lo + _MEMBER_CHUNK, ensemble.size))
+    t2 = None if t2_per_member is None else np.asarray(t2_per_member, float)
+    chunks = [
+        _Chunk(slice(lo, lo + _MEMBER_CHUNK), detunings, weights, t2, initial, models, seeds)
         for lo in range(0, ensemble.size, _MEMBER_CHUNK)
     ]
 
-    total_w = float(weights.sum())
-    mean = sum(p[0] for p in parts) / total_w
-    acq_mean = sum(p[1] for p in parts) / total_w
+    def weighted_sum() -> np.ndarray:
+        # chunk partial sums, reduced serially in chunk order
+        return sum(c.w @ c.v for c in chunks)
 
-    acquires = tuple(
-        AcquireSample(label=lbl, time=tm, mean=acq_mean[k])
-        for k, (lbl, tm) in enumerate(acquire_meta)
-    )
+    hard: dict = {}
+    edges = np.zeros(1)
+    t = 0.0
+    # flat float buffers: 8 bytes a time, 24 a sample
+    sample_times, samples = array("d", [0.0]), array("d", weighted_sum())
+    acquire_meta, acquire_sums = [], []
+    events = program.expand()
+    # events are read _DRAW_BLOCK at a time; the baths draw for the bath
+    # intervals (waits and finite pulses) among them in one block
+    while run := list(itertools.islice(events, _DRAW_BLOCK)):
+        lengths = [
+            ev.duration if isinstance(ev, Wait) else ev.event.duration for ev in run
+            if isinstance(ev, Wait) or isinstance(ev, Pulse) and ev.event.mode == "finite"
+        ] if models else []
+        if lengths:
+            # from the last block's end: bit for bit one cumsum over the program
+            edges = np.cumsum([edges[-1], *lengths])
+            for c in chunks:
+                c.draw(lengths, edges)
+        k = 0  # index of the next bath interval in the block
+        for ev in run:
+            if isinstance(ev, Wait):
+                h = ev.duration
+                for c in chunks:
+                    eff = c.det + c.integrals[k] / h if models and h > 0 else c.det
+                    c.v = evolve_free(c.v, h, eff, relax, c.t2)
+                t += h
+                k += 1
+            elif isinstance(ev, Acquire):
+                acquire_meta.append((ev.label, t))
+                acquire_sums.append(weighted_sum())
+            elif ev.event.mode == "hard":
+                p = ev.event
+                m = hard.get(p)
+                if m is None:
+                    axis = np.array([math.cos(p.phase), math.sin(p.phase), 0.0])
+                    m = hard[p] = rotate(np.eye(3), axis, p.area)  # row j = image of e_j
+                for c in chunks:
+                    c.v = c.v @ m
+                t += p.elapsed
+            else:  # a finite pulse, with the bath value frozen at its start
+                p = ev.event
+                for c in chunks:
+                    eff = c.det + c.starts[k] if models else c.det
+                    c.v = apply_finite_pulse(c.v, p.rabi, p.duration, p.phase, eff)
+                t += p.elapsed
+                k += 1
+            if record == "events":
+                sample_times.append(t)
+                samples.extend(weighted_sum())
+    if record != "events":
+        sample_times.extend(tm for _, tm in acquire_meta)
+        samples.extend(np.ravel(acquire_sums))
+        sample_times.append(t)
+        samples.extend(weighted_sum())
+
+    total_w = float(weights.sum())
     return SimulationResult(
-        sample_times=np.asarray(sample_times),
-        mean_bloch=mean,
-        acquires=acquires,
+        sample_times=np.array(sample_times),
+        mean_bloch=np.array(samples).reshape(-1, 3) / total_w,
+        acquires=tuple(
+            AcquireSample(label=lbl, time=tm, mean=s / total_w)
+            for (lbl, tm), s in zip(acquire_meta, acquire_sums)
+        ),
         n_members=ensemble.size,
-        duration=total_duration,
+        duration=t,
         master_seed=master_seed,
     )
 

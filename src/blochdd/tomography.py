@@ -135,7 +135,8 @@ def run_process_tomography(
 
 
 def tomography_series(
-    params: BangBangParams,
+    tau1: float,
+    tau_c: float,
     n_list,
     ensemble: EnsembleSpec,
     pulse_spec: PulseSpec = HARD_PULSES,
@@ -145,26 +146,20 @@ def tomography_series(
 ) -> list[ProcessResult]:
     """Tomography of the decoupling train at each cycle count in ``n_list``.
 
-    ``n_list`` must be sorted ascending.  Every point reuses the same
-    ensemble spec and master seed so the results differ only in the
-    number of cycles.
+    The train waits ``tau1``, then runs pi,-pi pairs spaced ``tau_c``
+    (:func:`build_bangbang_body`).  ``n_list`` must be sorted ascending.
+    Every point reuses the same ensemble spec and master seed so the
+    results differ only in the number of cycles.
     """
     n_list = list(n_list)
     if n_list != sorted(n_list):
         raise ValueError("n_list must be sorted ascending")
     results = []
     for n in n_list:
-        body = build_bangbang_body(
-            BangBangParams(
-                tau1=params.tau1,
-                tau_c=params.tau_c,
-                n_cycles=int(n),
-                initial_area=None,
-            ),
-            pulse_spec,
-        )
+        params = BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=int(n), initial_area=None)
         res = run_process_tomography(
-            body, ensemble, noise=noise, relax=relax, master_seed=master_seed
+            build_bangbang_body(params, pulse_spec),
+            ensemble, noise=noise, relax=relax, master_seed=master_seed,
         )
         results.append(replace(res, n_cycles=int(n)))
     return results

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import sys
 
@@ -165,6 +166,14 @@ BAD_CONFIGS = [
     ("tomography", "ensemble", 5),
     ("simulate", None, [1, 2]),
     ("critical-point", None, [1, 2]),
+    # non-finite domain values: nan results, or an endless telegraph run
+    ("simulate", "ensemble.fwhm_hz", math.inf),
+    ("simulate", "ensemble", {"size": 2, "distribution": "explicit",
+                              "detunings_hz": [math.nan, 1.0]}),
+    ("simulate", "noise.sigma_hz", math.inf),
+    ("simulate", "noise.tau_b_s", math.inf),
+    ("tomography", "noise.amplitude_hz", math.inf),
+    ("tomography", "noise.flip_rate_hz", math.inf),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -298,6 +299,65 @@ def test_budget_guard_counts_events_before_expanding(monkeypatch):
     monkeypatch.setattr(PulseProgram, "expand", unrolled)
     with pytest.raises(SimulationBudgetError):
         run_program(prog, spec, max_member_steps=1e6)
+
+
+def test_budget_guard_counts_telegraph_flips(monkeypatch):
+    # 1 member x (2 events + 1e12 Hz x 10 ms of expected flips) > 2e9
+    spec = EnsembleSpec(size=1, distribution="explicit", detunings=(0.0,))
+    noise = NoiseModel(kind="telegraph", amplitude=1.0, flip_rate=1e12)
+    prog = parse("wait 10ms\nacquire a")
+
+    def unrolled(self):
+        raise AssertionError("the budget must be checked before expanding")
+
+    monkeypatch.setattr(PulseProgram, "expand", unrolled)
+    with pytest.raises(SimulationBudgetError, match="telegraph flips"):
+        run_program(prog, spec, noise=noise)
+
+
+# Recorded from the draw scheme before the engine streamed the program:
+# mixed OU and telegraph baths, finite pulses, record="events", 3 chunks.
+GOLDEN_ROWS = {
+    0: [0.0, 0.0, 1.0000000000000044],
+    7: [0.0025307554484804103, 0.779232482897078, 0.004750612348061457],
+    16: [0.003136159514085763, -0.7523144582124521, -0.000135132329787247],
+    32: [0.01762115629227138, -0.7042515704036617, -0.00027964704393539417],
+}
+GOLDEN_ACQUIRES = [
+    (0.004045, [0.0033554619498728498, -0.9687214851136638, -0.00011931102284722685]),
+    (0.008084999999999998, [0.011223831069076885, -0.9404222949406748, -9.431741600151851e-05]),
+    (0.012125, [0.01465346722973496, -0.9029785889030691, -0.00027964704393539417]),
+]
+
+
+def test_run_matches_recorded_draws():
+    res = invariance_run(INVARIANCE_BATHS)
+    assert res.mean_bloch.shape == (33, 3)
+    assert res.duration == pytest.approx(0.012625, rel=1e-12)
+    for row, expect in GOLDEN_ROWS.items():
+        np.testing.assert_allclose(res.mean_bloch[row], expect, rtol=1e-12, atol=0)
+    assert [a.label for a in res.acquires] == ["echo"] * 3
+    for acq, (time, expect) in zip(res.acquires, GOLDEN_ACQUIRES):
+        assert acq.time == pytest.approx(time, rel=1e-12)
+        np.testing.assert_allclose(acq.mean, expect, rtol=1e-12, atol=0)
+
+
+def test_run_memory_does_not_grow_with_repeats():
+    spec = EnsembleSpec(size=1, distribution="explicit", detunings=(0.0,))
+    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=10.0, tau_b=1e-3)
+
+    def peak(n):
+        prog = parse(f"repeat {n} {{ wait 1us }}\nacquire a")
+        tracemalloc.start()
+        try:
+            run_program(prog, spec, noise=noise)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-use allocations
+    # an unrolled program makes the peak grow about 4x from 2,000 to 8,000
+    assert peak(8000) < 1.5 * peak(2000)
 
 
 def test_ou_fid_through_simulator_matches_analytic():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochdd.ensemble import EnsembleSpec
-from blochdd.sequences import BangBangParams, PulseProgram, PulseSpec, parse
+from blochdd.sequences import PulseProgram, PulseSpec, parse
 from blochdd.tomography import (
     assemble_ptm,
     average_gate_fidelity,
@@ -90,14 +90,12 @@ def test_assemble_ptm_affine_channel():
 
 
 def test_series_trivial_case_and_ordering():
-    res = tomography_series(
-        BangBangParams(tau1=1e-3, tau_c=2e-3, n_cycles=1), [1], SINGLE
-    )
+    res = tomography_series(1e-3, 2e-3, [1], SINGLE)
     assert len(res) == 1
     assert res[0].fidelity == pytest.approx(1.0, abs=1e-12)
     assert res[0].n_cycles == 1
     with pytest.raises(ValueError, match="ascending"):
-        tomography_series(BangBangParams(tau1=1e-3, tau_c=2e-3, n_cycles=1), [10, 1], SINGLE)
+        tomography_series(1e-3, 2e-3, [10, 1], SINGLE)
 
 
 def test_series_monotone_and_population_decay():
@@ -106,7 +104,8 @@ def test_series_monotone_and_population_decay():
     spec = EnsembleSpec(size=128, distribution="gaussian", fwhm=4000.0,
                         sampling="gauss_quadrature")
     series = tomography_series(
-        BangBangParams(tau1=1.2e-3, tau_c=2e-3, n_cycles=100),
+        1.2e-3,
+        2e-3,
         [1, 10, 100],
         spec,
         pulse_spec=PulseSpec(rabi=100e3),
