@@ -5,6 +5,12 @@ batches; every operation broadcasts over leading axes).  All evolutions
 are closed-form rotations and exponential relaxation factors -- there is
 no ODE stepping and therefore no integrator tolerance to tune.
 
+Rotation matrices act on row vectors: ``v' = v @ M``, so row ``j`` of
+``M`` is the image of the unit vector ``e_j``.  A batch of states
+``(..., k, 3)`` times a batch of matrices ``(..., 3, 3)`` is then one
+stacked ``matmul``, which is how :func:`blochdd.ensemble.run_program`
+applies a per-member pulse to all of a member's states at once.
+
 Conventions (fixed once, used everywhere in this package):
 
 * Rotations are right-handed.  A pulse of phase ``phi`` rotates the
@@ -33,7 +39,9 @@ __all__ = [
     "apply_finite_pulse",
     "evolve_free",
     "evolve_noisy",
+    "finite_pulse_matrix",
     "rotate",
+    "rotation_matrix",
 ]
 
 
@@ -145,6 +153,54 @@ def apply_hard_pulse(state: np.ndarray, area: float, phase: float = 0.0) -> np.n
     return rotate(state, axis, area)
 
 
+def rotation_matrix(axis, angle) -> np.ndarray:
+    """Right-handed rotation(s) about unit axis/axes, as ``(..., 3, 3)`` matrices.
+
+    Row convention: ``v @ rotation_matrix(k, a)`` equals ``rotate(v, k, a)``.
+    ``axis`` broadcasts as ``(..., 3)`` and ``angle`` as ``(...)``; the
+    matrix is ``c I + (1 - c) k k^T - s [k]_x`` with ``[k]_x v = k x v``.
+    """
+    axis = np.asarray(axis, dtype=float)
+    angle = np.asarray(angle, dtype=float)
+    c = np.cos(angle)
+    s = np.sin(angle)
+    kx, ky, kz = axis[..., 0], axis[..., 1], axis[..., 2]
+    sx, sy, sz = kx * s, ky * s, kz * s
+    u = 1.0 - c
+    ux, uy, uz = u * kx, u * ky, u * kz
+    # every entry holds a u*k term, so each has the full broadcast shape
+    m = np.stack(
+        [
+            ux * kx + c, ux * ky + sz, ux * kz - sy,
+            uy * kx - sz, uy * ky + c, uy * kz + sx,
+            uz * kx + sy, uz * ky - sx, uz * kz + c,
+        ],
+        axis=-1,
+    )
+    return m.reshape(m.shape[:-1] + (3, 3))
+
+
+def finite_pulse_matrix(rabi: float, duration: float, phase: float = 0.0, detuning=0.0) -> np.ndarray:
+    """Rotation matrix of a square pulse, shape ``detuning.shape + (3, 3)``.
+
+    Off resonance the rotation axis tilts out of the equator: the exact
+    rotation is by ``2*pi*sqrt(rabi^2 + detuning^2)*duration`` about the
+    unit axis proportional to ``(rabi cos phase, rabi sin phase,
+    detuning)``.  Apply it as ``v @ M`` (see the module docstring).
+    """
+    if not rabi > 0:
+        raise ValueError(f"rabi must be positive, got {rabi}")
+    if duration < 0:
+        raise ValueError(f"duration must be non-negative, got {duration}")
+    detuning = np.asarray(detuning, dtype=float)
+    omega_eff = np.hypot(rabi, detuning)  # generalized Rabi frequency, Hz
+    axis = np.stack(
+        [rabi * math.cos(phase) / omega_eff, rabi * math.sin(phase) / omega_eff, detuning / omega_eff],
+        axis=-1,
+    )
+    return rotation_matrix(axis, 2.0 * math.pi * omega_eff * duration)
+
+
 def apply_finite_pulse(
     state: np.ndarray,
     rabi: float,
@@ -154,12 +210,9 @@ def apply_finite_pulse(
 ) -> np.ndarray:
     """Square pulse of given Rabi frequency (Hz) and duration (s).
 
-    Off resonance the rotation axis tilts out of the equator: the exact
-    rotation is by ``2*pi*sqrt(rabi^2 + detuning^2)*duration`` about the
-    unit axis proportional to ``(rabi cos phase, rabi sin phase,
-    detuning)``.  Relaxation during the pulse is neglected.  ``detuning``
-    may be a scalar or an array broadcasting against the batch shape of
-    ``state``.
+    Applies :func:`finite_pulse_matrix` to the state.  Relaxation during
+    the pulse is neglected.  ``detuning`` may be a scalar or an array
+    broadcasting against the batch shape of ``state``.
 
     Parameters
     ----------
@@ -177,23 +230,8 @@ def apply_finite_pulse(
     -------
     ndarray, shape (..., 3)
     """
-    if not rabi > 0:
-        raise ValueError(f"rabi must be positive, got {rabi}")
-    if duration < 0:
-        raise ValueError(f"duration must be non-negative, got {duration}")
-    detuning = np.asarray(detuning, dtype=float)
-    omega_eff = np.hypot(rabi, detuning)  # generalized Rabi frequency, Hz
-    angle = 2.0 * math.pi * omega_eff * duration
-    ax = np.broadcast_to(detuning, detuning.shape).astype(float)
-    axis = np.stack(
-        [
-            np.broadcast_to(rabi * math.cos(phase), ax.shape),
-            np.broadcast_to(rabi * math.sin(phase), ax.shape),
-            ax,
-        ],
-        axis=-1,
-    ) / omega_eff[..., None]
-    return rotate(state, axis, angle)
+    m = finite_pulse_matrix(rabi, duration, phase, detuning)
+    return (np.asarray(state, dtype=float)[..., None, :] @ m)[..., 0, :]
 
 
 def evolve_free(

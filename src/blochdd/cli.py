@@ -384,8 +384,8 @@ def cmd_tomography(args) -> int:
         n_list = [int(x) for x in args.n_list.split(",")]
     except ValueError:
         raise ConfigError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
-    if n_list != sorted(n_list) or any(n < 0 for n in n_list):
-        raise ConfigError("--n-list must be non-negative and ascending")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(n < 0 for n in n_list):
+        raise ConfigError("--n-list must be non-negative and strictly ascending")
     cfg, kw = _load(args, parse_tomography_config)
     if kw is None:
         return 0

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import roots_hermite
 
-from .bloch import NO_RELAXATION, RelaxationParams, apply_finite_pulse, evolve_free, rotate
+from .bloch import NO_RELAXATION, RelaxationParams, evolve_free, finite_pulse_matrix, rotate
 from .sequences import Acquire, Pulse, PulseProgram, Wait
 
 __all__ = [
@@ -201,7 +201,7 @@ class SimulationBudgetError(RuntimeError):
 class AcquireSample:
     label: str
     time: float
-    mean: np.ndarray  # (3,) weighted-mean Bloch vector
+    mean: np.ndarray  # weighted-mean Bloch vector(s), shaped like the initial state
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +209,7 @@ class SimulationResult:
     """Weighted-mean trajectory and acquire table of one program run."""
 
     sample_times: np.ndarray
-    mean_bloch: np.ndarray  # (len(sample_times), 3)
+    mean_bloch: np.ndarray  # (len(sample_times), *initial_state.shape)
     acquires: tuple  # tuple[AcquireSample, ...]
     n_members: int
     duration: float
@@ -420,13 +420,19 @@ class _TelegraphBath:
 
 
 class _Chunk:
-    """A fixed slice of members: Bloch vectors, static detunings, weights and baths."""
+    """A fixed slice of members: Bloch vectors, static detunings, weights and baths.
+
+    ``v`` is ``(members, *initial.shape)``: every member carries each
+    initial state, and all of them see the member's detuning and baths.
+    """
 
     def __init__(self, members: slice, detunings, weights, t2, initial, models, seeds):
-        self.det = detunings[members]
         self.w = weights[members]
-        self.t2 = None if t2 is None else t2[members]
-        self.v = np.tile(initial, (len(self.det), 1))
+        # per-member values are (members,) or, for stacked states, (members, 1)
+        self.per_member = self.w.shape + (1,) * (initial.ndim - 1)
+        self.det = detunings[members].reshape(self.per_member)
+        self.t2 = None if t2 is None else t2[members].reshape(self.per_member)
+        self.v = np.tile(initial, self.w.shape + (1,) * initial.ndim)
         self.baths = []
         for j, mod in enumerate(models):
             rngs = []
@@ -440,8 +446,9 @@ class _Chunk:
     def draw(self, lengths: list, edges: np.ndarray) -> None:
         """Summed bath values at the start of, and integrals over, the next intervals."""
         parts = [b.block(lengths, edges) for b in self.baths]
-        self.starts = sum(p[0] for p in parts)
-        self.integrals = sum(p[1] for p in parts)
+        shape = (len(lengths),) + self.per_member
+        self.starts = sum(p[0] for p in parts).reshape(shape)
+        self.integrals = sum(p[1] for p in parts).reshape(shape)
 
 
 def run_program(
@@ -472,8 +479,17 @@ def run_program(
     Ornstein-Uhlenbeck components standing in for a structured bath.
     Member ``i`` draws from one PCG64 stream seeded by ``(master_seed,
     i)``; bath ``j`` of the member starts ``j * 2**120`` draws along it.
-    ``t2_per_member`` (length ``size``) models a coherence-time spread
-    across the ensemble.
+    ``t2_per_member`` (length ``size``, each value positive, finite and at
+    most ``2 * relax.t1``) models a coherence-time spread across the
+    ensemble.
+
+    ``initial_state`` is one Bloch vector ``(3,)`` or a stack ``(k, 3)``.
+    A stack runs all ``k`` states through one pass: each member's bath
+    draws and pulse matrices serve every state, so the result equals
+    ``k`` single-state runs with the same seed.  ``mean_bloch`` is then
+    ``(n_samples, k, 3)`` and each acquire's ``mean`` is ``(k, 3)``; with
+    a ``(3,)`` state they are ``(n_samples, 3)`` and ``(3,)``, the only
+    shapes that :func:`echo_amplitude` and the exports read.
 
     The program is streamed: one lazy walk of :meth:`PulseProgram.expand`,
     read ``_DRAW_BLOCK`` events at a time, moves every chunk of
@@ -482,7 +498,7 @@ def run_program(
     by the expanded program is kept but the samples returned.
 
     Raises :class:`SimulationBudgetError`, before any work, when
-    ``size`` times the work per member -- the expanded events
+    ``size * k`` times the work per member -- the expanded events
     (:meth:`PulseProgram.expanded_count`) plus the expected telegraph
     flips, ``flip_rate * duration`` summed over telegraph baths --
     exceeds ``max_member_steps``.
@@ -490,29 +506,39 @@ def run_program(
     if record not in ("acquires", "events"):
         raise ValueError(f"unknown record mode {record!r}")
     initial = np.asarray(initial_state, dtype=float)
-    if initial.shape != (3,):
-        raise ValueError("initial_state must be a 3-vector")
+    if initial.shape[-1:] != (3,) or initial.ndim > 2 or initial.size == 0:
+        raise ValueError(f"initial_state must be a 3-vector or a (k, 3) stack, got shape {initial.shape}")
+    t2 = None
+    if t2_per_member is not None:
+        t2 = np.asarray(t2_per_member, dtype=float)
+        if t2.shape != (ensemble.size,):
+            raise ValueError(f"t2_per_member must have shape ({ensemble.size},), got {t2.shape}")
+        if not np.all((t2 > 0) & (t2 < math.inf)):
+            raise ValueError("t2_per_member must be positive and finite")
+        if math.isfinite(relax.t1) and np.any(t2 > 2.0 * relax.t1 + 1e-12):
+            raise ValueError(f"t2_per_member must not exceed 2*t1 ({2 * relax.t1})")
 
     models = _noise_list(noise)
+    n_states = initial.size // 3
     n_events = program.expanded_count()
     flips = sum(m.flip_rate for m in models if m.kind == "telegraph") * program.duration()
-    if ensemble.size * (n_events + flips) > max_member_steps:
+    if ensemble.size * n_states * (n_events + flips) > max_member_steps:
         raise SimulationBudgetError(
-            f"{ensemble.size} members x ({n_events} events + {flips:.3g} telegraph flips) "
-            f"exceeds the budget of {max_member_steps:.0f}; raise max_member_steps"
+            f"{ensemble.size} members x {n_states} states x ({n_events} events + "
+            f"{flips:.3g} telegraph flips) exceeds the budget of {max_member_steps:.0f}; "
+            "raise max_member_steps"
         )
 
     detunings, weights = sample_detunings(ensemble)
     seeds = np.random.SeedSequence(master_seed).spawn(ensemble.size) if models else None
-    t2 = None if t2_per_member is None else np.asarray(t2_per_member, float)
     chunks = [
         _Chunk(slice(lo, lo + _MEMBER_CHUNK), detunings, weights, t2, initial, models, seeds)
         for lo in range(0, ensemble.size, _MEMBER_CHUNK)
     ]
 
     def weighted_sum() -> np.ndarray:
-        # chunk partial sums, reduced serially in chunk order
-        return sum(c.w @ c.v for c in chunks)
+        # chunk partial sums, reduced serially in chunk order; flat (3 k,)
+        return sum(c.w @ c.v.reshape(len(c.w), -1) for c in chunks)
 
     hard: dict = {}
     edges = np.zeros(1)
@@ -552,13 +578,16 @@ def run_program(
                     axis = np.array([math.cos(p.phase), math.sin(p.phase), 0.0])
                     m = hard[p] = rotate(np.eye(3), axis, p.area)  # row j = image of e_j
                 for c in chunks:
-                    c.v = c.v @ m
+                    # one 2-D product, over every member's states when stacked
+                    c.v = c.v @ m if c.v.ndim == 2 else (c.v.reshape(-1, 3) @ m).reshape(c.v.shape)
                 t += p.elapsed
             else:  # a finite pulse, with the bath value frozen at its start
                 p = ev.event
                 for c in chunks:
                     eff = c.det + c.starts[k] if models else c.det
-                    c.v = apply_finite_pulse(c.v, p.rabi, p.duration, p.phase, eff)
+                    # one matrix per member, applied to each of its states
+                    m = finite_pulse_matrix(p.rabi, p.duration, p.phase, eff).reshape(-1, 3, 3)
+                    c.v = (c.v.reshape(len(m), -1, 3) @ m).reshape(c.v.shape)
                 t += p.elapsed
                 k += 1
             if record == "events":
@@ -573,9 +602,9 @@ def run_program(
     total_w = float(weights.sum())
     return SimulationResult(
         sample_times=np.array(sample_times),
-        mean_bloch=np.array(samples).reshape(-1, 3) / total_w,
+        mean_bloch=np.array(samples).reshape((-1,) + initial.shape) / total_w,
         acquires=tuple(
-            AcquireSample(label=lbl, time=tm, mean=s / total_w)
+            AcquireSample(label=lbl, time=tm, mean=s.reshape(initial.shape) / total_w)
             for (lbl, tm), s in zip(acquire_meta, acquire_sums)
         ),
         n_members=ensemble.size,

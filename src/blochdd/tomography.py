@@ -18,6 +18,12 @@ and R has first row (1, 0, 0, 0) by construction (trace preservation).
 Bloch-vector measurements are real, so R is real; there is no imaginary
 part in this representation.
 
+The four preparations travel through one program run as a ``(4, 3)``
+stack of initial states: every ensemble member applies its bath draws
+and pulse matrices to all four at once (see
+:func:`blochdd.ensemble.run_program`), so each cycle count costs one run,
+not four.
+
 Fidelity here is the entanglement (process) fidelity
 ``trace(R_ideal^T R) / 4``; the average gate fidelity follows as
 ``(2 F + 1) / 3``.
@@ -107,24 +113,22 @@ def run_process_tomography(
 ) -> ProcessResult:
     """Characterize a program body as a channel.
 
-    The body must not contain its own preparation pulse; each of the
-    four standard preparations is injected as the initial Bloch vector
-    (the -z preparation is an assumed-perfect inversion).  All four runs
-    share the ensemble and the master seed, so member noise realizations
-    are common mode across preparations.
+    The body must not contain its own preparation pulse; the four
+    standard preparations are injected as initial Bloch vectors (the -z
+    preparation is an assumed-perfect inversion).  One run carries all
+    four as a stacked initial state, so every member's noise realization
+    is common mode across preparations.
     """
-    outputs = {}
-    for label, vec in PREPARATIONS.items():
-        res = run_program(
-            body,
-            ensemble,
-            noise=noise,
-            relax=relax,
-            master_seed=master_seed,
-            initial_state=vec,
-            record="acquires",
-        )
-        outputs[label] = res.mean_bloch[-1]
+    res = run_program(
+        body,
+        ensemble,
+        noise=noise,
+        relax=relax,
+        master_seed=master_seed,
+        initial_state=np.array(list(PREPARATIONS.values())),
+        record="acquires",
+    )
+    outputs = dict(zip(PREPARATIONS, res.mean_bloch[-1]))
     ptm = assemble_ptm(outputs)
     return ProcessResult(
         ptm=ptm,
@@ -147,13 +151,13 @@ def tomography_series(
     """Tomography of the decoupling train at each cycle count in ``n_list``.
 
     The train waits ``tau1``, then runs pi,-pi pairs spaced ``tau_c``
-    (:func:`build_bangbang_body`).  ``n_list`` must be sorted ascending.
+    (:func:`build_bangbang_body`).  ``n_list`` must be strictly ascending.
     Every point reuses the same ensemble spec and master seed so the
     results differ only in the number of cycles.
     """
     n_list = list(n_list)
-    if n_list != sorted(n_list):
-        raise ValueError("n_list must be sorted ascending")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must be strictly ascending, got {n_list}")
     results = []
     for n in n_list:
         params = BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=int(n), initial_area=None)

@@ -14,6 +14,7 @@ from blochdd.bloch import (
     apply_hard_pulse,
     evolve_free,
     evolve_noisy,
+    rotation_matrix,
 )
 from blochdd.ensemble import NoiseModel, generate_ou_trajectory
 
@@ -134,6 +135,15 @@ def test_finite_pulse_matches_rotation_oracle_grid():
         expected = oracle_rotation(axis, 2 * math.pi * omega * duration, v)
         out = apply_finite_pulse(v, rabi, duration, phase, det)
         np.testing.assert_allclose(out, expected, atol=1e-12)
+    # the batched matrix builder, in the row convention v' = v @ M
+    axes = rng.normal(size=(4, 25, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    angles = rng.uniform(-4 * math.pi, 4 * math.pi, size=(4, 25))
+    vs = rng.normal(size=(4, 25, 3))
+    out = (vs[..., None, :] @ rotation_matrix(axes, angles))[..., 0, :]
+    for idx in np.ndindex(angles.shape):
+        expected = oracle_rotation(axes[idx], angles[idx], vs[idx])
+        np.testing.assert_allclose(out[idx], expected, atol=1e-12)
 
 
 def test_finite_pulse_converges_to_hard_pulse():

@@ -215,6 +215,12 @@ def test_benchmark_configs_validate(tmp_path, name, size):
     assert cli.main([*w.argv(str(path), str(tmp_path / "out")), "--validate-only"]) == 0
 
 
+def test_tomography_rejects_repeated_cycle_counts(tmp_path, capsys):
+    assert run_cli(tmp_path, "tomography", TOMOGRAPHY, "--n-list", "1,1,10") == 1
+    assert "strictly ascending" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_critical_point_takes_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(tmp_path, "critical-point", critical_point_config(), "--seed", "1")

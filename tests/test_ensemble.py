@@ -250,14 +250,14 @@ def test_run_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.mean_bloch, c.mean_bloch)
 
 
-def invariance_run(noise):
+def invariance_run(noise, **kw):
     spec = EnsembleSpec(size=1100, distribution="gaussian", fwhm=500.0, seed=4)
     prog = build_bangbang(
         BangBangParams(tau1=0.5e-3, tau_c=1e-3, n_cycles=6),
         PulseSpec(rabi=50e3),
         acquire_every=2,
     )
-    return run_program(prog, spec, noise=noise, master_seed=7, record="events")
+    return run_program(prog, spec, noise=noise, master_seed=7, record="events", **kw)
 
 
 def assert_same_run(a, b):
@@ -340,6 +340,50 @@ def test_run_matches_recorded_draws():
     for acq, (time, expect) in zip(res.acquires, GOLDEN_ACQUIRES):
         assert acq.time == pytest.approx(time, rel=1e-12)
         np.testing.assert_allclose(acq.mean, expect, rtol=1e-12, atol=0)
+
+
+def test_stacked_initial_states_match_single_runs():
+    # one run carries four states through the same draws and pulse matrices
+    states = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    kw = dict(
+        relax=RelaxationParams(t1=0.05, t2=0.04),
+        t2_per_member=np.linspace(0.01, 0.1, 1100),
+    )
+    stacked = invariance_run(INVARIANCE_BATHS, initial_state=states, **kw)
+    assert stacked.mean_bloch.shape == (33, 4, 3)
+    assert [a.mean.shape for a in stacked.acquires] == [(4, 3)] * 3
+    for j, state in enumerate(states):
+        single = invariance_run(INVARIANCE_BATHS, initial_state=state, **kw)
+        np.testing.assert_array_equal(stacked.sample_times, single.sample_times)
+        np.testing.assert_allclose(stacked.mean_bloch[:, j], single.mean_bloch, rtol=1e-12, atol=0)
+        for sa, sb in zip(stacked.acquires, single.acquires):
+            assert (sa.label, sa.time) == (sb.label, sb.time)
+            np.testing.assert_allclose(sa.mean[j], sb.mean, rtol=1e-12, atol=0)
+
+
+def test_budget_guard_counts_stacked_states():
+    spec = EnsembleSpec(size=10, distribution="gaussian", fwhm=100.0, seed=1)
+    prog = parse("repeat 10 { wait 1us }")
+    run_program(prog, spec, initial_state=np.eye(3)[:1], max_member_steps=100)
+    with pytest.raises(SimulationBudgetError, match="2 states"):
+        run_program(prog, spec, initial_state=np.eye(3)[:2], max_member_steps=100)
+
+
+@pytest.mark.parametrize(
+    "t2s",
+    [[1.0, -1e-3], [1.0, math.nan], [1.0, math.inf], [1.0], [[1.0, 1.0]], [1.0, 2.5]],
+    ids=["negative", "nan", "inf", "short", "2-d", "above-2t1"],
+)
+def test_t2_per_member_is_checked_before_expanding(monkeypatch, t2s):
+    spec = EnsembleSpec(size=2, distribution="explicit", detunings=(0.0, 1.0))
+    prog = parse("pulse area=pi/2 phase=0\nwait 1s\nacquire a")
+
+    def unrolled(self):
+        raise AssertionError("t2_per_member must be checked before expanding")
+
+    monkeypatch.setattr(PulseProgram, "expand", unrolled)
+    with pytest.raises(ValueError, match="t2_per_member"):
+        run_program(prog, spec, relax=RelaxationParams(t1=1.0), t2_per_member=t2s)
 
 
 def test_run_memory_does_not_grow_with_repeats():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from blochdd.ensemble import EnsembleSpec
+from blochdd import tomography
+from blochdd.ensemble import EnsembleSpec, run_program
 from blochdd.sequences import PulseProgram, PulseSpec, parse
 from blochdd.tomography import (
     assemble_ptm,
@@ -96,6 +97,21 @@ def test_series_trivial_case_and_ordering():
     assert res[0].n_cycles == 1
     with pytest.raises(ValueError, match="ascending"):
         tomography_series(1e-3, 2e-3, [10, 1], SINGLE)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        tomography_series(1e-3, 2e-3, [1, 1, 10], SINGLE)
+
+
+def test_one_run_carries_all_four_preparations(monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(np.asarray(kw["initial_state"]).shape)
+        return run_program(*args, **kw)
+
+    monkeypatch.setattr(tomography, "run_program", counted)
+    res = run_process_tomography(parse("pulse area=pi phase=0"), SINGLE)
+    assert calls == [(4, 3)]
+    np.testing.assert_allclose(res.ptm, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-12)
 
 
 def test_series_monotone_and_population_decay():
