@@ -46,6 +46,7 @@ __all__ = [
     "fit_inversion_recovery",
     "rate_profile",
     "SweepPoint",
+    "sweep_cycles",
     "sweep_t2_vs_tauc",
     "sweep_to_csv",
     "sweep_to_json",
@@ -70,6 +71,8 @@ class DecayCurve:
         a = np.asarray(self.amplitudes, dtype=float)
         if t.ndim != 1 or t.shape != a.shape:
             raise ValueError("times and amplitudes must be equal-length 1-D arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(a))):
+            raise ValueError("times and amplitudes must be finite")
         if not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
@@ -78,8 +81,8 @@ class DecayCurve:
             s = np.asarray(self.sigma, dtype=float)
             if s.shape != t.shape:
                 raise ValueError("sigma must match times in length")
-            if not np.all(s > 0):
-                raise ValueError("sigma values must be positive")
+            if not np.all((s > 0) & (s < np.inf)):
+                raise ValueError("sigma values must be positive and finite")
             object.__setattr__(self, "sigma", s)
 
     @classmethod
@@ -286,6 +289,26 @@ class SweepPoint:
     n_points: int
 
 
+def sweep_cycles(tau_c_values, total_time: float) -> list[tuple[float, int]]:
+    """``(tau_c, n_cycles)`` of each sweep point, sorted by ``tau_c``.
+
+    A train of ``n_cycles = floor(total_time / (2 tau_c))`` cycles reads
+    one echo per cycle.  Raises ValueError if a spacing is not positive
+    or gives fewer than the 4 echoes a single_exp fit needs.
+    """
+    points = []
+    for tau_c in sorted(float(x) for x in tau_c_values):
+        if not tau_c > 0:
+            raise ValueError(f"tau_c must be positive, got {tau_c}")
+        n_cycles = int(math.floor(total_time / (2.0 * tau_c)))
+        if n_cycles < 4:
+            raise ValueError(
+                f"tau_c {tau_c:g} s gives {n_cycles} echoes in {total_time:g} s; the T2 fit needs >= 4"
+            )
+        points.append((tau_c, n_cycles))
+    return points
+
+
 def sweep_t2_vs_tauc(
     tau_c_values,
     *,
@@ -310,14 +333,12 @@ def sweep_t2_vs_tauc(
     A fitted rate that is non-positive means the decay is below the
     noise floor of the run; the point is flagged ``no_measurable_decay``
     with ``t2 = inf``.  Fit failures are recorded and the sweep
-    continues.  Returns points sorted by ``tau_c``.
+    continues.  Every spacing is checked by :func:`sweep_cycles` before
+    the first run.  Returns points sorted by ``tau_c``.
     """
     points = []
-    for tau_c in sorted(float(x) for x in tau_c_values):
-        if not tau_c > 0:
-            raise ValueError(f"tau_c must be positive, got {tau_c}")
+    for tau_c, n_cycles in sweep_cycles(tau_c_values, total_time):
         t1_delay = tau1 if tau1 is not None else min(0.5 * tau_c, 0.25e-3)
-        n_cycles = max(1, int(math.floor(total_time / (2.0 * tau_c))))
         program = build_bangbang(
             BangBangParams(tau1=t1_delay, tau_c=tau_c, n_cycles=n_cycles),
             pulse_spec,

@@ -317,6 +317,9 @@ def parse_sweep_config(cfg: dict) -> dict:
     """For :func:`analysis.sweep_t2_vs_tauc`."""
     errors: list[str] = []
     tau_c_values, total_time, tau1 = read_sweep(cfg, errors)
+    if not errors:
+        _make(errors, "sweep", analysis.sweep_cycles,
+              tau_c_values=tau_c_values, total_time=total_time)
     kw = _ensemble_run(cfg, errors)
     if kw["noise"].kind == "none":
         errors.append("sweep needs a stochastic noise model (noise.kind != 'none')")

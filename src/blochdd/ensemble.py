@@ -9,9 +9,8 @@ Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
 randomness from a stream derived only from ``(master_seed, i)`` and
 consumes it in order, so results are bit-identical for any draw block
-size.  Members run in chunks of a fixed size, all stepped through each
-event in turn, and the chunk partial sums are reduced serially in chunk
-order.
+size.  All members are stepped through each event as one array, and
+every observable is one weighted sum over all of them.
 """
 
 from __future__ import annotations
@@ -194,7 +193,7 @@ def generate_ou_trajectory(noise: NoiseModel, duration: float, dt: float, member
 # ---------------------------------------------------------------------------
 
 class SimulationBudgetError(RuntimeError):
-    """size x expanded events exceeds the configured work budget."""
+    """size x states x work per member exceeds the ``_MAX_MEMBER_STEPS`` budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,9 +294,9 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 # time.  It bounds memory only: each member's draws are consumed in
 # stream order, so results never depend on it.
 _DRAW_BLOCK = 256
-# Members per chunk: a constant, so the chunk partial sums, reduced
-# serially in chunk order, round the same way in every run.
-_MEMBER_CHUNK = 512
+# Work budget of one run: members x states x (expanded events + expected
+# telegraph flips).  Bounds the run time of any parseable input.
+_MAX_MEMBER_STEPS = 2e9
 _BATH_STREAM_STRIDE = 2**120  # draws between the streams of one member's baths
 
 
@@ -419,38 +418,6 @@ class _TelegraphBath:
         return start, start * np.diff(edges)[:, None] + correction
 
 
-class _Chunk:
-    """A fixed slice of members: Bloch vectors, static detunings, weights and baths.
-
-    ``v`` is ``(members, *initial.shape)``: every member carries each
-    initial state, and all of them see the member's detuning and baths.
-    """
-
-    def __init__(self, members: slice, detunings, weights, t2, initial, models, seeds):
-        self.w = weights[members]
-        # per-member values are (members,) or, for stacked states, (members, 1)
-        self.per_member = self.w.shape + (1,) * (initial.ndim - 1)
-        self.det = detunings[members].reshape(self.per_member)
-        self.t2 = None if t2 is None else t2[members].reshape(self.per_member)
-        self.v = np.tile(initial, self.w.shape + (1,) * initial.ndim)
-        self.baths = []
-        for j, mod in enumerate(models):
-            rngs = []
-            for seed in seeds[members]:
-                bits = np.random.PCG64(seed)
-                bits.advance(j * _BATH_STREAM_STRIDE)
-                rngs.append(np.random.Generator(bits))
-            bath = _OUBath if mod.kind == "ornstein_uhlenbeck" else _TelegraphBath
-            self.baths.append(bath(mod, rngs))
-
-    def draw(self, lengths: list, edges: np.ndarray) -> None:
-        """Summed bath values at the start of, and integrals over, the next intervals."""
-        parts = [b.block(lengths, edges) for b in self.baths]
-        shape = (len(lengths),) + self.per_member
-        self.starts = sum(p[0] for p in parts).reshape(shape)
-        self.integrals = sum(p[1] for p in parts).reshape(shape)
-
-
 def run_program(
     program: PulseProgram,
     ensemble: EnsembleSpec,
@@ -460,7 +427,6 @@ def run_program(
     initial_state: Sequence[float] = (0.0, 0.0, 1.0),
     record: str = "acquires",
     t2_per_member: np.ndarray | None = None,
-    max_member_steps: float = 2e9,
 ) -> SimulationResult:
     """Run a pulse program over the ensemble and average.
 
@@ -492,16 +458,17 @@ def run_program(
     shapes that :func:`echo_amplitude` and the exports read.
 
     The program is streamed: one lazy walk of :meth:`PulseProgram.expand`,
-    read ``_DRAW_BLOCK`` events at a time, moves every chunk of
-    ``_MEMBER_CHUNK`` members through each event in turn.  The baths
-    draw for the bath intervals of each such run at once.  Nothing sized
-    by the expanded program is kept but the samples returned.
+    read ``_DRAW_BLOCK`` events at a time, moves the whole ensemble, one
+    array, through each event in turn.  The baths draw for the bath
+    intervals of each such run at once: O(``_DRAW_BLOCK``) values per
+    member for either bath.  Nothing sized by the expanded program is
+    kept but the samples returned.
 
     Raises :class:`SimulationBudgetError`, before any work, when
     ``size * k`` times the work per member -- the expanded events
     (:meth:`PulseProgram.expanded_count`) plus the expected telegraph
     flips, ``flip_rate * duration`` summed over telegraph baths --
-    exceeds ``max_member_steps``.
+    exceeds the constant ``_MAX_MEMBER_STEPS`` (2e9).
     """
     if record not in ("acquires", "events"):
         raise ValueError(f"unknown record mode {record!r}")
@@ -522,23 +489,28 @@ def run_program(
     n_states = initial.size // 3
     n_events = program.expanded_count()
     flips = sum(m.flip_rate for m in models if m.kind == "telegraph") * program.duration()
-    if ensemble.size * n_states * (n_events + flips) > max_member_steps:
+    if ensemble.size * n_states * (n_events + flips) > _MAX_MEMBER_STEPS:
         raise SimulationBudgetError(
             f"{ensemble.size} members x {n_states} states x ({n_events} events + "
-            f"{flips:.3g} telegraph flips) exceeds the budget of {max_member_steps:.0f}; "
-            "raise max_member_steps"
+            f"{flips:.3g} telegraph flips) exceeds the budget of {_MAX_MEMBER_STEPS:.0f}; "
+            "use fewer members or a shorter program"
         )
 
     detunings, weights = sample_detunings(ensemble)
+    # per-member values are (members,) or, for stacked states, (members, 1)
+    per_member = weights.shape + (1,) * (initial.ndim - 1)
+    det = detunings.reshape(per_member)
+    t2 = None if t2 is None else t2.reshape(per_member)
+    # every member carries each initial state; all see its detuning and baths
+    v = np.tile(initial, weights.shape + (1,) * initial.ndim)
     seeds = np.random.SeedSequence(master_seed).spawn(ensemble.size) if models else None
-    chunks = [
-        _Chunk(slice(lo, lo + _MEMBER_CHUNK), detunings, weights, t2, initial, models, seeds)
-        for lo in range(0, ensemble.size, _MEMBER_CHUNK)
-    ]
+    baths = []
+    for j, mod in enumerate(models):
+        rngs = [np.random.Generator(np.random.PCG64(s).advance(j * _BATH_STREAM_STRIDE)) for s in seeds]
+        baths.append((_OUBath if mod.kind == "ornstein_uhlenbeck" else _TelegraphBath)(mod, rngs))
 
     def weighted_sum() -> np.ndarray:
-        # chunk partial sums, reduced serially in chunk order; flat (3 k,)
-        return sum(c.w @ c.v.reshape(len(c.w), -1) for c in chunks)
+        return weights @ v.reshape(len(weights), -1)  # flat (3 k,)
 
     hard: dict = {}
     edges = np.zeros(1)
@@ -557,15 +529,18 @@ def run_program(
         if lengths:
             # from the last block's end: bit for bit one cumsum over the program
             edges = np.cumsum([edges[-1], *lengths])
-            for c in chunks:
-                c.draw(lengths, edges)
+            # summed bath values at the start of, and integrals over, each interval
+            parts = [b.block(lengths, edges) for b in baths]
+            shape = (len(lengths),) + per_member
+            starts = sum(p[0] for p in parts).reshape(shape)
+            integrals = sum(p[1] for p in parts).reshape(shape)
+            del parts  # free the per-bath blocks while the events run
         k = 0  # index of the next bath interval in the block
         for ev in run:
             if isinstance(ev, Wait):
                 h = ev.duration
-                for c in chunks:
-                    eff = c.det + c.integrals[k] / h if models and h > 0 else c.det
-                    c.v = evolve_free(c.v, h, eff, relax, c.t2)
+                eff = det + integrals[k] / h if models and h > 0 else det
+                v = evolve_free(v, h, eff, relax, t2)
                 t += h
                 k += 1
             elif isinstance(ev, Acquire):
@@ -577,17 +552,15 @@ def run_program(
                 if m is None:
                     axis = np.array([math.cos(p.phase), math.sin(p.phase), 0.0])
                     m = hard[p] = rotate(np.eye(3), axis, p.area)  # row j = image of e_j
-                for c in chunks:
-                    # one 2-D product, over every member's states when stacked
-                    c.v = c.v @ m if c.v.ndim == 2 else (c.v.reshape(-1, 3) @ m).reshape(c.v.shape)
+                # one 2-D product, over every member's states when stacked
+                v = v @ m if v.ndim == 2 else (v.reshape(-1, 3) @ m).reshape(v.shape)
                 t += p.elapsed
             else:  # a finite pulse, with the bath value frozen at its start
                 p = ev.event
-                for c in chunks:
-                    eff = c.det + c.starts[k] if models else c.det
-                    # one matrix per member, applied to each of its states
-                    m = finite_pulse_matrix(p.rabi, p.duration, p.phase, eff).reshape(-1, 3, 3)
-                    c.v = (c.v.reshape(len(m), -1, 3) @ m).reshape(c.v.shape)
+                eff = det + starts[k] if models else det
+                # one matrix per member, applied to each of its states
+                m = finite_pulse_matrix(p.rabi, p.duration, p.phase, eff).reshape(-1, 3, 3)
+                v = (v.reshape(len(m), -1, 3) @ m).reshape(v.shape)
                 t += p.elapsed
                 k += 1
             if record == "events":

@@ -224,3 +224,26 @@ def test_tomography_rejects_repeated_cycle_counts(tmp_path, capsys):
 def test_critical_point_takes_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(tmp_path, "critical-point", critical_point_config(), "--seed", "1")
+
+
+@pytest.mark.parametrize("mode", ["validate", "validate-only", "run"])
+def test_sweep_rejects_spacings_with_too_few_echoes_before_running(tmp_path, capsys, mode):
+    # 0.2 s / (2 x 0.05 s) = 2 echoes: too few for the fit, though the
+    # first spacing alone would run
+    cfg = with_value("sweep", "sweep", {"tau_c_s": [5e-4, 0.05], "total_time_s": 0.2})
+    if mode == "validate":
+        code = run_validate(tmp_path, cfg)
+    else:
+        code = run_cli(tmp_path, "sweep", cfg, *(("--validate-only",) if mode != "run" else ()))
+    assert code == 1
+    assert "gives 2 echoes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_rejects_non_finite_csv_data(tmp_path, capsys):
+    csv = tmp_path / "curve.csv"
+    csv.write_text("time_s,amplitude\n0,1\n0.1,0.9\n0.2,nan\n0.3,0.7\n0.4,0.6\n")
+    code = cli.main(["fit", "--csv", str(csv), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

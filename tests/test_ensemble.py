@@ -237,7 +237,7 @@ def test_quadrature_and_monte_carlo_agree():
 
 
 def test_run_is_deterministic_and_seed_sensitive():
-    # 700 members span two chunks
+    # 700 members, each on its own OU stream
     spec = EnsembleSpec(size=700, distribution="gaussian", fwhm=500.0, seed=4)
     noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=5e-3)
     prog = build_bangbang(BangBangParams(tau1=0.5e-3, tau_c=1e-3, n_cycles=5))
@@ -279,13 +279,14 @@ def test_run_is_invariant_to_draw_block(monkeypatch):
     assert_same_run(default, invariance_run(INVARIANCE_BATHS))
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 1e6)
     spec = EnsembleSpec(size=1000, distribution="gaussian", fwhm=100.0, seed=1)
     noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=1.0, tau_b=1e-3)
     # 1000 members x 2000 bath intervals = 2e6 > 1e6
     prog = parse("repeat 2000 { wait 0.5ms }\nacquire a")
     with pytest.raises(SimulationBudgetError):
-        run_program(prog, spec, noise=noise, max_member_steps=1e6)
+        run_program(prog, spec, noise=noise)
 
 
 def test_budget_guard_counts_events_before_expanding(monkeypatch):
@@ -297,8 +298,9 @@ def test_budget_guard_counts_events_before_expanding(monkeypatch):
         raise AssertionError("the budget must be checked before expanding")
 
     monkeypatch.setattr(PulseProgram, "expand", unrolled)
+    monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 1e6)
     with pytest.raises(SimulationBudgetError):
-        run_program(prog, spec, max_member_steps=1e6)
+        run_program(prog, spec)
 
 
 def test_budget_guard_counts_telegraph_flips(monkeypatch):
@@ -316,7 +318,9 @@ def test_budget_guard_counts_telegraph_flips(monkeypatch):
 
 
 # Recorded from the draw scheme before the engine streamed the program:
-# mixed OU and telegraph baths, finite pulses, record="events", 3 chunks.
+# mixed OU and telegraph baths, finite pulses, record="events", 1,100
+# members.  The engine then summed members in chunks of 512; one weighted
+# sum over all members moves the results only in their last bits.
 GOLDEN_ROWS = {
     0: [0.0, 0.0, 1.0000000000000044],
     7: [0.0025307554484804103, 0.779232482897078, 0.004750612348061457],
@@ -361,12 +365,13 @@ def test_stacked_initial_states_match_single_runs():
             np.testing.assert_allclose(sa.mean[j], sb.mean, rtol=1e-12, atol=0)
 
 
-def test_budget_guard_counts_stacked_states():
+def test_budget_guard_counts_stacked_states(monkeypatch):
+    monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 100)
     spec = EnsembleSpec(size=10, distribution="gaussian", fwhm=100.0, seed=1)
     prog = parse("repeat 10 { wait 1us }")
-    run_program(prog, spec, initial_state=np.eye(3)[:1], max_member_steps=100)
+    run_program(prog, spec, initial_state=np.eye(3)[:1])
     with pytest.raises(SimulationBudgetError, match="2 states"):
-        run_program(prog, spec, initial_state=np.eye(3)[:2], max_member_steps=100)
+        run_program(prog, spec, initial_state=np.eye(3)[:2])
 
 
 @pytest.mark.parametrize(
@@ -563,12 +568,13 @@ def test_bangbang_matches_filter_function_oracle():
         assert abs(-acq.mean[1] - expect) < 3 * math.sqrt(var_cos / n)
 
 
-def test_bangbang_against_brute_force_rotation_oracle():
-    # 64 explicit members, finite pulses; oracle composes scipy Rotation
+@pytest.mark.parametrize("size", [64, 1100])
+def test_bangbang_against_brute_force_rotation_oracle(size):
+    # explicit members, finite pulses; oracle composes scipy Rotation
     # matrices directly -- an independent path through the same physics.
     rng = np.random.default_rng(64)
-    dets = rng.normal(0.0, 4000.0 * SIGMA_FROM_FWHM, 64)
-    spec = EnsembleSpec(size=64, distribution="explicit", detunings=tuple(dets))
+    dets = rng.normal(0.0, 4000.0 * SIGMA_FROM_FWHM, size)
+    spec = EnsembleSpec(size=size, distribution="explicit", detunings=tuple(dets))
     rabi = 100e3
     tau1, tau_c, n_cycles = 1.2e-3, 2e-3, 50
     prog = build_bangbang(
@@ -578,29 +584,29 @@ def test_bangbang_against_brute_force_rotation_oracle():
     )
     res = run_program(prog, spec, initial_state=(0.0, 0.0, 1.0))
 
+    # one rotation per member, applied member by member to its own vector
     def z_rot(angle):
-        return Rotation.from_rotvec([0, 0, angle])
+        return Rotation.from_rotvec(np.outer(angle, [0, 0, 1]))
 
-    def pulse_rot(det, phase, area):
+    def pulse_rot(phase, area):
         duration = area / (2 * math.pi * rabi)
-        omega = math.hypot(rabi, det)
-        axis = np.array([rabi * math.cos(phase), rabi * math.sin(phase), det]) / omega
-        return Rotation.from_rotvec(axis * 2 * math.pi * omega * duration)
+        # axis (rabi cos, rabi sin, det) / omega, angle 2 pi omega duration
+        axis = np.column_stack([
+            np.full(size, rabi * math.cos(phase)), np.full(size, rabi * math.sin(phase)), dets
+        ])
+        return Rotation.from_rotvec(axis * 2 * math.pi * duration)
 
-    outs = []
-    for det in dets:
-        v = pulse_rot(det, 0.0, math.pi / 2).apply([0.0, 0.0, 1.0])
-        v = z_rot(2 * math.pi * det * tau1).apply(v)
-        for k in range(n_cycles):
-            v = pulse_rot(det, 0.0, math.pi).apply(v)
-            v = z_rot(2 * math.pi * det * tau_c).apply(v)
-            v = pulse_rot(det, math.pi, math.pi).apply(v)
-            if k < n_cycles - 1:
-                v = z_rot(2 * math.pi * det * tau_c).apply(v)
-            else:
-                v = z_rot(2 * math.pi * det * (tau_c - tau1)).apply(v)
-        outs.append(v)
-    oracle_mean = np.mean(outs, axis=0)
+    v = pulse_rot(0.0, math.pi / 2).apply(np.tile([0.0, 0.0, 1.0], (size, 1)))
+    v = z_rot(2 * math.pi * dets * tau1).apply(v)
+    for k in range(n_cycles):
+        v = pulse_rot(0.0, math.pi).apply(v)
+        v = z_rot(2 * math.pi * dets * tau_c).apply(v)
+        v = pulse_rot(math.pi, math.pi).apply(v)
+        if k < n_cycles - 1:
+            v = z_rot(2 * math.pi * dets * tau_c).apply(v)
+        else:
+            v = z_rot(2 * math.pi * dets * (tau_c - tau1)).apply(v)
+    oracle_mean = np.mean(v, axis=0)
     np.testing.assert_allclose(res.acquires[-1].mean, oracle_mean, atol=1e-9)
 
 
