@@ -4,7 +4,7 @@ Subcommands: simulate | tomography | sweep | critical-point | fit |
 validate.  Experiment configs are JSON objects with unit-suffixed keys;
 outputs are CSV/JSON data files written atomically, so identical configs
 and seeds reproduce them byte for byte.  Exit codes: 0 ok, 1 config
-error, 2 simulation error.
+error, 2 simulation or fit error.
 
 Sections and top-level keys each subcommand reads (defaults in brackets;
 every section is a JSON object, unknown keys are ignored):
@@ -446,9 +446,11 @@ def cmd_fit(args) -> int:
             fit = analysis.fit_inversion_recovery(curve)
         else:
             fit = analysis.fit_decay(curve, args.model)
-    except (analysis.FitError, ValueError) as exc:
+    except analysis.FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # the curve does not suit the model
+        raise ConfigError(f"cannot fit {args.csv}: {exc}")
     _write(args.out_dir, "fit.json", analysis.fit_to_json(fit, config={"csv": args.csv}))
     for name in sorted(fit.params):
         print(f"{name} = {fit.params[name]:.6g} +- {fit.uncertainties[name]:.2g}")

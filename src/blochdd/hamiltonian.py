@@ -15,7 +15,9 @@ An axial quadrupole ``Q = D diag(-1/3, -1/3, 2/3)`` gives
 A magnetic field lifts the remaining degeneracy; at special field
 points a transition frequency is first-order insensitive to the field
 in every direction (zero gradient), leaving only second-order
-sensitivity -- those are the critical points this module searches for.
+sensitivity -- those are the critical points this module searches for,
+by damped Newton steps on a transition's field gradient (Hellmann-Feynman)
+and Hessian (second-order perturbation theory).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = [
     "SPIN",
@@ -148,58 +149,58 @@ def transition_frequencies_batch(system: SpinSystem, b_points, i: int, j: int) -
     return w[..., j] - w[..., i]
 
 
+def _derivatives(system: SpinSystem, b: np.ndarray, i: int, j: int):
+    """Gradient ``(n, 3)``, Hessian ``(n, 3, 3)`` of f_ij at fields ``b`` ``(n, 3)``,
+    and the gap ``(n, 2)`` (Hz) from levels i and j to their nearest neighbors.
+
+    With ``A_k = (M I)_k = sum_l M_kl I_l``: ``dE_p/dB_k = <p|A_k|p>`` and
+    ``d2E_p/dB_k dB_l = 2 sum_{m != p} Re(<p|A_k|m><m|A_l|p>) / (E_p - E_m)``,
+    both undefined where a gap is near zero.
+    """
+    w, v = np.linalg.eigh(hamiltonian_matrix(system, b))
+    levels = [i, j]
+    # a[n, k, p, m] = <p|A_k|m> for p in (i, j)
+    a = np.einsum("nap,kab,nbm->nkpm", v[:, :, levels].conj(), system._zeeman, v)
+    de = w[:, levels, None] - w[:, None, :]  # E_p - E_m, exactly 0 for m = p
+    inv = np.divide(1.0, de, out=np.zeros_like(de), where=de != 0.0)
+    second = 2.0 * np.einsum("nkpm,nlpm,npm->npkl", a, a.conj(), inv).real
+    grad = a[:, :, 1, j].real - a[:, :, 0, i].real
+    gap = np.where(np.eye(_DIM, dtype=bool)[levels], math.inf, np.abs(de)).min(axis=-1)
+    return grad, second[:, 1] - second[:, 0], gap
+
+
+def _point_derivatives(system: SpinSystem, b, i: int, j: int, gap_threshold: float):
+    _check_levels(i, j)
+    grad, hess, gap = _derivatives(system, np.asarray(b, dtype=float)[None], i, j)
+    for n, g in zip((i, j), gap[0]):
+        if g < gap_threshold:
+            raise DegenerateLevelsError(
+                f"level {n} is within {g:.3g} Hz of a neighbor "
+                f"(threshold {gap_threshold} Hz); gradient undefined")
+    return grad[0], hess[0]
+
+
 def field_gradient(
     system: SpinSystem, b, i: int, j: int, gap_threshold: float = 1.0
 ) -> np.ndarray:
     """First-order field sensitivity of f_ij, Hz/G, by Hellmann-Feynman.
 
-    ``d f / d B_k = <j| (M I)_k |j> - <i| (M I)_k |i>`` with
-    ``(M I)_k = sum_l M_kl I_l``.  Raises
-    :class:`DegenerateLevelsError` when either level is within
+    Raises :class:`DegenerateLevelsError` when either level is within
     ``gap_threshold`` (Hz) of a neighbor, where the derivative of a
     sorted eigenvalue is ill-defined.
     """
-    _check_levels(i, j)
-    w, v = np.linalg.eigh(hamiltonian_matrix(system, b))
-    for n in (i, j):
-        gap = min(
-            w[n] - w[n - 1] if n > 0 else math.inf,
-            w[n + 1] - w[n] if n < _DIM - 1 else math.inf,
-        )
-        if gap < gap_threshold:
-            raise DegenerateLevelsError(
-                f"level {n} is within {gap:.3g} Hz of a neighbor "
-                f"(threshold {gap_threshold} Hz); gradient undefined"
-            )
-    vij = v[:, [i, j]]
-    e = np.einsum("an,kab,bn->kn", vij.conj(), system._zeeman, vij).real
-    return e[:, 1] - e[:, 0]
+    return _point_derivatives(system, b, i, j, gap_threshold)[0]
 
 
 def frequency_hessian(
-    system: SpinSystem, b, i: int, j: int, step: float = 0.5
+    system: SpinSystem, b, i: int, j: int, gap_threshold: float = 1.0
 ) -> np.ndarray:
-    """3x3 second-derivative matrix of f_ij by central differences (Hz/G^2).
+    """3x3 second-derivative matrix of f_ij, Hz/G^2, by perturbation theory.
 
-    This is the curvature that bounds residual second-order field
-    sensitivity at a critical point.
+    The curvature that bounds residual second-order field sensitivity at
+    a critical point; degenerate levels raise as in :func:`field_gradient`.
     """
-    b = np.asarray(b, dtype=float)
-    f0 = transition_frequency(system, b, i, j)
-    hess = np.empty((3, 3))
-    eye = np.eye(3)
-    for k in range(3):
-        fp = transition_frequency(system, b + step * eye[k], i, j)
-        fm = transition_frequency(system, b - step * eye[k], i, j)
-        hess[k, k] = (fp - 2.0 * f0 + fm) / step**2
-    for k in range(3):
-        for l in range(k + 1, 3):
-            fpp = transition_frequency(system, b + step * (eye[k] + eye[l]), i, j)
-            fpm = transition_frequency(system, b + step * (eye[k] - eye[l]), i, j)
-            fmp = transition_frequency(system, b - step * (eye[k] - eye[l]), i, j)
-            fmm = transition_frequency(system, b - step * (eye[k] + eye[l]), i, j)
-            hess[k, l] = hess[l, k] = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
-    return hess
+    return _point_derivatives(system, b, i, j, gap_threshold)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,79 +213,75 @@ class CriticalPointResult:
     frequency: float  # Hz at b_cp
 
 
+_MAX_ITER = 100  # Newton steps per start
+_MAX_HALVINGS = 10  # backtracking halvings per Newton step
+
+
 def find_critical_point(
-    system: SpinSystem,
-    b_init,
-    i: int,
-    j: int,
-    box_halfwidth: float = 50.0,
-    n_starts: int = 8,
-    tolerance: float | None = None,
-    gap_threshold: float = 1.0,
+    system: SpinSystem, b_init, i: int, j: int, box_halfwidth: float = 50.0,
+    n_starts: int = 8, tolerance: float | None = None, gap_threshold: float = 1.0,
     seed: int = 0,
-    max_iter: int = 4000,
 ) -> CriticalPointResult:
     """Locate a zero of the transition-frequency field gradient.
 
-    Minimizes ``g(B) = |grad f_ij|^2`` with derivative-free simplex
-    descent (the gradient of g would need second derivatives of
-    eigenvalues, which finite differencing makes noisier than simplex
-    steps on the scalar objective).  ``n_starts`` starts are drawn
-    uniformly from the box ``b_init +- box_halfwidth`` per axis, plus
-    ``b_init`` itself; the best end point wins.
+    The starts, ``b_init`` and ``n_starts - 1`` points drawn uniformly
+    from the box ``b_init +- box_halfwidth`` per axis, take damped Newton
+    steps on ``g = grad f = 0`` together, in batched diagonalizations.
+    The step ``-pinv(H) g``, a descent direction for ``|g|^2`` when
+    nonzero, is halved until ``|g|^2`` decreases.  A start stops at
+    ``|g| <= 1e-6 tolerance``, at a zero step (``g`` in the null space of
+    a singular ``H``) or when no halving helps; degenerate levels drop it
+    or reject a trial point.  The first start with the smallest ``|g|`` wins.
 
     ``tolerance`` (Hz/G) defaults to ``1e-3`` times the spectral norm of
-    the Zeeman tensor, i.e. a thousandfold first-order suppression
-    relative to a typical bare slope.  Non-convergence returns the best
-    point found with ``converged=False``.  Degenerate level pairs abort
-    via :class:`DegenerateLevelsError`.
+    the Zeeman tensor, a thousandfold first-order suppression relative to
+    a typical bare slope.  Non-convergence returns the best point found
+    with ``converged=False``; degenerate levels at every start raise.
     """
+    _check_levels(i, j)
     b_init = np.asarray(b_init, dtype=float)
     if tolerance is None:
         tolerance = 1e-3 * float(np.linalg.norm(system.m_tensor, 2))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    b = np.vstack([b_init, b_init + rng.uniform(-box_halfwidth, box_halfwidth, (max(0, n_starts - 1), 3))])
     evaluations = 0
 
-    def objective(b):
+    def evaluate(points):
         nonlocal evaluations
-        evaluations += 1
-        try:
-            g = field_gradient(system, b, i, j, gap_threshold)
-        except DegenerateLevelsError:
-            # steer the simplex away from level crossings
-            return math.inf
-        return float(g @ g)
+        evaluations += len(points)
+        g, h, gap = _derivatives(system, points, i, j)
+        return g, h, np.where((gap >= gap_threshold).all(axis=1), np.sum(g**2, axis=1), math.inf)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    starts = [b_init]
-    for _ in range(max(0, n_starts - 1)):
-        starts.append(b_init + rng.uniform(-box_halfwidth, box_halfwidth, 3))
+    grad, hess, norm2 = evaluate(b)
+    if np.isinf(norm2).all():
+        raise DegenerateLevelsError(f"levels {i},{j} degenerate everywhere the search looked")
+    stop2 = (1e-6 * tolerance) ** 2
+    active = np.flatnonzero(np.isfinite(norm2) & (norm2 > stop2))
+    for _ in range(_MAX_ITER):
+        if not active.size:
+            break
+        step = -np.einsum("nkl,nl->nk", np.linalg.pinv(hess[active], hermitian=True), grad[active])
+        keep = step.any(axis=1)
+        pending = np.flatnonzero(keep)  # positions in ``active``
+        for t in 0.5 ** np.arange(_MAX_HALVINGS + 1):
+            if not pending.size:
+                break
+            idx = active[pending]
+            trial = b[idx] + t * step[pending]
+            g, h, n2 = evaluate(trial)
+            better = n2 < norm2[idx]
+            acc = idx[better]
+            b[acc], grad[acc], hess[acc], norm2[acc] = trial[better], g[better], h[better], n2[better]
+            pending = pending[~better]
+        keep[pending] = False
+        active = active[keep & (norm2[active] > stop2)]
 
-    best = None
-    for start in starts:
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": max_iter,
-                "xatol": 1e-8,
-                "fatol": (tolerance**2) * 1e-6,
-                "adaptive": True,
-            },
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-
-    if not math.isfinite(best.fun):
-        raise DegenerateLevelsError(
-            f"levels {i},{j} degenerate everywhere the search looked"
-        )
-    b_cp = np.asarray(best.x, dtype=float)
-    residual = math.sqrt(max(best.fun, 0.0))
+    b_cp = b[int(np.argmin(norm2))]
+    residual = float(np.linalg.norm(field_gradient(system, b_cp, i, j, gap_threshold)))
     return CriticalPointResult(
         b_cp=b_cp,
         residual_gradient_norm=residual,
-        curvature=frequency_hessian(system, b_cp, i, j),
+        curvature=frequency_hessian(system, b_cp, i, j, gap_threshold),
         converged=residual <= tolerance,
         n_evaluations=evaluations,
         frequency=transition_frequency(system, b_cp, i, j),
@@ -316,6 +313,8 @@ def critical_point_report_json(
     result: CriticalPointResult, system: SpinSystem, i: int, j: int,
     config: dict | None = None,
 ) -> str:
+    """The search result as JSON; ``curvature_eigenvalues_hz_per_g2`` are the
+    ascending principal second-order sensitivities of the transition."""
     doc = {
         "config": config if config is not None else {},
         "level_pair": [i, j],
@@ -324,6 +323,7 @@ def critical_point_report_json(
         "frequency_hz": result.frequency,
         "residual_gradient_norm_hz_per_g": result.residual_gradient_norm,
         "curvature_hz_per_g2": [[float(x) for x in row] for row in result.curvature],
+        "curvature_eigenvalues_hz_per_g2": [float(x) for x in np.linalg.eigvalsh(result.curvature)],
         "converged": result.converged,
         "n_evaluations": result.n_evaluations,
     }

@@ -247,3 +247,12 @@ def test_fit_rejects_non_finite_csv_data(tmp_path, capsys):
     assert code == 1
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_fit_too_short_a_curve_is_an_input_error(tmp_path, capsys):
+    csv = tmp_path / "curve.csv"
+    csv.write_text("time_s,amplitude\n0,1\n0.1,0.9\n0.2,0.8\n")
+    code = cli.main(["fit", "--csv", str(csv), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "needs >= 4 points" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fit.json").exists()

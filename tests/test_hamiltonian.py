@@ -8,6 +8,8 @@ above 130 kHz there.
 
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,12 @@ from blochdd.hamiltonian import (
     transition_frequencies_batch,
     transition_frequency,
 )
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+
+import workloads  # noqa: E402
 
 Q_SYNTH = np.array(
     [
@@ -173,6 +181,25 @@ def fd_gradient(sys_, b, i, j, step=0.01):
     return g
 
 
+def fd_hessian(sys_, b, i, j, step):
+    """Independent central-difference Hessian oracle (Hz/G^2)."""
+    f0 = transition_frequency(sys_, b, i, j)
+    hess = np.empty((3, 3))
+    eye = np.eye(3)
+    for k in range(3):
+        fp = transition_frequency(sys_, b + step * eye[k], i, j)
+        fm = transition_frequency(sys_, b - step * eye[k], i, j)
+        hess[k, k] = (fp - 2.0 * f0 + fm) / step**2
+    for k in range(3):
+        for l in range(k + 1, 3):
+            fpp = transition_frequency(sys_, b + step * (eye[k] + eye[l]), i, j)
+            fpm = transition_frequency(sys_, b + step * (eye[k] - eye[l]), i, j)
+            fmp = transition_frequency(sys_, b - step * (eye[k] - eye[l]), i, j)
+            fmm = transition_frequency(sys_, b - step * (eye[k] + eye[l]), i, j)
+            hess[k, l] = hess[l, k] = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
+    return hess
+
+
 def _well_separated(sys_, b, i, j, min_gap=5e4):
     e = eigensystem(sys_, b).energies
     gaps = np.diff(e)
@@ -194,6 +221,23 @@ def test_hellmann_feynman_matches_finite_differences():
         hf = field_gradient(sys_, b, i, j)
         fd = fd_gradient(sys_, b, i, j)
         assert np.linalg.norm(hf - fd) <= 1e-5 * np.linalg.norm(hf), (i, j, b)
+        checked += 1
+
+
+def test_analytic_hessian_matches_finite_differences():
+    # the same draws as the gradient oracle above; the worst case is the
+    # O(step^2) truncation of the difference quotient near a ~7e4 Hz gap
+    rng = np.random.default_rng(14)
+    checked = 0
+    while checked < 100:
+        sys_ = random_system(rng)
+        b = rng.uniform(-800, 800, 3)
+        i, j = sorted(rng.choice(6, size=2, replace=False))
+        if not _well_separated(sys_, b, i, j):
+            continue
+        pt = frequency_hessian(sys_, b, i, j)
+        fd = fd_hessian(sys_, b, i, j, step=0.05)
+        assert np.linalg.norm(pt - fd) <= 1e-4 * np.linalg.norm(pt), (i, j, b)
         checked += 1
 
 
@@ -242,8 +286,37 @@ def test_find_critical_point_none_for_pure_zeeman():
     assert res.residual_gradient_norm == pytest.approx(gamma, rel=1e-6)
 
 
+# the Nelder-Mead search this package used before the Newton search,
+# on the benchmark's paper configs (seeds 21 and 5001): its b_cp, and
+# its residual, the bound the Newton search must meet
+B_CP_NELDER_MEAD = np.array([-256.01846166, 950.62715749, -192.48292096])
+RESIDUAL_NELDER_MEAD = 1.6e-9
+
+
+@pytest.mark.parametrize("seed", [21, 5001])
+def test_find_critical_point_agrees_with_nelder_mead_on_paper_configs(seed):
+    cfg = workloads.make("critical_point", seed, "paper").config
+    search = cfg["search"]
+    assert search["n_starts"] == 128
+    res = find_critical_point(
+        spin_system_from_dict(cfg["spin_system"]), search["b_init_g"], *search["level_pair"],
+        box_halfwidth=search["box_halfwidth_g"], n_starts=search["n_starts"],
+        seed=search["seed"],
+    )
+    assert res.converged
+    np.testing.assert_allclose(res.b_cp, B_CP_NELDER_MEAD, rtol=0, atol=1e-6)
+    assert res.residual_gradient_norm <= RESIDUAL_NELDER_MEAD
+    assert res.n_evaluations < 2000
+
+
+def test_find_critical_point_raises_when_levels_degenerate_everywhere():
+    # no Zeeman term: levels 0 and 1 stay a doublet at every field
+    with pytest.raises(DegenerateLevelsError, match="everywhere"):
+        find_critical_point(axial_system(1e6), np.zeros(3), 0, 2, n_starts=4, seed=1)
+
+
 def test_hessian_matches_curvature_scale():
-    h = frequency_hessian(SYNTH, B_CP_NOMINAL, 2, 3, step=0.5)
+    h = frequency_hessian(SYNTH, B_CP_NOMINAL, 2, 3)
     # second-order sensitivity of this transition is tens of Hz/G^2
     assert 1.0 < np.abs(h).max() < 1e3
 
