@@ -192,15 +192,14 @@ def field_gradient(
     return _point_derivatives(system, b, i, j, gap_threshold)[0]
 
 
-def frequency_hessian(
-    system: SpinSystem, b, i: int, j: int, gap_threshold: float = 1.0
-) -> np.ndarray:
+def frequency_hessian(system: SpinSystem, b, i: int, j: int) -> np.ndarray:
     """3x3 second-derivative matrix of f_ij, Hz/G^2, by perturbation theory.
 
     The curvature that bounds residual second-order field sensitivity at
-    a critical point; degenerate levels raise as in :func:`field_gradient`.
+    a critical point; levels within 1 Hz of a neighbor raise
+    :class:`DegenerateLevelsError` as in :func:`field_gradient`.
     """
-    return _point_derivatives(system, b, i, j, gap_threshold)[1]
+    return _point_derivatives(system, b, i, j, 1.0)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +217,14 @@ _MAX_HALVINGS = 10  # backtracking halvings per Newton step
 
 
 def find_critical_point(
-    system: SpinSystem, b_init, i: int, j: int, box_halfwidth: float = 50.0,
-    n_starts: int = 8, tolerance: float | None = None, gap_threshold: float = 1.0,
+    system: SpinSystem,
+    b_init,
+    i: int,
+    j: int,
+    box_halfwidth: float = 50.0,
+    n_starts: int = 8,
+    tolerance: float | None = None,
+    gap_threshold: float = 1.0,
     seed: int = 0,
 ) -> CriticalPointResult:
     """Locate a zero of the transition-frequency field gradient.
@@ -243,24 +248,29 @@ def find_critical_point(
     if tolerance is None:
         tolerance = 1e-3 * float(np.linalg.norm(system.m_tensor, 2))
     rng = np.random.Generator(np.random.PCG64(seed))
-    b = np.vstack([b_init, b_init + rng.uniform(-box_halfwidth, box_halfwidth, (max(0, n_starts - 1), 3))])
+    offsets = rng.uniform(-box_halfwidth, box_halfwidth, (max(0, n_starts - 1), 3))
+    b = np.vstack([b_init, b_init + offsets])
     evaluations = 0
 
     def evaluate(points):
         nonlocal evaluations
         evaluations += len(points)
         g, h, gap = _derivatives(system, points, i, j)
-        return g, h, np.where((gap >= gap_threshold).all(axis=1), np.sum(g**2, axis=1), math.inf)
+        ok = (gap >= gap_threshold).all(axis=1)
+        return g, h, np.where(ok, np.sum(g**2, axis=1), math.inf)
 
     grad, hess, norm2 = evaluate(b)
     if np.isinf(norm2).all():
-        raise DegenerateLevelsError(f"levels {i},{j} degenerate everywhere the search looked")
+        raise DegenerateLevelsError(
+            f"levels {i},{j} degenerate everywhere the search looked"
+        )
     stop2 = (1e-6 * tolerance) ** 2
     active = np.flatnonzero(np.isfinite(norm2) & (norm2 > stop2))
     for _ in range(_MAX_ITER):
         if not active.size:
             break
-        step = -np.einsum("nkl,nl->nk", np.linalg.pinv(hess[active], hermitian=True), grad[active])
+        inv_h = np.linalg.pinv(hess[active], hermitian=True)
+        step = -np.einsum("nkl,nl->nk", inv_h, grad[active])
         keep = step.any(axis=1)
         pending = np.flatnonzero(keep)  # positions in ``active``
         for t in 0.5 ** np.arange(_MAX_HALVINGS + 1):
@@ -271,7 +281,8 @@ def find_critical_point(
             g, h, n2 = evaluate(trial)
             better = n2 < norm2[idx]
             acc = idx[better]
-            b[acc], grad[acc], hess[acc], norm2[acc] = trial[better], g[better], h[better], n2[better]
+            b[acc], grad[acc] = trial[better], g[better]
+            hess[acc], norm2[acc] = h[better], n2[better]
             pending = pending[~better]
         keep[pending] = False
         active = active[keep & (norm2[active] > stop2)]
@@ -281,7 +292,7 @@ def find_critical_point(
     return CriticalPointResult(
         b_cp=b_cp,
         residual_gradient_norm=residual,
-        curvature=frequency_hessian(system, b_cp, i, j, gap_threshold),
+        curvature=frequency_hessian(system, b_cp, i, j),
         converged=residual <= tolerance,
         n_evaluations=evaluations,
         frequency=transition_frequency(system, b_cp, i, j),
@@ -323,7 +334,9 @@ def critical_point_report_json(
         "frequency_hz": result.frequency,
         "residual_gradient_norm_hz_per_g": result.residual_gradient_norm,
         "curvature_hz_per_g2": [[float(x) for x in row] for row in result.curvature],
-        "curvature_eigenvalues_hz_per_g2": [float(x) for x in np.linalg.eigvalsh(result.curvature)],
+        "curvature_eigenvalues_hz_per_g2": [
+            float(x) for x in np.linalg.eigvalsh(result.curvature)
+        ],
         "converged": result.converged,
         "n_evaluations": result.n_evaluations,
     }
