@@ -2,16 +2,18 @@
 
 Subpackage map:
 
-* :mod:`blochdd.bloch` -- single-spin rotations, free evolution, noisy
-  evolution (closed form, no integrators).
+* :mod:`blochdd.bloch` -- single-spin rotations, hard and finite pulse
+  matrices, free evolution with relaxation (closed form, no integrators).
 * :mod:`blochdd.sequences` -- pulse-program objects, text language,
   canonical sequence builders, decoupling-regime validator.
-* :mod:`blochdd.ensemble` -- inhomogeneous ensembles, stochastic baths,
-  deterministic seeded program runs, analytic dephasing expressions.
+* :mod:`blochdd.ensemble` -- inhomogeneous ensembles, stochastic baths
+  drawn exactly per interval inside deterministic seeded program runs,
+  analytic dephasing expressions.
 * :mod:`blochdd.tomography` -- Pauli-transfer-matrix process tomography
   of simulated channels.
-* :mod:`blochdd.hamiltonian` -- I=5/2 quadrupole+Zeeman level structure,
-  field gradients, critical-point (zero-gradient) search.
+* :mod:`blochdd.hamiltonian` -- I=5/2 quadrupole+Zeeman Hamiltonian,
+  transition frequencies over batches of fields, field gradients and
+  Hessians, critical-point (zero-gradient) search.
 * :mod:`blochdd.analysis` -- decay fitting, local rate profiles, T2
   versus pulse-spacing sweeps.
 * :mod:`blochdd.cli` -- the ``blochdd`` command.
@@ -21,10 +23,8 @@ from .bloch import (
     NO_RELAXATION,
     PulseEvent,
     RelaxationParams,
-    apply_finite_pulse,
     apply_hard_pulse,
     evolve_free,
-    evolve_noisy,
 )
 from .sequences import (
     Acquire,
@@ -48,7 +48,6 @@ from .ensemble import (
     SimulationResult,
     calibrate_ou_sigma,
     echo_amplitude,
-    generate_ou_trajectory,
     ou_fid_coherence,
     ou_hahn_coherence,
     run_program,
@@ -63,7 +62,6 @@ from .tomography import (
 from .hamiltonian import (
     CriticalPointResult,
     SpinSystem,
-    eigensystem,
     field_gradient,
     find_critical_point,
     transition_frequency,

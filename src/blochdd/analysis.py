@@ -87,20 +87,26 @@ class DecayCurve:
 
     @classmethod
     def from_csv(cls, text: str) -> "DecayCurve":
-        """Parse ``time_s,amplitude[,sigma]`` CSV (header optional)."""
+        """Parse ``time_s,amplitude[,sigma]`` CSV.
+
+        Blank and ``#`` lines are skipped anywhere; other non-numeric lines
+        (a header) may only precede the first numeric row.
+        """
         rows = []
-        for line in text.strip().splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
             try:
-                rows.append([float(p) for p in parts])
+                rows.append([float(p) for p in line.split(",")])
             except ValueError:
-                continue  # header line
+                if rows:
+                    raise ValueError(f"line {n} is not numeric: {line!r}") from None
         if not rows:
             raise ValueError("no numeric rows found")
         data = np.asarray(rows)
+        if data.shape[1] < 2:
+            raise ValueError("rows need at least time_s and amplitude columns")
         sigma = data[:, 2] if data.shape[1] >= 3 else None
         return cls(times=data[:, 0], amplitudes=data[:, 1], sigma=sigma)
 
@@ -293,13 +299,15 @@ def sweep_cycles(tau_c_values, total_time: float) -> list[tuple[float, int]]:
     """``(tau_c, n_cycles)`` of each sweep point, sorted by ``tau_c``.
 
     A train of ``n_cycles = floor(total_time / (2 tau_c))`` cycles reads
-    one echo per cycle.  Raises ValueError if a spacing is not positive
-    or gives fewer than the 4 echoes a single_exp fit needs.
+    one echo per cycle.  Raises ValueError if a spacing is not positive,
+    is repeated or gives fewer than the 4 echoes a single_exp fit needs.
     """
     points = []
     for tau_c in sorted(float(x) for x in tau_c_values):
         if not tau_c > 0:
             raise ValueError(f"tau_c must be positive, got {tau_c}")
+        if points and tau_c == points[-1][0]:
+            raise ValueError(f"tau_c {tau_c:g} s is repeated; each spacing runs once")
         n_cycles = int(math.floor(total_time / (2.0 * tau_c)))
         if n_cycles < 4:
             raise ValueError(
@@ -307,6 +315,10 @@ def sweep_cycles(tau_c_values, total_time: float) -> list[tuple[float, int]]:
             )
         points.append((tau_c, n_cycles))
     return points
+
+
+# a longer echo series is thinned to this many evenly spaced points for the fit
+_MAX_FIT_POINTS = 200
 
 
 def sweep_t2_vs_tauc(
@@ -318,17 +330,16 @@ def sweep_t2_vs_tauc(
     tau1: float | None = None,
     pulse_spec: PulseSpec = HARD_PULSES,
     master_seed: int = 0,
-    max_fit_points: int = 200,
     relax: RelaxationParams = NO_RELAXATION,
-    label: str = "echo",
 ):
     """Extract the decoupled coherence time at each pulse spacing.
 
     For every ``tau_c`` a pulse train of total length ``total_time`` is
     run with an echo read-out every cycle, and a single-exponential fit
-    of the echo decay gives T2.  All points share the same master seed
-    so member noise realizations are common mode across the sweep, which
-    makes the extracted trend insensitive to Monte-Carlo fluctuations.
+    of the echo decay, thinned to at most 200 evenly spaced echoes,
+    gives T2.  All points share the same master seed so member noise
+    realizations are common mode across the sweep, which makes the
+    extracted trend insensitive to Monte-Carlo fluctuations.
 
     A fitted rate that is non-positive means the decay is below the
     noise floor of the run; the point is flagged ``no_measurable_decay``
@@ -342,7 +353,6 @@ def sweep_t2_vs_tauc(
         program = build_bangbang(
             BangBangParams(tau1=t1_delay, tau_c=tau_c, n_cycles=n_cycles),
             pulse_spec,
-            label=label,
             acquire_every=1,
         )
         result = run_program(
@@ -353,9 +363,9 @@ def sweep_t2_vs_tauc(
             master_seed=master_seed,
             record="acquires",
         )
-        times, mags, _ = acquire_series(result, label)
-        if len(times) > max_fit_points:
-            idx = np.linspace(0, len(times) - 1, max_fit_points).astype(int)
+        times, mags, _ = acquire_series(result, "echo")
+        if len(times) > _MAX_FIT_POINTS:
+            idx = np.linspace(0, len(times) - 1, _MAX_FIT_POINTS).astype(int)
             times, mags = times[idx], mags[idx]
         try:
             fit = fit_decay(DecayCurve(times=times, amplitudes=mags), "single_exp")

@@ -10,6 +10,9 @@ Rotation matrices act on row vectors: ``v' = v @ M``, so row ``j`` of
 ``(..., k, 3)`` times a batch of matrices ``(..., 3, 3)`` is then one
 stacked ``matmul``, which is how :func:`blochdd.ensemble.run_program`
 applies a per-member pulse to all of a member's states at once.
+Evolution under a stochastic bath lives in ``run_program``, which draws
+each member's bath exactly once per interval and calls
+:func:`evolve_free` and :func:`finite_pulse_matrix` with the result.
 
 Conventions (fixed once, used everywhere in this package):
 
@@ -36,9 +39,7 @@ __all__ = [
     "NO_RELAXATION",
     "PulseEvent",
     "apply_hard_pulse",
-    "apply_finite_pulse",
     "evolve_free",
-    "evolve_noisy",
     "finite_pulse_matrix",
     "rotate",
     "rotation_matrix",
@@ -201,39 +202,6 @@ def finite_pulse_matrix(rabi: float, duration: float, phase: float = 0.0, detuni
     return rotation_matrix(axis, 2.0 * math.pi * omega_eff * duration)
 
 
-def apply_finite_pulse(
-    state: np.ndarray,
-    rabi: float,
-    duration: float,
-    phase: float = 0.0,
-    detuning=0.0,
-) -> np.ndarray:
-    """Square pulse of given Rabi frequency (Hz) and duration (s).
-
-    Applies :func:`finite_pulse_matrix` to the state.  Relaxation during
-    the pulse is neglected.  ``detuning`` may be a scalar or an array
-    broadcasting against the batch shape of ``state``.
-
-    Parameters
-    ----------
-    state : ndarray, shape (..., 3)
-    rabi : float
-        Rabi frequency in Hz, > 0.
-    duration : float
-        Pulse length in seconds, >= 0.
-    phase : float
-        Drive phase in radians.
-    detuning : float or ndarray
-        Rotating-frame detuning in Hz.
-
-    Returns
-    -------
-    ndarray, shape (..., 3)
-    """
-    m = finite_pulse_matrix(rabi, duration, phase, detuning)
-    return (np.asarray(state, dtype=float)[..., None, :] @ m)[..., 0, :]
-
-
 def evolve_free(
     state: np.ndarray,
     duration: float,
@@ -266,30 +234,4 @@ def evolve_free(
     out[..., 0] = (x * c - y * s) * e2
     out[..., 1] = (x * s + y * c) * e2
     out[..., 2] = relax.z_equilibrium + (z - relax.z_equilibrium) * e1
-    return out
-
-
-def evolve_noisy(
-    state: np.ndarray,
-    samples,
-    dt: float,
-    relax: RelaxationParams = NO_RELAXATION,
-) -> np.ndarray:
-    """Piecewise-constant noisy free evolution.
-
-    ``samples`` is a detuning trajectory in Hz, shape ``(n_steps,)`` or
-    ``(..., n_steps)`` with one row per batched state; each value is held
-    for ``dt`` seconds.  Equivalent to chaining :func:`evolve_free` over
-    the steps, so subdividing a constant trajectory changes nothing.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("trajectory must be non-empty")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("trajectory contains non-finite samples")
-    out = np.asarray(state, dtype=float)
-    for k in range(samples.shape[-1]):
-        out = evolve_free(out, dt, samples[..., k], relax)
     return out

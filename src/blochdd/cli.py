@@ -10,11 +10,11 @@ Sections and top-level keys each subcommand reads (defaults in brackets;
 every section is a JSON object, unknown keys are ignored):
 
   simulate        sequence, ensemble, pulses, noise, relaxation,
-                  initial_state [0, 0, 1], record [acquires] | events,
+                  initial_state [0, 0, 1] (norm <= 1), record [acquires] | events,
                   master_seed [0]
   tomography      sequence (tau1_s, tau_c_s), ensemble, pulses, noise,
                   relaxation, master_seed; cycle counts from --n-list
-  sweep           sweep (tau_c_s list, total_time_s, tau1_s), ensemble,
+  sweep           sweep (tau_c_s list, no repeats, total_time_s, tau1_s), ensemble,
                   pulses, noise (kind not none), relaxation, master_seed
   critical-point  spin_system (q_tensor_hz, m_tensor_hz_per_g), search
                   (b_init_g, level_pair [2, 3], box_halfwidth_g [50],
@@ -206,9 +206,12 @@ def read_master_seed(cfg: dict, errors: list) -> int | None:
 
 def read_initial_state(cfg: dict, errors: list) -> list | None:
     initial = cfg.get("initial_state", [0.0, 0.0, 1.0])
-    if isinstance(initial, list) and len(initial) == 3 and all(map(_real, initial)):
+    if not (isinstance(initial, list) and len(initial) == 3 and all(map(_real, initial))):
+        errors.append(f"initial_state must be a list of 3 finite numbers, got {initial!r}")
+    elif math.hypot(*initial) > 1.0 + 1e-9:
+        errors.append(f"initial_state must have norm <= 1, got {math.hypot(*initial):.9g}")
+    else:
         return initial
-    errors.append(f"initial_state must be a list of 3 finite numbers, got {initial!r}")
     return None
 
 

@@ -3,7 +3,8 @@
 An ensemble member is a Bloch vector with a static detuning drawn from
 the inhomogeneous line, optionally riding on its own stochastic
 detuning trajectory (Ornstein-Uhlenbeck or random telegraph).  Members
-evolve independently; observables are weighted means.
+evolve independently; observables are weighted means.  A bath has one
+implementation: the exact per-interval draw inside :func:`run_program`.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
@@ -38,7 +39,6 @@ __all__ = [
     "SimulationResult",
     "SimulationBudgetError",
     "sample_detunings",
-    "generate_ou_trajectory",
     "run_program",
     "echo_amplitude",
     "acquire_series",
@@ -160,32 +160,6 @@ class NoiseModel:
 
 
 NO_NOISE = NoiseModel()
-
-
-def generate_ou_trajectory(noise: NoiseModel, duration: float, dt: float, member_seed) -> np.ndarray:
-    """One stationary Ornstein-Uhlenbeck detuning trajectory.
-
-    Returns samples at the start of each ``dt`` step covering
-    ``duration`` (``ceil(duration/dt)`` values).  Uses the exact
-    discrete update ``x' = x e^(-dt/tau_b) + sigma sqrt(1-e^(-2dt/tau_b)) xi``
-    with ``x_0 ~ N(0, sigma^2)``, so the statistics are independent of dt.
-    A test oracle: :func:`run_program` draws its baths exactly per interval.
-    """
-    if noise.kind != "ornstein_uhlenbeck":
-        raise ValueError("generate_ou_trajectory requires an ornstein_uhlenbeck model")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rng = np.random.Generator(np.random.PCG64(member_seed))
-    n = max(1, int(math.ceil(duration / dt - 1e-9)))
-    a = math.exp(-dt / noise.tau_b)
-    b = noise.sigma * math.sqrt(1.0 - a * a)
-    xi = rng.standard_normal(n)
-    out = np.empty(n)
-    x = noise.sigma * rng.standard_normal()
-    for k in range(n):
-        out[k] = x
-        x = a * x + b * xi[k]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,10 @@ __all__ = [
     "SPIN",
     "spin_operators",
     "SpinSystem",
-    "LevelDiagram",
     "DegenerateLevelsError",
     "CriticalPointResult",
     "hamiltonian_matrix",
-    "eigensystem",
     "transition_frequency",
-    "transition_frequencies_batch",
     "field_gradient",
     "frequency_hessian",
     "find_critical_point",
@@ -100,20 +97,8 @@ class DegenerateLevelsError(ValueError):
     """Gradient requested at (nearly) degenerate levels."""
 
 
-@dataclass(frozen=True, eq=False)
-class LevelDiagram:
-    """Sorted eigenvalues (Hz) of the six-level system at one field."""
-
-    energies: np.ndarray  # (6,), ascending
-
-    def transition(self, i: int, j: int) -> float:
-        _check_levels(i, j)
-        return float(self.energies[j] - self.energies[i])
-
-    def transition_table(self) -> np.ndarray:
-        """Antisymmetric matrix ``f[i, j] = e_j - e_i`` in Hz."""
-        e = self.energies
-        return e[None, :] - e[:, None]
+# a level closer than this (Hz) to a neighbor has no well-defined derivative
+_GAP_THRESHOLD = 1.0
 
 
 def _check_levels(i: int, j: int) -> None:
@@ -129,23 +114,10 @@ def hamiltonian_matrix(system: SpinSystem, b) -> np.ndarray:
     return np.einsum("...k,kab->...ab", b, system._zeeman) + system._h_quad
 
 
-def eigensystem(system: SpinSystem, b) -> LevelDiagram:
-    """Exact diagonalization; eigenvalues real and ascending."""
-    w = np.linalg.eigvalsh(hamiltonian_matrix(system, b))
-    return LevelDiagram(energies=w)
-
-
-def transition_frequency(system: SpinSystem, b, i: int, j: int) -> float:
-    """``e_j - e_i`` in Hz at field ``b``."""
+def transition_frequency(system: SpinSystem, b, i: int, j: int):
+    """``e_j - e_i`` in Hz at fields ``b`` (gauss, ``(..., 3)``), shape ``(...)``."""
     _check_levels(i, j)
     w = np.linalg.eigvalsh(hamiltonian_matrix(system, b))
-    return float(w[j] - w[i])
-
-
-def transition_frequencies_batch(system: SpinSystem, b_points, i: int, j: int) -> np.ndarray:
-    """Vectorized ``e_j - e_i`` over fields of shape ``(..., 3)``."""
-    _check_levels(i, j)
-    w = np.linalg.eigvalsh(hamiltonian_matrix(system, b_points))
     return w[..., j] - w[..., i]
 
 
@@ -169,27 +141,25 @@ def _derivatives(system: SpinSystem, b: np.ndarray, i: int, j: int):
     return grad, second[:, 1] - second[:, 0], gap
 
 
-def _point_derivatives(system: SpinSystem, b, i: int, j: int, gap_threshold: float):
+def _point_derivatives(system: SpinSystem, b, i: int, j: int):
     _check_levels(i, j)
     grad, hess, gap = _derivatives(system, np.asarray(b, dtype=float)[None], i, j)
     for n, g in zip((i, j), gap[0]):
-        if g < gap_threshold:
+        if g < _GAP_THRESHOLD:
             raise DegenerateLevelsError(
                 f"level {n} is within {g:.3g} Hz of a neighbor "
-                f"(threshold {gap_threshold} Hz); gradient undefined")
+                f"(threshold {_GAP_THRESHOLD} Hz); gradient undefined")
     return grad[0], hess[0]
 
 
-def field_gradient(
-    system: SpinSystem, b, i: int, j: int, gap_threshold: float = 1.0
-) -> np.ndarray:
+def field_gradient(system: SpinSystem, b, i: int, j: int) -> np.ndarray:
     """First-order field sensitivity of f_ij, Hz/G, by Hellmann-Feynman.
 
     Raises :class:`DegenerateLevelsError` when either level is within
-    ``gap_threshold`` (Hz) of a neighbor, where the derivative of a
-    sorted eigenvalue is ill-defined.
+    1 Hz of a neighbor, where the derivative of a sorted eigenvalue is
+    ill-defined.
     """
-    return _point_derivatives(system, b, i, j, gap_threshold)[0]
+    return _point_derivatives(system, b, i, j)[0]
 
 
 def frequency_hessian(system: SpinSystem, b, i: int, j: int) -> np.ndarray:
@@ -199,7 +169,7 @@ def frequency_hessian(system: SpinSystem, b, i: int, j: int) -> np.ndarray:
     a critical point; levels within 1 Hz of a neighbor raise
     :class:`DegenerateLevelsError` as in :func:`field_gradient`.
     """
-    return _point_derivatives(system, b, i, j, 1.0)[1]
+    return _point_derivatives(system, b, i, j)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +194,6 @@ def find_critical_point(
     box_halfwidth: float = 50.0,
     n_starts: int = 8,
     tolerance: float | None = None,
-    gap_threshold: float = 1.0,
     seed: int = 0,
 ) -> CriticalPointResult:
     """Locate a zero of the transition-frequency field gradient.
@@ -235,8 +204,9 @@ def find_critical_point(
     The step ``-pinv(H) g``, a descent direction for ``|g|^2`` when
     nonzero, is halved until ``|g|^2`` decreases.  A start stops at
     ``|g| <= 1e-6 tolerance``, at a zero step (``g`` in the null space of
-    a singular ``H``) or when no halving helps; degenerate levels drop it
-    or reject a trial point.  The first start with the smallest ``|g|`` wins.
+    a singular ``H``) or when no halving helps; degenerate levels (a gap
+    under 1 Hz) drop it or reject a trial point.  The first start with the
+    smallest ``|g|`` wins.
 
     ``tolerance`` (Hz/G) defaults to ``1e-3`` times the spectral norm of
     the Zeeman tensor, a thousandfold first-order suppression relative to
@@ -256,7 +226,7 @@ def find_critical_point(
         nonlocal evaluations
         evaluations += len(points)
         g, h, gap = _derivatives(system, points, i, j)
-        ok = (gap >= gap_threshold).all(axis=1)
+        ok = (gap >= _GAP_THRESHOLD).all(axis=1)
         return g, h, np.where(ok, np.sum(g**2, axis=1), math.inf)
 
     grad, hess, norm2 = evaluate(b)
@@ -288,14 +258,14 @@ def find_critical_point(
         active = active[keep & (norm2[active] > stop2)]
 
     b_cp = b[int(np.argmin(norm2))]
-    residual = float(np.linalg.norm(field_gradient(system, b_cp, i, j, gap_threshold)))
+    residual = float(np.linalg.norm(field_gradient(system, b_cp, i, j)))
     return CriticalPointResult(
         b_cp=b_cp,
         residual_gradient_norm=residual,
         curvature=frequency_hessian(system, b_cp, i, j),
         converged=residual <= tolerance,
         n_evaluations=evaluations,
-        frequency=transition_frequency(system, b_cp, i, j),
+        frequency=float(transition_frequency(system, b_cp, i, j)),
     )
 
 

@@ -10,13 +10,11 @@ from blochdd.bloch import (
     NO_RELAXATION,
     PulseEvent,
     RelaxationParams,
-    apply_finite_pulse,
     apply_hard_pulse,
     evolve_free,
-    evolve_noisy,
+    finite_pulse_matrix,
     rotation_matrix,
 )
-from blochdd.ensemble import NoiseModel, generate_ou_trajectory
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -71,8 +69,8 @@ def test_norm_preserved_under_pulse_compositions():
             if kind == 0:
                 v = apply_hard_pulse(v, rng.uniform(0, 7), rng.uniform(0, 7))
             elif kind == 1:
-                v = apply_finite_pulse(v, 1e5, rng.uniform(0, 2e-5), rng.uniform(0, 7),
-                                       rng.uniform(-5e3, 5e3))
+                v = v @ finite_pulse_matrix(1e5, rng.uniform(0, 2e-5), rng.uniform(0, 7),
+                                            rng.uniform(-5e3, 5e3))
             else:
                 v = evolve_free(v, rng.uniform(0, 1e-3), rng.uniform(-5e3, 5e3))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -95,7 +93,7 @@ def test_finite_pulse_on_resonance_equals_hard():
         rabi = 1e5
         duration = 0.5 / rabi  # nominal pi
         phase = rng.uniform(0, 2 * math.pi)
-        a = apply_finite_pulse(v, rabi, duration, phase, detuning=0.0)
+        a = v @ finite_pulse_matrix(rabi, duration, phase, detuning=0.0)
         b = apply_hard_pulse(v, math.pi, phase)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -106,7 +104,7 @@ def test_finite_pulse_generalized_pi_at_45_degree_tilt():
     # equator: z-out = cos(pi) + n_z^2 (1 - cos(pi)) = -1 + 2*(1/2) = 0.
     rabi = 1e5
     duration = 0.5 / (math.sqrt(2.0) * rabi)
-    out = apply_finite_pulse(UP, rabi, duration, 0.0, detuning=rabi)
+    out = UP @ finite_pulse_matrix(rabi, duration, 0.0, detuning=rabi)
     expected = oracle_rotation([1, 0, 1], math.pi, UP)
     np.testing.assert_allclose(out, expected, atol=1e-12)
     assert abs(out[2]) < 1e-12
@@ -115,7 +113,7 @@ def test_finite_pulse_generalized_pi_at_45_degree_tilt():
 def test_finite_pulse_small_detuning_pi():
     # nominal pi pulse at rabi/detuning = 50: inversion error is O((d/r)^2)
     rabi, det = 1e5, 2e3
-    out = apply_finite_pulse(UP, rabi, 0.5 / rabi, 0.0, detuning=det)
+    out = UP @ finite_pulse_matrix(rabi, 0.5 / rabi, 0.0, detuning=det)
     omega = math.hypot(rabi, det)
     expected = oracle_rotation([rabi, 0, det], 2 * math.pi * omega * (0.5 / rabi), UP)
     np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -133,7 +131,7 @@ def test_finite_pulse_matches_rotation_oracle_grid():
         omega = math.hypot(rabi, det)
         axis = [rabi * math.cos(phase), rabi * math.sin(phase), det]
         expected = oracle_rotation(axis, 2 * math.pi * omega * duration, v)
-        out = apply_finite_pulse(v, rabi, duration, phase, det)
+        out = v @ finite_pulse_matrix(rabi, duration, phase, det)
         np.testing.assert_allclose(out, expected, atol=1e-12)
     # the batched matrix builder, in the row convention v' = v @ M
     axes = rng.normal(size=(4, 25, 3))
@@ -157,7 +155,7 @@ def test_finite_pulse_converges_to_hard_pulse():
             v /= np.linalg.norm(v)
             area = rng.uniform(0.1, 2 * math.pi)
             phase = rng.uniform(0, 2 * math.pi)
-            fin = apply_finite_pulse(v, rabi, area / (2 * math.pi * rabi), phase, det)
+            fin = v @ finite_pulse_matrix(rabi, area / (2 * math.pi * rabi), phase, det)
             hard = apply_hard_pulse(v, area, phase)
             assert np.linalg.norm(fin - hard) <= 10.0 * ratio
 
@@ -222,66 +220,3 @@ def test_relaxation_params_validation():
     with pytest.raises(ValueError):
         RelaxationParams(z_equilibrium=2.0)
     RelaxationParams(t1=1.0, t2=2.0)  # boundary allowed
-
-
-# ---------------------------------------------------------------------------
-# noisy evolution
-# ---------------------------------------------------------------------------
-
-def test_constant_trajectory_equals_single_step():
-    v = np.array([1.0, 0.0, 0.0])
-    traj = np.full(16, 700.0)
-    a = evolve_noisy(v, traj, dt=1e-4)
-    b = evolve_free(v, 16e-4, 700.0)
-    np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_alternating_trajectory_cancels():
-    v = np.array([1.0, 0.0, 0.0])
-    traj = np.array([500.0, -500.0] * 8)
-    out = evolve_noisy(v, traj, dt=1e-4)
-    np.testing.assert_allclose(out, v, atol=1e-12)
-
-
-def test_noisy_rejects_bad_samples():
-    v = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        evolve_noisy(v, np.array([1.0, np.nan]), dt=1e-4)
-    with pytest.raises(ValueError):
-        evolve_noisy(v, np.array([]), dt=1e-4)
-    with pytest.raises(ValueError):
-        evolve_noisy(v, np.array([1.0]), dt=0.0)
-
-
-def ou_coherence_oracle(t, sigma_hz, tau_b):
-    """Gaussian-phase free-induction decay for OU noise (independent oracle)."""
-    w2 = (2 * math.pi * sigma_hz) ** 2
-    return math.exp(-w2 * tau_b**2 * (t / tau_b - 1 + math.exp(-t / tau_b)))
-
-
-def test_ou_ensemble_matches_gaussian_phase_oracle():
-    # 1e4 independent OU trajectories through evolve_noisy; the mean
-    # transverse amplitude must match the analytic dephasing law within
-    # 3 Monte-Carlo standard errors (variance also from the oracle).
-    sigma, tau_b, dt = 60.0, 5e-3, 5e-5
-    n_members, n_steps = 10_000, 200  # covers t = 10 ms = 2 tau_b
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b)
-    seeds = np.random.SeedSequence(2024).spawn(n_members)
-    trajs = np.stack(
-        [generate_ou_trajectory(noise, n_steps * dt, dt, s) for s in seeds]
-    )
-    v = np.tile([1.0, 0.0, 0.0], (n_members, 1))
-    checkpoints = [40, 80, 120, 160, 200]
-    start = 0
-    for stop in checkpoints:
-        v = evolve_noisy(v, trajs[:, start:stop], dt)
-        start = stop
-        t = stop * dt
-        mean = v.mean(axis=0)
-        amp = math.hypot(mean[0], mean[1])
-        expect = ou_coherence_oracle(t, sigma, tau_b)
-        s_phase = -2.0 * math.log(expect)  # <phi^2>
-        var_cos = (1 + math.exp(-2 * s_phase)) / 2 - math.exp(-s_phase)
-        se = math.sqrt(var_cos / n_members)
-        bias = (1 - math.exp(-2 * s_phase)) / 2 / max(expect, 1e-12) / n_members
-        assert abs(amp - expect) < 3 * se + bias, (t, amp, expect, se)

@@ -153,12 +153,14 @@ BAD_CONFIGS = [
     ("critical-point", "search.b_init_g", ["a", 0, 0]),
     ("sweep", "sweep.tau1_s", "x"),
     ("sweep", "sweep.tau1_s", -1),
+    ("sweep", "sweep.tau_c_s", [1e-3, 1e-3]),
     ("simulate", "ensemble.seed", "x"),
     ("tomography", "ensemble.seed", -1),
     ("sweep", "ensemble.size", 4.5),
     ("tomography", "master_seed", -1),
     ("sweep", "master_seed", -1),
     ("simulate", "initial_state", ["a", 0, 1]),
+    ("simulate", "initial_state", [5, 0, 0]),
     ("simulate", "sequence.initial_area_rad", [1]),
     ("simulate", "sequence", [1]),
     ("tomography", "sequence", [1]),
@@ -255,4 +257,18 @@ def test_fit_too_short_a_curve_is_an_input_error(tmp_path, capsys):
     code = cli.main(["fit", "--csv", str(csv), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert "needs >= 4 points" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fit.json").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    # a header may precede the data; a bad row inside it is an error, not skipped
+    ("time_s,amplitude\n0,1\n0.1,0.9\n0.3,oops\n0.4,0.6\n0.5,0.5\n", "line 4 is not numeric"),
+    ("0\n0.1\n0.2\n0.3\n", "at least time_s and amplitude"),
+], ids=["bad-row", "one-column"])
+def test_fit_rejects_malformed_csv_rows(tmp_path, capsys, text, message):
+    csv = tmp_path / "curve.csv"
+    csv.write_text(text)
+    code = cli.main(["fit", "--csv", str(csv), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "fit.json").exists()

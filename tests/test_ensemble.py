@@ -18,7 +18,6 @@ from blochdd.ensemble import (
     acquire_series,
     calibrate_ou_sigma,
     echo_amplitude,
-    generate_ou_trajectory,
     ou_fid_coherence,
     ou_hahn_coherence,
     result_to_csv,
@@ -111,36 +110,6 @@ def test_spec_validation():
 # ---------------------------------------------------------------------------
 # bath trajectories
 # ---------------------------------------------------------------------------
-
-def test_ou_zero_sigma_is_silent():
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=0.0, tau_b=0.01)
-    traj = generate_ou_trajectory(noise, 0.05, 1e-4, member_seed=1)
-    assert np.all(traj == 0.0)
-    with pytest.raises(ValueError):
-        generate_ou_trajectory(noise, 0.05, 0.0, member_seed=1)
-
-
-def test_ou_stationary_variance_and_autocorrelation():
-    sigma, tau_b, dt = 25.0, 2e-3, 2e-5
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b)
-    n = 10_000
-    lag = int(round(tau_b / dt))
-    seeds = np.random.SeedSequence(77).spawn(n)
-    x0 = np.empty(n)
-    xlag = np.empty(n)
-    for k, s in enumerate(seeds):
-        traj = generate_ou_trajectory(noise, (lag + 1) * dt, dt, s)
-        x0[k] = traj[0]
-        xlag[k] = traj[lag]
-    var = np.mean(x0**2)
-    se_var = sigma**2 * math.sqrt(2.0 / n)
-    assert abs(var - sigma**2) < 3 * se_var
-    corr = np.mean(x0 * xlag)
-    expect = sigma**2 * math.exp(-1.0)
-    # var of x0*xlag ~ sigma^4 (1 + e^-2) for a bivariate normal pair
-    se_corr = sigma**2 * math.sqrt((1 + math.exp(-2.0)) / n)
-    assert abs(corr - expect) < 3 * se_corr
-
 
 def ou_interval_moments_exact(r, sigma, tau_b, x0):
     """Closed-form (mean_x, mean_int, var_x, var_int, cov) in 40-digit decimals."""
