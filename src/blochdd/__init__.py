@@ -5,7 +5,7 @@ Subpackage map:
 * :mod:`blochdd.bloch` -- single-spin rotations, hard and finite pulse
   matrices, free evolution with relaxation (closed form, no integrators).
 * :mod:`blochdd.sequences` -- pulse-program objects, text language,
-  canonical sequence builders, decoupling-regime validator.
+  canonical sequence builders.
 * :mod:`blochdd.ensemble` -- inhomogeneous ensembles, stochastic baths
   drawn exactly per interval inside deterministic seeded program runs,
   analytic dephasing expressions.
@@ -29,7 +29,6 @@ from .bloch import (
 from .sequences import (
     Acquire,
     BangBangParams,
-    BathCutoff,
     Pulse,
     PulseProgram,
     PulseSpec,
@@ -40,7 +39,6 @@ from .sequences import (
     build_inversion_recovery,
     parse,
     serialize,
-    validate_bangbang,
 )
 from .ensemble import (
     EnsembleSpec,

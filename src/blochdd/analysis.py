@@ -90,7 +90,8 @@ class DecayCurve:
         """Parse ``time_s,amplitude[,sigma]`` CSV.
 
         Blank and ``#`` lines are skipped anywhere; other non-numeric lines
-        (a header) may only precede the first numeric row.
+        (a header) may only precede the first numeric row.  Every numeric
+        row has 2 or 3 columns, as many as the first.
         """
         rows = []
         for n, line in enumerate(text.splitlines(), 1):
@@ -98,27 +99,22 @@ class DecayCurve:
             if not line or line.startswith("#"):
                 continue
             try:
-                rows.append([float(p) for p in line.split(",")])
+                row = [float(p) for p in line.split(",")]
             except ValueError:
                 if rows:
                     raise ValueError(f"line {n} is not numeric: {line!r}") from None
+                continue
+            if not 2 <= len(row) <= 3:
+                raise ValueError(f"line {n} has {len(row)} columns; rows need at least "
+                                 "time_s and amplitude columns, and at most a sigma after them")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"line {n} has {len(row)} columns, the first numeric row {len(rows[0])}")
+            rows.append(row)
         if not rows:
             raise ValueError("no numeric rows found")
         data = np.asarray(rows)
-        if data.shape[1] < 2:
-            raise ValueError("rows need at least time_s and amplitude columns")
-        sigma = data[:, 2] if data.shape[1] >= 3 else None
+        sigma = data[:, 2] if data.shape[1] == 3 else None
         return cls(times=data[:, 0], amplitudes=data[:, 1], sigma=sigma)
-
-    def to_csv(self) -> str:
-        header = "time_s,amplitude" + (",sigma" if self.sigma is not None else "")
-        lines = [header]
-        for k in range(len(self.times)):
-            row = f"{self.times[k]:.17g},{self.amplitudes[k]:.17g}"
-            if self.sigma is not None:
-                row += f",{self.sigma[k]:.17g}"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)

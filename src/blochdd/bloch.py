@@ -207,7 +207,6 @@ def evolve_free(
     duration: float,
     detuning=0.0,
     relax: RelaxationParams = NO_RELAXATION,
-    t2_override=None,
 ) -> np.ndarray:
     """Free precession with relaxation, in closed form.
 
@@ -215,9 +214,7 @@ def evolve_free(
     and shrink by ``exp(-duration/t2)``; z relaxes toward
     ``z_equilibrium`` with time constant t1.
 
-    ``detuning`` may be per-member (array); ``t2_override`` optionally
-    replaces ``relax.t2`` with a per-member array to model a coherence
-    time that varies across an ensemble.
+    ``detuning`` may be per-member (array).
     """
     if duration < 0:
         raise ValueError(f"duration must be non-negative, got {duration}")
@@ -226,8 +223,7 @@ def evolve_free(
     theta = 2.0 * math.pi * detuning * duration
     c = np.cos(theta)
     s = np.sin(theta)
-    t2 = relax.t2 if t2_override is None else np.asarray(t2_override, dtype=float)
-    e2 = np.exp(-duration / t2)
+    e2 = np.exp(-duration / relax.t2)
     e1 = math.exp(-duration / relax.t1)
     out = np.empty(np.broadcast_shapes(state.shape, detuning.shape + (1,)), dtype=float)
     x, y, z = state[..., 0], state[..., 1], state[..., 2]

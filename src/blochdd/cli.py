@@ -12,15 +12,16 @@ every section is a JSON object, unknown keys are ignored):
   simulate        sequence, ensemble, pulses, noise, relaxation,
                   initial_state [0, 0, 1] (norm <= 1), record [acquires] | events,
                   master_seed [0]
-  tomography      sequence (tau1_s, tau_c_s), ensemble, pulses, noise,
+  tomography      sequence (tau1_s <= tau_c_s), ensemble, pulses, noise,
                   relaxation, master_seed; cycle counts from --n-list
-  sweep           sweep (tau_c_s list, no repeats, total_time_s, tau1_s), ensemble,
-                  pulses, noise (kind not none), relaxation, master_seed
+  sweep           sweep (tau_c_s list, no repeats, total_time_s, tau1_s <= every
+                  tau_c_s), ensemble, pulses, noise (kind not none), relaxation,
+                  master_seed
   critical-point  spin_system (q_tensor_hz, m_tensor_hz_per_g), search
                   (b_init_g, level_pair [2, 3], box_halfwidth_g [50],
                   n_starts [8], seed [0], tolerance_hz_per_g)
 
-  sequence    dsl text, or template bangbang (tau1_s, tau_c_s, n_cycles,
+  sequence    dsl text, or template bangbang (tau1_s <= tau_c_s, n_cycles,
               acquire_every, initial_area_rad [pi/2]), hahn_echo (tau_s)
               or inversion_recovery (delay_s)
   ensemble    size, distribution [gaussian], fwhm_hz, detunings_hz,
@@ -135,8 +136,12 @@ def read_train(cfg: dict, errors: list) -> tuple:
     doc = _section(cfg, "sequence", errors, required=True)
     if doc is None:
         return None, None
-    return (_positive(errors, "sequence.tau1_s", doc.get("tau1_s")),
+    pair = (_positive(errors, "sequence.tau1_s", doc.get("tau1_s")),
             _positive(errors, "sequence.tau_c_s", doc.get("tau_c_s")))
+    if None in pair or _make(errors, "sequence", sequences.BangBangParams,
+                             tau1=pair[0], tau_c=pair[1], n_cycles=0) is None:
+        return None, None
+    return pair
 
 
 def read_sequence(cfg: dict, errors: list, pulse_spec) -> sequences.PulseProgram | None:
@@ -298,11 +303,9 @@ def parse_simulation_config(cfg: dict) -> dict:
     _check(errors)
     seq, noise = cfg["sequence"], kw["noise"]
     if seq.get("template") == "bangbang" and noise.kind == "ornstein_uhlenbeck":
-        check = sequences.validate_bangbang(
-            sequences.BathCutoff(omega_c=1.0 / noise.tau_b), float(seq["tau_c_s"])
-        )
-        if not check.passed:
-            print(f"warning: omega_c*tau_c = {check.product:.3g} > 1: the pulse train is too "
+        product = (1.0 / noise.tau_b) * float(seq["tau_c_s"])  # omega_c = 1 / tau_b
+        if product > 1.0:
+            print(f"warning: omega_c*tau_c = {product:.3g} > 1: the pulse train is too "
                   "slow for this bath; decoupling will be ineffective", file=sys.stderr)
     return kw
 
@@ -323,6 +326,9 @@ def parse_sweep_config(cfg: dict) -> dict:
     if not errors:
         _make(errors, "sweep", analysis.sweep_cycles,
               tau_c_values=tau_c_values, total_time=total_time)
+        if tau1 is not None:
+            _make(errors, "sweep", sequences.BangBangParams,
+                  tau1=tau1, tau_c=min(tau_c_values), n_cycles=0)
     kw = _ensemble_run(cfg, errors)
     if kw["noise"].kind == "none":
         errors.append("sweep needs a stochastic noise model (noise.kind != 'none')")

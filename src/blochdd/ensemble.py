@@ -400,7 +400,6 @@ def run_program(
     master_seed: int = 0,
     initial_state: Sequence[float] = (0.0, 0.0, 1.0),
     record: str = "acquires",
-    t2_per_member: np.ndarray | None = None,
 ) -> SimulationResult:
     """Run a pulse program over the ensemble and average.
 
@@ -419,9 +418,6 @@ def run_program(
     Ornstein-Uhlenbeck components standing in for a structured bath.
     Member ``i`` draws from one PCG64 stream seeded by ``(master_seed,
     i)``; bath ``j`` of the member starts ``j * 2**120`` draws along it.
-    ``t2_per_member`` (length ``size``, each value positive, finite and at
-    most ``2 * relax.t1``) models a coherence-time spread across the
-    ensemble.
 
     ``initial_state`` is one Bloch vector ``(3,)`` or a stack ``(k, 3)``.
     A stack runs all ``k`` states through one pass: each member's bath
@@ -449,15 +445,6 @@ def run_program(
     initial = np.asarray(initial_state, dtype=float)
     if initial.shape[-1:] != (3,) or initial.ndim > 2 or initial.size == 0:
         raise ValueError(f"initial_state must be a 3-vector or a (k, 3) stack, got shape {initial.shape}")
-    t2 = None
-    if t2_per_member is not None:
-        t2 = np.asarray(t2_per_member, dtype=float)
-        if t2.shape != (ensemble.size,):
-            raise ValueError(f"t2_per_member must have shape ({ensemble.size},), got {t2.shape}")
-        if not np.all((t2 > 0) & (t2 < math.inf)):
-            raise ValueError("t2_per_member must be positive and finite")
-        if math.isfinite(relax.t1) and np.any(t2 > 2.0 * relax.t1 + 1e-12):
-            raise ValueError(f"t2_per_member must not exceed 2*t1 ({2 * relax.t1})")
 
     models = _noise_list(noise)
     n_states = initial.size // 3
@@ -474,7 +461,6 @@ def run_program(
     # per-member values are (members,) or, for stacked states, (members, 1)
     per_member = weights.shape + (1,) * (initial.ndim - 1)
     det = detunings.reshape(per_member)
-    t2 = None if t2 is None else t2.reshape(per_member)
     # every member carries each initial state; all see its detuning and baths
     v = np.tile(initial, weights.shape + (1,) * initial.ndim)
     seeds = np.random.SeedSequence(master_seed).spawn(ensemble.size) if models else None
@@ -514,7 +500,7 @@ def run_program(
             if isinstance(ev, Wait):
                 h = ev.duration
                 eff = det + integrals[k] / h if models and h > 0 else det
-                v = evolve_free(v, h, eff, relax, t2)
+                v = evolve_free(v, h, eff, relax)
                 t += h
                 k += 1
             elif isinstance(ev, Acquire):
@@ -588,16 +574,14 @@ def ou_hahn_coherence(total_time, sigma: float, tau_b: float):
     return np.exp(-w2 * tau_b**2 * (2.0 * tau / tau_b - 3.0 + 4.0 * x - x * x))
 
 
-def calibrate_ou_sigma(tau_b: float, echo_1e_time: float = 0.86) -> float:
-    """Noise strength (Hz rms) giving a target two-pulse-echo 1/e time.
+def calibrate_ou_sigma(tau_b: float) -> float:
+    """Noise strength (Hz rms) giving a two-pulse-echo 1/e time of 0.86 s.
 
     The echo exponent scales as sigma^2, so the analytic expression
-    inverts in closed form.  The default target is the 0.86 s asymptotic
-    decay time of the material this package models.
+    inverts in closed form.  The target is the 0.86 s asymptotic decay
+    time of the material this package models.
     """
-    if not echo_1e_time > 0:
-        raise ValueError(f"echo_1e_time must be positive, got {echo_1e_time}")
-    tau = echo_1e_time / 2.0
+    tau = 0.86 / 2.0
     x = math.exp(-tau / tau_b)
     bracket = 2.0 * tau / tau_b - 3.0 + 4.0 * x - x * x
     return 1.0 / (2.0 * math.pi * tau_b * math.sqrt(bracket))

@@ -64,13 +64,10 @@ __all__ = [
     "PulseSpec",
     "HARD_PULSES",
     "BangBangParams",
-    "BathCutoff",
-    "BangBangCheck",
     "build_hahn_echo",
     "build_inversion_recovery",
     "build_bangbang",
     "build_bangbang_body",
-    "validate_bangbang",
 ]
 
 
@@ -489,6 +486,8 @@ class BangBangParams:
     pi,-pi train; ``n_cycles`` the number of pi,-pi pairs.
     ``initial_area`` defaults to pi/2 and may be ``None`` to omit the
     preparation pulse (used when the train is treated as a bare channel).
+    ``tau1 <= tau_c`` is required: a longer delay leaves the train no
+    refocusing instant.
     """
 
     tau1: float
@@ -501,44 +500,15 @@ class BangBangParams:
             raise ValueError(f"tau1 must be positive, got {self.tau1}")
         if not self.tau_c > 0:
             raise ValueError(f"tau_c must be positive, got {self.tau_c}")
+        if self.tau1 > self.tau_c:
+            raise ValueError(f"tau1 ({self.tau1:g} s) must not exceed tau_c ({self.tau_c:g} s): "
+                             "the train would have no refocusing instant")
         if self.n_cycles < 0:
             raise ValueError(f"n_cycles must be >= 0, got {self.n_cycles}")
 
 
-@dataclass(frozen=True)
-class BathCutoff:
-    """Angular cutoff frequency of the dephasing bath, rad/s."""
-
-    omega_c: float
-
-    def __post_init__(self) -> None:
-        if not self.omega_c > 0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-
-
-@dataclass(frozen=True)
-class BangBangCheck:
-    """Result of the decoupling-regime criterion ``omega_c * tau_c <= 1``."""
-
-    passed: bool
-    product: float
-
-
-def validate_bangbang(cutoff: BathCutoff, tau_c: float) -> BangBangCheck:
-    """Check the pulse train is fast compared to the bath cutoff.
-
-    Decoupling rephases bath-induced dephasing when the product
-    ``omega_c * tau_c`` is at most 1 (boundary inclusive); larger
-    products are flagged, carrying the offending value.
-    """
-    product = cutoff.omega_c * tau_c
-    return BangBangCheck(passed=product <= 1.0, product=product)
-
-
-def build_hahn_echo(
-    tau: float, pulse_spec: PulseSpec = HARD_PULSES, label: str = "echo"
-) -> PulseProgram:
-    """Two-pulse echo: pi/2 -- tau -- pi -- tau -- acquire.
+def build_hahn_echo(tau: float, pulse_spec: PulseSpec = HARD_PULSES) -> PulseProgram:
+    """Two-pulse echo: pi/2 -- tau -- pi -- tau -- acquire ``echo``.
 
     Static detuning refocuses exactly at the acquire (2*tau after the
     first pulse), so the ensemble echo amplitude isolates irreversible
@@ -552,15 +522,13 @@ def build_hahn_echo(
             Wait(tau),
             Pulse(pulse_spec.make(math.pi, 0.0)),
             Wait(tau),
-            Acquire(label),
+            Acquire("echo"),
         )
     )
 
 
-def build_inversion_recovery(
-    delay: float, pulse_spec: PulseSpec = HARD_PULSES, label: str = "signal"
-) -> PulseProgram:
-    """Longitudinal-relaxation probe: pi -- delay -- pi/2 -- acquire.
+def build_inversion_recovery(delay: float, pulse_spec: PulseSpec = HARD_PULSES) -> PulseProgram:
+    """Longitudinal-relaxation probe: pi -- delay -- pi/2 -- acquire ``signal``.
 
     The readout pi/2 converts z into transverse signal; the signed
     amplitude is recovered from the acquire phase (reference -pi/2 for
@@ -573,90 +541,56 @@ def build_inversion_recovery(
             Pulse(pulse_spec.make(math.pi, 0.0)),
             Wait(delay),
             Pulse(pulse_spec.make(math.pi / 2, 0.0)),
-            Acquire(label),
+            Acquire("signal"),
         )
     )
 
 
-def _bangbang_cycle(pulse_spec: PulseSpec, tau_c: float) -> tuple:
-    return (
-        Pulse(pulse_spec.make(math.pi, 0.0)),
-        Wait(tau_c),
-        Pulse(pulse_spec.make(math.pi, math.pi)),  # -pi as phase-advanced pi
-        Wait(tau_c),
-    )
+def _bangbang_train(p: BangBangParams, pulse_spec: PulseSpec, acquire_every: int | None) -> list:
+    """The train after the preparation pulse: tau1, then the pi,-pi cycles.
 
-
-def _bangbang_cycle_acquire(pulse_spec: PulseSpec, tau_c: float, tau1: float, label: str) -> tuple:
-    """One pi,-pi cycle with the acquire at the echo instant.
-
-    With pulses every tau_c after an initial delay tau1 <= tau_c, the
-    static-detuning phase integral returns to zero (tau_c - tau1) into
-    the trailing wait of every cycle: the acquire sits there, and the
-    remaining tau1 completes the period.
+    An ``echo`` acquire follows every ``acquire_every``-th cycle and the
+    last one (only the last for None).  With pulses every tau_c after the
+    delay tau1 <= tau_c, the static-detuning phase integral returns to
+    zero (tau_c - tau1) into the trailing wait of a cycle: the acquire
+    sits there, and the remaining tau1 completes the period.
     """
-    events = [
-        Pulse(pulse_spec.make(math.pi, 0.0)),
-        Wait(tau_c),
-        Pulse(pulse_spec.make(math.pi, math.pi)),
-    ]
-    if tau1 <= tau_c:
-        if tau_c - tau1 > 0:
-            events.append(Wait(tau_c - tau1))
-        events.append(Acquire(label))
-        if tau1 > 0:
-            events.append(Wait(tau1))
-    else:
-        # No refocusing instant exists for tau1 > tau_c with this train;
-        # read at the cycle end (documented limitation).
-        events.append(Wait(tau_c))
-        events.append(Acquire(label))
-    return tuple(events)
+    if acquire_every is not None and acquire_every < 1:
+        raise ValueError(f"acquire_every must be >= 1, got {acquire_every}")
+    events: list[Event] = [Wait(p.tau1)]
+    n = p.n_cycles
+    if n == 0:
+        return events + [Acquire("echo")]
+    pi = Pulse(pulse_spec.make(math.pi, 0.0))
+    minus_pi = Pulse(pulse_spec.make(math.pi, math.pi))  # -pi as phase-advanced pi
+    plain = (pi, Wait(p.tau_c), minus_pi, Wait(p.tau_c))
+    refocus = (Wait(p.tau_c - p.tau1),) if p.tau_c > p.tau1 else ()
+    read = (pi, Wait(p.tau_c), minus_pi, *refocus, Acquire("echo"), Wait(p.tau1))
+
+    def cycles(k: int) -> tuple:  # k cycles, read after the last
+        return ((Repeat(k - 1, plain),) if k > 1 else ()) + read
+
+    groups, rest = divmod(n, n + 1 if acquire_every is None else acquire_every)
+    if groups > 0:
+        events.append(Repeat(groups, cycles(acquire_every)))
+    if rest > 0:
+        events.extend(cycles(rest))
+    return events
 
 
 def build_bangbang(
-    p: BangBangParams,
-    pulse_spec: PulseSpec = HARD_PULSES,
-    label: str = "echo",
-    acquire_every: int | None = None,
+    p: BangBangParams, pulse_spec: PulseSpec = HARD_PULSES, acquire_every: int | None = None
 ) -> PulseProgram:
     """Decoupling train: initial pulse -- tau1 -- N x (pi -- tau_c -- -pi -- tau_c).
 
-    The acquire is placed at the nominal refocusing instant ``2*N*tau_c``
-    after the initial pulse (inside the final trailing wait), which
-    requires ``tau1 <= tau_c``; the full expanded duration is
-    ``tau1 + 2*N*tau_c``.  ``acquire_every=m`` additionally reads the
-    echo every m-th cycle so a single run yields a decay curve.
+    The ``echo`` acquire is placed at the refocusing instant ``2*N*tau_c``
+    after the initial pulse (inside the final trailing wait); the full
+    expanded duration is ``tau1 + 2*N*tau_c``.  ``acquire_every=m``
+    additionally reads the echo every m-th cycle so a single run yields
+    a decay curve.
     """
-    events: list[Event] = []
-    if p.initial_area is not None:
-        events.append(Pulse(pulse_spec.make(p.initial_area, 0.0)))
-    events.append(Wait(p.tau1))
-    n = p.n_cycles
-    if n == 0:
-        events.append(Acquire(label))
-        return PulseProgram(tuple(events))
-
-    plain = _bangbang_cycle(pulse_spec, p.tau_c)
-    acq = _bangbang_cycle_acquire(pulse_spec, p.tau_c, p.tau1, label)
-
-    if acquire_every is None:
-        if n > 1:
-            events.append(Repeat(n - 1, plain))
-        events.extend(acq)
-    else:
-        if acquire_every < 1:
-            raise ValueError(f"acquire_every must be >= 1, got {acquire_every}")
-        m = acquire_every
-        groups, rest = divmod(n, m)
-        group = (Repeat(m - 1, plain),) + acq if m > 1 else acq
-        if groups > 0:
-            events.append(Repeat(groups, group))
-        if rest > 0:
-            if rest > 1:
-                events.append(Repeat(rest - 1, plain))
-            events.extend(acq)
-    return PulseProgram(tuple(events))
+    prep = [] if p.initial_area is None else [Pulse(pulse_spec.make(p.initial_area, 0.0))]
+    return PulseProgram(tuple(prep + _bangbang_train(p, pulse_spec, acquire_every)))
 
 
 def build_bangbang_body(p: BangBangParams, pulse_spec: PulseSpec = HARD_PULSES) -> PulseProgram:
@@ -666,14 +600,5 @@ def build_bangbang_body(p: BangBangParams, pulse_spec: PulseSpec = HARD_PULSES) 
     This is the process that tomography characterizes; preparations are
     injected by the tomography driver.
     """
-    events: list[Event] = [Wait(p.tau1)]
-    n = p.n_cycles
-    if n >= 1:
-        if n > 1:
-            events.append(Repeat(n - 1, _bangbang_cycle(pulse_spec, p.tau_c)))
-        events.append(Pulse(pulse_spec.make(math.pi, 0.0)))
-        events.append(Wait(p.tau_c))
-        events.append(Pulse(pulse_spec.make(math.pi, math.pi)))
-        if p.tau_c - p.tau1 > 0:
-            events.append(Wait(p.tau_c - p.tau1))
-    return PulseProgram(tuple(events))
+    events = _bangbang_train(p, pulse_spec, None)
+    return PulseProgram(tuple(events[:events.index(Acquire("echo"))]))

@@ -24,9 +24,8 @@ and pulse matrices to all four at once (see
 :func:`blochdd.ensemble.run_program`), so each cycle count costs one run,
 not four.
 
-Fidelity here is the entanglement (process) fidelity
-``trace(R_ideal^T R) / 4``; the average gate fidelity follows as
-``(2 F + 1) / 3``.
+Fidelity here is the entanglement (process) fidelity with the identity,
+``trace(R) / 4``; the average gate fidelity follows as ``(2 F + 1) / 3``.
 """
 
 from __future__ import annotations
@@ -86,17 +85,12 @@ def assemble_ptm(outputs: dict) -> np.ndarray:
     return r
 
 
-def process_fidelity(ptm: np.ndarray, ideal: np.ndarray | None = None) -> float:
-    """Entanglement fidelity ``trace(ideal^T ptm) / 4`` (ideal: identity)."""
+def process_fidelity(ptm: np.ndarray) -> float:
+    """Entanglement fidelity with the identity, ``trace(ptm) / 4``."""
     ptm = np.asarray(ptm, dtype=float)
     if ptm.shape != (4, 4):
         raise ValueError(f"ptm must be 4x4, got {ptm.shape}")
-    if ideal is None:
-        return float(np.trace(ptm)) / 4.0
-    ideal = np.asarray(ideal, dtype=float)
-    if ideal.shape != (4, 4):
-        raise ValueError(f"ideal must be 4x4, got {ideal.shape}")
-    return float(np.trace(ideal.T @ ptm)) / 4.0
+    return float(np.trace(ptm)) / 4.0
 
 
 def average_gate_fidelity(entanglement_fidelity: float) -> float:

@@ -176,6 +176,10 @@ BAD_CONFIGS = [
     ("simulate", "noise.tau_b_s", math.inf),
     ("tomography", "noise.amplitude_hz", math.inf),
     ("tomography", "noise.flip_rate_hz", math.inf),
+    # tau1 > tau_c: the train has no refocusing instant
+    ("tomography", "sequence.tau1_s", 1.5e-3),
+    ("sweep", "sweep", {"tau_c_s": [1e-3, 4e-3], "total_time_s": 0.04, "tau1_s": 2e-3}),
+    ("simulate", "sequence.tau1_s", 1.5e-3),
 ]
 
 
@@ -197,6 +201,18 @@ def test_bad_config_exits_1_in_every_mode(tmp_path, capsys, command, path, value
     out, err = capsys.readouterr()
     assert err.startswith("error: invalid config")
     assert "config ok" not in out
+
+
+def test_bath_cutoff_warning(tmp_path, capsys):
+    # omega_c*tau_c = tau_c/tau_b: 2 is too slow a train for the bath;
+    # 0.2 and the boundary 1 are not
+    slow = with_value("simulate", "noise.tau_b_s", 5e-4)
+    assert run_cli(tmp_path, "simulate", slow, "--validate-only") == 0
+    assert "warning: omega_c*tau_c = 2 > 1" in capsys.readouterr().err
+    for tau_b in (5e-3, 1e-3):
+        cfg = with_value("simulate", "noise.tau_b_s", tau_b)
+        assert run_cli(tmp_path, "simulate", cfg, "--validate-only") == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(BASES))
@@ -264,7 +280,10 @@ def test_fit_too_short_a_curve_is_an_input_error(tmp_path, capsys):
     # a header may precede the data; a bad row inside it is an error, not skipped
     ("time_s,amplitude\n0,1\n0.1,0.9\n0.3,oops\n0.4,0.6\n0.5,0.5\n", "line 4 is not numeric"),
     ("0\n0.1\n0.2\n0.3\n", "at least time_s and amplitude"),
-], ids=["bad-row", "one-column"])
+    ("time_s,amplitude,sigma\n0,1,0.1,7\n0.1,0.9,0.1,7\n0.2,0.8,0.1,7\n0.3,0.7,0.1,7\n",
+     "line 2 has 4 columns"),
+    ("0,1\n0.1,0.9\n0.2,0.8,0.1\n0.3,0.7\n", "line 3 has 3 columns, the first numeric row 2"),
+], ids=["bad-row", "one-column", "four-column", "ragged"])
 def test_fit_rejects_malformed_csv_rows(tmp_path, capsys, text, message):
     csv = tmp_path / "curve.csv"
     csv.write_text(text)

@@ -318,10 +318,7 @@ def test_run_matches_recorded_draws():
 def test_stacked_initial_states_match_single_runs():
     # one run carries four states through the same draws and pulse matrices
     states = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    kw = dict(
-        relax=RelaxationParams(t1=0.05, t2=0.04),
-        t2_per_member=np.linspace(0.01, 0.1, 1100),
-    )
+    kw = dict(relax=RelaxationParams(t1=0.05, t2=0.04))
     stacked = invariance_run(INVARIANCE_BATHS, initial_state=states, **kw)
     assert stacked.mean_bloch.shape == (33, 4, 3)
     assert [a.mean.shape for a in stacked.acquires] == [(4, 3)] * 3
@@ -341,23 +338,6 @@ def test_budget_guard_counts_stacked_states(monkeypatch):
     run_program(prog, spec, initial_state=np.eye(3)[:1])
     with pytest.raises(SimulationBudgetError, match="2 states"):
         run_program(prog, spec, initial_state=np.eye(3)[:2])
-
-
-@pytest.mark.parametrize(
-    "t2s",
-    [[1.0, -1e-3], [1.0, math.nan], [1.0, math.inf], [1.0], [[1.0, 1.0]], [1.0, 2.5]],
-    ids=["negative", "nan", "inf", "short", "2-d", "above-2t1"],
-)
-def test_t2_per_member_is_checked_before_expanding(monkeypatch, t2s):
-    spec = EnsembleSpec(size=2, distribution="explicit", detunings=(0.0, 1.0))
-    prog = parse("pulse area=pi/2 phase=0\nwait 1s\nacquire a")
-
-    def unrolled(self):
-        raise AssertionError("t2_per_member must be checked before expanding")
-
-    monkeypatch.setattr(PulseProgram, "expand", unrolled)
-    with pytest.raises(ValueError, match="t2_per_member"):
-        run_program(prog, spec, relax=RelaxationParams(t1=1.0), t2_per_member=t2s)
 
 
 def test_run_memory_does_not_grow_with_repeats():
@@ -430,15 +410,6 @@ def test_telegraph_noise_dephases():
     expect = math.exp(-flip * t) * (math.cosh(k * t) + (flip / k) * math.sinh(k * t))
     se = math.sqrt(0.5 / n)
     assert abs(mag - expect) < 3 * se
-
-
-def test_per_member_t2_spread():
-    t2s = np.array([0.5, 1.0, 2.0, 4.0])
-    spec = EnsembleSpec(size=4, distribution="explicit", detunings=(0.0,) * 4)
-    prog = parse("pulse area=pi/2 phase=0\nwait 1s\nacquire a")
-    res = run_program(prog, spec, t2_per_member=t2s)
-    mag, _ = echo_amplitude(res, "a")
-    assert mag == pytest.approx(np.mean(np.exp(-1.0 / t2s)), abs=1e-12)
 
 
 def test_echo_amplitude_semantics():

@@ -1,4 +1,4 @@
-"""Parser, serializer, builders and the decoupling-criterion validator."""
+"""Parser, serializer and sequence builders."""
 
 import math
 
@@ -10,7 +10,6 @@ from blochdd.ensemble import EnsembleSpec, echo_amplitude, in_phase_amplitude, r
 from blochdd.sequences import (
     Acquire,
     BangBangParams,
-    BathCutoff,
     Pulse,
     PulseProgram,
     PulseSpec,
@@ -23,7 +22,6 @@ from blochdd.sequences import (
     build_inversion_recovery,
     parse,
     serialize,
-    validate_bangbang,
 )
 
 SINGLE = EnsembleSpec(size=1, distribution="explicit", detunings=(700.0,))
@@ -226,14 +224,14 @@ def test_inversion_recovery_full_inversion():
 def test_inversion_recovery_at_t1():
     # t1 = 145 s, delay = 145 s, z_eq = 0: z before readout is -exp(-1)
     relax = RelaxationParams(t1=145.0, t2=290.0)
-    res = run_program(build_inversion_recovery(145.0, label="s"), SINGLE, relax=relax)
-    assert in_phase_amplitude(res, "s", -math.pi / 2) == pytest.approx(-math.exp(-1), abs=1e-9)
+    res = run_program(build_inversion_recovery(145.0), SINGLE, relax=relax)
+    assert in_phase_amplitude(res, "signal", -math.pi / 2) == pytest.approx(-math.exp(-1), abs=1e-9)
 
 
 def test_inversion_recovery_long_delay_reaches_equilibrium():
     relax = RelaxationParams(t1=1.0, t2=2.0, z_equilibrium=0.25)
-    res = run_program(build_inversion_recovery(60.0, label="s"), SINGLE, relax=relax)
-    assert in_phase_amplitude(res, "s", -math.pi / 2) == pytest.approx(0.25, abs=1e-9)
+    res = run_program(build_inversion_recovery(60.0), SINGLE, relax=relax)
+    assert in_phase_amplitude(res, "signal", -math.pi / 2) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_bangbang_duration_examples():
@@ -261,6 +259,15 @@ def test_bangbang_refocuses_static_detuning():
     assert mag == pytest.approx(1.0, abs=1e-12)
 
 
+def test_bangbang_tau1_equal_to_tau_c_refocuses_static_detuning():
+    # the longest delay the train admits: the acquire ends the last cycle
+    prog = build_bangbang(BangBangParams(tau1=2e-3, tau_c=2e-3, n_cycles=7), acquire_every=3)
+    res = run_program(prog, SINGLE)
+    assert [a.time for a in res.acquires] == pytest.approx([12e-3, 24e-3, 28e-3], abs=1e-12)
+    for acq in res.acquires:
+        assert math.hypot(*acq.mean[:2]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_bangbang_n0_degenerates_to_pulse_wait_acquire():
     p = build_bangbang(BangBangParams(tau1=1e-3, tau_c=2e-3, n_cycles=0))
     kinds = [type(e).__name__ for e in p.events]
@@ -283,20 +290,6 @@ def test_bangbang_body_has_no_prep_and_ends_at_echo():
     assert isinstance(first, Wait)
 
 
-def test_validate_bangbang():
-    slow_bath = BathCutoff(omega_c=2 * math.pi / 0.05)  # 50 ms bath
-    check = validate_bangbang(slow_bath, 2e-3)
-    assert check.passed
-    assert check.product == pytest.approx(0.2513, abs=1e-3)
-
-    fast = validate_bangbang(BathCutoff(omega_c=100.0), 20e-3)
-    assert not fast.passed
-    assert fast.product == pytest.approx(2.0)
-
-    assert validate_bangbang(BathCutoff(omega_c=100.0), 0.0).passed  # product 0
-    assert validate_bangbang(BathCutoff(omega_c=100.0), 0.01).passed  # boundary 1.0
-
-
 def test_builder_argument_validation():
     with pytest.raises(ValueError):
         build_hahn_echo(0.0)
@@ -304,5 +297,5 @@ def test_builder_argument_validation():
         build_inversion_recovery(-1.0)
     with pytest.raises(ValueError):
         BangBangParams(tau1=0.0, tau_c=1e-3, n_cycles=1)
-    with pytest.raises(ValueError):
-        BathCutoff(omega_c=0.0)
+    with pytest.raises(ValueError, match="no refocusing instant"):
+        BangBangParams(tau1=1.5e-3, tau_c=1e-3, n_cycles=1)
