@@ -2,10 +2,12 @@
 
 Subpackage map:
 
-* :mod:`blochdd.bloch` -- single-spin rotations, hard and finite pulse
-  matrices, free evolution with relaxation (closed form, no integrators).
-* :mod:`blochdd.sequences` -- pulse-program objects, text language,
-  canonical sequence builders.
+* :mod:`blochdd.bloch` -- single-spin rotation kernels: hard and finite
+  pulse matrices, free evolution with relaxation (closed form, no
+  integrators).
+* :mod:`blochdd.sequences` -- pulse-program objects (a self-checking
+  ``Pulse``, ``Wait``, ``Acquire``, ``Repeat``), text language, canonical
+  sequence builders.
 * :mod:`blochdd.ensemble` -- inhomogeneous ensembles, stochastic baths
   drawn exactly per interval inside deterministic seeded program runs,
   analytic dephasing expressions.
@@ -14,14 +16,13 @@ Subpackage map:
 * :mod:`blochdd.hamiltonian` -- I=5/2 quadrupole+Zeeman Hamiltonian,
   transition frequencies over batches of fields, field gradients and
   Hessians, critical-point (zero-gradient) search.
-* :mod:`blochdd.analysis` -- decay fitting, local rate profiles, T2
-  versus pulse-spacing sweeps.
+* :mod:`blochdd.analysis` -- decay fitting, T2 versus pulse-spacing
+  sweeps.
 * :mod:`blochdd.cli` -- the ``blochdd`` command.
 """
 
 from .bloch import (
     NO_RELAXATION,
-    PulseEvent,
     RelaxationParams,
     apply_hard_pulse,
     evolve_free,
@@ -67,10 +68,8 @@ from .hamiltonian import (
 from .analysis import (
     DecayCurve,
     DecayFit,
-    RateProfile,
     fit_decay,
     fit_inversion_recovery,
-    rate_profile,
     sweep_t2_vs_tauc,
 )
 

@@ -12,10 +12,6 @@ Fits are nonlinear least squares (damped Gauss-Newton via
 ``scipy.optimize.least_squares``) initialized from a log-amplitude
 linear regression.  Parameter uncertainties are linearized
 (Jacobian-based, 1-sigma).
-
-``rate_profile`` extracts local decay rates (negative log-slope over a
-sliding window) to expose multi-region decays that no single time
-constant describes.
 """
 
 from __future__ import annotations
@@ -40,11 +36,9 @@ from .sequences import BangBangParams, PulseSpec, HARD_PULSES, build_bangbang
 __all__ = [
     "DecayCurve",
     "DecayFit",
-    "RateProfile",
     "FitError",
     "fit_decay",
     "fit_inversion_recovery",
-    "rate_profile",
     "SweepPoint",
     "sweep_cycles",
     "sweep_t2_vs_tauc",
@@ -238,46 +232,6 @@ def fit_inversion_recovery(curve: DecayCurve) -> DecayFit:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RateProfile:
-    """Local decay rates from sliding-window log-linear regression."""
-
-    centers: np.ndarray  # s
-    rates: np.ndarray  # 1/s
-    skipped_windows: tuple  # window start indices dropped (non-positive data)
-
-
-def rate_profile(curve: DecayCurve, window: int) -> RateProfile:
-    """Negative log-slope over each length-``window`` span of points.
-
-    Windows touching non-positive amplitudes are skipped (recorded in
-    ``skipped_windows``), since the log is undefined there.
-    """
-    if window < 3:
-        raise ValueError(f"window must be >= 3 points, got {window}")
-    t = curve.times
-    a = curve.amplitudes
-    if len(t) < window:
-        raise ValueError(f"curve has {len(t)} points but window is {window}")
-    centers = []
-    rates = []
-    skipped = []
-    for k in range(len(t) - window + 1):
-        ts = t[k : k + window]
-        am = a[k : k + window]
-        if np.any(am <= 0):
-            skipped.append(k)
-            continue
-        slope = np.polyfit(ts, np.log(am), 1)[0]
-        centers.append(float(ts.mean()))
-        rates.append(float(-slope))
-    return RateProfile(
-        centers=np.asarray(centers),
-        rates=np.asarray(rates),
-        skipped_windows=tuple(skipped),
-    )
-
-
 # ---------------------------------------------------------------------------
 # decoupling sweep harness
 # ---------------------------------------------------------------------------
@@ -359,7 +313,7 @@ def sweep_t2_vs_tauc(
             master_seed=master_seed,
             record="acquires",
         )
-        times, mags, _ = acquire_series(result, "echo")
+        times, mags = acquire_series(result, "echo")
         if len(times) > _MAX_FIT_POINTS:
             idx = np.linspace(0, len(times) - 1, _MAX_FIT_POINTS).astype(int)
             times, mags = times[idx], mags[idx]

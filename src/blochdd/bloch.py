@@ -1,9 +1,12 @@
-"""Single-spin Bloch-vector evolution in the rotating frame.
+"""Single-spin Bloch-vector rotation kernels in the rotating frame.
 
-States are plain numpy arrays of shape ``(3,)`` (or ``(..., 3)`` for
-batches; every operation broadcasts over leading axes).  All evolutions
-are closed-form rotations and exponential relaxation factors -- there is
-no ODE stepping and therefore no integrator tolerance to tune.
+The module holds only kernels: rotations, hard and finite pulse
+matrices, and free evolution with relaxation.  A pulse itself is a
+:class:`blochdd.sequences.Pulse`.  States are plain numpy arrays of
+shape ``(3,)`` (or ``(..., 3)`` for batches; every operation broadcasts
+over leading axes).  All evolutions are closed-form rotations and
+exponential relaxation factors -- there is no ODE stepping and
+therefore no integrator tolerance to tune.
 
 Rotation matrices act on row vectors: ``v' = v @ M``, so row ``j`` of
 ``M`` is the image of the unit vector ``e_j``.  A batch of states
@@ -37,7 +40,6 @@ import numpy as np
 __all__ = [
     "RelaxationParams",
     "NO_RELAXATION",
-    "PulseEvent",
     "apply_hard_pulse",
     "evolve_free",
     "finite_pulse_matrix",
@@ -78,52 +80,6 @@ class RelaxationParams:
 
 
 NO_RELAXATION = RelaxationParams()
-
-
-@dataclass(frozen=True)
-class PulseEvent:
-    """One control pulse: ideal ("hard", zero duration) or finite.
-
-    Hard mode sets ``area`` (radians); finite mode sets ``rabi`` (Hz)
-    and ``duration`` (s).  ``phase`` (radians) selects the equatorial
-    rotation axis in both modes.
-    """
-
-    phase: float = 0.0
-    area: float | None = None
-    rabi: float | None = None
-    duration: float | None = None
-
-    def __post_init__(self) -> None:
-        hard = self.area is not None
-        finite = self.rabi is not None or self.duration is not None
-        if hard and finite:
-            raise ValueError("give either area (hard) or rabi+duration (finite), not both")
-        if hard:
-            if not self.area > 0:
-                raise ValueError(f"pulse area must be positive, got {self.area}")
-        else:
-            if self.rabi is None or self.duration is None:
-                raise ValueError("finite pulse needs both rabi and duration")
-            if not self.rabi > 0:
-                raise ValueError(f"rabi must be positive, got {self.rabi}")
-            if not self.duration > 0:
-                raise ValueError(f"pulse duration must be positive, got {self.duration}")
-
-    @property
-    def mode(self) -> str:
-        return "hard" if self.area is not None else "finite"
-
-    @property
-    def elapsed(self) -> float:
-        """Wall-clock length of the pulse in seconds (0 for hard)."""
-        return 0.0 if self.area is not None else float(self.duration)
-
-    def nominal_area(self) -> float:
-        """Rotation angle on resonance, radians."""
-        if self.area is not None:
-            return float(self.area)
-        return 2.0 * math.pi * self.rabi * self.duration
 
 
 def rotate(state: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:

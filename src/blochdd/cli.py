@@ -19,7 +19,7 @@ every section is a JSON object, unknown keys are ignored):
                   master_seed
   critical-point  spin_system (q_tensor_hz, m_tensor_hz_per_g), search
                   (b_init_g, level_pair [2, 3], box_halfwidth_g [50],
-                  n_starts [8], seed [0], tolerance_hz_per_g)
+                  n_starts [8] in [1, 10000], seed [0], tolerance_hz_per_g)
 
   sequence    dsl text, or template bangbang (tau1_s <= tau_c_s, n_cycles,
               acquire_every, initial_area_rad [pi/2]), hahn_echo (tau_s)
@@ -250,6 +250,10 @@ def read_spin_system(cfg: dict, errors: list) -> hamiltonian.SpinSystem | None:
     )
 
 
+# the batched search holds every start in memory at once: bound the work
+_MAX_STARTS = 10_000
+
+
 def read_search(cfg: dict, errors: list) -> dict:
     """Keyword arguments of :func:`hamiltonian.find_critical_point` but the system."""
     doc = _section(cfg, "search", errors)
@@ -271,7 +275,7 @@ def read_search(cfg: dict, errors: list) -> dict:
         j=j,
         box_halfwidth=_positive(errors, "search.box_halfwidth_g",
                                 doc.get("box_halfwidth_g", 50.0)),
-        n_starts=_integer(errors, "search.n_starts", doc.get("n_starts", 8), 1),
+        n_starts=_integer(errors, "search.n_starts", doc.get("n_starts", 8), 1, _MAX_STARTS),
         tolerance=tol,
         seed=_integer(errors, "search.seed", doc.get("seed", 0), 0),
     )

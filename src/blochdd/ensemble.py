@@ -42,7 +42,6 @@ __all__ = [
     "run_program",
     "echo_amplitude",
     "acquire_series",
-    "in_phase_amplitude",
     "ou_fid_coherence",
     "ou_hahn_coherence",
     "calibrate_ou_sigma",
@@ -210,30 +209,14 @@ def echo_amplitude(result: SimulationResult, label: str) -> tuple[float, float]:
     return float(np.hypot(m[0], m[1])), float(math.atan2(m[1], m[0]))
 
 
-def acquire_series(result: SimulationResult, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, magnitudes, phases) over every occurrence of a label."""
+def acquire_series(result: SimulationResult, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """(times, magnitudes) over every occurrence of a label."""
     hits = [a for a in result.acquires if a.label == label]
     if not hits:
         raise KeyError(f"no acquire labeled {label!r}")
     t = np.array([a.time for a in hits])
     mag = np.array([np.hypot(a.mean[0], a.mean[1]) for a in hits])
-    ph = np.array([math.atan2(a.mean[1], a.mean[0]) for a in hits])
-    return t, mag, ph
-
-
-def in_phase_amplitude(result: SimulationResult, label: str, reference_phase: float) -> float:
-    """Signed projection of the mean transverse vector on a reference axis.
-
-    Phase-sensitive detection: ``mx cos(ref) + my sin(ref)``.  For the
-    inversion-recovery readout built here (phase-0 pulses) the signal
-    appears along -y, i.e. ``reference_phase = -pi/2`` returns the
-    pre-readout z with its sign.
-    """
-    hits = [a for a in result.acquires if a.label == label]
-    if not hits:
-        raise KeyError(f"no acquire labeled {label!r}")
-    m = hits[-1].mean
-    return float(m[0] * math.cos(reference_phase) + m[1] * math.sin(reference_phase))
+    return t, mag
 
 
 def _noise_list(noise) -> list[NoiseModel]:
@@ -483,8 +466,8 @@ def run_program(
     # intervals (waits and finite pulses) among them in one block
     while run := list(itertools.islice(events, _DRAW_BLOCK)):
         lengths = [
-            ev.duration if isinstance(ev, Wait) else ev.event.duration for ev in run
-            if isinstance(ev, Wait) or isinstance(ev, Pulse) and ev.event.mode == "finite"
+            ev.duration for ev in run
+            if isinstance(ev, Wait) or isinstance(ev, Pulse) and ev.mode == "finite"
         ] if models else []
         if lengths:
             # from the last block's end: bit for bit one cumsum over the program
@@ -506,22 +489,19 @@ def run_program(
             elif isinstance(ev, Acquire):
                 acquire_meta.append((ev.label, t))
                 acquire_sums.append(weighted_sum())
-            elif ev.event.mode == "hard":
-                p = ev.event
-                m = hard.get(p)
+            elif ev.mode == "hard":
+                m = hard.get(ev)
                 if m is None:
-                    axis = np.array([math.cos(p.phase), math.sin(p.phase), 0.0])
-                    m = hard[p] = rotate(np.eye(3), axis, p.area)  # row j = image of e_j
+                    axis = np.array([math.cos(ev.phase), math.sin(ev.phase), 0.0])
+                    m = hard[ev] = rotate(np.eye(3), axis, ev.area)  # row j = image of e_j
                 # one 2-D product, over every member's states when stacked
                 v = v @ m if v.ndim == 2 else (v.reshape(-1, 3) @ m).reshape(v.shape)
-                t += p.elapsed
             else:  # a finite pulse, with the bath value frozen at its start
-                p = ev.event
                 eff = det + starts[k] if models else det
                 # one matrix per member, applied to each of its states
-                m = finite_pulse_matrix(p.rabi, p.duration, p.phase, eff).reshape(-1, 3, 3)
+                m = finite_pulse_matrix(ev.rabi, ev.duration, ev.phase, eff).reshape(-1, 3, 3)
                 v = (v.reshape(len(m), -1, 3) @ m).reshape(v.shape)
-                t += p.elapsed
+                t += ev.elapsed
                 k += 1
             if record == "events":
                 sample_times.append(t)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SPIN",
     "spin_operators",
     "SpinSystem",
     "DegenerateLevelsError",
@@ -44,19 +43,18 @@ __all__ = [
     "critical_point_report_json",
 ]
 
-SPIN = 2.5
-_DIM = 6
+_DIM = 6  # 2 I + 1 levels for I = 5/2
 
 
-def spin_operators(spin: float = SPIN) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Ix, Iy, Iz) matrices, basis ordered m = +I ... -I."""
-    dim = int(round(2 * spin + 1))
-    m = spin - np.arange(dim)
+def spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Ix, Iy, Iz) matrices of I = 5/2, basis ordered m = +I ... -I."""
+    spin = (_DIM - 1) / 2
+    m = spin - np.arange(_DIM)
     iz = np.diag(m.astype(complex))
     # <m+1| I+ |m> = sqrt(I(I+1) - m(m+1))
     up = np.sqrt(spin * (spin + 1) - m[1:] * (m[1:] + 1))
-    iplus = np.zeros((dim, dim), dtype=complex)
-    iplus[np.arange(dim - 1), np.arange(1, dim)] = up
+    iplus = np.zeros((_DIM, _DIM), dtype=complex)
+    iplus[np.arange(_DIM - 1), np.arange(1, _DIM)] = up
     iminus = iplus.conj().T
     ix = (iplus + iminus) / 2.0
     iy = (iplus - iminus) / 2.0j

@@ -2,7 +2,12 @@
 
 A program is an ordered tuple of events: ``Pulse``, ``Wait``, ``Acquire``
 and ``Repeat`` (one nesting level of acquires inside repeats is allowed,
-so decay curves can be read out once per cycle).
+so decay curves can be read out once per cycle).  A ``Pulse`` is hard
+(``area``) or finite (``rabi`` and ``duration``) about the equatorial
+axis at ``phase``.  Each event checks its own values when it is made:
+every pulse value and every wait must be finite, and a repeat's count
+positive.  The parser reports a failed check as a :class:`SequenceError`
+at the statement's line and column.
 
 Textual form -- one statement per line or separated by ``;``, comments
 start with ``#``::
@@ -50,8 +55,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .bloch import PulseEvent
-
 __all__ = [
     "Pulse",
     "Wait",
@@ -73,7 +76,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Pulse:
-    event: PulseEvent
+    """One control pulse: ideal ("hard", zero duration) or finite.
+
+    Hard mode sets ``area`` (radians); finite mode sets ``rabi`` (Hz)
+    and ``duration`` (s).  ``phase`` (radians) selects the equatorial
+    rotation axis in both modes.  Every value given must be finite.
+    """
+
+    phase: float = 0.0
+    area: float | None = None
+    rabi: float | None = None
+    duration: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("phase", "area", "rabi", "duration"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"pulse {name} must be finite, got {value}")
+        hard = self.area is not None
+        finite = self.rabi is not None or self.duration is not None
+        if hard and finite:
+            raise ValueError("give either area (hard) or rabi+duration (finite), not both")
+        if hard:
+            if not self.area > 0:
+                raise ValueError(f"pulse area must be positive, got {self.area}")
+        else:
+            if self.rabi is None or self.duration is None:
+                raise ValueError("finite pulse needs both rabi and duration")
+            if not self.rabi > 0:
+                raise ValueError(f"rabi must be positive, got {self.rabi}")
+            if not self.duration > 0:
+                raise ValueError(f"pulse duration must be positive, got {self.duration}")
+
+    @property
+    def mode(self) -> str:
+        return "hard" if self.area is not None else "finite"
+
+    @property
+    def elapsed(self) -> float:
+        """Wall-clock length of the pulse in seconds (0 for hard)."""
+        return 0.0 if self.area is not None else float(self.duration)
 
 
 @dataclass(frozen=True)
@@ -104,15 +146,10 @@ class Repeat:
         if not isinstance(self.count, int) or self.count < 1:
             raise ValueError(f"repeat count must be a positive integer, got {self.count}")
         object.__setattr__(self, "body", tuple(self.body))
-
-
-def _acquire_depth_ok(events, depth: int = 0) -> bool:
-    for ev in events:
-        if isinstance(ev, Acquire) and depth > 1:
-            return False
-        if isinstance(ev, Repeat) and not _acquire_depth_ok(ev.body, depth + 1):
-            return False
-    return True
+        # an inner repeat has checked its own body, so one level down suffices
+        if any(isinstance(ev, Repeat) and any(isinstance(e, Acquire) for e in ev.body)
+               for ev in self.body):
+            raise ValueError("acquire events may sit at most one repeat level deep")
 
 
 @dataclass(frozen=True)
@@ -123,8 +160,6 @@ class PulseProgram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-        if not _acquire_depth_ok(self.events):
-            raise ValueError("acquire events may sit at most one repeat level deep")
 
     def expand(self) -> Iterator[Event]:
         """Yield primitive events (Pulse/Wait/Acquire) with repeats unrolled."""
@@ -154,7 +189,7 @@ class PulseProgram:
         def elapsed(ev):
             if isinstance(ev, Wait):
                 return ev.duration
-            return ev.event.elapsed if isinstance(ev, Pulse) else 0.0
+            return ev.elapsed if isinstance(ev, Pulse) else 0.0
 
         return float(self._fold(elapsed))
 
@@ -241,6 +276,13 @@ class _Parser:
         tok = tok or self.peek()
         raise SequenceError(msg, tok.line, tok.col)
 
+    def build(self, head: _Token, factory, *args, **kw):
+        """``factory(...)``; a ValueError it raises names the statement at ``head``."""
+        try:
+            return factory(*args, **kw)
+        except ValueError as exc:
+            self.error(str(exc), head)
+
     # -- value parsers ------------------------------------------------
 
     def parse_number(self) -> float:
@@ -266,7 +308,6 @@ class _Parser:
         return value
 
     def parse_freq(self) -> float:
-        tok = self.peek()
         value = self.parse_number()
         unit = 1.0
         if self.peek().kind == "ident":
@@ -276,10 +317,7 @@ class _Parser:
                 self.next()
             else:
                 self.error(f"unknown frequency unit {name!r}")
-        value *= unit
-        if value <= 0:
-            self.error("frequency must be positive", tok)
-        return value
+        return value * unit
 
     def parse_angle(self) -> float:
         # [sign] [coef] pi [/ divisor]  |  number [rad|deg]
@@ -342,7 +380,7 @@ class _Parser:
         if tok.text == "pulse":
             return self.parse_pulse(tok)
         if tok.text == "wait":
-            return Wait(self.parse_time())
+            return self.build(tok, Wait, self.parse_time())
         if tok.text == "acquire":
             name = self.next()
             if name.kind != "ident":
@@ -352,9 +390,6 @@ class _Parser:
             count_tok = self.next()
             if count_tok.kind != "number" or not re.fullmatch(r"\d+", count_tok.text):
                 self.error("repeat needs a positive integer count", count_tok)
-            count = int(count_tok.text)
-            if count < 1:
-                self.error("repeat count must be >= 1", count_tok)
             brace = self.next()
             if brace.text != "{":
                 self.error("expected '{' after repeat count", brace)
@@ -362,7 +397,8 @@ class _Parser:
             closing = self.next()
             if closing.text != "}":
                 self.error("expected '}'", closing)
-            return Repeat(count, body)
+            # int() too: a count of over 4300 digits is a ValueError
+            return self.build(tok, lambda: Repeat(int(count_tok.text), body))
         self.error(f"unknown statement {tok.text!r}", tok)
 
     def parse_pulse(self, head: _Token) -> Pulse:
@@ -389,19 +425,11 @@ class _Parser:
         area = params.pop("area", None)
         rabi = params.pop("rabi", None)
         duration = params.pop("duration", None)
-        if area is not None and (rabi is not None or duration is not None):
-            self.error("pulse takes either area or rabi+duration, not both", head)
-        if area is None and (rabi is None or duration is None):
-            self.error("finite pulse needs both rabi and duration", head)
         if area is not None and area < 0:
             # reversed rotation: same axis area, phase advanced by pi
             area = -area
             phase = phase + math.pi
-        try:
-            event = PulseEvent(phase=phase, area=area, rabi=rabi, duration=duration)
-        except ValueError as exc:
-            self.error(str(exc), head)
-        return Pulse(event)
+        return self.build(head, Pulse, phase=phase, area=area, rabi=rabi, duration=duration)
 
 
 def parse(text: str) -> PulseProgram:
@@ -425,13 +453,12 @@ def _serialize_events(events, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     for ev in events:
         if isinstance(ev, Pulse):
-            p = ev.event
-            if p.mode == "hard":
-                lines.append(f"{pad}pulse area={_fmt(p.area)}rad phase={_fmt(p.phase)}rad")
+            if ev.mode == "hard":
+                lines.append(f"{pad}pulse area={_fmt(ev.area)}rad phase={_fmt(ev.phase)}rad")
             else:
                 lines.append(
-                    f"{pad}pulse rabi={_fmt(p.rabi)}Hz duration={_fmt(p.duration)}s "
-                    f"phase={_fmt(p.phase)}rad"
+                    f"{pad}pulse rabi={_fmt(ev.rabi)}Hz duration={_fmt(ev.duration)}s "
+                    f"phase={_fmt(ev.phase)}rad"
                 )
         elif isinstance(ev, Wait):
             lines.append(f"{pad}wait {_fmt(ev.duration)}s")
@@ -466,12 +493,10 @@ class PulseSpec:
 
     rabi: float | None = None
 
-    def make(self, area: float, phase: float) -> PulseEvent:
+    def make(self, area: float, phase: float) -> Pulse:
         if self.rabi is None:
-            return PulseEvent(phase=phase, area=area)
-        return PulseEvent(
-            phase=phase, rabi=self.rabi, duration=area / (2.0 * math.pi * self.rabi)
-        )
+            return Pulse(phase=phase, area=area)
+        return Pulse(phase=phase, rabi=self.rabi, duration=area / (2.0 * math.pi * self.rabi))
 
 
 HARD_PULSES = PulseSpec()
@@ -483,9 +508,8 @@ class BangBangParams:
 
     ``tau1`` is the delay between the initial (coherence-generating)
     pulse and the first decoupling pulse; ``tau_c`` the spacing of the
-    pi,-pi train; ``n_cycles`` the number of pi,-pi pairs.
-    ``initial_area`` defaults to pi/2 and may be ``None`` to omit the
-    preparation pulse (used when the train is treated as a bare channel).
+    pi,-pi train; ``n_cycles`` the number of pi,-pi pairs;
+    ``initial_area`` the area of :func:`build_bangbang`'s preparation pulse.
     ``tau1 <= tau_c`` is required: a longer delay leaves the train no
     refocusing instant.
     """
@@ -493,7 +517,7 @@ class BangBangParams:
     tau1: float
     tau_c: float
     n_cycles: int
-    initial_area: float | None = math.pi / 2
+    initial_area: float = math.pi / 2
 
     def __post_init__(self) -> None:
         if not self.tau1 > 0:
@@ -518,9 +542,9 @@ def build_hahn_echo(tau: float, pulse_spec: PulseSpec = HARD_PULSES) -> PulsePro
         raise ValueError(f"tau must be positive, got {tau}")
     return PulseProgram(
         (
-            Pulse(pulse_spec.make(math.pi / 2, 0.0)),
+            pulse_spec.make(math.pi / 2, 0.0),
             Wait(tau),
-            Pulse(pulse_spec.make(math.pi, 0.0)),
+            pulse_spec.make(math.pi, 0.0),
             Wait(tau),
             Acquire("echo"),
         )
@@ -530,17 +554,16 @@ def build_hahn_echo(tau: float, pulse_spec: PulseSpec = HARD_PULSES) -> PulsePro
 def build_inversion_recovery(delay: float, pulse_spec: PulseSpec = HARD_PULSES) -> PulseProgram:
     """Longitudinal-relaxation probe: pi -- delay -- pi/2 -- acquire ``signal``.
 
-    The readout pi/2 converts z into transverse signal; the signed
-    amplitude is recovered from the acquire phase (reference -pi/2 for
-    phase-0 pulses).
+    The readout pi/2 converts z into transverse signal: with phase-0
+    pulses the signed z before the readout appears as -m_y.
     """
     if not delay > 0:
         raise ValueError(f"delay must be positive, got {delay}")
     return PulseProgram(
         (
-            Pulse(pulse_spec.make(math.pi, 0.0)),
+            pulse_spec.make(math.pi, 0.0),
             Wait(delay),
-            Pulse(pulse_spec.make(math.pi / 2, 0.0)),
+            pulse_spec.make(math.pi / 2, 0.0),
             Acquire("signal"),
         )
     )
@@ -561,8 +584,8 @@ def _bangbang_train(p: BangBangParams, pulse_spec: PulseSpec, acquire_every: int
     n = p.n_cycles
     if n == 0:
         return events + [Acquire("echo")]
-    pi = Pulse(pulse_spec.make(math.pi, 0.0))
-    minus_pi = Pulse(pulse_spec.make(math.pi, math.pi))  # -pi as phase-advanced pi
+    pi = pulse_spec.make(math.pi, 0.0)
+    minus_pi = pulse_spec.make(math.pi, math.pi)  # -pi as phase-advanced pi
     plain = (pi, Wait(p.tau_c), minus_pi, Wait(p.tau_c))
     refocus = (Wait(p.tau_c - p.tau1),) if p.tau_c > p.tau1 else ()
     read = (pi, Wait(p.tau_c), minus_pi, *refocus, Acquire("echo"), Wait(p.tau1))
@@ -589,8 +612,8 @@ def build_bangbang(
     additionally reads the echo every m-th cycle so a single run yields
     a decay curve.
     """
-    prep = [] if p.initial_area is None else [Pulse(pulse_spec.make(p.initial_area, 0.0))]
-    return PulseProgram(tuple(prep + _bangbang_train(p, pulse_spec, acquire_every)))
+    prep = pulse_spec.make(p.initial_area, 0.0)
+    return PulseProgram((prep, *_bangbang_train(p, pulse_spec, acquire_every)))
 
 
 def build_bangbang_body(p: BangBangParams, pulse_spec: PulseSpec = HARD_PULSES) -> PulseProgram:

@@ -61,12 +61,11 @@ PREPARATIONS = {
 
 @dataclass(frozen=True, eq=False)
 class ProcessResult:
-    """Pauli transfer matrix, fidelity vs identity, and the raw vectors."""
+    """Pauli transfer matrix, fidelity vs identity, and the output vectors."""
 
     ptm: np.ndarray  # (4, 4), rows/cols (I, X, Y, Z)
     fidelity: float
-    inputs: dict  # label -> (3,) prepared Bloch vector
-    outputs: dict  # label -> (3,) mean output Bloch vector
+    outputs: dict  # PREPARATIONS label -> (3,) mean output Bloch vector
     n_cycles: int | None = None
 
 
@@ -127,7 +126,6 @@ def run_process_tomography(
     return ProcessResult(
         ptm=ptm,
         fidelity=process_fidelity(ptm),
-        inputs={k: v.copy() for k, v in PREPARATIONS.items()},
         outputs=outputs,
     )
 
@@ -154,7 +152,7 @@ def tomography_series(
         raise ValueError(f"n_list must be strictly ascending, got {n_list}")
     results = []
     for n in n_list:
-        params = BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=int(n), initial_area=None)
+        params = BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=int(n))
         res = run_process_tomography(
             build_bangbang_body(params, pulse_spec),
             ensemble, noise=noise, relax=relax, master_seed=master_seed,
@@ -183,10 +181,10 @@ def process_result_to_json(result: ProcessResult, config: dict | None = None) ->
         "average_gate_fidelity": average_gate_fidelity(result.fidelity),
         "preparations": {
             label: {
-                "input": [float(x) for x in result.inputs[label]],
+                "input": [float(x) for x in PREPARATIONS[label]],
                 "output": [float(x) for x in result.outputs[label]],
             }
-            for label in sorted(result.inputs)
+            for label in sorted(PREPARATIONS)
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -8,7 +8,6 @@ from scipy.spatial.transform import Rotation
 
 from blochdd.bloch import (
     NO_RELAXATION,
-    PulseEvent,
     RelaxationParams,
     apply_hard_pulse,
     evolve_free,
@@ -158,20 +157,6 @@ def test_finite_pulse_converges_to_hard_pulse():
             fin = v @ finite_pulse_matrix(rabi, area / (2 * math.pi * rabi), phase, det)
             hard = apply_hard_pulse(v, area, phase)
             assert np.linalg.norm(fin - hard) <= 10.0 * ratio
-
-
-def test_pulse_event_validation():
-    with pytest.raises(ValueError):
-        PulseEvent(area=-1.0)
-    with pytest.raises(ValueError):
-        PulseEvent(rabi=1e5)  # missing duration
-    with pytest.raises(ValueError):
-        PulseEvent(rabi=-1.0, duration=1e-6)
-    with pytest.raises(ValueError):
-        PulseEvent(area=1.0, rabi=1e5, duration=1e-6)
-    assert PulseEvent(area=math.pi).mode == "hard"
-    assert PulseEvent(rabi=1e5, duration=5e-6).mode == "finite"
-    assert PulseEvent(rabi=1e5, duration=5e-6).nominal_area() == pytest.approx(math.pi)
 
 
 # ---------------------------------------------------------------------------

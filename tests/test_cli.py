@@ -180,6 +180,14 @@ BAD_CONFIGS = [
     ("tomography", "sequence.tau1_s", 1.5e-3),
     ("sweep", "sweep", {"tau_c_s": [1e-3, 4e-3], "total_time_s": 0.04, "tau1_s": 2e-3}),
     ("simulate", "sequence.tau1_s", 1.5e-3),
+    # DSL statements that the event types reject
+    ("simulate", "sequence", {"dsl": "repeat 2 { repeat 2 { acquire x } }"}),
+    ("simulate", "sequence", {"dsl": "wait 1e400s"}),
+    ("simulate", "sequence", {"dsl": "pulse area=1e400"}),
+    ("simulate", "sequence", {"dsl": "pulse rabi=1e400Hz duration=1us"}),
+    ("simulate", "sequence", {"dsl": "pulse rabi=1kHz duration=1e400s"}),
+    # unbounded search work
+    ("critical-point", "search.n_starts", 10_001),
 ]
 
 

@@ -567,6 +567,6 @@ def test_acquire_series_ordering():
     prog = build_bangbang(BangBangParams(tau1=1e-3, tau_c=2e-3, n_cycles=6), acquire_every=2)
     spec = EnsembleSpec(size=1, distribution="explicit", detunings=(300.0,))
     res = run_program(prog, spec)
-    t, mag, _ = acquire_series(res, "echo")
+    t, mag = acquire_series(res, "echo")
     np.testing.assert_allclose(t, [2 * 2 * 2e-3, 2 * 4 * 2e-3, 2 * 6 * 2e-3], atol=1e-12)
     assert np.all(mag > 1 - 1e-9)

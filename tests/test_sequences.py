@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochdd.bloch import RelaxationParams
-from blochdd.ensemble import EnsembleSpec, echo_amplitude, in_phase_amplitude, run_program
+from blochdd.ensemble import EnsembleSpec, echo_amplitude, run_program
 from blochdd.sequences import (
     Acquire,
     BangBangParams,
@@ -35,7 +35,7 @@ def test_parse_smoke():
     p = parse("pulse area=pi/2 phase=0\nwait 1.2ms\nacquire echo")
     assert len(p.events) == 3
     assert isinstance(p.events[0], Pulse)
-    assert p.events[0].event.area == pytest.approx(math.pi / 2)
+    assert p.events[0].area == pytest.approx(math.pi / 2)
     assert p.events[1] == Wait(1.2e-3)
     assert p.events[2] == Acquire("echo")
 
@@ -52,7 +52,7 @@ def test_parse_repeat_block():
     assert len(rep.body) == 4
     assert p.duration() == pytest.approx(4.000, abs=1e-12)
     # bare angles are degrees: 180 means a pi phase
-    assert rep.body[2].event.phase == pytest.approx(math.pi)
+    assert rep.body[2].phase == pytest.approx(math.pi)
 
 
 def test_parse_negative_wait_rejected():
@@ -92,19 +92,19 @@ def test_angle_forms():
     }
     for text, value in cases.items():
         p = parse(f"pulse area=pi phase={text}")
-        assert p.events[0].event.phase == pytest.approx(value), text
+        assert p.events[0].phase == pytest.approx(value), text
 
 
 def test_negative_area_normalizes_to_phase_shift():
     p = parse("pulse area=-pi phase=0")
-    ev = p.events[0].event
+    ev = p.events[0]
     assert ev.area == pytest.approx(math.pi)
     assert ev.phase == pytest.approx(math.pi)
 
 
 def test_parse_finite_pulse_and_units():
     p = parse("pulse rabi=100kHz duration=5us phase=90deg")
-    ev = p.events[0].event
+    ev = p.events[0]
     assert ev.rabi == pytest.approx(1e5)
     assert ev.duration == pytest.approx(5e-6)
     assert ev.phase == pytest.approx(math.pi / 2)
@@ -115,6 +115,41 @@ def test_parse_rejects_mixed_pulse_modes():
         parse("pulse area=pi rabi=1kHz duration=1us phase=0")
     with pytest.raises(SequenceError):
         parse("pulse rabi=1kHz phase=0")
+
+
+@pytest.mark.parametrize("text", [
+    "pulse area=1e400",
+    "pulse rabi=1e400Hz duration=1us",
+    "pulse rabi=1kHz duration=1e400s",
+    "pulse area=pi phase=1e400rad",
+    "pulse rabi=0Hz duration=1us",
+    "wait 1e400s",
+    "repeat 0 { wait 1ms }",
+    pytest.param("repeat " + "9" * 5000 + " { wait 1ms }", id="repeat count past int() digit limit"),
+    "repeat 2 { repeat 2 { acquire x } }",
+])
+def test_parse_reports_event_checks_as_sequence_errors(text):
+    # the event types own these checks; the parser names the statement
+    with pytest.raises(SequenceError, match="^line 2, column 3: "):
+        parse("wait 1ms\n  " + text)
+
+
+def test_pulse_validation():
+    with pytest.raises(ValueError):
+        Pulse(area=-1.0)
+    with pytest.raises(ValueError):
+        Pulse(rabi=1e5)  # missing duration
+    with pytest.raises(ValueError):
+        Pulse(rabi=-1.0, duration=1e-6)
+    with pytest.raises(ValueError):
+        Pulse(area=1.0, rabi=1e5, duration=1e-6)
+    for bad in (math.inf, -math.inf, math.nan):
+        for kw in ({"area": bad}, {"area": 1.0, "phase": bad},
+                   {"rabi": bad, "duration": 1e-6}, {"rabi": 1e5, "duration": bad}):
+            with pytest.raises(ValueError, match="must be finite"):
+                Pulse(**kw)
+    assert Pulse(area=math.pi).mode == "hard"
+    assert Pulse(rabi=1e5, duration=5e-6).mode == "finite"
 
 
 def test_comments_and_separators():
@@ -130,7 +165,7 @@ def test_acquire_depth_invariant():
 
 
 def test_expand_repeat_counts_and_duration():
-    body = (Wait(2e-3), Pulse(PulseSpec().make(math.pi, 0.0)), Wait(1e-3))
+    body = (Wait(2e-3), PulseSpec().make(math.pi, 0.0), Wait(1e-3))
     prog = PulseProgram((Repeat(7, body),))
     assert prog.expanded_count() == 21
     assert prog.duration() == pytest.approx(7 * 3e-3)
@@ -157,11 +192,10 @@ def _random_events(rng, depth=0):
     for _ in range(rng.integers(1, 6)):
         kind = rng.integers(5 if depth == 0 else 4)
         if kind == 0:
-            events.append(Pulse(PulseSpec().make(rng.uniform(0.01, 7.0), rng.normal())))
+            events.append(PulseSpec().make(rng.uniform(0.01, 7.0), rng.normal()))
         elif kind == 1:
             events.append(
-                Pulse(PulseSpec(rabi=float(rng.uniform(1e4, 1e6))).make(
-                    rng.uniform(0.01, 7.0), rng.normal()))
+                PulseSpec(rabi=float(rng.uniform(1e4, 1e6))).make(rng.uniform(0.01, 7.0), rng.normal())
             )
         elif kind == 2:
             events.append(Wait(float(rng.uniform(0, 0.5))))
@@ -198,8 +232,8 @@ def test_hahn_echo_structure():
     assert p.duration() == pytest.approx(20e-3)
     kinds = [type(e).__name__ for e in p.events]
     assert kinds == ["Pulse", "Wait", "Pulse", "Wait", "Acquire"]
-    assert p.events[0].event.area == pytest.approx(math.pi / 2)
-    assert p.events[2].event.area == pytest.approx(math.pi)
+    assert p.events[0].area == pytest.approx(math.pi / 2)
+    assert p.events[2].area == pytest.approx(math.pi)
 
 
 def test_hahn_echo_refocuses_static_detuning():
@@ -218,20 +252,20 @@ def test_hahn_echo_homogeneous_decay():
 
 def test_inversion_recovery_full_inversion():
     res = run_program(build_inversion_recovery(1e-9), SINGLE)
-    assert in_phase_amplitude(res, "signal", -math.pi / 2) == pytest.approx(-1.0, abs=1e-6)
+    assert -res.acquires[-1].mean[1] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_inversion_recovery_at_t1():
     # t1 = 145 s, delay = 145 s, z_eq = 0: z before readout is -exp(-1)
     relax = RelaxationParams(t1=145.0, t2=290.0)
     res = run_program(build_inversion_recovery(145.0), SINGLE, relax=relax)
-    assert in_phase_amplitude(res, "signal", -math.pi / 2) == pytest.approx(-math.exp(-1), abs=1e-9)
+    assert -res.acquires[-1].mean[1] == pytest.approx(-math.exp(-1), abs=1e-9)
 
 
 def test_inversion_recovery_long_delay_reaches_equilibrium():
     relax = RelaxationParams(t1=1.0, t2=2.0, z_equilibrium=0.25)
     res = run_program(build_inversion_recovery(60.0), SINGLE, relax=relax)
-    assert in_phase_amplitude(res, "signal", -math.pi / 2) == pytest.approx(0.25, abs=1e-9)
+    assert -res.acquires[-1].mean[1] == pytest.approx(0.25, abs=1e-9)
 
 
 def test_bangbang_duration_examples():
