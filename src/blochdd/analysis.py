@@ -8,10 +8,10 @@ stretched           a(t) = A exp(-(t / t_m)^x)     (t is total evolution
                     stretched-echo convention)
 inv_recovery        m(t) = m_eq - (m_eq - m0) exp(-t / t1)
 
-Fits are nonlinear least squares (damped Gauss-Newton via
-``scipy.optimize.least_squares``) initialized from a log-amplitude
-linear regression.  Parameter uncertainties are linearized
-(Jacobian-based, 1-sigma).
+Fits are nonlinear least squares, solved in the package by
+Levenberg-Marquardt on each model's analytic Jacobian and initialized
+from a log-amplitude linear regression.  Parameter uncertainties are
+linearized from the same Jacobian (1-sigma).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bloch import NO_RELAXATION, RelaxationParams
 from .ensemble import (
@@ -119,24 +118,84 @@ class DecayFit:
     residual_norm: float
 
 
-def _lsq(residual_fn, p0, names, model):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = least_squares(residual_fn, p0, method="lm", max_nfev=20000)
-    if not res.success and np.linalg.norm(res.fun) > 1e-10:
-        raise FitError(f"{model} fit did not converge: {res.message}")
-    jac = res.jac
-    jtj = jac.T @ jac
-    dof = max(len(res.fun) - len(p0), 1)
-    s2 = float(res.fun @ res.fun) / dof
-    try:
-        cov = np.linalg.inv(jtj) * s2
-    except np.linalg.LinAlgError as exc:
-        raise FitError(f"{model} fit is rank deficient: {exc}") from exc
+# Levenberg-Marquardt: MINPACK's default tolerances, and caps on the
+# iterations and on the damping increases of one iteration
+_FTOL = _XTOL = 1.49e-8
+_MAX_ITER = 200
+_MAX_DAMPING = 40
+
+
+def _weighted(model_fn, curve: DecayCurve, p) -> tuple:
+    """Residuals ``(f - a) / sigma`` of ``model_fn(t, p) -> (f, df/dp)`` and their Jacobian."""
+    f, jac = model_fn(curve.times, p)
+    w = 1.0 / curve.sigma if curve.sigma is not None else np.ones_like(f)
+    return (f - curve.amplitudes) * w, jac * w[:, None]
+
+
+def _lsq(model_fn, curve: DecayCurve, p0, names, model) -> DecayFit:
+    """Weighted least-squares fit of ``model_fn`` (see :func:`_weighted`).
+
+    Damped Gauss-Newton steps with Marquardt's diagonal scaling (More,
+    LNM 630 (1978)).  The covariance comes from the final ``J^T J``.
+    """
+    def evaluate(p):
+        r, jac = _weighted(model_fn, curve, p)
+        return r @ r, p, r, jac
+
+    with np.errstate(all="ignore"):
+        cost, x, r, jac = evaluate(np.asarray(p0, dtype=float))
+        scale, lam = np.zeros(len(x)), 1e-3
+        try:
+            for _ in range(_MAX_ITER):
+                jtj, grad = jac.T @ jac, jac.T @ r
+                scale = np.maximum(scale, np.diag(jtj))
+                d = np.sqrt(np.where(scale > 0, scale, 1.0))
+                for _ in range(_MAX_DAMPING):
+                    step = np.linalg.solve(jtj + lam * np.diag(d * d), -grad)
+                    done = np.linalg.norm(d * step) <= _XTOL * np.linalg.norm(d * x)
+                    trial = evaluate(x + step)
+                    if done or trial[0] < cost:
+                        break
+                    lam *= 10.0
+                else:
+                    raise FitError(f"{model} fit did not converge: no damping reduced the residual")
+                if trial[0] < cost:
+                    predicted = -step @ (2.0 * grad + jtj @ step)
+                    done |= cost - trial[0] <= _FTOL * cost and predicted <= _FTOL * cost
+                    (cost, x, r, jac), lam = trial, lam / 10.0
+                if done:
+                    break
+            else:
+                raise FitError(f"{model} fit did not converge in {_MAX_ITER} iterations")
+            cov = np.linalg.inv(jac.T @ jac) * cost / max(len(r) - len(x), 1)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"{model} fit is rank deficient: {exc}") from exc
     if not np.all(np.isfinite(cov)):
         raise FitError(f"{model} fit is rank deficient (singular Jacobian)")
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return res, dict(zip(names, map(float, res.x))), dict(zip(names, map(float, sig)))
+    return DecayFit(model=model, params=dict(zip(names, map(float, x))),
+                    uncertainties=dict(zip(names, map(float, sig))),
+                    residual_norm=float(np.linalg.norm(r)))
+
+
+def _single_exp(t, p):
+    e = np.exp(-t / p[1])
+    return p[0] * e, np.stack([e, p[0] * e * t / p[1] ** 2], axis=1)
+
+
+def _stretched(t, p):
+    q = t / p[1]
+    u = q ** p[2]
+    e = np.exp(-u)
+    # u ln q -> 0 as t -> 0
+    u_ln_q = u * np.log(q, out=np.zeros_like(q), where=q > 0)
+    return p[0] * e, np.stack([e, p[0] * e * u * p[2] / p[1], -p[0] * e * u_ln_q], axis=1)
+
+
+def _inv_recovery(t, p):
+    t1, m0, m_eq = p
+    e = np.exp(-t / t1)
+    return m_eq - (m_eq - m0) * e, np.stack([-(m_eq - m0) * e * t / t1**2, e, 1.0 - e], axis=1)
 
 
 def _log_slope_init(t, a):
@@ -160,76 +219,44 @@ def fit_decay(curve: DecayCurve, model: str = "single_exp") -> DecayFit:
     Requires >= 4 points (single_exp) or >= 6 (stretched).  Raises
     :class:`FitError` on rank deficiency or non-convergence.
     """
-    t = curve.times
-    a = curve.amplitudes
-    w = 1.0 / curve.sigma if curve.sigma is not None else np.ones_like(a)
+    t, a = curve.times, curve.amplitudes
     if model == "single_exp":
         if len(t) < 4:
             raise ValueError(f"single_exp needs >= 4 points, got {len(t)}")
         amp0, rate0 = _log_slope_init(t, a)
-
-        def resid(p):
-            return (p[0] * np.exp(-t / p[1]) - a) * w
-
-        res, params, sig = _lsq(resid, [amp0, 1.0 / rate0], ["amplitude", "t2"], model)
-        if params["t2"] <= 0:
-            raise FitError(f"single_exp fit gave non-positive t2 = {params['t2']}")
+        fit = _lsq(_single_exp, curve, [amp0, 1.0 / rate0], ["amplitude", "t2"], model)
+        if fit.params["t2"] <= 0:
+            raise FitError(f"single_exp fit gave non-positive t2 = {fit.params['t2']}")
     elif model == "stretched":
         if len(t) < 6:
             raise ValueError(f"stretched needs >= 6 points, got {len(t)}")
         amp0, rate0 = _log_slope_init(t, a)
-
-        def resid(p):
-            return (p[0] * np.exp(-((t / p[1]) ** p[2])) - a) * w
-
-        res, params, sig = _lsq(
-            resid, [amp0, 1.0 / rate0, 1.0], ["amplitude", "t_m", "exponent"], model
-        )
-        if params["t_m"] <= 0 or not 0 < params["exponent"] <= 5:
-            raise FitError(
-                f"stretched fit left the physical domain: t_m={params['t_m']}, "
-                f"x={params['exponent']}"
-            )
+        fit = _lsq(_stretched, curve, [amp0, 1.0 / rate0, 1.0],
+                   ["amplitude", "t_m", "exponent"], model)
+        if fit.params["t_m"] <= 0 or not 0 < fit.params["exponent"] <= 5:
+            raise FitError(f"stretched fit left the physical domain: t_m={fit.params['t_m']}, "
+                           f"x={fit.params['exponent']}")
     else:
         raise ValueError(f"unknown decay model {model!r}")
-    return DecayFit(
-        model=model,
-        params=params,
-        uncertainties=sig,
-        residual_norm=float(np.linalg.norm(res.fun)),
-    )
+    return fit
 
 
 def fit_inversion_recovery(curve: DecayCurve) -> DecayFit:
     """Fit ``m(t) = m_eq - (m_eq - m0) exp(-t/t1)``; >= 4 points."""
-    t = curve.times
-    a = curve.amplitudes
-    w = 1.0 / curve.sigma if curve.sigma is not None else np.ones_like(a)
+    t, a = curve.times, curve.amplitudes
     if len(t) < 4:
         raise ValueError(f"inversion recovery needs >= 4 points, got {len(t)}")
-    m_eq0 = float(a[-1])
-    m00 = float(a[0])
+    m_eq0, m00 = float(a[-1]), float(a[0])
     # crude rate guess from the (signed) recovery trajectory
-    span = abs(m_eq0 - m00)
-    if span <= 0:
+    if m_eq0 == m00:
         raise FitError("flat data: recovery amplitude span is zero")
     mid = m_eq0 - (m_eq0 - m00) / math.e
     k = int(np.argmin(np.abs(a - mid)))
     t10 = t[k] if t[k] > 0 else (t[-1] - t[0]) / 3.0
-
-    def resid(p):
-        t1, m0, m_eq = p
-        return (m_eq - (m_eq - m0) * np.exp(-t / t1) - a) * w
-
-    res, params, sig = _lsq(resid, [t10, m00, m_eq0], ["t1", "m0", "m_eq"], "inv_recovery")
-    if params["t1"] <= 0:
-        raise FitError(f"inversion recovery gave non-positive t1 = {params['t1']}")
-    return DecayFit(
-        model="inv_recovery",
-        params=params,
-        uncertainties=sig,
-        residual_norm=float(np.linalg.norm(res.fun)),
-    )
+    fit = _lsq(_inv_recovery, curve, [t10, m00, m_eq0], ["t1", "m0", "m_eq"], "inv_recovery")
+    if fit.params["t1"] <= 0:
+        raise FitError(f"inversion recovery gave non-positive t1 = {fit.params['t1']}")
+    return fit
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,10 @@ def _section(cfg: dict, name: str, errors: list, required: bool = False) -> dict
 
 
 def _make(errors: list, name: str, factory, **kw):
-    """``factory(**kw)``; a ValueError or TypeError it raises becomes an error."""
+    """``factory(**kw)``; a ValueError, TypeError or budget error it raises becomes an error."""
     try:
         return factory(**kw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ensemble.SimulationBudgetError) as exc:
         errors.append(f"{name}: {exc}")
         return None
 
@@ -305,6 +305,9 @@ def parse_simulation_config(cfg: dict) -> dict:
         record=read_record(cfg, errors),
     )
     _check(errors)
+    _make(errors, "sequence", ensemble._check_budget, program=kw["program"],
+          ensemble=kw["ensemble"], noise=kw["noise"], n_states=1)
+    _check(errors)
     seq, noise = cfg["sequence"], kw["noise"]
     if seq.get("template") == "bangbang" and noise.kind == "ornstein_uhlenbeck":
         product = (1.0 / noise.tau_b) * float(seq["tau_c_s"])  # omega_c = 1 / tau_b
@@ -314,11 +317,17 @@ def parse_simulation_config(cfg: dict) -> dict:
     return kw
 
 
-def parse_tomography_config(cfg: dict) -> dict:
-    """For :func:`tomography.tomography_series`, which sets the cycle counts."""
+def parse_tomography_config(cfg: dict, max_cycles: int = 1000) -> dict:
+    """For :func:`tomography.tomography_series`, which sets the cycle counts;
+    the work budget is checked at ``max_cycles``, the default --n-list's largest."""
     errors: list[str] = []
     tau1, tau_c = read_train(cfg, errors)
     kw = _ensemble_run(cfg, errors)
+    _check(errors)
+    body = sequences.build_bangbang_body(
+        sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=max_cycles), kw["pulse_spec"])
+    _make(errors, "sequence", ensemble._check_budget, program=body, ensemble=kw["ensemble"],
+          noise=kw["noise"], n_states=len(tomography.PREPARATIONS))
     _check(errors)
     return dict(kw, tau1=tau1, tau_c=tau_c)
 
@@ -402,7 +411,7 @@ def cmd_tomography(args) -> int:
         raise ConfigError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(n < 0 for n in n_list):
         raise ConfigError("--n-list must be non-negative and strictly ascending")
-    cfg, kw = _load(args, parse_tomography_config)
+    cfg, kw = _load(args, lambda cfg: parse_tomography_config(cfg, max(n_list)))
     if kw is None:
         return 0
     summary = ["n_cycles,fidelity,average_gate_fidelity"]

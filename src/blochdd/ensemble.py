@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_hermite
+import numpy.random  # numpy 2 loads it on first use: load it with the package, not in a run
 
 from .bloch import NO_RELAXATION, RelaxationParams, evolve_free, finite_pulse_matrix, rotate
 from .sequences import Acquire, Pulse, PulseProgram, Wait
@@ -111,7 +111,8 @@ def sample_detunings(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.distribution == "explicit":
         return np.asarray(spec.detunings, dtype=float), np.full(n, 1.0 / n)
     if spec.sampling == "gauss_quadrature":
-        # numpy's hermgauss overflows above ~400 nodes; scipy is stable.
+        # numpy's hermgauss overflows above ~400 nodes; scipy's is stable, and only this imports it
+        from scipy.special import roots_hermite
         nodes, weights = roots_hermite(n)
         sigma = spec.fwhm * GAUSS_FWHM_TO_SIGMA
         return math.sqrt(2.0) * sigma * nodes, weights / math.sqrt(math.pi)
@@ -220,12 +221,8 @@ def acquire_series(result: SimulationResult, label: str) -> tuple[np.ndarray, np
 
 
 def _noise_list(noise) -> list[NoiseModel]:
-    if noise is None:
-        return []
-    if isinstance(noise, NoiseModel):
-        return [] if noise.kind == "none" else [noise]
-    models = [m for m in noise if m.kind != "none"]
-    return list(models)
+    models = [] if noise is None else [noise] if isinstance(noise, NoiseModel) else noise
+    return [m for m in models if m.kind != "none"]
 
 
 def _wait_steps(duration: float, dt: float) -> list[float]:
@@ -375,6 +372,18 @@ class _TelegraphBath:
         return start, start * np.diff(edges)[:, None] + correction
 
 
+def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise, n_states: int) -> None:
+    """Raise :class:`SimulationBudgetError` if a run would exceed ``_MAX_MEMBER_STEPS``."""
+    n_events = program.expanded_count()
+    flips = sum(m.flip_rate for m in _noise_list(noise) if m.kind == "telegraph") * program.duration()
+    if ensemble.size * n_states * (n_events + flips) > _MAX_MEMBER_STEPS:
+        raise SimulationBudgetError(
+            f"{ensemble.size} members x {n_states} states x ({n_events} events + "
+            f"{flips:.3g} telegraph flips) exceeds the budget of {_MAX_MEMBER_STEPS:.0f}; "
+            "use fewer members or a shorter program"
+        )
+
+
 def run_program(
     program: PulseProgram,
     ensemble: EnsembleSpec,
@@ -430,15 +439,7 @@ def run_program(
         raise ValueError(f"initial_state must be a 3-vector or a (k, 3) stack, got shape {initial.shape}")
 
     models = _noise_list(noise)
-    n_states = initial.size // 3
-    n_events = program.expanded_count()
-    flips = sum(m.flip_rate for m in models if m.kind == "telegraph") * program.duration()
-    if ensemble.size * n_states * (n_events + flips) > _MAX_MEMBER_STEPS:
-        raise SimulationBudgetError(
-            f"{ensemble.size} members x {n_states} states x ({n_events} events + "
-            f"{flips:.3g} telegraph flips) exceeds the budget of {_MAX_MEMBER_STEPS:.0f}; "
-            "use fewer members or a shorter program"
-        )
+    _check_budget(program, ensemble, models, initial.size // 3)
 
     detunings, weights = sample_detunings(ensemble)
     # per-member values are (members,) or, for stacked states, (members, 1)

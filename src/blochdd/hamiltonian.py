@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use: load it with the package
 
 __all__ = [
     "spin_operators",

@@ -188,6 +188,8 @@ BAD_CONFIGS = [
     ("simulate", "sequence", {"dsl": "pulse rabi=1kHz duration=1e400s"}),
     # unbounded search work
     ("critical-point", "search.n_starts", 10_001),
+    # run work beyond the 2e9 member-step budget
+    ("simulate", "sequence", {"dsl": "repeat 1000000000000000000000000000000 { wait 1us }"}),
 ]
 
 
@@ -245,6 +247,17 @@ def test_tomography_rejects_repeated_cycle_counts(tmp_path, capsys):
     assert run_cli(tmp_path, "tomography", TOMOGRAPHY, "--n-list", "1,1,10") == 1
     assert "strictly ascending" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("validate_only", [True, False])
+def test_tomography_budget_is_checked_at_the_largest_cycle_count(tmp_path, capsys, validate_only):
+    # 4 members x 4 states x 2e8 cycles is far beyond the budget; 1000 cycles are not
+    extra = ("--validate-only",) if validate_only else ()
+    assert run_cli(tmp_path, "tomography", TOMOGRAPHY, "--n-list", "1,200000000", *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and "exceeds the budget" in err
+    assert not (tmp_path / "out").exists()
+    assert run_cli(tmp_path, "tomography", TOMOGRAPHY, "--n-list", "1,1000", *extra) == 0
 
 
 def test_critical_point_takes_no_seed_flag(tmp_path):
