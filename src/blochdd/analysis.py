@@ -30,7 +30,6 @@ from .ensemble import (
     acquire_series,
     run_program,
 )
-from .sequences import BangBangParams, PulseSpec, HARD_PULSES, build_bangbang
 
 __all__ = [
     "DecayCurve",
@@ -39,7 +38,6 @@ __all__ = [
     "fit_decay",
     "fit_inversion_recovery",
     "SweepPoint",
-    "sweep_cycles",
     "sweep_t2_vs_tauc",
     "sweep_to_csv",
     "sweep_to_json",
@@ -272,66 +270,36 @@ class SweepPoint:
     n_points: int
 
 
-def sweep_cycles(tau_c_values, total_time: float) -> list[tuple[float, int]]:
-    """``(tau_c, n_cycles)`` of each sweep point, sorted by ``tau_c``.
-
-    A train of ``n_cycles = floor(total_time / (2 tau_c))`` cycles reads
-    one echo per cycle.  Raises ValueError if a spacing is not positive,
-    is repeated or gives fewer than the 4 echoes a single_exp fit needs.
-    """
-    points = []
-    for tau_c in sorted(float(x) for x in tau_c_values):
-        if not tau_c > 0:
-            raise ValueError(f"tau_c must be positive, got {tau_c}")
-        if points and tau_c == points[-1][0]:
-            raise ValueError(f"tau_c {tau_c:g} s is repeated; each spacing runs once")
-        n_cycles = int(math.floor(total_time / (2.0 * tau_c)))
-        if n_cycles < 4:
-            raise ValueError(
-                f"tau_c {tau_c:g} s gives {n_cycles} echoes in {total_time:g} s; the T2 fit needs >= 4"
-            )
-        points.append((tau_c, n_cycles))
-    return points
-
-
 # a longer echo series is thinned to this many evenly spaced points for the fit
 _MAX_FIT_POINTS = 200
 
 
 def sweep_t2_vs_tauc(
-    tau_c_values,
+    programs,
     *,
     noise: NoiseModel,
     ensemble: EnsembleSpec,
-    total_time: float,
-    tau1: float | None = None,
-    pulse_spec: PulseSpec = HARD_PULSES,
     master_seed: int = 0,
     relax: RelaxationParams = NO_RELAXATION,
 ):
     """Extract the decoupled coherence time at each pulse spacing.
 
-    For every ``tau_c`` a pulse train of total length ``total_time`` is
-    run with an echo read-out every cycle, and a single-exponential fit
-    of the echo decay, thinned to at most 200 evenly spaced echoes,
-    gives T2.  All points share the same master seed so member noise
-    realizations are common mode across the sweep, which makes the
-    extracted trend insensitive to Monte-Carlo fluctuations.
+    ``programs`` maps each spacing ``tau_c`` to the pulse train run for
+    it, which reads an ``echo`` acquire every cycle.  A
+    single-exponential fit of each echo decay, thinned to at most 200
+    evenly spaced echoes, gives T2.  All points share the same master
+    seed so member noise realizations are common mode across the sweep,
+    which makes the extracted trend insensitive to Monte-Carlo
+    fluctuations.
 
     A fitted rate that is non-positive means the decay is below the
     noise floor of the run; the point is flagged ``no_measurable_decay``
     with ``t2 = inf``.  Fit failures are recorded and the sweep
-    continues.  Every spacing is checked by :func:`sweep_cycles` before
-    the first run.  Returns points sorted by ``tau_c``.
+    continues.  Returns one point per spacing, in the order of
+    ``programs``.
     """
     points = []
-    for tau_c, n_cycles in sweep_cycles(tau_c_values, total_time):
-        t1_delay = tau1 if tau1 is not None else min(0.5 * tau_c, 0.25e-3)
-        program = build_bangbang(
-            BangBangParams(tau1=t1_delay, tau_c=tau_c, n_cycles=n_cycles),
-            pulse_spec,
-            acquire_every=1,
-        )
+    for tau_c, program in programs.items():
         result = run_program(
             program,
             ensemble,
@@ -377,9 +345,9 @@ def sweep_to_csv(points) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_to_json(points, config: dict | None = None) -> str:
+def sweep_to_json(points, config: dict) -> str:
     doc = {
-        "config": config if config is not None else {},
+        "config": config,
         "points": [
             {
                 "tau_c_s": p.tau_c,
@@ -394,9 +362,9 @@ def sweep_to_json(points, config: dict | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def fit_to_json(fit: DecayFit, config: dict | None = None) -> str:
+def fit_to_json(fit: DecayFit, config: dict) -> str:
     doc = {
-        "config": config if config is not None else {},
+        "config": config,
         "model": fit.model,
         "params": {k: fit.params[k] for k in sorted(fit.params)},
         "uncertainties": {k: fit.uncertainties[k] for k in sorted(fit.uncertainties)},

@@ -14,8 +14,10 @@ every section is a JSON object, unknown keys are ignored):
                   master_seed [0]
   tomography      sequence (tau1_s <= tau_c_s), ensemble, pulses, noise,
                   relaxation, master_seed; cycle counts from --n-list
-  sweep           sweep (tau_c_s list, no repeats, total_time_s, tau1_s <= every
-                  tau_c_s), ensemble, pulses, noise (kind not none), relaxation,
+                  [1,10,100,1000]
+  sweep           sweep (tau_c_s list, no repeats, total_time_s, tau1_s
+                  [min(tau_c_s / 2, 0.25 ms) per spacing] <= every tau_c_s),
+                  ensemble, pulses, noise (kind not none), relaxation,
                   master_seed
   critical-point  spin_system (q_tensor_hz, m_tensor_hz_per_g), search
                   (b_init_g, level_pair [2, 3], box_halfwidth_g [50],
@@ -33,8 +35,11 @@ every section is a JSON object, unknown keys are ignored):
 
 Each subcommand has one parse function, which ``--validate-only``, the
 run and ``validate`` all call: validating applies the run's own checks
-and lists every problem in one ``invalid config`` error.  ``validate``
-picks the function from the sections present: spin_system ->
+and lists every problem in one ``invalid config`` error.  The parse
+function builds every pulse program the run executes, checks each
+against the run's work budget, and hands them to the engine, which only
+runs them.  ``validate`` picks the function from the sections present
+(with the default --n-list for tomography): spin_system ->
 critical-point, sweep -> sweep, a sequence with template or dsl ->
 simulate, any other sequence -> tomography.
 """
@@ -112,12 +117,25 @@ def _section(cfg: dict, name: str, errors: list, required: bool = False) -> dict
 
 
 def _make(errors: list, name: str, factory, **kw):
-    """``factory(**kw)``; a ValueError, TypeError or budget error it raises becomes an error."""
+    """``factory(**kw)``; a ValueError or TypeError it raises becomes an error."""
     try:
         return factory(**kw)
-    except (ValueError, TypeError, ensemble.SimulationBudgetError) as exc:
+    except (ValueError, TypeError) as exc:
         errors.append(f"{name}: {exc}")
         return None
+
+
+def _check_within_budget(name: str, programs, kw: dict, n_states: int) -> None:
+    """Raise a ConfigError naming each of ``programs`` that ``n_states``
+    states on ``kw``'s ensemble and noise would run beyond the work budget
+    of :func:`ensemble.run_program`."""
+    errors = []
+    for program in programs:
+        try:
+            ensemble._check_budget(program, kw["ensemble"], kw["noise"], n_states)
+        except ensemble.SimulationBudgetError as exc:
+            errors.append(f"{name}: {exc}")
+    _check(errors)
 
 
 def read_pulses(cfg: dict, errors: list) -> sequences.PulseSpec:
@@ -132,16 +150,13 @@ def read_pulses(cfg: dict, errors: list) -> sequences.PulseSpec:
 
 
 def read_train(cfg: dict, errors: list) -> tuple:
-    """``(tau1, tau_c)`` of the bang-bang train in the sequence section."""
+    """``(tau1, tau_c)`` of the bang-bang train in the sequence section;
+    :class:`sequences.BangBangParams` checks the pair when the train is built."""
     doc = _section(cfg, "sequence", errors, required=True)
     if doc is None:
         return None, None
-    pair = (_positive(errors, "sequence.tau1_s", doc.get("tau1_s")),
+    return (_positive(errors, "sequence.tau1_s", doc.get("tau1_s")),
             _positive(errors, "sequence.tau_c_s", doc.get("tau_c_s")))
-    if None in pair or _make(errors, "sequence", sequences.BangBangParams,
-                             tau1=pair[0], tau_c=pair[1], n_cycles=0) is None:
-        return None, None
-    return pair
 
 
 def read_sequence(cfg: dict, errors: list, pulse_spec) -> sequences.PulseProgram | None:
@@ -172,8 +187,9 @@ def read_sequence(cfg: dict, errors: list, pulse_spec) -> sequences.PulseProgram
     every = every if every is None else _integer(errors, "sequence.acquire_every", every, 1)
     if None in (tau1, tau_c, n_cycles, area):
         return None
-    params = sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n_cycles, initial_area=area)
-    return sequences.build_bangbang(params, pulse_spec, acquire_every=every)
+    params = _make(errors, "sequence", sequences.BangBangParams,
+                   tau1=tau1, tau_c=tau_c, n_cycles=n_cycles, initial_area=area)
+    return None if params is None else sequences.build_bangbang(params, pulse_spec, acquire_every=every)
 
 
 def read_ensemble(cfg: dict, errors: list) -> ensemble.EnsembleSpec | None:
@@ -227,11 +243,38 @@ def read_record(cfg: dict, errors: list) -> str:
     return record
 
 
-def read_sweep(cfg: dict, errors: list) -> tuple:
-    """``(tau_c values, total_time, tau1)`` from the sweep section."""
+def _sweep_programs(errors: list, tau_c_values, total_time: float, tau1, pulse_spec) -> dict:
+    """``{tau_c: program}`` of the sweep, sorted by ``tau_c``.
+
+    Each spacing runs ``n_cycles = floor(total_time / (2 tau_c))`` cycles
+    of the bang-bang train after the delay ``tau1`` (None: ``min(tau_c /
+    2, 0.25 ms)``), and reads one echo per cycle.  A spacing that is
+    repeated, gives fewer than the 4 echoes a single_exp fit needs, or is
+    shorter than ``tau1`` is an error.
+    """
+    programs = {}
+    values = sorted(tau_c_values)
+    for k, tau_c in enumerate(values):
+        n_cycles = math.floor(total_time / (2.0 * tau_c))
+        if k > 0 and tau_c == values[k - 1]:
+            errors.append(f"sweep: tau_c {tau_c:g} s is repeated; each spacing runs once")
+        elif n_cycles < 4:
+            errors.append(f"sweep: tau_c {tau_c:g} s gives {n_cycles} echoes in {total_time:g} s; "
+                          "the T2 fit needs >= 4")
+        else:
+            params = _make(errors, "sweep", sequences.BangBangParams, tau_c=tau_c, n_cycles=n_cycles,
+                           tau1=min(0.5 * tau_c, 0.25e-3) if tau1 is None else tau1)
+            if params is not None:
+                programs[tau_c] = sequences.build_bangbang(params, pulse_spec, acquire_every=1)
+    return programs
+
+
+def read_sweep(cfg: dict, errors: list, pulse_spec) -> dict | None:
+    """The ``{tau_c: program}`` trains of the sweep section (:func:`_sweep_programs`)."""
     doc = _section(cfg, "sweep", errors, required=True)
     if doc is None:
-        return None, None, None
+        return None
+    n_errors = len(errors)
     values = doc.get("tau_c_s")
     if isinstance(values, list) and values:
         values = [_positive(errors, f"sweep.tau_c_s[{k}]", x) for k, x in enumerate(values)]
@@ -240,7 +283,9 @@ def read_sweep(cfg: dict, errors: list) -> tuple:
     total_time = _positive(errors, "sweep.total_time_s", doc.get("total_time_s"))
     tau1 = doc.get("tau1_s")
     tau1 = tau1 if tau1 is None else _positive(errors, "sweep.tau1_s", tau1)
-    return values, total_time, tau1
+    if len(errors) > n_errors:
+        return None
+    return _sweep_programs(errors, values, total_time, tau1, pulse_spec)
 
 
 def read_spin_system(cfg: dict, errors: list) -> hamiltonian.SpinSystem | None:
@@ -282,10 +327,9 @@ def read_search(cfg: dict, errors: list) -> dict:
 
 
 def _ensemble_run(cfg: dict, errors: list) -> dict:
-    """Keyword arguments shared by the ensemble subcommands."""
+    """Keyword arguments shared by the ensemble engines."""
     return dict(
         ensemble=read_ensemble(cfg, errors),
-        pulse_spec=read_pulses(cfg, errors),
         noise=read_noise(cfg, errors),
         relax=read_relaxation(cfg, errors),
         master_seed=read_master_seed(cfg, errors),
@@ -300,14 +344,12 @@ def parse_simulation_config(cfg: dict) -> dict:
     errors: list[str] = []
     kw = _ensemble_run(cfg, errors)
     kw.update(
-        program=read_sequence(cfg, errors, kw.pop("pulse_spec")),
+        program=read_sequence(cfg, errors, read_pulses(cfg, errors)),
         initial_state=read_initial_state(cfg, errors),
         record=read_record(cfg, errors),
     )
     _check(errors)
-    _make(errors, "sequence", ensemble._check_budget, program=kw["program"],
-          ensemble=kw["ensemble"], noise=kw["noise"], n_states=1)
-    _check(errors)
+    _check_within_budget("sequence", [kw["program"]], kw, n_states=1)
     seq, noise = cfg["sequence"], kw["noise"]
     if seq.get("template") == "bangbang" and noise.kind == "ornstein_uhlenbeck":
         product = (1.0 / noise.tau_b) * float(seq["tau_c_s"])  # omega_c = 1 / tau_b
@@ -317,37 +359,36 @@ def parse_simulation_config(cfg: dict) -> dict:
     return kw
 
 
-def parse_tomography_config(cfg: dict, max_cycles: int = 1000) -> dict:
-    """For :func:`tomography.tomography_series`, which sets the cycle counts;
-    the work budget is checked at ``max_cycles``, the default --n-list's largest."""
+# tomography's cycle counts when --n-list is not given
+_N_LIST = (1, 10, 100, 1000)
+
+
+def parse_tomography_config(cfg: dict, n_list=_N_LIST) -> dict:
+    """For :func:`tomography.tomography_series`: the train's body at each
+    of the non-negative, ascending cycle counts ``n_list``."""
     errors: list[str] = []
     tau1, tau_c = read_train(cfg, errors)
+    pulse_spec = read_pulses(cfg, errors)
+    bodies = None if None in (tau1, tau_c) else _make(errors, "sequence", lambda: {
+        n: sequences.build_bangbang_body(
+            sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n), pulse_spec)
+        for n in n_list})
     kw = _ensemble_run(cfg, errors)
     _check(errors)
-    body = sequences.build_bangbang_body(
-        sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=max_cycles), kw["pulse_spec"])
-    _make(errors, "sequence", ensemble._check_budget, program=body, ensemble=kw["ensemble"],
-          noise=kw["noise"], n_states=len(tomography.PREPARATIONS))
-    _check(errors)
-    return dict(kw, tau1=tau1, tau_c=tau_c)
+    _check_within_budget("sequence", bodies.values(), kw, n_states=len(tomography.PREPARATIONS))
+    return dict(kw, bodies=bodies)
 
 
 def parse_sweep_config(cfg: dict) -> dict:
     """For :func:`analysis.sweep_t2_vs_tauc`."""
     errors: list[str] = []
-    tau_c_values, total_time, tau1 = read_sweep(cfg, errors)
-    if not errors:
-        _make(errors, "sweep", analysis.sweep_cycles,
-              tau_c_values=tau_c_values, total_time=total_time)
-        if tau1 is not None:
-            _make(errors, "sweep", sequences.BangBangParams,
-                  tau1=tau1, tau_c=min(tau_c_values), n_cycles=0)
+    programs = read_sweep(cfg, errors, read_pulses(cfg, errors))
     kw = _ensemble_run(cfg, errors)
     if kw["noise"].kind == "none":
         errors.append("sweep needs a stochastic noise model (noise.kind != 'none')")
     _check(errors)
-    kw.update(tau_c_values=tau_c_values, total_time=total_time, tau1=tau1)
-    return kw
+    _check_within_budget("sweep", programs.values(), kw, n_states=1)
+    return dict(kw, programs=programs)
 
 
 def parse_critical_point_config(cfg: dict) -> dict:
@@ -411,12 +452,12 @@ def cmd_tomography(args) -> int:
         raise ConfigError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(n < 0 for n in n_list):
         raise ConfigError("--n-list must be non-negative and strictly ascending")
-    cfg, kw = _load(args, lambda cfg: parse_tomography_config(cfg, max(n_list)))
+    cfg, kw = _load(args, lambda cfg: parse_tomography_config(cfg, n_list))
     if kw is None:
         return 0
     summary = ["n_cycles,fidelity,average_gate_fidelity"]
     print("n_cycles  fidelity")
-    for res in tomography.tomography_series(n_list=n_list, **kw):
+    for res in tomography.tomography_series(**kw):
         name = f"ptm_n{res.n_cycles}"
         _write(args.out_dir, name + ".json", tomography.process_result_to_json(res, config=cfg))
         _write(args.out_dir, name + ".csv", tomography.ptm_to_csv(res.ptm))
@@ -506,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the config (including the bath-cutoff criterion) and exit")
         p.set_defaults(func=func)
         if name == "tomography":
-            p.add_argument("--n-list", default="1,10,100,1000",
+            p.add_argument("--n-list", default=",".join(map(str, _N_LIST)),
                            help="comma-separated cycle counts")
 
     p = sub.add_parser("fit", help="fit a decay curve from CSV")

@@ -594,10 +594,10 @@ def result_to_csv(result: SimulationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def result_to_json(result: SimulationResult, config: dict | None = None) -> str:
+def result_to_json(result: SimulationResult, config: dict) -> str:
     """Result document: config echo plus the acquire table."""
     doc = {
-        "config": config if config is not None else {},
+        "config": config,
         "n_members": result.n_members,
         "duration_s": result.duration,
         "master_seed": result.master_seed,

@@ -290,13 +290,12 @@ def spin_system_to_dict(system: SpinSystem) -> dict:
 
 
 def critical_point_report_json(
-    result: CriticalPointResult, system: SpinSystem, i: int, j: int,
-    config: dict | None = None,
+    result: CriticalPointResult, system: SpinSystem, i: int, j: int, config: dict,
 ) -> str:
     """The search result as JSON; ``curvature_eigenvalues_hz_per_g2`` are the
     ascending principal second-order sensitivities of the transition."""
     doc = {
-        "config": config if config is not None else {},
+        "config": config,
         "level_pair": [i, j],
         "spin_system": spin_system_to_dict(system),
         "b_cp_g": [float(x) for x in result.b_cp],

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bloch import NO_RELAXATION, RelaxationParams
 from .ensemble import EnsembleSpec, run_program
-from .sequences import BangBangParams, PulseProgram, PulseSpec, HARD_PULSES, build_bangbang_body
+from .sequences import PulseProgram
 
 __all__ = [
     "PREPARATIONS",
@@ -131,34 +131,23 @@ def run_process_tomography(
 
 
 def tomography_series(
-    tau1: float,
-    tau_c: float,
-    n_list,
+    bodies,
     ensemble: EnsembleSpec,
-    pulse_spec: PulseSpec = HARD_PULSES,
     noise=None,
     relax: RelaxationParams = NO_RELAXATION,
     master_seed: int = 0,
 ) -> list[ProcessResult]:
-    """Tomography of the decoupling train at each cycle count in ``n_list``.
+    """Tomography of each body of ``bodies``, a ``{n_cycles: body}`` mapping.
 
-    The train waits ``tau1``, then runs pi,-pi pairs spaced ``tau_c``
-    (:func:`build_bangbang_body`).  ``n_list`` must be strictly ascending.
-    Every point reuses the same ensemble spec and master seed so the
-    results differ only in the number of cycles.
+    Returns one result per body, in the order of ``bodies``, tagged with
+    its ``n_cycles``.  Every point reuses the same ensemble spec and
+    master seed so the results differ only in their bodies.
     """
-    n_list = list(n_list)
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError(f"n_list must be strictly ascending, got {n_list}")
-    results = []
-    for n in n_list:
-        params = BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=int(n))
-        res = run_process_tomography(
-            build_bangbang_body(params, pulse_spec),
-            ensemble, noise=noise, relax=relax, master_seed=master_seed,
-        )
-        results.append(replace(res, n_cycles=int(n)))
-    return results
+    return [
+        replace(run_process_tomography(body, ensemble, noise=noise, relax=relax,
+                                       master_seed=master_seed), n_cycles=n)
+        for n, body in bodies.items()
+    ]
 
 
 _PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -172,9 +161,9 @@ def ptm_to_csv(ptm: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def process_result_to_json(result: ProcessResult, config: dict | None = None) -> str:
+def process_result_to_json(result: ProcessResult, config: dict) -> str:
     doc = {
-        "config": config if config is not None else {},
+        "config": config,
         "n_cycles": result.n_cycles,
         "ptm_row_major": [float(x) for x in result.ptm.reshape(-1)],
         "fidelity": result.fidelity,

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from blochdd import cli
+from blochdd import cli, sequences
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 if BENCH not in sys.path:
@@ -190,6 +190,7 @@ BAD_CONFIGS = [
     ("critical-point", "search.n_starts", 10_001),
     # run work beyond the 2e9 member-step budget
     ("simulate", "sequence", {"dsl": "repeat 1000000000000000000000000000000 { wait 1us }"}),
+    ("sweep", "sweep", {"tau_c_s": [1e-6], "total_time_s": 1000}),
 ]
 
 
@@ -244,9 +245,11 @@ def test_benchmark_configs_validate(tmp_path, name, size):
 
 
 def test_tomography_rejects_repeated_cycle_counts(tmp_path, capsys):
-    assert run_cli(tmp_path, "tomography", TOMOGRAPHY, "--n-list", "1,1,10") == 1
-    assert "strictly ascending" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for n_list in ("1,1,10", "10,1", "-1,5"):
+        for extra in ((), ("--validate-only",)):
+            assert run_cli(tmp_path, "tomography", TOMOGRAPHY, f"--n-list={n_list}", *extra) == 1
+            assert "non-negative and strictly ascending" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("validate_only", [True, False])
@@ -277,6 +280,16 @@ def test_sweep_rejects_spacings_with_too_few_echoes_before_running(tmp_path, cap
     assert code == 1
     assert "gives 2 echoes" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_parse_builds_one_train_per_spacing():
+    # sorted by tau_c; n_cycles = floor(T / (2 tau_c)); tau1 defaults to min(tau_c / 2, 0.25 ms)
+    cfg = with_value("sweep", "sweep", {"tau_c_s": [1e-3, 2e-4], "total_time_s": 0.01})
+    programs = cli.parse_sweep_config(cfg)["programs"]
+    assert list(programs) == [2e-4, 1e-3]
+    for tau_c, tau1, n_cycles in ((2e-4, 1e-4, 25), (1e-3, 2.5e-4, 5)):
+        params = sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n_cycles)
+        assert programs[tau_c] == sequences.build_bangbang(params, acquire_every=1)
 
 
 def test_fit_rejects_non_finite_csv_data(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from blochdd import tomography
 from blochdd.ensemble import EnsembleSpec, run_program
-from blochdd.sequences import PulseProgram, PulseSpec, parse
+from blochdd.sequences import BangBangParams, PulseProgram, PulseSpec, build_bangbang_body, parse
 from blochdd.tomography import (
     assemble_ptm,
     average_gate_fidelity,
@@ -89,15 +89,21 @@ def test_assemble_ptm_affine_channel():
     np.testing.assert_allclose(ptm, expected, atol=1e-12)
 
 
+def train_bodies(tau1, tau_c, n_list, pulse_spec=PulseSpec()):
+    return {n: build_bangbang_body(BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n), pulse_spec)
+            for n in n_list}
+
+
 def test_series_trivial_case_and_ordering():
-    res = tomography_series(1e-3, 2e-3, [1], SINGLE)
+    res = tomography_series(train_bodies(1e-3, 2e-3, [1]), SINGLE)
     assert len(res) == 1
     assert res[0].fidelity == pytest.approx(1.0, abs=1e-12)
     assert res[0].n_cycles == 1
-    with pytest.raises(ValueError, match="ascending"):
-        tomography_series(1e-3, 2e-3, [10, 1], SINGLE)
-    with pytest.raises(ValueError, match="strictly ascending"):
-        tomography_series(1e-3, 2e-3, [1, 1, 10], SINGLE)
+    # results follow the order of the mapping; the CLI orders --n-list
+    res = tomography_series(train_bodies(1e-3, 2e-3, [10, 1]), SINGLE)
+    assert [r.n_cycles for r in res] == [10, 1]
+    for r in res:
+        np.testing.assert_allclose(r.ptm, np.eye(4), atol=1e-12)
 
 
 def test_one_run_carries_all_four_preparations(monkeypatch):
@@ -118,13 +124,7 @@ def test_series_monotone_and_population_decay():
     # count and the population (ZZ) entry falls faster than coherence
     spec = EnsembleSpec(size=128, distribution="gaussian", fwhm=4000.0,
                         sampling="gauss_quadrature")
-    series = tomography_series(
-        1.2e-3,
-        2e-3,
-        [1, 10, 100],
-        spec,
-        pulse_spec=PulseSpec(rabi=100e3),
-    )
+    series = tomography_series(train_bodies(1.2e-3, 2e-3, [1, 10, 100], PulseSpec(rabi=100e3)), spec)
     fids = [r.fidelity for r in series]
     assert fids == sorted(fids, reverse=True)
     last = series[-1].ptm
