@@ -14,8 +14,11 @@ Rotation matrices act on row vectors: ``v' = v @ M``, so row ``j`` of
 stacked ``matmul``, which is how :func:`blochdd.ensemble.run_program`
 applies a per-member pulse to all of a member's states at once.
 Evolution under a stochastic bath lives in ``run_program``, which draws
-each member's bath exactly once per interval and calls
-:func:`evolve_free` and :func:`finite_pulse_matrix` with the result.
+each member's bath exactly once per interval.  It sums the phases of the
+waits in the toggling frame of its hard pi pulses and calls
+:func:`evolve_free` only to rotate the states by such a sum, before a
+pulse that leaves that frame; a finite pulse takes the bath value into
+:func:`finite_pulse_matrix`.
 
 Conventions (fixed once, used everywhere in this package):
 

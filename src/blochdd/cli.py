@@ -4,7 +4,8 @@ Subcommands: simulate | tomography | sweep | critical-point | fit |
 validate.  Experiment configs are JSON objects with unit-suffixed keys;
 outputs are CSV/JSON data files written atomically, so identical configs
 and seeds reproduce them byte for byte.  Exit codes: 0 ok, 1 config
-error, 2 simulation or fit error.
+or usage error (an unknown flag or a missing argument, too), 2
+simulation or fit error.
 
 Sections and top-level keys each subcommand reads (defaults in brackets;
 every section is a JSON object, unknown keys are ignored):
@@ -527,8 +528,18 @@ def cmd_validate(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the code of a config
+    error; argparse's own code, 2, is a simulation or fit error here.
+    ``add_subparsers`` makes the subcommand parsers of this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="blochdd", description="Simulate decoupled spin ensembles and analyze the results."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -544,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "critical-point":  # the search has its own search.seed
             p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--validate-only", action="store_true",
-                       help="check the config (including the bath-cutoff criterion) and exit")
+                       help="run every check of the run, the work budget included, "
+                            "print 'config ok' and exit without running")
         p.set_defaults(func=func)
         if name == "tomography":
             p.add_argument("--n-list", default=",".join(map(str, _N_LIST)),

@@ -6,12 +6,19 @@ detuning trajectory (Ornstein-Uhlenbeck or random telegraph).  Members
 evolve independently; observables are weighted means.  A bath has one
 implementation: the exact per-interval draw inside :func:`run_program`.
 
+:func:`run_program` keeps the members in the toggling frame of the hard
+pi pulses: a wait adds each member's signed phase to one number, a pi
+pulse multiplies one 3x3 matrix shared by all members, and the states
+themselves move only at the other pulses.  Observables are read from
+that frame directly.
+
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
 randomness from a stream derived only from ``(master_seed, i)`` and
-consumes it in order, so results are bit-identical for any draw block
-size.  All members are stepped through each event as one array, and
-every observable is one weighted sum over all of them.
+consumes it in order, and each phase is one running sum in event order,
+so results are bit-identical for any draw block size.  Every observable
+is a numpy pairwise sum over all members, not a BLAS call, so results
+do not depend on the number of BLAS threads either.
 """
 
 from __future__ import annotations
@@ -384,6 +391,56 @@ def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise, n_states
         )
 
 
+def _decay(relax: RelaxationParams, taus) -> np.ndarray | None:
+    """``(e2, e2, e1)`` after ``taus`` of free evolution, shaped ``taus.shape + (3,)``.
+
+    None without relaxation.  Toward ``z_equilibrium = 0`` relaxation is
+    this diagonal factor alone, which commutes with z rotations and with
+    hard pi pulses; toward any other value the factor needs an offset.
+    """
+    if relax.t1 == relax.t2 == math.inf:
+        return None
+    taus = np.asarray(taus, dtype=float)
+    e2 = np.exp(-taus / relax.t2)
+    return np.stack([e2, e2, np.exp(-taus / relax.t1)], axis=-1)
+
+
+def _materialize(u: np.ndarray, phase: np.ndarray, product, decay) -> np.ndarray:
+    """The states ``D (u R_z(2 pi phase)) P`` of a toggling frame, ``(m, k, 3)``."""
+    v = evolve_free(u, 1.0, phase[:, None])  # one second at ``phase`` Hz: R_z(2 pi phase)
+    if product is not None:
+        v = (v.reshape(-1, 3) @ product).reshape(v.shape)
+    if decay is not None:
+        v *= decay
+    return v
+
+
+_IDENTITY = np.eye(3)
+
+
+def _weighted_sums(u: np.ndarray, weights: np.ndarray, phases: np.ndarray, products, decay) -> np.ndarray:
+    """Weighted member sums of toggling-frame states at R points, flat ``(R, 3 k)``.
+
+    Row ``r`` sums ``w_i D_r (u_i R_z(2 pi phases[r, i])) P_r`` over the
+    members ``i``: ``phases`` is ``(R, m)``, ``products`` R matrices
+    (None for the identity) and ``decay`` None or ``(R, 3)``.  The member
+    sums are numpy pairwise sums, not BLAS calls: each row is summed
+    alone, in the same order whatever R is and on any number of threads.
+    """
+    angle = 2.0 * math.pi * phases[:, None, :]  # (R, 1, m)
+    c, s = np.cos(angle), np.sin(angle)
+    # members on the last, contiguous axis: each sum is one pairwise sum
+    wx, wy, wz = np.ascontiguousarray(u.T) * weights  # each (k, m)
+    x = (c * wx - s * wy).sum(axis=-1)  # (R, k)
+    y = (s * wx + c * wy).sum(axis=-1)
+    means = np.stack([x, y, np.broadcast_to(wz.sum(axis=-1), x.shape)], axis=-1)
+    # P commutes with R_z up to the sign of the angle, so it acts on the sum
+    means = means @ np.array([_IDENTITY if p is None else p for p in products])
+    if decay is not None:
+        means *= decay[:, None, :]
+    return means.reshape(len(means), -1)
+
+
 def run_program(
     program: PulseProgram,
     ensemble: EnsembleSpec,
@@ -405,6 +462,25 @@ def run_program(
     samples the mean Bloch vector at every expanded event boundary
     instead of only at t=0, acquires and the end.
 
+    The states are kept in the toggling frame of the hard pi pulses.  A
+    hard pi pulse P about an equatorial axis inverts z rotations, P
+    R_z(theta) = R_z(-theta) P, so any run of waits and hard pi pulses
+    leaves member ``i``'s states at ``u_i R_z(2 pi psi_i) P`` (row
+    vectors, see :mod:`blochdd.bloch`).  ``u`` holds the states at the
+    last materialization, ``psi`` their phase in cycles since then -- the
+    bath and detuning phase of each wait, signed by the switching
+    function, the parity of the pi pulses before it -- and ``P`` the
+    product of those pulses, one 3x3 matrix for all members.  A wait adds
+    to ``psi``, a pi pulse multiplies ``P``; no state moves.  T2, and T1
+    toward ``z_equilibrium = 0``, are diagonal factors that commute with
+    both, carried as the time since the last materialization.  An
+    acquire (and every sample of ``record="events"``) reads the weighted
+    sum of those states without forming them.  The states are formed
+    (materialized), and the frame reset, before any other pulse -- a
+    finite pulse, or a hard pulse of another area -- and after each wait
+    when T1 relaxes toward a nonzero ``z_equilibrium``, the one
+    relaxation that does not commute with P.
+
     ``noise`` may be a single :class:`NoiseModel` or a sequence of them
     (independent processes, detunings summed) -- e.g. two
     Ornstein-Uhlenbeck components standing in for a structured bath.
@@ -420,11 +496,13 @@ def run_program(
     shapes that :func:`echo_amplitude` and the exports read.
 
     The program is streamed: one lazy walk of :meth:`PulseProgram.expand`,
-    read ``_DRAW_BLOCK`` events at a time, moves the whole ensemble, one
-    array, through each event in turn.  The baths draw for the bath
-    intervals of each such run at once: O(``_DRAW_BLOCK``) values per
-    member for either bath.  Nothing sized by the expanded program is
-    kept but the samples returned.
+    read ``_DRAW_BLOCK`` events at a time.  The baths draw for the bath
+    intervals of each such block at once, O(``_DRAW_BLOCK``) values per
+    member for either bath; the block's waits between two
+    materializations add to ``psi`` in one cumulative sum that starts
+    from the carried ``psi``, and its reads are summed together.
+    Nothing sized by the expanded program is kept but the samples
+    returned.
 
     Raises :class:`SimulationBudgetError`, before any work, when
     ``size * k`` times the work per member -- the expanded events
@@ -441,26 +519,50 @@ def run_program(
     models = _noise_list(noise)
     _check_budget(program, ensemble, models, initial.size // 3)
 
-    detunings, weights = sample_detunings(ensemble)
-    # per-member values are (members,) or, for stacked states, (members, 1)
-    per_member = weights.shape + (1,) * (initial.ndim - 1)
-    det = detunings.reshape(per_member)
+    det, weights = sample_detunings(ensemble)
     # every member carries each initial state; all see its detuning and baths
-    v = np.tile(initial, weights.shape + (1,) * initial.ndim)
+    u = np.tile(initial.reshape(1, -1, 3), (len(weights), 1, 1))
     seeds = np.random.SeedSequence(master_seed).spawn(ensemble.size) if models else None
     baths = []
     for j, mod in enumerate(models):
         rngs = [np.random.Generator(np.random.PCG64(s).advance(j * _BATH_STREAM_STRIDE)) for s in seeds]
         baths.append((_OUBath if mod.kind == "ornstein_uhlenbeck" else _TelegraphBath)(mod, rngs))
+    # relaxation toward z_equilibrium != 0 does not commute with pi pulses
+    affine = math.isfinite(relax.t1) and relax.z_equilibrium != 0.0
 
-    def weighted_sum() -> np.ndarray:
-        return weights @ v.reshape(len(weights), -1)  # flat (3 k,)
+    def settle(psi, waits, reads, integrals) -> np.ndarray:
+        """Add ``waits`` to the phase ``psi``, take ``reads`` along the way
+        and return the phase after the last wait."""
+        phases = psi[None]  # phases[j]: after the first j waits
+        if waits:
+            ks, hs, signs = (np.array(col) for col in zip(*waits))
+            angles = hs[:, None] * det + integrals[ks] if models else hs[:, None] * det
+            # from the carried phase: bit for bit one running sum since the
+            # last materialization, however the blocks split it
+            phases = np.concatenate([phases, signs[:, None] * angles])
+            if len(waits) > 1:
+                np.cumsum(phases, axis=0, out=phases)
+            else:  # the same sum; cumsum costs one inner loop per member
+                phases[1] += phases[0]
+        if reads:
+            rows, products, taus, acquired = zip(*reads)
+            sums = _weighted_sums(u, weights, phases[list(rows)], products, _decay(relax, taus))
+            if record == "events":
+                samples.extend(sums.ravel())
+                acquire_sums.extend(sums[list(acquired)])
+            else:
+                acquire_sums.extend(sums)
+        return phases[-1]
 
     hard: dict = {}
     edges = np.zeros(1)
-    t = 0.0
+    integrals = None
+    psi = np.zeros(len(weights))  # toggling-frame phase in cycles, per member
+    product, sign = None, 1.0  # hard pi pulses since the last materialization (None: none)
+    t = t_ref = 0.0  # now, and the last materialization
     # flat float buffers: 8 bytes a time, 24 a sample
-    sample_times, samples = array("d", [0.0]), array("d", weighted_sum())
+    sample_times = array("d", [0.0])
+    samples = array("d", _weighted_sums(u, weights, psi[None], [None], None).ravel())
     acquire_meta, acquire_sums = [], []
     events = program.expand()
     # events are read _DRAW_BLOCK at a time; the baths draw for the bath
@@ -475,43 +577,58 @@ def run_program(
             edges = np.cumsum([edges[-1], *lengths])
             # summed bath values at the start of, and integrals over, each interval
             parts = [b.block(lengths, edges) for b in baths]
-            shape = (len(lengths),) + per_member
-            starts = sum(p[0] for p in parts).reshape(shape)
-            integrals = sum(p[1] for p in parts).reshape(shape)
+            starts = sum(p[0] for p in parts)
+            integrals = sum(p[1] for p in parts)
             del parts  # free the per-bath blocks while the events run
         k = 0  # index of the next bath interval in the block
+        waits, reads = [], []  # (bath interval, length, sign) and (wait count, P, tau, acquire)
         for ev in run:
             if isinstance(ev, Wait):
-                h = ev.duration
-                eff = det + integrals[k] / h if models and h > 0 else det
-                v = evolve_free(v, h, eff, relax)
-                t += h
+                waits.append((k, ev.duration, sign))
+                t += ev.duration
                 k += 1
+                materialize = affine
             elif isinstance(ev, Acquire):
                 acquire_meta.append((ev.label, t))
-                acquire_sums.append(weighted_sum())
-            elif ev.mode == "hard":
+                if record != "events":
+                    reads.append((len(waits), product, t - t_ref, True))
+                materialize = False
+            elif ev.mode == "finite":
+                materialize = True
+            else:
                 m = hard.get(ev)
                 if m is None:
                     axis = np.array([math.cos(ev.phase), math.sin(ev.phase), 0.0])
                     m = hard[ev] = rotate(np.eye(3), axis, ev.area)  # row j = image of e_j
-                # one 2-D product, over every member's states when stacked
-                v = v @ m if v.ndim == 2 else (v.reshape(-1, 3) @ m).reshape(v.shape)
-            else:  # a finite pulse, with the bath value frozen at its start
-                eff = det + starts[k] if models else det
-                # one matrix per member, applied to each of its states
-                m = finite_pulse_matrix(ev.rabi, ev.duration, ev.phase, eff).reshape(-1, 3, 3)
-                v = (v.reshape(len(m), -1, 3) @ m).reshape(v.shape)
-                t += ev.elapsed
-                k += 1
+                materialize = ev.area != math.pi
+                if not materialize:
+                    product = m if product is None else product @ m
+                    sign = -sign
+            if materialize:
+                psi = settle(psi, waits, reads, integrals)
+                decay = _decay(relax, t - t_ref)
+                u = _materialize(u, psi, product, decay)
+                if isinstance(ev, Wait):  # z relaxes toward z_equilibrium, not 0
+                    u[..., 2] += relax.z_equilibrium * (1.0 - decay[2])
+                elif ev.mode == "hard":
+                    u = (u.reshape(-1, 3) @ m).reshape(u.shape)
+                else:  # a finite pulse, with the bath value frozen at its start
+                    eff = det + starts[k] if models else det
+                    # one matrix per member, applied to each of its states
+                    u = u @ finite_pulse_matrix(ev.rabi, ev.duration, ev.phase, eff)
+                    t += ev.elapsed
+                    k += 1
+                psi, product, sign, t_ref = np.zeros(len(weights)), None, 1.0, t
+                waits, reads = [], []
             if record == "events":
                 sample_times.append(t)
-                samples.extend(weighted_sum())
+                reads.append((len(waits), product, t - t_ref, isinstance(ev, Acquire)))
+        psi = settle(psi, waits, reads, integrals)
     if record != "events":
         sample_times.extend(tm for _, tm in acquire_meta)
         samples.extend(np.ravel(acquire_sums))
         sample_times.append(t)
-        samples.extend(weighted_sum())
+        samples.extend(_weighted_sums(u, weights, psi[None], [product], _decay(relax, [t - t_ref])).ravel())
 
     total_w = float(weights.sum())
     return SimulationResult(

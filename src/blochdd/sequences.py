@@ -621,7 +621,10 @@ def build_bangbang_body(p: BangBangParams, pulse_spec: PulseSpec = HARD_PULSES) 
     acquire, ending at the refocusing instant ``2*N*tau_c``.
 
     This is the process that tomography characterizes; preparations are
-    injected by the tomography driver.
+    injected by the tomography driver.  At ``n_cycles = 0`` it is the
+    empty program, the identity.
     """
+    if p.n_cycles == 0:
+        return PulseProgram(())
     events = _bangbang_train(p, pulse_spec, None)
     return PulseProgram(tuple(events[:events.index(Acquire("echo"))]))

@@ -250,6 +250,13 @@ def test_tomography_rejects_repeated_cycle_counts(tmp_path, capsys):
             assert run_cli(tmp_path, "tomography", TOMOGRAPHY, f"--n-list={n_list}", *extra) == 1
             assert "non-negative and strictly ascending" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+    # after a space, argparse reads -1,5 as a flag: a usage error, which exits 1 too
+    for extra in ((), ("--validate-only",)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, "tomography", TOMOGRAPHY, "--n-list", "-1,5", *extra)
+        assert exc.value.code == 1
+        assert "expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("validate_only", [True, False])
@@ -264,8 +271,9 @@ def test_tomography_budget_is_checked_at_the_largest_cycle_count(tmp_path, capsy
 
 
 def test_critical_point_takes_no_seed_flag(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "critical-point", critical_point_config(), "--seed", "1")
+    assert exc.value.code == 1
 
 
 @pytest.mark.parametrize("mode", ["validate", "validate-only", "run"])

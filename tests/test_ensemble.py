@@ -248,6 +248,48 @@ def test_run_is_invariant_to_draw_block(monkeypatch):
     assert_same_run(default, invariance_run(INVARIANCE_BATHS))
 
 
+ONE_PI = "pulse area=pi phase={}".format
+
+
+def TWO_HALF_PI(phase):
+    return f"pulse area=pi/2 phase={phase}; pulse area=pi/2 phase={phase}"
+
+
+def hard_train_run(pi, record, mid=""):
+    # hard pulses only, acquires inside the repeats; ``mid`` sits between them
+    cycle = f"{pi(0)}; wait 1ms; {pi(180)}; wait 0.7ms; acquire echo; wait 0.3ms"
+    prog = parse(f"pulse area=pi/2 phase=0\nwait 0.3ms\nrepeat 4 {{ {cycle} }}\n{mid}\n"
+                 f"repeat 3 {{ {cycle} }}")
+    spec = EnsembleSpec(size=300, distribution="gaussian", fwhm=500.0, seed=4)
+    return run_program(prog, spec, noise=INVARIANCE_BATHS, relax=RelaxationParams(t2=0.02),
+                       master_seed=7, record=record)
+
+
+HARD_TRAIN_CASES = [(record, mid) for record in ("events", "acquires")
+                    for mid in ("", "pulse area=pi/2 phase=90")]
+
+
+@pytest.mark.parametrize("record, mid", HARD_TRAIN_CASES)
+def test_hard_pulse_run_is_invariant_to_draw_block(monkeypatch, record, mid):
+    # the pi pulses stay in the toggling frame: phases carried across blocks
+    default = hard_train_run(ONE_PI, record, mid)
+    monkeypatch.setattr(ensemble, "_DRAW_BLOCK", 3)
+    assert_same_run(default, hard_train_run(ONE_PI, record, mid))
+
+
+@pytest.mark.parametrize("record, mid", HARD_TRAIN_CASES)
+def test_pi_as_two_half_pi_pulses_matches(record, mid):
+    # a pi/2 pulse forms every member's states; the same draws, so the
+    # two runs differ only by rounding.  Components that vanish hold
+    # ~1e-16 of it (cos(pi/2) is 6e-17), hence the absolute floor.
+    lowered = hard_train_run(ONE_PI, record, mid)
+    formed = hard_train_run(TWO_HALF_PI, record, mid)
+    assert [(a.label, a.time) for a in lowered.acquires] == [(a.label, a.time) for a in formed.acquires]
+    for a, b in zip(lowered.acquires, formed.acquires):
+        np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(lowered.mean_bloch[-1], formed.mean_bloch[-1], rtol=1e-12, atol=1e-15)
+
+
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 1e6)
     spec = EnsembleSpec(size=1000, distribution="gaussian", fwhm=100.0, seed=1)

@@ -106,6 +106,17 @@ def test_series_trivial_case_and_ordering():
         np.testing.assert_allclose(r.ptm, np.eye(4), atol=1e-12)
 
 
+def test_zero_cycles_is_the_identity():
+    # the body of N = 0 cycles ends at the refocusing instant 0: no free
+    # evolution over tau1, so even a 2 kHz line leaves every input alone
+    spec = EnsembleSpec(size=64, distribution="gaussian", fwhm=2000.0, seed=3)
+    zero, one = tomography_series(train_bodies(0.5e-3, 1e-3, [0, 1]), spec)
+    assert zero.n_cycles == 0
+    np.testing.assert_array_equal(zero.ptm, np.eye(4))
+    assert zero.fidelity == 1.0
+    assert one.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
 def test_one_run_carries_all_four_preparations(monkeypatch):
     calls = []
 
