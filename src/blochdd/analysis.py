@@ -300,39 +300,21 @@ def sweep_t2_vs_tauc(
     """
     points = []
     for tau_c, program in programs.items():
-        result = run_program(
-            program,
-            ensemble,
-            noise=noise,
-            relax=relax,
-            master_seed=master_seed,
-            record="acquires",
-        )
+        result = run_program(program, ensemble, noise=noise, relax=relax, master_seed=master_seed)
         times, mags = acquire_series(result, "echo")
         if len(times) > _MAX_FIT_POINTS:
             idx = np.linspace(0, len(times) - 1, _MAX_FIT_POINTS).astype(int)
             times, mags = times[idx], mags[idx]
         try:
             fit = fit_decay(DecayCurve(times=times, amplitudes=mags), "single_exp")
-            points.append(
-                SweepPoint(
-                    tau_c=tau_c,
-                    t2=fit.params["t2"],
-                    t2_sigma=fit.uncertainties["t2"],
-                    status="fitted",
-                    n_points=len(times),
-                )
-            )
+            t2, t2_sigma = fit.params["t2"], fit.uncertainties["t2"]
+            points.append(SweepPoint(tau_c, t2, t2_sigma, "fitted", len(times)))
         except FitError:
             # decay below the run's noise floor fits to a non-positive or
             # runaway rate; report it as unmeasurably slow
             rate = -np.polyfit(times, np.log(np.clip(mags, 1e-300, None)), 1)[0]
-            if rate <= 0 or not np.isfinite(rate):
-                points.append(
-                    SweepPoint(tau_c, math.inf, math.inf, "no_measurable_decay", len(times))
-                )
-            else:
-                points.append(SweepPoint(tau_c, math.inf, math.inf, "fit_failed", len(times)))
+            status = "no_measurable_decay" if rate <= 0 or not np.isfinite(rate) else "fit_failed"
+            points.append(SweepPoint(tau_c, math.inf, math.inf, status, len(times)))
     return points
 
 

@@ -4,8 +4,9 @@ Subcommands: simulate | tomography | sweep | critical-point | fit |
 validate.  Experiment configs are JSON objects with unit-suffixed keys;
 outputs are CSV/JSON data files written atomically, so identical configs
 and seeds reproduce them byte for byte.  Exit codes: 0 ok, 1 config
-or usage error (an unknown flag or a missing argument, too), 2
-simulation or fit error.
+or usage error (also an unknown flag or missing argument, a config or
+CSV file that cannot be read as text, and an --out-dir that cannot be a
+directory, checked before the run), 2 simulation or fit error.
 
 Sections and top-level keys each subcommand reads (defaults in brackets;
 every section is a JSON object, unknown keys are ignored):
@@ -76,6 +77,8 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         _check([f"the config must be a JSON object, got {cfg!r}"])
     return cfg
@@ -412,6 +415,15 @@ def _parser_for(cfg: dict):
     return parse_simulation_config
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise a ConfigError unless ``out_dir`` is a directory or can be made one."""
+    head = os.path.abspath(out_dir)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"--out-dir {out_dir}: {head} is not a directory")
+
+
 def _write(out_dir: str, name: str, text: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ensemble.write_text_atomic(os.path.join(out_dir, name), text)
@@ -425,6 +437,7 @@ def _load(args, parse) -> tuple:
     if getattr(args, "seed", None) is not None:
         cfg["master_seed"] = args.seed
     kw = parse(cfg)
+    _check_out_dir(args.out_dir)
     if args.validate_only:
         print("config ok")
         return cfg, None
@@ -440,8 +453,10 @@ def cmd_simulate(args) -> int:
     _write(args.out_dir, "result.json", ensemble.result_to_json(result, config=cfg))
     print(f"members: {result.n_members}")
     print(f"duration_s: {result.duration:.9g}")
-    for label in result.labels():
-        mag, phase = ensemble.echo_amplitude(result, label)
+    rows, mags, phases = ensemble._acquired(result)
+    # each label once, where it first occurs, with its last acquire: one pass over the table
+    last = {result.sample_labels[i]: (m, p) for i, m, p in zip(rows, mags.tolist(), phases.tolist())}
+    for label, (mag, phase) in last.items():
         print(f"acquire {label}: magnitude={mag:.6f} phase={phase:+.6f}")
     return 0
 
@@ -500,11 +515,12 @@ def cmd_critical_point(args) -> int:
 def cmd_fit(args) -> int:
     if not os.path.exists(args.csv):
         raise ConfigError(f"curve file not found: {args.csv}")
-    with open(args.csv) as fh:
-        try:
+    try:
+        with open(args.csv) as fh:
             curve = analysis.DecayCurve.from_csv(fh.read())
-        except ValueError as exc:
-            raise ConfigError(f"could not read {args.csv}: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"could not read {args.csv}: {exc}")
+    _check_out_dir(args.out_dir)
     try:
         if args.model == "inv_recovery":
             fit = analysis.fit_inversion_recovery(curve)

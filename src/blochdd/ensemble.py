@@ -10,7 +10,8 @@ implementation: the exact per-interval draw inside :func:`run_program`.
 pi pulses: a wait adds each member's signed phase to one number, a pi
 pulse multiplies one 3x3 matrix shared by all members, and the states
 themselves move only at the other pulses.  Observables are read from
-that frame directly.
+that frame directly into the one table a run returns, whose acquire rows
+are labelled; acquire magnitudes and phases are computed from its rows.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
@@ -42,7 +43,6 @@ __all__ = [
     "EnsembleSpec",
     "NoiseModel",
     "NO_NOISE",
-    "AcquireSample",
     "SimulationResult",
     "SimulationBudgetError",
     "sample_detunings",
@@ -174,57 +174,53 @@ NO_NOISE = NoiseModel()
 # ---------------------------------------------------------------------------
 
 class SimulationBudgetError(RuntimeError):
-    """size x states x work per member exceeds the ``_MAX_MEMBER_STEPS`` budget."""
-
-
-@dataclass(frozen=True, eq=False)
-class AcquireSample:
-    label: str
-    time: float
-    mean: np.ndarray  # weighted-mean Bloch vector(s), shaped like the initial state
+    """A run exceeds ``_MAX_MEMBER_STATES`` or ``_MAX_MEMBER_STEPS``."""
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Weighted-mean trajectory and acquire table of one program run."""
+    """The sample table of one program run (rows: see :func:`run_program`).
+
+    Row ``i`` holds ``sample_times[i]``, the weighted-mean Bloch vector
+    ``mean_bloch[i]`` (shaped like the initial state) and
+    ``sample_labels[i]``, the label of its acquire or None.
+    """
 
     sample_times: np.ndarray
-    mean_bloch: np.ndarray  # (len(sample_times), *initial_state.shape)
-    acquires: tuple  # tuple[AcquireSample, ...]
+    sample_labels: tuple  # str | None per row
+    mean_bloch: np.ndarray
     n_members: int
     duration: float
     master_seed: int
 
-    def labels(self) -> tuple:
-        seen = []
-        for a in self.acquires:
-            if a.label not in seen:
-                seen.append(a.label)
-        return tuple(seen)
+
+def _acquired(result: SimulationResult, label: str | None = None) -> tuple:
+    """``(rows, sqrt(mx^2 + my^2), atan2(my, mx))`` of the acquires
+    labelled ``label`` (every acquire for None) of a one-state table."""
+    if result.mean_bloch.ndim != 2:
+        raise ValueError(f"acquires are read from one state, shape (n, 3); got {result.mean_bloch.shape}")
+    rows = [i for i, lbl in enumerate(result.sample_labels)
+            if lbl is not None and (label is None or lbl == label)]
+    if label is not None and not rows:
+        raise KeyError(f"no acquire labeled {label!r}")
+    mx, my = result.mean_bloch[rows, :2].T
+    # libm's atan2: numpy's SIMD arctan2 can differ from it in the last bit
+    phases = np.fromiter(map(math.atan2, my.tolist(), mx.tolist()), float, len(rows))
+    return rows, np.hypot(mx, my), phases
 
 
 def echo_amplitude(result: SimulationResult, label: str) -> tuple[float, float]:
-    """(magnitude, phase) of the mean transverse vector at an acquire.
-
-    Magnitude is ``sqrt(mx^2 + my^2)`` of the weighted-mean Bloch
-    vector, phase is ``atan2(my, mx)``.  If the label was acquired
-    repeatedly (decay readout), the last occurrence is reported.
-    """
-    hits = [a for a in result.acquires if a.label == label]
-    if not hits:
-        raise KeyError(f"no acquire labeled {label!r}")
-    m = hits[-1].mean
-    return float(np.hypot(m[0], m[1])), float(math.atan2(m[1], m[0]))
+    """(magnitude, phase) of the mean transverse vector at the last acquire
+    of a label: the last point of :func:`acquire_series` and its phase
+    ``atan2(my, mx)``."""
+    _, mags, phases = _acquired(result, label)
+    return float(mags[-1]), float(phases[-1])
 
 
 def acquire_series(result: SimulationResult, label: str) -> tuple[np.ndarray, np.ndarray]:
     """(times, magnitudes) over every occurrence of a label."""
-    hits = [a for a in result.acquires if a.label == label]
-    if not hits:
-        raise KeyError(f"no acquire labeled {label!r}")
-    t = np.array([a.time for a in hits])
-    mag = np.array([np.hypot(a.mean[0], a.mean[1]) for a in hits])
-    return t, mag
+    rows, mags, _ = _acquired(result, label)
+    return result.sample_times[rows], mags
 
 
 def _noise_list(noise) -> list[NoiseModel]:
@@ -256,8 +252,12 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 # stream order, so results never depend on it.
 _DRAW_BLOCK = 256
 # Work budget of one run: members x states x (expanded events + expected
-# telegraph flips).  Bounds the run time of any parseable input.
+# telegraph flips + 1 to form and read each state).  Bounds run time.
 _MAX_MEMBER_STEPS = 2e9
+# Member-states (members x states) of one run.  Each takes 24 bytes of state
+# and ~57 bytes per read summed: 14.7 kB measured for a block of _DRAW_BLOCK
+# reads, so the state array and one block of reads stay within 1 GB.
+_MAX_MEMBER_STATES = 2**16
 _BATH_STREAM_STRIDE = 2**120  # draws between the streams of one member's baths
 
 
@@ -380,10 +380,16 @@ class _TelegraphBath:
 
 
 def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise, n_states: int) -> None:
-    """Raise :class:`SimulationBudgetError` if a run would exceed ``_MAX_MEMBER_STEPS``."""
+    """Raise :class:`SimulationBudgetError` if a run would exceed
+    ``_MAX_MEMBER_STATES`` or ``_MAX_MEMBER_STEPS``."""
+    if ensemble.size * n_states > _MAX_MEMBER_STATES:
+        raise SimulationBudgetError(
+            f"{ensemble.size} members x {n_states} states exceeds the limit of "
+            f"{_MAX_MEMBER_STATES} member-states; use fewer members"
+        )
     n_events = program.expanded_count()
     flips = sum(m.flip_rate for m in _noise_list(noise) if m.kind == "telegraph") * program.duration()
-    if ensemble.size * n_states * (n_events + flips) > _MAX_MEMBER_STEPS:
+    if ensemble.size * n_states * (n_events + flips + 1) > _MAX_MEMBER_STEPS:
         raise SimulationBudgetError(
             f"{ensemble.size} members x {n_states} states x ({n_events} events + "
             f"{flips:.3g} telegraph flips) exceeds the budget of {_MAX_MEMBER_STEPS:.0f}; "
@@ -458,9 +464,12 @@ def run_program(
     about z by ``2*pi*(detuning*h + integral of the bath over h)``.  Hard
     pulses are instantaneous rotations; finite pulses rotate about the
     member's tilted axis with the bath value frozen at the pulse start,
-    while the bath clock runs on through the pulse.  ``record="events"``
-    samples the mean Bloch vector at every expanded event boundary
-    instead of only at t=0, acquires and the end.
+    while the bath clock runs on through the pulse.
+
+    The result is one table, :class:`SimulationResult`.  Under
+    ``record="acquires"`` its rows are t = 0, each acquire and the end;
+    under ``record="events"`` t = 0 and the state after every expanded
+    event.  Acquire rows carry the acquire's label, the others None.
 
     The states are kept in the toggling frame of the hard pi pulses.  A
     hard pi pulse P about an equatorial axis inverts z rotations, P
@@ -491,24 +500,25 @@ def run_program(
     A stack runs all ``k`` states through one pass: each member's bath
     draws and pulse matrices serve every state, so the result equals
     ``k`` single-state runs with the same seed.  ``mean_bloch`` is then
-    ``(n_samples, k, 3)`` and each acquire's ``mean`` is ``(k, 3)``; with
-    a ``(3,)`` state they are ``(n_samples, 3)`` and ``(3,)``, the only
-    shapes that :func:`echo_amplitude` and the exports read.
+    ``(n_samples, k, 3)``, else ``(n_samples, 3)``, the only shape that
+    :func:`echo_amplitude`, :func:`acquire_series` and the exports read;
+    the acquire readers raise a ValueError for a stack.
 
     The program is streamed: one lazy walk of :meth:`PulseProgram.expand`,
     read ``_DRAW_BLOCK`` events at a time.  The baths draw for the bath
     intervals of each such block at once, O(``_DRAW_BLOCK``) values per
     member for either bath; the block's waits between two
     materializations add to ``psi`` in one cumulative sum that starts
-    from the carried ``psi``, and its reads are summed together.
-    Nothing sized by the expanded program is kept but the samples
-    returned.
+    from the carried ``psi``, and its reads (the t = 0 and end rows
+    too) are summed together straight into the table.  Nothing sized by
+    the expanded program is kept but the table returned.
 
-    Raises :class:`SimulationBudgetError`, before any work, when
-    ``size * k`` times the work per member -- the expanded events
-    (:meth:`PulseProgram.expanded_count`) plus the expected telegraph
-    flips, ``flip_rate * duration`` summed over telegraph baths --
-    exceeds the constant ``_MAX_MEMBER_STEPS`` (2e9).
+    Raises :class:`SimulationBudgetError`, before any work, when the
+    ``size * k`` member-states exceed ``_MAX_MEMBER_STATES`` (2**16), or
+    they times the work of each -- the expanded events
+    (:meth:`PulseProgram.expanded_count`), the expected telegraph flips
+    (``flip_rate * duration`` summed over telegraph baths), and 1 to form
+    and read the state -- exceed ``_MAX_MEMBER_STEPS`` (2e9).
     """
     if record not in ("acquires", "events"):
         raise ValueError(f"unknown record mode {record!r}")
@@ -545,14 +555,15 @@ def run_program(
             else:  # the same sum; cumsum costs one inner loop per member
                 phases[1] += phases[0]
         if reads:
-            rows, products, taus, acquired = zip(*reads)
+            rows, products, taus = zip(*reads)
             sums = _weighted_sums(u, weights, phases[list(rows)], products, _decay(relax, taus))
-            if record == "events":
-                samples.extend(sums.ravel())
-                acquire_sums.extend(sums[list(acquired)])
-            else:
-                acquire_sums.extend(sums)
+            samples.frombytes(sums.tobytes())
         return phases[-1]
+
+    def read(label) -> None:  # a table row at t, summed at the next settle
+        sample_times.append(t)
+        sample_labels.append(label)
+        reads.append((len(waits), product, t - t_ref))
 
     hard: dict = {}
     edges = np.zeros(1)
@@ -560,10 +571,11 @@ def run_program(
     psi = np.zeros(len(weights))  # toggling-frame phase in cycles, per member
     product, sign = None, 1.0  # hard pi pulses since the last materialization (None: none)
     t = t_ref = 0.0  # now, and the last materialization
-    # flat float buffers: 8 bytes a time, 24 a sample
-    sample_times = array("d", [0.0])
-    samples = array("d", _weighted_sums(u, weights, psi[None], [None], None).ravel())
-    acquire_meta, acquire_sums = [], []
+    # the table; flat float buffers: 8 bytes a time, 24 a sample
+    sample_times, sample_labels, samples = array("d"), [], array("d")
+    # (bath interval, length, sign) and (wait count, P, tau) since the last settle
+    waits, reads = [], []
+    read(None)  # t = 0
     events = program.expand()
     # events are read _DRAW_BLOCK at a time; the baths draw for the bath
     # intervals (waits and finite pulses) among them in one block
@@ -581,7 +593,6 @@ def run_program(
             integrals = sum(p[1] for p in parts)
             del parts  # free the per-bath blocks while the events run
         k = 0  # index of the next bath interval in the block
-        waits, reads = [], []  # (bath interval, length, sign) and (wait count, P, tau, acquire)
         for ev in run:
             if isinstance(ev, Wait):
                 waits.append((k, ev.duration, sign))
@@ -589,9 +600,6 @@ def run_program(
                 k += 1
                 materialize = affine
             elif isinstance(ev, Acquire):
-                acquire_meta.append((ev.label, t))
-                if record != "events":
-                    reads.append((len(waits), product, t - t_ref, True))
                 materialize = False
             elif ev.mode == "finite":
                 materialize = True
@@ -620,24 +628,18 @@ def run_program(
                     k += 1
                 psi, product, sign, t_ref = np.zeros(len(weights)), None, 1.0, t
                 waits, reads = [], []
-            if record == "events":
-                sample_times.append(t)
-                reads.append((len(waits), product, t - t_ref, isinstance(ev, Acquire)))
+            if record == "events" or isinstance(ev, Acquire):
+                read(ev.label if isinstance(ev, Acquire) else None)
         psi = settle(psi, waits, reads, integrals)
+        waits, reads = [], []
     if record != "events":
-        sample_times.extend(tm for _, tm in acquire_meta)
-        samples.extend(np.ravel(acquire_sums))
-        sample_times.append(t)
-        samples.extend(_weighted_sums(u, weights, psi[None], [product], _decay(relax, [t - t_ref])).ravel())
+        read(None)  # the end
+    settle(psi, waits, reads, integrals)
 
-    total_w = float(weights.sum())
     return SimulationResult(
         sample_times=np.array(sample_times),
-        mean_bloch=np.array(samples).reshape((-1,) + initial.shape) / total_w,
-        acquires=tuple(
-            AcquireSample(label=lbl, time=tm, mean=s.reshape(initial.shape) / total_w)
-            for (lbl, tm), s in zip(acquire_meta, acquire_sums)
-        ),
+        sample_labels=tuple(sample_labels),
+        mean_bloch=np.array(samples).reshape((-1,) + initial.shape) / float(weights.sum()),
         n_members=ensemble.size,
         duration=t,
         master_seed=master_seed,
@@ -712,23 +714,19 @@ def result_to_csv(result: SimulationResult) -> str:
 
 
 def result_to_json(result: SimulationResult, config: dict) -> str:
-    """Result document: config echo plus the acquire table."""
+    """Result document: config echo plus the acquire rows of the table."""
+    rows, mags, phases = _acquired(result)
     doc = {
         "config": config,
         "n_members": result.n_members,
         "duration_s": result.duration,
         "master_seed": result.master_seed,
         "acquires": [
-            {
-                "label": a.label,
-                "time_s": a.time,
-                "magnitude": float(np.hypot(a.mean[0], a.mean[1])),
-                "phase_rad": float(math.atan2(a.mean[1], a.mean[0])),
-                "mx": float(a.mean[0]),
-                "my": float(a.mean[1]),
-                "mz": float(a.mean[2]),
-            }
-            for a in result.acquires
+            {"label": result.sample_labels[i], "time_s": t, "magnitude": mag,
+             "phase_rad": phase, "mx": mx, "my": my, "mz": mz}
+            for i, t, mag, phase, (mx, my, mz) in zip(
+                rows, result.sample_times[rows].tolist(), mags.tolist(), phases.tolist(),
+                result.mean_bloch[rows].tolist())
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

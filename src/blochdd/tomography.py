@@ -112,16 +112,9 @@ def run_process_tomography(
     four as a stacked initial state, so every member's noise realization
     is common mode across preparations.
     """
-    res = run_program(
-        body,
-        ensemble,
-        noise=noise,
-        relax=relax,
-        master_seed=master_seed,
-        initial_state=np.array(list(PREPARATIONS.values())),
-        record="acquires",
-    )
-    outputs = dict(zip(PREPARATIONS, res.mean_bloch[-1]))
+    res = run_program(body, ensemble, noise=noise, relax=relax, master_seed=master_seed,
+                      initial_state=np.array(list(PREPARATIONS.values())))
+    outputs = dict(zip(PREPARATIONS, res.mean_bloch[-1]))  # the end row
     ptm = assemble_ptm(outputs)
     return ProcessResult(
         ptm=ptm,

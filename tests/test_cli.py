@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from blochdd import cli, sequences
+from blochdd import analysis, cli, ensemble, hamiltonian, sequences
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 if BENCH not in sys.path:
@@ -191,7 +191,19 @@ BAD_CONFIGS = [
     # run work beyond the 2e9 member-step budget
     ("simulate", "sequence", {"dsl": "repeat 1000000000000000000000000000000 { wait 1us }"}),
     ("sweep", "sweep", {"tau_c_s": [1e-6], "total_time_s": 1000}),
+    # member-states beyond the memory limit: each is within the step budget
+    # at one unit per event, and fills >= 24 GB with its states alone
+    ("simulate", None, dict(SIMULATE, sequence={"dsl": ""},
+                            ensemble={"size": 10**12, "fwhm_hz": 1000.0})),
+    ("simulate", None, dict(SIMULATE, sequence={"dsl": "acquire a"},
+                            ensemble={"size": 10**9, "fwhm_hz": 1000.0})),
+    ("simulate", None, dict(SIMULATE, sequence={"dsl": "wait 1ms"},
+                            ensemble={"size": 10**9, "fwhm_hz": 1000.0})),
 ]
+
+
+def no_members(spec):
+    raise AssertionError("a bad config must be rejected before any member is drawn")
 
 
 @pytest.mark.parametrize("mode", ["validate", "validate-only", "run"])
@@ -199,7 +211,8 @@ BAD_CONFIGS = [
     "command,path,value", BAD_CONFIGS,
     ids=[f"{c}:{p}={v!r}" for c, p, v in BAD_CONFIGS],
 )
-def test_bad_config_exits_1_in_every_mode(tmp_path, capsys, command, path, value, mode):
+def test_bad_config_exits_1_in_every_mode(tmp_path, capsys, monkeypatch, command, path, value, mode):
+    monkeypatch.setattr(ensemble, "sample_detunings", no_members)
     cfg = with_value(command, path, value)
     if mode == "validate":
         code = run_validate(tmp_path, cfg)
@@ -268,6 +281,87 @@ def test_tomography_budget_is_checked_at_the_largest_cycle_count(tmp_path, capsy
     assert err.startswith("error: invalid config") and "exceeds the budget" in err
     assert not (tmp_path / "out").exists()
     assert run_cli(tmp_path, "tomography", TOMOGRAPHY, "--n-list", "1,1000", *extra) == 0
+
+
+@pytest.mark.parametrize("mode", ["validate", "validate-only", "run"])
+def test_tomography_of_zero_cycles_is_charged_per_state(tmp_path, capsys, monkeypatch, mode):
+    # --n-list 0 runs an empty body, yet 10^12 members x 4 states fill memory
+    monkeypatch.setattr(ensemble, "sample_detunings", no_members)
+    cfg = with_value("tomography", "ensemble.size", 10**12)
+    if mode == "validate":
+        code = run_validate(tmp_path, cfg)
+    else:
+        code = run_cli(tmp_path, "tomography", cfg, "--n-list", "0",
+                       *(("--validate-only",) if mode != "run" else ()))
+    assert code == 1
+    assert "member-states" in capsys.readouterr().err
+
+
+def unreadable(tmp_path, kind) -> str:
+    """A file that cannot be read as text: non-UTF-8 bytes, or a directory."""
+    path = tmp_path / "input"
+    if kind == "non-utf8":
+        path.write_bytes(b'{"master_seed": "\xff"}')
+    else:
+        path.mkdir()
+    return str(path)
+
+
+CONFIG_MODES = [("validate", None)] + [(mode, command) for command in sorted(BASES)
+                                       for mode in ("validate-only", "run")]
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+@pytest.mark.parametrize("mode,command", CONFIG_MODES)
+def test_unreadable_config_exits_1(tmp_path, capsys, kind, mode, command):
+    path = unreadable(tmp_path, kind)
+    if mode == "validate":
+        argv = ["validate", "--config", path]
+    else:
+        argv = [command, "--config", path, "--out-dir", str(tmp_path / "out"),
+                *(("--validate-only",) if mode == "validate-only" else ())]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_fit_csv_that_is_a_directory_exits_1(tmp_path, capsys):
+    path = unreadable(tmp_path, "directory")
+    assert cli.main(["fit", "--csv", path, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: could not read {path}: ") and err.count("\n") == 1
+
+
+def not_run(*args, **kw):
+    raise AssertionError("--out-dir must be checked before the run starts")
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+@pytest.mark.parametrize("mode,command", [(mode, command) for mode, command in CONFIG_MODES
+                                          if mode != "validate"] + [("run", "fit")])
+def test_out_dir_that_cannot_be_a_directory_exits_1(tmp_path, capsys, monkeypatch, where, mode, command):
+    for module, name in ((ensemble, "sample_detunings"), (hamiltonian, "find_critical_point"),
+                         (analysis, "fit_decay")):
+        monkeypatch.setattr(module, name, not_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out_dir = str(blocker if where == "file" else blocker / "out")
+    if command == "fit":
+        csv = tmp_path / "curve.csv"
+        csv.write_text("time_s,amplitude\n0,1\n0.1,0.9\n0.2,0.8\n0.3,0.7\n")
+        argv = ["fit", "--csv", str(csv), "--out-dir", out_dir]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(BASES[command]))
+        argv = [command, "--config", str(path), "--out-dir", out_dir,
+                *(("--validate-only",) if mode == "validate-only" else ()),
+                *(("--n-list", "1") if command == "tomography" else ())]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: --out-dir {out_dir}: {blocker} is not a directory\n"
+    assert "config ok" not in out
+    assert blocker.read_text() == "keep"
 
 
 def test_critical_point_takes_no_seed_flag(tmp_path):

@@ -37,6 +37,12 @@ from blochdd.sequences import (
 SIGMA_FROM_FWHM = 1 / 2.3548200450309493
 
 
+def acquire_table(res):
+    """(labels, times, means) of the acquire rows of a run's table."""
+    rows = [i for i, label in enumerate(res.sample_labels) if label is not None]
+    return [res.sample_labels[i] for i in rows], res.sample_times[rows], res.mean_bloch[rows]
+
+
 def gaussian_fid_oracle(t, fwhm):
     sigma = fwhm * SIGMA_FROM_FWHM
     return math.exp(-0.5 * (2 * math.pi * sigma * t) ** 2)
@@ -213,8 +219,7 @@ def test_run_is_deterministic_and_seed_sensitive():
     a = run_program(prog, spec, noise=noise, master_seed=99)
     b = run_program(prog, spec, noise=noise, master_seed=99)
     np.testing.assert_array_equal(a.mean_bloch, b.mean_bloch)
-    for sa, sb in zip(a.acquires, b.acquires):
-        np.testing.assert_array_equal(sa.mean, sb.mean)
+    assert a.sample_labels == b.sample_labels  # so the acquire means are equal too
     c = run_program(prog, spec, noise=noise, master_seed=100)
     assert not np.array_equal(a.mean_bloch, c.mean_bloch)
 
@@ -231,8 +236,7 @@ def invariance_run(noise, **kw):
 
 def assert_same_run(a, b):
     np.testing.assert_array_equal(a.mean_bloch, b.mean_bloch)
-    for sa, sb in zip(a.acquires, b.acquires):
-        np.testing.assert_array_equal(sa.mean, sb.mean)
+    assert a.sample_labels == b.sample_labels  # so the acquire means are equal too
 
 
 INVARIANCE_BATHS = (
@@ -284,9 +288,10 @@ def test_pi_as_two_half_pi_pulses_matches(record, mid):
     # ~1e-16 of it (cos(pi/2) is 6e-17), hence the absolute floor.
     lowered = hard_train_run(ONE_PI, record, mid)
     formed = hard_train_run(TWO_HALF_PI, record, mid)
-    assert [(a.label, a.time) for a in lowered.acquires] == [(a.label, a.time) for a in formed.acquires]
-    for a, b in zip(lowered.acquires, formed.acquires):
-        np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12, atol=1e-15)
+    labels, times, means = acquire_table(lowered)
+    formed_labels, formed_times, formed_means = acquire_table(formed)
+    assert list(zip(labels, times)) == list(zip(formed_labels, formed_times))
+    np.testing.assert_allclose(means, formed_means, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(lowered.mean_bloch[-1], formed.mean_bloch[-1], rtol=1e-12, atol=1e-15)
 
 
@@ -351,10 +356,11 @@ def test_run_matches_recorded_draws():
     assert res.duration == pytest.approx(0.012625, rel=1e-12)
     for row, expect in GOLDEN_ROWS.items():
         np.testing.assert_allclose(res.mean_bloch[row], expect, rtol=1e-12, atol=0)
-    assert [a.label for a in res.acquires] == ["echo"] * 3
-    for acq, (time, expect) in zip(res.acquires, GOLDEN_ACQUIRES):
-        assert acq.time == pytest.approx(time, rel=1e-12)
-        np.testing.assert_allclose(acq.mean, expect, rtol=1e-12, atol=0)
+    labels, times, means = acquire_table(res)
+    assert labels == ["echo"] * 3
+    for acq_time, mean, (time, expect) in zip(times, means, GOLDEN_ACQUIRES):
+        assert acq_time == pytest.approx(time, rel=1e-12)
+        np.testing.assert_allclose(mean, expect, rtol=1e-12, atol=0)
 
 
 def test_stacked_initial_states_match_single_runs():
@@ -363,23 +369,39 @@ def test_stacked_initial_states_match_single_runs():
     kw = dict(relax=RelaxationParams(t1=0.05, t2=0.04))
     stacked = invariance_run(INVARIANCE_BATHS, initial_state=states, **kw)
     assert stacked.mean_bloch.shape == (33, 4, 3)
-    assert [a.mean.shape for a in stacked.acquires] == [(4, 3)] * 3
+    labels, times, means = acquire_table(stacked)
+    assert means.shape == (3, 4, 3)
     for j, state in enumerate(states):
         single = invariance_run(INVARIANCE_BATHS, initial_state=state, **kw)
         np.testing.assert_array_equal(stacked.sample_times, single.sample_times)
         np.testing.assert_allclose(stacked.mean_bloch[:, j], single.mean_bloch, rtol=1e-12, atol=0)
-        for sa, sb in zip(stacked.acquires, single.acquires):
-            assert (sa.label, sa.time) == (sb.label, sb.time)
-            np.testing.assert_allclose(sa.mean[j], sb.mean, rtol=1e-12, atol=0)
+        single_labels, single_times, single_means = acquire_table(single)
+        assert list(zip(labels, times)) == list(zip(single_labels, single_times))
+        np.testing.assert_allclose(means[:, j], single_means, rtol=1e-12, atol=0)
 
 
 def test_budget_guard_counts_stacked_states(monkeypatch):
-    monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 100)
+    # 10 members x 1 state x (10 events + 1) = 110; 2 states make 220
+    monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 110)
     spec = EnsembleSpec(size=10, distribution="gaussian", fwhm=100.0, seed=1)
     prog = parse("repeat 10 { wait 1us }")
     run_program(prog, spec, initial_state=np.eye(3)[:1])
     with pytest.raises(SimulationBudgetError, match="2 states"):
         run_program(prog, spec, initial_state=np.eye(3)[:2])
+
+
+def no_members(spec):
+    raise AssertionError("the budget must be checked before any member is drawn")
+
+
+def test_budget_guard_charges_each_member_state_one_unit(monkeypatch):
+    # an empty program still forms and reads every member-state
+    monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 100)
+    prog = parse("")
+    run_program(prog, EnsembleSpec(size=50, fwhm=100.0), initial_state=np.eye(3)[:2])
+    monkeypatch.setattr(ensemble, "sample_detunings", no_members)
+    with pytest.raises(SimulationBudgetError, match="51 members x 2 states"):
+        run_program(prog, EnsembleSpec(size=51, fwhm=100.0), initial_state=np.eye(3)[:2])
 
 
 def test_run_memory_does_not_grow_with_repeats():
@@ -539,57 +561,73 @@ def test_bangbang_matches_filter_function_oracle():
         BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n_cycles), acquire_every=every
     )
     res = run_program(prog, spec, noise=noise, master_seed=23)
-    assert len(res.acquires) == n_cycles // every
-    for c, acq in zip(range(every, n_cycles + 1, every), res.acquires):
+    _, times, means = acquire_table(res)
+    assert len(times) == n_cycles // every
+    for c, time, mean in zip(range(every, n_cycles + 1, every), times, means):
         edges = [0.0] + [tau1 + k * tau_c for k in range(2 * c)] + [2 * c * tau_c]
-        assert acq.time == pytest.approx(edges[-1], abs=1e-12)
+        assert time == pytest.approx(edges[-1], abs=1e-12)
         expect = filter_function_coherence(edges, [(-1) ** j for j in range(2 * c + 1)],
                                            sigma, tau_b)
         var_phase = -2.0 * math.log(expect)
         var_cos = (1 + math.exp(-2 * var_phase)) / 2 - math.exp(-var_phase)
-        assert abs(-acq.mean[1] - expect) < 3 * math.sqrt(var_cos / n)
+        assert abs(-mean[1] - expect) < 3 * math.sqrt(var_cos / n)
 
 
+ORACLE_RELAXATION = {
+    "none": None,
+    "toward-0": RelaxationParams(t1=0.3, t2=0.1),
+    "toward-0.3": RelaxationParams(t1=0.3, t2=0.1, z_equilibrium=0.3),
+}
+
+
+@pytest.mark.parametrize("relax", sorted(ORACLE_RELAXATION))
+@pytest.mark.parametrize("rabi", [None, 100e3], ids=["hard", "finite"])
 @pytest.mark.parametrize("size", [64, 1100])
-def test_bangbang_against_brute_force_rotation_oracle(size):
-    # explicit members, finite pulses; oracle composes scipy Rotation
-    # matrices directly -- an independent path through the same physics.
+def test_bangbang_against_brute_force_rotation_oracle(size, rabi, relax):
+    # explicit members; oracle composes scipy Rotation matrices directly
+    # and relaxes in closed form after each free step -- an independent
+    # path through the same physics.  Hard pulses stay in the engine's
+    # toggling frame, where T2 and T1 toward 0 ride across them as one
+    # diagonal factor; toward z_equilibrium 0.3 the engine forms the
+    # states after every wait instead.
     rng = np.random.default_rng(64)
     dets = rng.normal(0.0, 4000.0 * SIGMA_FROM_FWHM, size)
     spec = EnsembleSpec(size=size, distribution="explicit", detunings=tuple(dets))
-    rabi = 100e3
     tau1, tau_c, n_cycles = 1.2e-3, 2e-3, 50
     prog = build_bangbang(
         BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n_cycles),
         PulseSpec(rabi=rabi),
         acquire_every=n_cycles,
     )
-    res = run_program(prog, spec, initial_state=(0.0, 0.0, 1.0))
+    params = ORACLE_RELAXATION[relax]
+    kw = {} if params is None else {"relax": params}
+    res = run_program(prog, spec, initial_state=(0.0, 0.0, 1.0), **kw)
 
     # one rotation per member, applied member by member to its own vector
-    def z_rot(angle):
-        return Rotation.from_rotvec(np.outer(angle, [0, 0, 1]))
+    def free(v, h):
+        v = Rotation.from_rotvec(np.outer(2 * math.pi * dets * h, [0, 0, 1])).apply(v)
+        if params is not None:
+            v[:, :2] *= math.exp(-h / params.t2)
+            v[:, 2] = params.z_equilibrium + (v[:, 2] - params.z_equilibrium) * math.exp(-h / params.t1)
+        return v
 
-    def pulse_rot(phase, area):
+    def pulse(v, phase, area):
+        if rabi is None:
+            return Rotation.from_rotvec(np.tile([math.cos(phase) * area, math.sin(phase) * area, 0.0],
+                                                (size, 1))).apply(v)
         duration = area / (2 * math.pi * rabi)
         # axis (rabi cos, rabi sin, det) / omega, angle 2 pi omega duration
         axis = np.column_stack([
             np.full(size, rabi * math.cos(phase)), np.full(size, rabi * math.sin(phase)), dets
         ])
-        return Rotation.from_rotvec(axis * 2 * math.pi * duration)
+        return Rotation.from_rotvec(axis * 2 * math.pi * duration).apply(v)
 
-    v = pulse_rot(0.0, math.pi / 2).apply(np.tile([0.0, 0.0, 1.0], (size, 1)))
-    v = z_rot(2 * math.pi * dets * tau1).apply(v)
+    v = free(pulse(np.tile([0.0, 0.0, 1.0], (size, 1)), 0.0, math.pi / 2), tau1)
     for k in range(n_cycles):
-        v = pulse_rot(0.0, math.pi).apply(v)
-        v = z_rot(2 * math.pi * dets * tau_c).apply(v)
-        v = pulse_rot(math.pi, math.pi).apply(v)
-        if k < n_cycles - 1:
-            v = z_rot(2 * math.pi * dets * tau_c).apply(v)
-        else:
-            v = z_rot(2 * math.pi * dets * (tau_c - tau1)).apply(v)
-    oracle_mean = np.mean(v, axis=0)
-    np.testing.assert_allclose(res.acquires[-1].mean, oracle_mean, atol=1e-9)
+        v = free(pulse(v, 0.0, math.pi), tau_c)
+        v = free(pulse(v, math.pi, math.pi), tau_c if k < n_cycles - 1 else tau_c - tau1)
+    _, _, means = acquire_table(res)
+    np.testing.assert_allclose(means[-1], np.mean(v, axis=0), atol=1e-9)
 
 
 def test_result_exports():
@@ -603,6 +641,16 @@ def test_result_exports():
     assert doc["config"] == {"note": 1}
     assert doc["acquires"][0]["label"] == "a"
     assert 0 <= doc["acquires"][0]["magnitude"] <= 1 + 1e-9
+
+
+def test_acquire_readers_reject_stacked_states():
+    prog = parse("pulse area=pi/2 phase=0\nwait 1ms\nacquire a")
+    spec = EnsembleSpec(size=2, distribution="explicit", detunings=(0.0, 100.0))
+    res = run_program(prog, spec, initial_state=np.eye(3)[:2])
+    for read in (lambda: acquire_series(res, "a"), lambda: echo_amplitude(res, "a"),
+                 lambda: result_to_json(res, config={})):
+        with pytest.raises(ValueError, match=r"\(3, 2, 3\)"):
+            read()
 
 
 def test_acquire_series_ordering():
