@@ -3,8 +3,7 @@
 Subpackage map:
 
 * :mod:`blochdd.bloch` -- single-spin rotation kernels: hard and finite
-  pulse matrices, free evolution with relaxation (closed form, no
-  integrators).
+  pulse matrices (closed form, no integrators).
 * :mod:`blochdd.sequences` -- pulse-program objects (a self-checking
   ``Pulse``, ``Wait``, ``Acquire``, ``Repeat``), text language, canonical
   sequence builders.
@@ -25,7 +24,6 @@ from .bloch import (
     NO_RELAXATION,
     RelaxationParams,
     apply_hard_pulse,
-    evolve_free,
 )
 from .sequences import (
     Acquire,

@@ -1,24 +1,24 @@
 """Single-spin Bloch-vector rotation kernels in the rotating frame.
 
-The module holds only kernels: rotations, hard and finite pulse
-matrices, and free evolution with relaxation.  A pulse itself is a
-:class:`blochdd.sequences.Pulse`.  States are plain numpy arrays of
-shape ``(3,)`` (or ``(..., 3)`` for batches; every operation broadcasts
-over leading axes).  All evolutions are closed-form rotations and
-exponential relaxation factors -- there is no ODE stepping and
-therefore no integrator tolerance to tune.
+The module holds only kernels -- rotations and hard and finite pulse
+matrices -- and the relaxation times that ``run_program`` applies.  A
+pulse itself is a :class:`blochdd.sequences.Pulse`.
+States are plain numpy arrays of shape ``(3,)`` (or ``(..., 3)`` for
+batches; every operation broadcasts over leading axes).  All evolutions
+are closed-form rotations and exponential relaxation factors -- there is
+no ODE stepping and therefore no integrator tolerance to tune.
 
 Rotation matrices act on row vectors: ``v' = v @ M``, so row ``j`` of
 ``M`` is the image of the unit vector ``e_j``.  A batch of states
 ``(..., k, 3)`` times a batch of matrices ``(..., 3, 3)`` is then one
 stacked ``matmul``, which is how :func:`blochdd.ensemble.run_program`
 applies a per-member pulse to all of a member's states at once.
-Evolution under a stochastic bath lives in ``run_program``, which draws
-each member's bath exactly once per interval.  It sums the phases of the
-waits in the toggling frame of its hard pi pulses and calls
-:func:`evolve_free` only to rotate the states by such a sum, before a
-pulse that leaves that frame; a finite pulse takes the bath value into
-:func:`finite_pulse_matrix`.
+Free evolution and relaxation live in ``run_program``, which draws each
+member's bath exactly once per interval.  It sums the phases of the
+waits in the toggling frame of its hard pi pulses and rotates the states
+about z by such a sum itself, before a pulse that leaves that frame; a
+finite pulse takes the bath value into :func:`finite_pulse_matrix`, once
+per distinct pulse and bath value where it can.
 
 Conventions (fixed once, used everywhere in this package):
 
@@ -44,7 +44,6 @@ __all__ = [
     "RelaxationParams",
     "NO_RELAXATION",
     "apply_hard_pulse",
-    "evolve_free",
     "finite_pulse_matrix",
     "rotate",
     "rotation_matrix",
@@ -159,34 +158,3 @@ def finite_pulse_matrix(rabi: float, duration: float, phase: float = 0.0, detuni
         axis=-1,
     )
     return rotation_matrix(axis, 2.0 * math.pi * omega_eff * duration)
-
-
-def evolve_free(
-    state: np.ndarray,
-    duration: float,
-    detuning=0.0,
-    relax: RelaxationParams = NO_RELAXATION,
-) -> np.ndarray:
-    """Free precession with relaxation, in closed form.
-
-    Transverse components precess about +z by ``2*pi*detuning*duration``
-    and shrink by ``exp(-duration/t2)``; z relaxes toward
-    ``z_equilibrium`` with time constant t1.
-
-    ``detuning`` may be per-member (array).
-    """
-    if duration < 0:
-        raise ValueError(f"duration must be non-negative, got {duration}")
-    state = np.asarray(state, dtype=float)
-    detuning = np.asarray(detuning, dtype=float)
-    theta = 2.0 * math.pi * detuning * duration
-    c = np.cos(theta)
-    s = np.sin(theta)
-    e2 = np.exp(-duration / relax.t2)
-    e1 = math.exp(-duration / relax.t1)
-    out = np.empty(np.broadcast_shapes(state.shape, detuning.shape + (1,)), dtype=float)
-    x, y, z = state[..., 0], state[..., 1], state[..., 2]
-    out[..., 0] = (x * c - y * s) * e2
-    out[..., 1] = (x * s + y * c) * e2
-    out[..., 2] = relax.z_equilibrium + (z - relax.z_equilibrium) * e1
-    return out

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use: load it with the package, not in a run
 
-from .bloch import NO_RELAXATION, RelaxationParams, evolve_free, finite_pulse_matrix, rotate
+from .bloch import NO_RELAXATION, RelaxationParams, finite_pulse_matrix, rotate
 from .sequences import Acquire, Pulse, PulseProgram, Wait
 
 __all__ = [
@@ -194,11 +194,16 @@ class SimulationResult:
     master_seed: int
 
 
+def _one_state(result: SimulationResult) -> None:
+    """Raise a ValueError naming the shape unless the table holds one state per row."""
+    if result.mean_bloch.ndim != 2:
+        raise ValueError(f"tables are read with one state per row, shape (n, 3); got {result.mean_bloch.shape}")
+
+
 def _acquired(result: SimulationResult, label: str | None = None) -> tuple:
     """``(rows, sqrt(mx^2 + my^2), atan2(my, mx))`` of the acquires
     labelled ``label`` (every acquire for None) of a one-state table."""
-    if result.mean_bloch.ndim != 2:
-        raise ValueError(f"acquires are read from one state, shape (n, 3); got {result.mean_bloch.shape}")
+    _one_state(result)
     rows = [i for i, lbl in enumerate(result.sample_labels)
             if lbl is not None and (label is None or lbl == label)]
     if label is not None and not rows:
@@ -259,6 +264,10 @@ _MAX_MEMBER_STEPS = 2e9
 # reads, so the state array and one block of reads stay within 1 GB.
 _MAX_MEMBER_STATES = 2**16
 _BATH_STREAM_STRIDE = 2**120  # draws between the streams of one member's baths
+# Bytes of the finite-pulse matrix stacks one run keeps (_PulseTable): two
+# stacks of a pulse at 2**16 members take 9.4 MB.  Past it a pulse builds
+# its matrices at every use, with bit-identical results.
+_PULSE_TABLE_BYTES = 2**24
 
 
 def _ou_integral_bracket(r: float) -> float:
@@ -379,6 +388,49 @@ class _TelegraphBath:
         return start, start * np.diff(edges)[:, None] + correction
 
 
+class _PulseTable:
+    """The member matrices of a run's finite pulses (see :func:`run_program`).
+
+    Member ``i`` meets a finite pulse at detuning ``det_i + b_i``, ``b_i``
+    its summed bath value at the pulse start: 0 with no bath, and exactly
+    ``+A`` or ``-A`` with one telegraph bath (0 when ``A`` is 0).  Each
+    distinct pulse then builds its matrices at ``det``, or at ``det + A``
+    and ``det - A`` interleaved, once; a use picks member ``i``'s from row
+    ``2 i`` or ``2 i + 1`` by the sign of ``b_i``.  Other baths, and pulses
+    past ``_PULSE_TABLE_BYTES``, build them at ``det + b`` at every use.
+    Each matrix is an elementwise function of its member's detuning, so
+    both ways give the same bits.
+    """
+
+    def __init__(self, det: np.ndarray, models: list):
+        self.det = det
+        if not models:
+            self.offsets = (None,)
+        elif len(models) == 1 and models[0].kind == "telegraph":
+            self.offsets = (models[0].amplitude, -models[0].amplitude)
+        else:
+            self.offsets = None  # OU values, or sums of baths, are not few
+        self.stacks: dict = {}  # Pulse -> its interleaved stacks at det + offsets
+        self.nbytes = 0  # of the stacks kept
+        self.pulse_nbytes = 72 * len(det) * len(self.offsets or ())  # of one pulse's stacks
+        self.rows = 2 * np.arange(len(det))  # of the matrices at +A
+
+    def matrices(self, pulse: Pulse, start) -> np.ndarray:
+        """``(m, 3, 3)`` matrices of ``pulse`` at bath values ``start`` (None: no bath)."""
+        stacks = self.stacks.get(pulse)
+        if stacks is None:
+            if self.offsets is None or self.nbytes + self.pulse_nbytes > _PULSE_TABLE_BYTES:
+                eff = self.det if start is None else self.det + start
+                return finite_pulse_matrix(pulse.rabi, pulse.duration, pulse.phase, eff)
+            stacks = self.stacks[pulse] = np.stack([
+                finite_pulse_matrix(pulse.rabi, pulse.duration, pulse.phase,
+                                    self.det if b is None else self.det + b)
+                for b in self.offsets
+            ], axis=1).reshape(-1, 3, 3)
+            self.nbytes += self.pulse_nbytes
+        return stacks if start is None else stacks.take(self.rows + (start < 0), axis=0)
+
+
 def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise, n_states: int) -> None:
     """Raise :class:`SimulationBudgetError` if a run would exceed
     ``_MAX_MEMBER_STATES`` or ``_MAX_MEMBER_STEPS``."""
@@ -413,7 +465,13 @@ def _decay(relax: RelaxationParams, taus) -> np.ndarray | None:
 
 def _materialize(u: np.ndarray, phase: np.ndarray, product, decay) -> np.ndarray:
     """The states ``D (u R_z(2 pi phase)) P`` of a toggling frame, ``(m, k, 3)``."""
-    v = evolve_free(u, 1.0, phase[:, None])  # one second at ``phase`` Hz: R_z(2 pi phase)
+    angle = 2.0 * math.pi * phase[:, None]  # (m, 1): all of a member's states turn alike
+    c, s = np.cos(angle), np.sin(angle)
+    x, y = u[..., 0], u[..., 1]
+    v = np.empty_like(u)
+    v[..., 0] = x * c - y * s
+    v[..., 1] = x * s + y * c
+    v[..., 2] = u[..., 2]
     if product is not None:
         v = (v.reshape(-1, 3) @ product).reshape(v.shape)
     if decay is not None:
@@ -489,6 +547,16 @@ def run_program(
     finite pulse, or a hard pulse of another area -- and after each wait
     when T1 relaxes toward a nonzero ``z_equilibrium``, the one
     relaxation that does not commute with P.
+
+    A finite pulse then multiplies each member's states by that member's
+    matrix.  With no bath, or with one telegraph bath, the matrices come
+    from a table kept for the run: a member's frozen bath value is 0 or
+    exactly ``+-amplitude``, so each distinct finite pulse builds its
+    ``(m, 3, 3)`` stack at each such value on first use, and every use
+    picks each member's matrix by the sign of its bath value.  An OU
+    bath, two or more baths, or stacks that would take the table past
+    ``_PULSE_TABLE_BYTES`` (16 MB) build the stack at every pulse
+    instead; both ways give the same bits.
 
     ``noise`` may be a single :class:`NoiseModel` or a sequence of them
     (independent processes, detunings summed) -- e.g. two
@@ -566,6 +634,7 @@ def run_program(
         reads.append((len(waits), product, t - t_ref))
 
     hard: dict = {}
+    finite = _PulseTable(det, models)
     edges = np.zeros(1)
     integrals = None
     psi = np.zeros(len(weights))  # toggling-frame phase in cycles, per member
@@ -621,9 +690,8 @@ def run_program(
                 elif ev.mode == "hard":
                     u = (u.reshape(-1, 3) @ m).reshape(u.shape)
                 else:  # a finite pulse, with the bath value frozen at its start
-                    eff = det + starts[k] if models else det
                     # one matrix per member, applied to each of its states
-                    u = u @ finite_pulse_matrix(ev.rabi, ev.duration, ev.phase, eff)
+                    u = u @ finite.matrices(ev, starts[k] if models else None)
                     t += ev.elapsed
                     k += 1
                 psi, product, sign, t_ref = np.zeros(len(weights)), None, 1.0, t
@@ -706,7 +774,8 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def result_to_csv(result: SimulationResult) -> str:
-    """Trajectory table, fixed header ``time_s,mx,my,mz``."""
+    """Trajectory table of a one-state run, fixed header ``time_s,mx,my,mz``."""
+    _one_state(result)
     lines = ["time_s,mx,my,mz"]
     for t, v in zip(result.sample_times, result.mean_bloch):
         lines.append(f"{t:.17g},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}")

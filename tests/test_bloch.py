@@ -7,15 +7,14 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from blochdd.bloch import (
-    NO_RELAXATION,
     RelaxationParams,
     apply_hard_pulse,
-    evolve_free,
     finite_pulse_matrix,
     rotation_matrix,
 )
 
 UP = np.array([0.0, 0.0, 1.0])
+Z_AXIS = UP  # free precession rotates about +z
 
 
 def oracle_rotation(axis, angle, v):
@@ -70,8 +69,8 @@ def test_norm_preserved_under_pulse_compositions():
             elif kind == 1:
                 v = v @ finite_pulse_matrix(1e5, rng.uniform(0, 2e-5), rng.uniform(0, 7),
                                             rng.uniform(-5e3, 5e3))
-            else:
-                v = evolve_free(v, rng.uniform(0, 1e-3), rng.uniform(-5e3, 5e3))
+            else:  # free precession: a rotation about z
+                v = v @ rotation_matrix(Z_AXIS, 2 * math.pi * rng.uniform(0, 1e-3) * rng.uniform(-5e3, 5e3))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
@@ -160,41 +159,17 @@ def test_finite_pulse_converges_to_hard_pulse():
 
 
 # ---------------------------------------------------------------------------
-# free evolution
+# free precession (a rotation about +z by 2 pi detuning t)
 # ---------------------------------------------------------------------------
 
 def test_precession_quarter_turn():
-    out = evolve_free(np.array([1.0, 0, 0]), 0.25e-3, detuning=1e3)
+    out = np.array([1.0, 0, 0]) @ rotation_matrix(Z_AXIS, 2 * math.pi * 1e3 * 0.25e-3)
     np.testing.assert_allclose(out, [0, 1, 0], atol=1e-12)
 
 
 def test_zero_duration_identity():
     v = np.array([0.3, -0.4, 0.5])
-    np.testing.assert_allclose(evolve_free(v, 0.0, 123.0), v, atol=0)
-
-
-def test_pure_t2_decay():
-    relax = RelaxationParams(t2=1.0)
-    out = evolve_free(np.array([1.0, 0, 0]), 1.0, 0.0, relax)
-    np.testing.assert_allclose(out, [math.exp(-1), 0, 0], atol=1e-15)
-
-
-def test_t1_relaxation_toward_equilibrium():
-    relax = RelaxationParams(t1=2.0, z_equilibrium=0.5)
-    out = evolve_free(np.array([0.0, 0, -1.0]), 2.0, 0.0, relax)
-    assert out[2] == pytest.approx(0.5 + (-1 - 0.5) * math.exp(-1))
-
-
-def test_evolve_free_semigroup():
-    rng = np.random.default_rng(7)
-    relax = RelaxationParams(t1=0.7, t2=0.31, z_equilibrium=0.2)
-    for _ in range(30):
-        v = rng.normal(size=3)
-        det = rng.uniform(-3e3, 3e3)
-        t1, t2 = rng.uniform(0, 1e-3, 2)
-        once = evolve_free(v, t1 + t2, det, relax)
-        twice = evolve_free(evolve_free(v, t1, det, relax), t2, det, relax)
-        np.testing.assert_allclose(once, twice, atol=1e-12)
+    np.testing.assert_allclose(v @ rotation_matrix(Z_AXIS, 2 * math.pi * 123.0 * 0.0), v, atol=0)
 
 
 def test_relaxation_params_validation():

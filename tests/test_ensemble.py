@@ -245,11 +245,29 @@ INVARIANCE_BATHS = (
 )
 
 
-def test_run_is_invariant_to_draw_block(monkeypatch):
-    default = invariance_run(INVARIANCE_BATHS)
+TELEGRAPH = INVARIANCE_BATHS[1]
+
+
+# the mixed tuple builds each finite pulse's matrices at every use; one
+# telegraph bath reads them from the run's pulse table
+@pytest.mark.parametrize("baths", [INVARIANCE_BATHS, (TELEGRAPH,)], ids=["ou+telegraph", "telegraph"])
+def test_run_is_invariant_to_draw_block(monkeypatch, baths):
+    default = invariance_run(baths)
     # 3 intervals or flips per draw: every member refills many times
     monkeypatch.setattr(ensemble, "_DRAW_BLOCK", 3)
-    assert_same_run(default, invariance_run(INVARIANCE_BATHS))
+    assert_same_run(default, invariance_run(baths))
+
+
+@pytest.mark.parametrize("baths", [(), (TELEGRAPH,), (TELEGRAPH, TELEGRAPH)], ids=["none", "telegraph", "two-telegraph"])
+def test_pulse_table_matches_per_pulse_build(monkeypatch, baths):
+    # with no room for a table every finite pulse builds its own matrices
+    states = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    tabled = invariance_run(baths, initial_state=states)
+    monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 0)
+    built = invariance_run(baths, initial_state=states)
+    assert tabled.mean_bloch.shape == (33, 3, 3)
+    np.testing.assert_array_equal(tabled.mean_bloch, built.mean_bloch)
+    assert tabled.sample_labels == built.sample_labels
 
 
 ONE_PI = "pulse area=pi phase={}".format
@@ -651,6 +669,14 @@ def test_acquire_readers_reject_stacked_states():
                  lambda: result_to_json(res, config={})):
         with pytest.raises(ValueError, match=r"\(3, 2, 3\)"):
             read()
+
+
+def test_result_to_csv_rejects_stacked_states():
+    prog = parse("pulse area=pi/2 phase=0\nwait 1ms\nacquire a")
+    spec = EnsembleSpec(size=2, distribution="explicit", detunings=(0.0, 100.0))
+    res = run_program(prog, spec, initial_state=np.eye(3)[:2])
+    with pytest.raises(ValueError, match=r"\(3, 2, 3\)"):
+        result_to_csv(res)
 
 
 def test_acquire_series_ordering():
