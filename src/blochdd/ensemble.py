@@ -16,15 +16,17 @@ are labelled; acquire magnitudes and phases are computed from its rows.
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
 randomness from a stream derived only from ``(master_seed, i)`` and
-consumes it in order, and each phase is one running sum in event order,
+consumes it in order, its OU values are computed in chunks aligned to
+its interval count, and each phase is one running sum in event order,
 so results are bit-identical for any draw block size.  Every observable
-is a numpy pairwise sum over all members, not a BLAS call, so results
-do not depend on the number of BLAS threads either.
+is a numpy pairwise sum over all members, not a BLAS call.  The one BLAS
+reduction, over the intervals of an OU chunk, sums each member's value
+alone in a fixed order, so results do not depend on the number of BLAS
+threads either (CI diffs the outputs at 1 and 2 threads).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -37,7 +39,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use: load it with the package, not in a run
 
 from .bloch import NO_RELAXATION, RelaxationParams, finite_pulse_matrix, rotate
-from .sequences import Acquire, Pulse, PulseProgram, Wait
+from .sequences import Acquire, Pulse, PulseProgram, Repeat, Wait
 
 __all__ = [
     "EnsembleSpec",
@@ -251,11 +253,25 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
     return steps
 
 
-# Program events are read this many at a time, and each member's bath
+# Program events are read this many at a time: a block of single events,
+# or a slice of a lowered repeat's expansion (_Body).  Each member's bath
 # draws come this many intervals (OU) or flips (telegraph) at most at a
-# time.  It bounds memory only: each member's draws are consumed in
-# stream order, so results never depend on it.
+# time.  It bounds memory only: each member's draws are consumed in stream
+# order, the OU values are computed in chunks aligned to the run's
+# interval count (_OUChain), and each phase is one running sum, so
+# results never depend on it.
 _DRAW_BLOCK = 256
+# OU values are computed this many intervals at a time (_OUChain), which
+# keeps the factors of at most _OU_CACHE patterns each of chunk and of
+# block lengths.
+_OU_CHUNK = 32
+_OU_CACHE = 16
+_BELOW = np.tri(_OU_CHUNK + 1, _OU_CHUNK + 1, -1, dtype=bool)  # [j, l]: l < j
+# A Repeat body of waits, hard pi pulses and acquires of at most this many
+# expanded events is lowered to arrays once per run (_Body), which keeps
+# the powers 0 .. _BODY_POWERS of the pi product of one iteration.
+_LOWERED_EVENTS = 4096
+_BODY_POWERS = 64
 # Work budget of one run: members x states x (expanded events + expected
 # telegraph flips + 1 to form and read each state).  Bounds run time.
 _MAX_MEMBER_STEPS = 2e9
@@ -300,21 +316,101 @@ def _ou_factors(h: float, sigma: float, tau_b: float) -> tuple:
     return math.exp(-r), tau_b * one_minus_a, l11, l21, l22
 
 
-def _ou_advance(x0: np.ndarray, factors: np.ndarray, z: np.ndarray) -> tuple:
-    """Carry OU values across consecutive intervals.
+class _OUChain:
+    """Exact OU values of m members over consecutive intervals.
 
-    ``x0`` is ``(m,)``, ``factors`` is ``(B, 5)`` rows of
-    :func:`_ou_factors`, ``z`` is ``(B, m, 2)`` standard normals.  Returns
-    ``(xs, integrals)``: the values at the ``B + 1`` interval boundaries,
-    ``(B + 1, m)``, and the integral over each interval, ``(B, m)``.
+    The recursion ``x_{k+1} = a_k x_k + l11_k z_k`` of :func:`_ou_factors`
+    runs in chunks of ``C = _OU_CHUNK`` intervals aligned to the interval
+    count: chunk c covers intervals [cC, (c+1)C), and only chunk start
+    values are carried from one chunk to the next.  Within a chunk, with
+    ``r_l = h_l / tau_b``,
+
+        x_{c0+j} = A_j x_{c0} + sum_{i<j} M_{j,i} l11_i z_i,
+        A_j = exp(-(r_{j-1} + ... + r_0)),  M_{j,i} = exp(-(r_{j-1} + ... + r_{i+1})),
+
+    each exponent summed from ``r_{j-1}`` down, with no division, so long
+    intervals underflow cleanly to 0.  Row j is one product over all C
+    columns, with exact zeros for ``i >= j``.  A chunk that a block ends
+    inside is computed again from its start value and its draws so far,
+    and its earlier rows come out bit for bit as before: the values do
+    not depend on how the intervals are split into blocks.  The factors
+    are kept per pattern of lengths (at most ``_OU_CACHE`` each of chunks
+    and of blocks), since the blocks of a repeated body repeat them.
     """
-    a, b, l11, l21, l22 = (factors[:, j, None] for j in range(5))
-    kick = l11 * z[..., 0]
-    xs = np.empty((len(factors) + 1, len(x0)))
-    xs[0] = x0
-    for k in range(len(factors)):
-        xs[k + 1] = a[k] * xs[k] + kick[k]
-    return xs, b * xs[:-1] + l21 * z[..., 0] + l22 * z[..., 1]
+
+    def __init__(self, x0: np.ndarray, sigma: float, tau_b: float):
+        self.x = x0  # at the start of the current chunk
+        self.sigma, self.tau_b = sigma, tau_b
+        self.plans: dict = {}  # see _plan
+        self.weights: dict = {}  # see _weights
+        self.lengths = np.empty(0)  # of the current chunk's intervals so far
+        self.kicks = np.empty((0, len(x0)))  # their l11 z
+
+    def _weights(self, lengths: np.ndarray) -> tuple:
+        """``(A, M)``, shaped ``(C + 1,)`` and ``(C + 1, C)``, of a chunk that
+        begins with ``lengths``: row j of M needs only the first j of them."""
+        key = lengths.tobytes()
+        out = self.weights.get(key)
+        if out is None:
+            r = np.zeros(_OU_CHUNK + 1)
+            r[:len(lengths)] = lengths / self.tau_b
+            # s[j, l] = r_{j-1} + ... + r_l, summed in that order; 0 for l >= j
+            s = np.where(_BELOW, r, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
+            out = np.exp(-s[:, 0]), np.where(_BELOW[:, :-1], np.exp(-s[:, 1:]), 0.0)
+            if len(self.weights) >= _OU_CACHE:
+                self.weights.clear()
+            self.weights[key] = out
+        return out
+
+    def _plan(self, lengths: np.ndarray, done: int) -> tuple:
+        """``(b, l11, l21, l22), A, M`` of a block: the factors of its intervals
+        ``lengths[done:]``, each ``(B, 1)``, and the stacked :meth:`_weights`
+        of the chunks of ``lengths``, which starts at a chunk's start."""
+        key = (done, lengths.tobytes())
+        plan = self.plans.get(key)
+        if plan is None:
+            distinct, which = np.unique(lengths[done:], return_inverse=True)
+            rows = np.array([_ou_factors(h, self.sigma, self.tau_b)[1:] for h in distinct.tolist()])
+            factors = rows[which.ravel()].T[:, :, None]
+            a, m = zip(*(self._weights(lengths[c:c + _OU_CHUNK]) for c in range(0, len(lengths), _OU_CHUNK)))
+            if len(self.plans) >= _OU_CACHE:
+                self.plans.clear()
+            plan = self.plans[key] = factors, np.array(a)[:, :, None], np.array(m)
+        return plan
+
+    def advance(self, lengths: np.ndarray, z: np.ndarray) -> tuple:
+        """``(starts, integrals)`` of the next ``B`` intervals, each ``(B, m)``.
+
+        ``lengths`` is ``(B,)`` and ``z`` ``(m, B, 2)``: each member's
+        standard normals in its stream order.  ``starts`` are the values at
+        the start of each interval and ``integrals`` the integrals over them.
+        """
+        z = np.ascontiguousarray(z.transpose(1, 2, 0))  # (B, 2, m)
+        done, n = len(self.lengths), len(self.lengths) + len(lengths)
+        lengths = np.concatenate([self.lengths, lengths])
+        (b, l11, l21, l22), a, m = self._plan(lengths, done)
+        chunks = len(a)
+        # the chunks' kicks; zeros stand for the draws still to come
+        kicks = np.zeros((chunks, _OU_CHUNK, len(self.x)))
+        flat = kicks.reshape(chunks * _OU_CHUNK, -1)
+        flat[:done] = self.kicks
+        np.multiply(l11, z[:, 0], out=flat[done:n])
+        # each chunk from a zero start: its values, and its end for the next start
+        values = m[:, :-1] @ kicks
+        ends = m[:, -1:] @ kicks
+        starts = np.empty((chunks, len(self.x)))
+        starts[0] = self.x
+        for c in range(1, chunks):
+            starts[c] = ends[c - 1, 0] + starts[c - 1] * a[c - 1, -1]
+        self.x = starts[-1] if n % _OU_CHUNK else ends[-1, 0] + starts[-1] * a[-1, -1]
+        values += starts[:, None] * a[:, :-1]
+        whole = n - n % _OU_CHUNK
+        self.lengths, self.kicks = lengths[whole:], flat[whole:n].copy()
+        xs = values.reshape(chunks * _OU_CHUNK, -1)[done:n]
+        integrals = b * xs
+        integrals += l21 * z[:, 0]
+        integrals += l22 * z[:, 1]
+        return xs, integrals
 
 
 class _OUBath:
@@ -322,20 +418,14 @@ class _OUBath:
 
     def __init__(self, model: NoiseModel, rngs: list):
         self.rngs = rngs
-        self.model = model
-        self.factors: dict = {}  # interval length -> row of _ou_factors
-        self.x = model.sigma * np.array([rng.standard_normal() for rng in rngs])
+        x0 = model.sigma * np.array([rng.standard_normal() for rng in rngs])
+        self.chain = _OUChain(x0, model.sigma, model.tau_b)
 
-    def block(self, lengths: list, edges: np.ndarray) -> tuple:
-        for h in lengths:
-            if h not in self.factors:
-                self.factors[h] = _ou_factors(h, self.model.sigma, self.model.tau_b)
-        z = np.empty((len(lengths), len(self.rngs), 2))
-        for i, rng in enumerate(self.rngs):
-            z[:, i] = rng.standard_normal((len(lengths), 2))
-        xs, integrals = _ou_advance(self.x, np.array([self.factors[h] for h in lengths]), z)
-        self.x = xs[-1]
-        return xs[:-1], integrals
+    def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
+        z = np.empty((len(self.rngs), len(lengths), 2))
+        for member, rng in zip(z, self.rngs):
+            rng.standard_normal(out=member)
+        return self.chain.advance(lengths, z)
 
 
 class _TelegraphBath:
@@ -365,7 +455,7 @@ class _TelegraphBath:
         self.next_flip[idx] += self.gaps[idx, self.col[idx]] / self.rate
         self.col[idx] += 1
 
-    def block(self, lengths: list, edges: np.ndarray) -> tuple:
+    def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
         # flips[k] is -1 where a member flips an odd number of times in interval k
         flips = np.ones((len(lengths), len(self.rngs)))
         correction = np.zeros_like(flips)
@@ -486,10 +576,10 @@ def _weighted_sums(u: np.ndarray, weights: np.ndarray, phases: np.ndarray, produ
     """Weighted member sums of toggling-frame states at R points, flat ``(R, 3 k)``.
 
     Row ``r`` sums ``w_i D_r (u_i R_z(2 pi phases[r, i])) P_r`` over the
-    members ``i``: ``phases`` is ``(R, m)``, ``products`` R matrices
-    (None for the identity) and ``decay`` None or ``(R, 3)``.  The member
-    sums are numpy pairwise sums, not BLAS calls: each row is summed
-    alone, in the same order whatever R is and on any number of threads.
+    members ``i``: ``phases`` is ``(R, m)``, ``products`` ``(R, 3, 3)``
+    and ``decay`` None or ``(R, 3)``.  The member sums are numpy pairwise
+    sums, not BLAS calls: each row is summed alone, in the same order
+    whatever R is and on any number of threads.
     """
     angle = 2.0 * math.pi * phases[:, None, :]  # (R, 1, m)
     c, s = np.cos(angle), np.sin(angle)
@@ -497,12 +587,255 @@ def _weighted_sums(u: np.ndarray, weights: np.ndarray, phases: np.ndarray, produ
     wx, wy, wz = np.ascontiguousarray(u.T) * weights  # each (k, m)
     x = (c * wx - s * wy).sum(axis=-1)  # (R, k)
     y = (s * wx + c * wy).sum(axis=-1)
-    means = np.stack([x, y, np.broadcast_to(wz.sum(axis=-1), x.shape)], axis=-1)
+    means = np.empty(x.shape + (3,))
+    means[..., 0], means[..., 1], means[..., 2] = x, y, wz.sum(axis=-1)
     # P commutes with R_z up to the sign of the angle, so it acts on the sum
-    means = means @ np.array([_IDENTITY if p is None else p for p in products])
+    means = means @ products
     if decay is not None:
         means *= decay[:, None, :]
     return means.reshape(len(means), -1)
+
+
+class _Body:
+    """A Repeat body of waits, hard pi pulses and acquires, lowered to arrays.
+
+    Event ``p`` of the repeat's expansion is body event ``p % size`` of
+    iteration ``p // size``.  Kept per wait of the body: its position,
+    length and switching sign within the body; per read (each acquire, or
+    each event under ``record="events"``): its position, label, the count
+    of waits up to it and the product of the pi pulses up to it within the
+    body.  ``parity`` is the sign of a whole iteration, ``product`` its
+    pi product (None: no pi pulse) and ``powers[k]`` that product to the
+    k-th power, k = 0 .. ``_BODY_POWERS``.
+    """
+
+    def __init__(self, events: list, pi_matrix, record: str):
+        self.size = len(events)
+        waits, reads = [], []
+        product, sign = None, 1.0
+        for pos, ev in enumerate(events):
+            if isinstance(ev, Wait):
+                waits.append((pos, ev.duration, sign))
+            elif isinstance(ev, Pulse):
+                m = pi_matrix(ev)
+                product, sign = m if product is None else product @ m, -sign
+            if record == "events" or isinstance(ev, Acquire):
+                label = ev.label if isinstance(ev, Acquire) else None
+                reads.append((pos, label, len(waits), _IDENTITY if product is None else product))
+        self.product, self.parity = product, sign
+        self.powers = np.empty((_BODY_POWERS + 1, 3, 3))
+        self.powers[0] = _IDENTITY
+        for k in range(_BODY_POWERS):
+            self.powers[k + 1] = self.powers[k] if product is None else self.powers[k] @ product
+        self.wait_pos = np.array([w[0] for w in waits], dtype=np.intp)
+        self.wait_h = np.array([w[1] for w in waits], dtype=float)
+        self.wait_sign = np.array([w[2] for w in waits], dtype=float)
+        self.read_pos = np.array([r[0] for r in reads], dtype=np.intp)
+        self.read_labels = np.array([r[1] for r in reads], dtype=object)
+        self.read_waits = np.array([r[2] for r in reads], dtype=np.intp)
+        self.read_products = np.array([r[3] for r in reads]).reshape(-1, 3, 3)
+
+    def before(self, positions: np.ndarray, p: int) -> int:
+        """How many events at body ``positions`` come before event ``p`` of the expansion."""
+        q, e = divmod(p, self.size)
+        return q * len(positions) + int(np.searchsorted(positions, e))
+
+    def split(self, lo: int, hi: int, positions: np.ndarray) -> tuple:
+        """(iterations, body indices) of the marked events ``lo .. hi - 1`` of the expansion."""
+        return np.divmod(np.arange(lo, hi), max(len(positions), 1))
+
+
+class _Run:
+    """The state of one :func:`run_program` pass (see its docstring).
+
+    ``psi``, ``product`` (None: no pi pulse), ``sign`` and ``t_ref`` make
+    up the toggling frame; ``waits`` (bath interval, length, sign) and
+    ``reads`` (wait count, P, tau) are those taken since the last settle.
+    """
+
+    def __init__(self, det, weights, u, baths, finite, relax, record):
+        self.det, self.weights, self.u = det, weights, u
+        self.baths, self.finite, self.relax, self.record = baths, finite, relax, record
+        # relaxation toward z_equilibrium != 0 does not commute with pi pulses
+        self.affine = math.isfinite(relax.t1) and relax.z_equilibrium != 0.0
+        self.hard: dict = {}  # hard Pulse -> its matrix
+        self.bodies: dict = {}  # id(Repeat) -> its _Body, or None: run event by event
+        self.edges = np.zeros(1)
+        self.integrals = None
+        self.psi = np.zeros(len(weights))  # toggling-frame phase in cycles, per member
+        self.product, self.sign = None, 1.0  # hard pi pulses since the last materialization
+        self.t = self.t_ref = 0.0  # now, and the last materialization
+        # the table; flat float buffers: 8 bytes a time, 24 a sample
+        self.sample_times, self.sample_labels, self.samples = array("d"), [], array("d")
+        self.waits, self.reads = [], []
+        self.read(None)  # t = 0
+
+    def pulse_matrix(self, ev: Pulse) -> np.ndarray:
+        """The matrix of a hard pulse (row j = image of e_j), built once per run."""
+        m = self.hard.get(ev)
+        if m is None:
+            axis = np.array([math.cos(ev.phase), math.sin(ev.phase), 0.0])
+            m = self.hard[ev] = rotate(np.eye(3), axis, ev.area)
+        return m
+
+    def lowered(self, rep: Repeat) -> bool:
+        """Whether ``rep`` runs lowered to arrays (:class:`_Body`): a body of
+        at most ``_LOWERED_EVENTS`` waits, hard pi pulses and acquires, and
+        of no wait under relaxation toward a nonzero ``z_equilibrium``."""
+        key = id(rep)
+        if key not in self.bodies:
+            body = PulseProgram(rep.body)
+            self.bodies[key] = None
+            if body.expanded_count() <= _LOWERED_EVENTS:
+                events = list(body.expand())
+                if all(isinstance(ev, Acquire) or isinstance(ev, Wait) and not self.affine
+                       or isinstance(ev, Pulse) and ev.area == math.pi for ev in events):
+                    self.bodies[key] = _Body(events, self.pulse_matrix, self.record)
+        return self.bodies[key] is not None
+
+    def bath(self, lengths: np.ndarray) -> np.ndarray:
+        """Draw every bath over the next intervals; keep the summed integrals
+        over them and return the summed values at their starts."""
+        # from the last block's end: bit for bit one cumsum over the program
+        self.edges = np.cumsum(np.concatenate([self.edges[-1:], lengths]))
+        starts, self.integrals = self.baths[0].block(lengths, self.edges)
+        for bath in self.baths[1:]:
+            more, integrals = bath.block(lengths, self.edges)
+            starts, self.integrals = starts + more, self.integrals + integrals
+        return starts
+
+    def read(self, label) -> None:  # a table row at t, summed at the next settle
+        self.sample_times.append(self.t)
+        self.sample_labels.append(label)
+        self.reads.append((len(self.waits), self.product, self.t - self.t_ref))
+
+    def settle(self) -> None:
+        """Add the pending waits to ``psi`` and sum the pending reads."""
+        ks, hs, signs = (np.array(col) for col in zip(*self.waits)) if self.waits else ((),) * 3
+        rows, products, taus = zip(*self.reads) if self.reads else ((),) * 3
+        products = np.array([_IDENTITY if p is None else p for p in products]).reshape(-1, 3, 3)
+        self._settle(ks, hs, signs, list(rows), products, taus)
+        self.waits, self.reads = [], []
+
+    def _settle(self, ks, hs, signs, rows, products, taus) -> None:
+        """Add waits (bath interval ``ks``, length ``hs``, switching sign) to
+        ``psi``; sum reads (row of the phases after that many of the waits,
+        P, time since the frame's start) into the table."""
+        phases = self.psi[None]  # phases[j]: after the first j waits
+        if len(hs):
+            phases = np.empty((len(hs) + 1, len(self.psi)))
+            phases[0] = self.psi
+            angles = np.multiply(hs[:, None], self.det, out=phases[1:])
+            if self.baths:
+                angles += self.integrals[ks]
+            angles *= signs[:, None]
+            # from the carried phase: bit for bit one running sum since the
+            # last materialization, however the blocks split it
+            if len(hs) > 1:
+                np.cumsum(phases, axis=0, out=phases)
+            else:  # the same sum; cumsum costs one inner loop per member
+                phases[1] += phases[0]
+        if len(rows):
+            sums = _weighted_sums(self.u, self.weights, phases[rows], products, _decay(self.relax, taus))
+            self.samples.frombytes(sums.tobytes())
+        self.psi = phases[-1]
+
+    def events(self, run: list) -> None:
+        """Step through ``run``, primitive events, one at a time; then settle."""
+        lengths = [
+            ev.duration for ev in run
+            if isinstance(ev, Wait) or isinstance(ev, Pulse) and ev.mode == "finite"
+        ] if self.baths else []
+        # summed bath values at the start of each bath interval
+        starts = self.bath(np.array(lengths)) if lengths else None
+        k = 0  # index of the next bath interval in the block
+        for ev in run:
+            if isinstance(ev, Wait):
+                self.waits.append((k, ev.duration, self.sign))
+                self.t += ev.duration
+                k += 1
+                materialize = self.affine
+            elif isinstance(ev, Acquire):
+                materialize = False
+            elif ev.mode == "finite":
+                materialize = True
+            else:
+                m = self.pulse_matrix(ev)
+                materialize = ev.area != math.pi
+                if not materialize:
+                    self.product = m if self.product is None else self.product @ m
+                    self.sign = -self.sign
+            if materialize:
+                self.settle()
+                decay = _decay(self.relax, self.t - self.t_ref)
+                u = _materialize(self.u, self.psi, self.product, decay)
+                if isinstance(ev, Wait):  # z relaxes toward z_equilibrium, not 0
+                    u[..., 2] += self.relax.z_equilibrium * (1.0 - decay[2])
+                elif ev.mode == "hard":
+                    u = (u.reshape(-1, 3) @ m).reshape(u.shape)
+                else:  # a finite pulse, with the bath value frozen at its start
+                    # one matrix per member, applied to each of its states
+                    u = u @ self.finite.matrices(ev, starts[k] if self.baths else None)
+                    self.t += ev.elapsed
+                    k += 1
+                self.u, self.psi = u, np.zeros(len(self.weights))
+                self.product, self.sign, self.t_ref = None, 1.0, self.t
+            if self.record == "events" or isinstance(ev, Acquire):
+                self.read(ev.label if isinstance(ev, Acquire) else None)
+        self.settle()
+
+    def repeat(self, rep: Repeat) -> None:
+        """Run a lowered repeat, ``_DRAW_BLOCK`` events of its expansion at a time.
+
+        A slice of the expansion is index arithmetic on the body's arrays:
+        wait ``w`` is body wait ``w % W`` of iteration ``w // W``, signed
+        by the iteration's parity.  The product before iteration ``q =
+        cK + k`` (K = ``_BODY_POWERS``) is ``A_c`` times the body's k-th
+        power, where ``A_c``, the product before iteration cK, is carried
+        from one c to the next by the K-th power: a read takes that times
+        its product within the body, and no product depends on the blocks.
+        """
+        body = self.bodies[id(rep)]
+        sign0, n_waits = self.sign, len(body.wait_pos)
+        c0, anchor = 0, _IDENTITY if self.product is None else self.product  # A_c0
+
+        def before(q: np.ndarray) -> np.ndarray:
+            """The products before iterations ``q`` (ascending, not empty), ``(len(q), 3, 3)``."""
+            nonlocal c0, anchor
+            c, k = np.divmod(q, _BODY_POWERS)
+            anchors = []
+            for cc in range(c[0], c[-1] + 1):
+                for _ in range(cc - c0):
+                    anchor = anchor @ body.powers[-1]
+                c0 = cc
+                anchors.append(anchor)
+            return np.array(anchors)[c - c[0]] @ body.powers[k]
+
+        n = rep.count * body.size
+        for p in range(0, n, _DRAW_BLOCK):
+            p1 = min(p + _DRAW_BLOCK, n)
+            w0 = body.before(body.wait_pos, p)
+            q, j = body.split(w0, body.before(body.wait_pos, p1), body.wait_pos)
+            hs = body.wait_h[j]
+            signs = body.wait_sign[j] * (sign0 if body.parity > 0 else np.where(q % 2, -sign0, sign0))
+            if self.baths and len(hs):
+                self.bath(hs)
+            # bit for bit the running sum t += h
+            times = np.cumsum(np.concatenate([[self.t], hs]))
+            self.t = float(times[-1])
+            q, j = body.split(body.before(body.read_pos, p), body.before(body.read_pos, p1), body.read_pos)
+            rows = q * n_waits + body.read_waits[j] - w0
+            products = body.read_products[j]
+            if body.product is not None and len(q):
+                products = before(q) @ products
+            elif self.product is not None:
+                products = self.product @ products
+            self.sample_times.frombytes(times[rows].tobytes())
+            self.sample_labels.extend(body.read_labels[j].tolist())
+            self._settle(slice(None), hs, signs, rows, products, times[rows] - self.t_ref)
+        if body.product is not None:
+            self.product = before(np.array([rep.count]))[0]
+        self.sign = sign0 if body.parity > 0 or rep.count % 2 == 0 else -sign0
 
 
 def run_program(
@@ -563,6 +896,10 @@ def run_program(
     Ornstein-Uhlenbeck components standing in for a structured bath.
     Member ``i`` draws from one PCG64 stream seeded by ``(master_seed,
     i)``; bath ``j`` of the member starts ``j * 2**120`` draws along it.
+    An OU bath draws two standard normals per interval (Gillespie, PRE
+    54, 2084 (1996)) and computes its values ``_OU_CHUNK`` intervals at a
+    time, in chunks aligned to the run's interval count, so that they
+    do not depend on how the intervals are split into blocks.
 
     ``initial_state`` is one Bloch vector ``(3,)`` or a stack ``(k, 3)``.
     A stack runs all ``k`` states through one pass: each member's bath
@@ -572,14 +909,22 @@ def run_program(
     :func:`echo_amplitude`, :func:`acquire_series` and the exports read;
     the acquire readers raise a ValueError for a stack.
 
-    The program is streamed: one lazy walk of :meth:`PulseProgram.expand`,
-    read ``_DRAW_BLOCK`` events at a time.  The baths draw for the bath
-    intervals of each such block at once, O(``_DRAW_BLOCK``) values per
-    member for either bath; the block's waits between two
-    materializations add to ``psi`` in one cumulative sum that starts
-    from the carried ``psi``, and its reads (the t = 0 and end rows
-    too) are summed together straight into the table.  Nothing sized by
-    the expanded program is kept but the table returned.
+    The program is streamed in blocks of ``_DRAW_BLOCK`` events.  A
+    ``Repeat`` whose body holds only waits, hard pi pulses and acquires
+    (at most ``_LOWERED_EVENTS`` of them expanded), and no wait if T1
+    relaxes toward a nonzero ``z_equilibrium``, is lowered once per run
+    to arrays of its waits and reads (:class:`_Body`).  A block of its
+    expansion is then slices of those arrays: no event is dispatched, no
+    product is formed per pi pulse but one per read, from powers of one
+    iteration's product, and the reads are appended in bulk.  Every other
+    event is read one at a time from a lazy walk of
+    :meth:`PulseProgram.expand`.  The baths draw for the bath intervals
+    of each block at once, O(``_DRAW_BLOCK``) values per member for
+    either bath; the block's waits between two materializations add to
+    ``psi`` in one cumulative sum that starts from the carried ``psi``,
+    and its reads (the t = 0 and end rows too) are summed together
+    straight into the table.  Nothing sized by the expanded program is
+    kept but the table returned.
 
     Raises :class:`SimulationBudgetError`, before any work, when the
     ``size * k`` member-states exceed ``_MAX_MEMBER_STATES`` (2**16), or
@@ -605,111 +950,30 @@ def run_program(
     for j, mod in enumerate(models):
         rngs = [np.random.Generator(np.random.PCG64(s).advance(j * _BATH_STREAM_STRIDE)) for s in seeds]
         baths.append((_OUBath if mod.kind == "ornstein_uhlenbeck" else _TelegraphBath)(mod, rngs))
-    # relaxation toward z_equilibrium != 0 does not commute with pi pulses
-    affine = math.isfinite(relax.t1) and relax.z_equilibrium != 0.0
 
-    def settle(psi, waits, reads, integrals) -> np.ndarray:
-        """Add ``waits`` to the phase ``psi``, take ``reads`` along the way
-        and return the phase after the last wait."""
-        phases = psi[None]  # phases[j]: after the first j waits
-        if waits:
-            ks, hs, signs = (np.array(col) for col in zip(*waits))
-            angles = hs[:, None] * det + integrals[ks] if models else hs[:, None] * det
-            # from the carried phase: bit for bit one running sum since the
-            # last materialization, however the blocks split it
-            phases = np.concatenate([phases, signs[:, None] * angles])
-            if len(waits) > 1:
-                np.cumsum(phases, axis=0, out=phases)
-            else:  # the same sum; cumsum costs one inner loop per member
-                phases[1] += phases[0]
-        if reads:
-            rows, products, taus = zip(*reads)
-            sums = _weighted_sums(u, weights, phases[list(rows)], products, _decay(relax, taus))
-            samples.frombytes(sums.tobytes())
-        return phases[-1]
-
-    def read(label) -> None:  # a table row at t, summed at the next settle
-        sample_times.append(t)
-        sample_labels.append(label)
-        reads.append((len(waits), product, t - t_ref))
-
-    hard: dict = {}
-    finite = _PulseTable(det, models)
-    edges = np.zeros(1)
-    integrals = None
-    psi = np.zeros(len(weights))  # toggling-frame phase in cycles, per member
-    product, sign = None, 1.0  # hard pi pulses since the last materialization (None: none)
-    t = t_ref = 0.0  # now, and the last materialization
-    # the table; flat float buffers: 8 bytes a time, 24 a sample
-    sample_times, sample_labels, samples = array("d"), [], array("d")
-    # (bath interval, length, sign) and (wait count, P, tau) since the last settle
-    waits, reads = [], []
-    read(None)  # t = 0
-    events = program.expand()
-    # events are read _DRAW_BLOCK at a time; the baths draw for the bath
-    # intervals (waits and finite pulses) among them in one block
-    while run := list(itertools.islice(events, _DRAW_BLOCK)):
-        lengths = [
-            ev.duration for ev in run
-            if isinstance(ev, Wait) or isinstance(ev, Pulse) and ev.mode == "finite"
-        ] if models else []
-        if lengths:
-            # from the last block's end: bit for bit one cumsum over the program
-            edges = np.cumsum([edges[-1], *lengths])
-            # summed bath values at the start of, and integrals over, each interval
-            parts = [b.block(lengths, edges) for b in baths]
-            starts = sum(p[0] for p in parts)
-            integrals = sum(p[1] for p in parts)
-            del parts  # free the per-bath blocks while the events run
-        k = 0  # index of the next bath interval in the block
-        for ev in run:
-            if isinstance(ev, Wait):
-                waits.append((k, ev.duration, sign))
-                t += ev.duration
-                k += 1
-                materialize = affine
-            elif isinstance(ev, Acquire):
-                materialize = False
-            elif ev.mode == "finite":
-                materialize = True
-            else:
-                m = hard.get(ev)
-                if m is None:
-                    axis = np.array([math.cos(ev.phase), math.sin(ev.phase), 0.0])
-                    m = hard[ev] = rotate(np.eye(3), axis, ev.area)  # row j = image of e_j
-                materialize = ev.area != math.pi
-                if not materialize:
-                    product = m if product is None else product @ m
-                    sign = -sign
-            if materialize:
-                psi = settle(psi, waits, reads, integrals)
-                decay = _decay(relax, t - t_ref)
-                u = _materialize(u, psi, product, decay)
-                if isinstance(ev, Wait):  # z relaxes toward z_equilibrium, not 0
-                    u[..., 2] += relax.z_equilibrium * (1.0 - decay[2])
-                elif ev.mode == "hard":
-                    u = (u.reshape(-1, 3) @ m).reshape(u.shape)
-                else:  # a finite pulse, with the bath value frozen at its start
-                    # one matrix per member, applied to each of its states
-                    u = u @ finite.matrices(ev, starts[k] if models else None)
-                    t += ev.elapsed
-                    k += 1
-                psi, product, sign, t_ref = np.zeros(len(weights)), None, 1.0, t
-                waits, reads = [], []
-            if record == "events" or isinstance(ev, Acquire):
-                read(ev.label if isinstance(ev, Acquire) else None)
-        psi = settle(psi, waits, reads, integrals)
-        waits, reads = [], []
+    run = _Run(det, weights, u, baths, _PulseTable(det, models), relax, record)
+    block = []
+    for ev in program.expand(keep=run.lowered):
+        if isinstance(ev, Repeat):
+            run.events(block)
+            block = []
+            run.repeat(ev)
+        else:
+            block.append(ev)
+            if len(block) == _DRAW_BLOCK:
+                run.events(block)
+                block = []
+    run.events(block)
     if record != "events":
-        read(None)  # the end
-    settle(psi, waits, reads, integrals)
+        run.read(None)  # the end
+    run.settle()
 
     return SimulationResult(
-        sample_times=np.array(sample_times),
-        sample_labels=tuple(sample_labels),
-        mean_bloch=np.array(samples).reshape((-1,) + initial.shape) / float(weights.sum()),
+        sample_times=np.array(run.sample_times),
+        sample_labels=tuple(run.sample_labels),
+        mean_bloch=np.array(run.samples).reshape((-1,) + initial.shape) / float(weights.sum()),
         n_members=ensemble.size,
-        duration=t,
+        duration=run.t,
         master_seed=master_seed,
     )
 

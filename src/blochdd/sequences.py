@@ -161,12 +161,15 @@ class PulseProgram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
 
-    def expand(self) -> Iterator[Event]:
-        """Yield primitive events (Pulse/Wait/Acquire) with repeats unrolled."""
+    def expand(self, keep=None) -> Iterator[Event]:
+        """Yield primitive events (Pulse/Wait/Acquire) with repeats unrolled.
+
+        A repeat for which ``keep(repeat)`` is true is yielded whole instead.
+        """
 
         def walk(events):
             for ev in events:
-                if isinstance(ev, Repeat):
+                if isinstance(ev, Repeat) and not (keep and keep(ev)):
                     for _ in range(ev.count):
                         yield from walk(ev.body)
                 else:

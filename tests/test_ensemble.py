@@ -137,10 +137,11 @@ def test_ou_interval_draw_matches_closed_form(r):
     # one exact OU interval from a fixed start: the sample mean and
     # covariance of (x_h, integral) against the bivariate Gaussian
     sigma, tau_b, x0, n = 25.0, 4e-3, 17.0, 200_000
-    factors = np.array([ensemble._ou_factors(r * tau_b, sigma, tau_b)])
-    z = np.random.default_rng(11).standard_normal((1, n, 2))
-    xs, integrals = ensemble._ou_advance(np.full(n, x0), factors, z)
-    x, s = xs[1], integrals[0]
+    chain = ensemble._OUChain(np.full(n, x0), sigma, tau_b)
+    z = np.random.default_rng(11).standard_normal((n, 2, 2))
+    # the value after the first interval is the start of the second
+    starts, integrals = chain.advance(np.full(2, r * tau_b), z)
+    x, s = starts[1], integrals[0]
     mx, ms, vx, vs, cov = ou_interval_moments_exact(r, sigma, tau_b, x0)
     assert vx > 0 and vs > 0
     assert abs(x.mean() - mx) < 3 * math.sqrt(vx / n)
@@ -149,6 +150,43 @@ def test_ou_interval_draw_matches_closed_form(r):
     assert abs(s.var() - vs) < 3 * vs * math.sqrt(2.0 / n)
     sample_cov = np.mean((x - x.mean()) * (s - s.mean()))
     assert abs(sample_cov - cov) < 3 * math.sqrt((vx * vs + cov**2) / n)
+
+
+# interval lengths h = r tau_b, mixed; e^-800 underflows to 0
+OU_RATIOS = (1e-9, 1e-3, 1.0, 50.0, 800.0)
+
+
+def ou_chain_inputs():
+    sigma, tau_b, m = 25.0, 4e-3, 9
+    rng = np.random.default_rng(8)
+    lengths = rng.choice(OU_RATIOS, size=150) * tau_b  # four whole chunks and a part
+    return sigma, tau_b, sigma * rng.standard_normal(m), lengths, rng.standard_normal((m, 150, 2))
+
+
+def test_ou_chunks_match_the_sequential_recursion():
+    sigma, tau_b, x0, lengths, z = ou_chain_inputs()
+    assert set(np.round(lengths / tau_b, 12)) == set(OU_RATIOS)
+    starts, integrals = ensemble._OUChain(x0, sigma, tau_b).advance(lengths, z)
+    # one interval at a time: x_{k+1} = a_k x_k + l11_k z_k
+    x = x0
+    for k, h in enumerate(lengths):
+        a, b, l11, l21, l22 = ensemble._ou_factors(h, sigma, tau_b)
+        np.testing.assert_allclose(starts[k], x, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(integrals[k], b * x + l21 * z[:, k, 0] + l22 * z[:, k, 1],
+                                   rtol=1e-12, atol=0)
+        x = a * x + l11 * z[:, k, 0]
+
+
+@pytest.mark.parametrize("cuts", [(1,), (31, 32, 33), (20, 84, 149), tuple(range(1, 150))],
+                         ids=["1", "31-33", "20-84-149", "each"])
+def test_ou_chunks_do_not_depend_on_the_blocks(cuts):
+    sigma, tau_b, x0, lengths, z = ou_chain_inputs()
+    whole = ensemble._OUChain(x0, sigma, tau_b).advance(lengths, z)
+    chain = ensemble._OUChain(x0, sigma, tau_b)
+    parts = [chain.advance(lengths[lo:hi], z[:, lo:hi])
+             for lo, hi in zip((0, *cuts), (*cuts, len(lengths)))]
+    np.testing.assert_array_equal(np.concatenate([p[0] for p in parts]), whole[0])
+    np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), whole[1])
 
 
 def test_ou_interval_variances_are_never_negative():
@@ -313,6 +351,44 @@ def test_pi_as_two_half_pi_pulses_matches(record, mid):
     np.testing.assert_allclose(lowered.mean_bloch[-1], formed.mean_bloch[-1], rtol=1e-12, atol=1e-15)
 
 
+LOWERING_PROGRAMS = {
+    # hard pi trains with acquires inside, and a nested repeat
+    "bangbang": "pulse area=pi/2 phase=0; wait 0.2ms; repeat 7 { pulse area=pi phase=0; wait 1ms; "
+                "pulse area=pi phase=180; wait 0.6ms; acquire echo; wait 0.4ms }",
+    "nested": "pulse area=pi/2 phase=90; repeat 3 { repeat 70 { pulse area=pi phase=0; wait 30us; "
+              "pulse area=pi phase=180; wait 30us }; acquire a; wait 7us }; pulse area=pi/3 phase=0; acquire b",
+    # an odd pi count: the switching sign alternates between iterations
+    "odd": "pulse area=pi/2 phase=0; repeat 301 { wait 0.2ms; pulse area=pi phase=45deg; acquire a }; "
+           "wait 0.1ms; acquire b",
+    # one lowered repeat after another carries the frame across
+    "chained": "pulse area=pi/2 phase=0; repeat 5 { pulse area=pi phase=0; wait 0.1ms; acquire a }; "
+               "repeat 4 { wait 0.2ms; pulse area=pi phase=90; wait 0.2ms; acquire b }",
+    # no pi pulse: the frame carries a product from before the repeat
+    "no-pi": "pulse area=pi/2 phase=0; pulse area=pi phase=0; repeat 90 { wait 50us; acquire a }; "
+             "repeat 4 { }; acquire b",
+}
+
+
+@pytest.mark.parametrize("record", ["acquires", "events"])
+@pytest.mark.parametrize("baths", [(), INVARIANCE_BATHS], ids=["none", "ou+telegraph"])
+@pytest.mark.parametrize("name", sorted(LOWERING_PROGRAMS))
+def test_lowered_repeats_match_the_event_path(monkeypatch, name, baths, record):
+    # the same draws; only the pi products are formed in another order
+    def run():
+        spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=800.0, seed=2)
+        return run_program(parse(LOWERING_PROGRAMS[name]), spec, noise=baths, master_seed=3,
+                           relax=RelaxationParams(t1=0.4, t2=0.05), record=record,
+                           initial_state=np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]))
+
+    lowered = run()
+    monkeypatch.setattr(ensemble, "_LOWERED_EVENTS", 0)  # every body event by event
+    stepped = run()
+    assert lowered.sample_labels == stepped.sample_labels
+    np.testing.assert_array_equal(lowered.sample_times, stepped.sample_times)
+    assert lowered.duration == stepped.duration
+    np.testing.assert_allclose(lowered.mean_bloch, stepped.mean_bloch, rtol=1e-12, atol=1e-15)
+
+
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 1e6)
     spec = EnsembleSpec(size=1000, distribution="gaussian", fwhm=100.0, seed=1)
@@ -438,6 +514,25 @@ def test_run_memory_does_not_grow_with_repeats():
     peak(10)  # first-use allocations
     # an unrolled program makes the peak grow about 4x from 2,000 to 8,000
     assert peak(8000) < 1.5 * peak(2000)
+
+
+def test_repeat_of_no_wait_is_not_walked_under_z_equilibrium_relaxation():
+    # the budget counts no event in these repeats, and no state forms in
+    # them: they run lowered, not 10**12 times through the event loop
+    spec = EnsembleSpec(size=20, distribution="gaussian", fwhm=300.0, seed=1)
+    relax = RelaxationParams(t1=0.05, t2=0.04, z_equilibrium=0.3)
+    head = "pulse area=pi/2 phase=0; wait 1ms"
+    tail = "wait 1ms; acquire a"
+    skipped = run_program(parse(f"{head}; repeat 1000000000000 {{ }}; {tail}"), spec, relax=relax)
+    plain = run_program(parse(f"{head}; {tail}"), spec, relax=relax)
+    np.testing.assert_array_equal(skipped.mean_bloch, plain.mean_bloch)
+    # pi pulses and acquires without a wait run lowered too
+    pis = run_program(parse(f"{head}; repeat 3 {{ pulse area=pi phase=0; acquire p }}; {tail}"),
+                      spec, relax=relax, record="events")
+    unrolled = run_program(parse(f"{head}; {'pulse area=pi phase=0; acquire p; ' * 3}{tail}"),
+                           spec, relax=relax, record="events")
+    assert pis.sample_labels == unrolled.sample_labels
+    np.testing.assert_allclose(pis.mean_bloch, unrolled.mean_bloch, rtol=1e-12, atol=1e-15)
 
 
 def test_ou_fid_through_simulator_matches_analytic():
@@ -639,6 +734,47 @@ def test_bangbang_against_brute_force_rotation_oracle(size, rabi, relax):
             np.full(size, rabi * math.cos(phase)), np.full(size, rabi * math.sin(phase)), dets
         ])
         return Rotation.from_rotvec(axis * 2 * math.pi * duration).apply(v)
+
+    v = free(pulse(np.tile([0.0, 0.0, 1.0], (size, 1)), 0.0, math.pi / 2), tau1)
+    for k in range(n_cycles):
+        v = free(pulse(v, 0.0, math.pi), tau_c)
+        v = free(pulse(v, math.pi, math.pi), tau_c if k < n_cycles - 1 else tau_c - tau1)
+    _, _, means = acquire_table(res)
+    np.testing.assert_allclose(means[-1], np.mean(v, axis=0), atol=1e-9)
+
+
+def test_finite_pulses_under_a_frozen_telegraph_bath_match_brute_force():
+    # a telegraph bath that does not flip is a static shift: member i runs
+    # at det_i + s_i A, s_i the sign drawn first from its documented stream
+    # SeedSequence(master_seed).spawn(n)[i].  At 1e-6 Hz over the 0.2 s
+    # program a member flips with probability 2e-7 (1.3e-5 for any of the
+    # 64); the first flip times, read from the same streams, confirm that
+    # none does.  The oracle is the scipy brute force of the test above.
+    size, amplitude, rate, master_seed = 64, 300.0, 1e-6, 5
+    dets = np.random.default_rng(65).normal(0.0, 4000.0 * SIGMA_FROM_FWHM, size)
+    spec = EnsembleSpec(size=size, distribution="explicit", detunings=tuple(dets))
+    tau1, tau_c, n_cycles, rabi = 1.2e-3, 2e-3, 50, 100e3
+    prog = build_bangbang(BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n_cycles),
+                          PulseSpec(rabi=rabi), acquire_every=n_cycles)
+    noise = NoiseModel(kind="telegraph", amplitude=amplitude, flip_rate=rate)
+    res = run_program(prog, spec, noise=noise, master_seed=master_seed)
+
+    streams = [np.random.Generator(np.random.PCG64(s))
+               for s in np.random.SeedSequence(master_seed).spawn(size)]
+    signs = np.array([1.0 if g.random() < 0.5 else -1.0 for g in streams])
+    assert min(g.standard_exponential() / rate for g in streams) > prog.duration()
+    assert 0 < np.count_nonzero(signs > 0) < size
+    eff = dets + signs * amplitude
+
+    def free(v, h):
+        return Rotation.from_rotvec(np.outer(2 * math.pi * eff * h, [0, 0, 1])).apply(v)
+
+    def pulse(v, phase, area):
+        # axis (rabi cos, rabi sin, eff) / omega, angle 2 pi omega duration
+        axis = np.column_stack([
+            np.full(size, rabi * math.cos(phase)), np.full(size, rabi * math.sin(phase)), eff
+        ])
+        return Rotation.from_rotvec(axis * area / rabi).apply(v)
 
     v = free(pulse(np.tile([0.0, 0.0, 1.0], (size, 1)), 0.0, math.pi / 2), tau1)
     for k in range(n_cycles):
