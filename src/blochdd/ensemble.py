@@ -8,10 +8,11 @@ implementation: the exact per-interval draw inside :func:`run_program`.
 
 :func:`run_program` keeps the members in the toggling frame of the hard
 pi pulses: a wait adds each member's signed phase to one number, a pi
-pulse multiplies one 3x3 matrix shared by all members, and the states
-themselves move only at the other pulses.  Observables are read from
-that frame directly into the one table a run returns, whose acquire rows
-are labelled; acquire magnitudes and phases are computed from its rows.
+pulse changes one angle and one sign shared by all members, and the
+states themselves move only at the other pulses.  Observables are read
+from that frame directly into the one table a run returns, whose acquire
+rows are labelled; acquire magnitudes and phases are computed from its
+rows.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
@@ -268,10 +269,8 @@ _OU_CHUNK = 32
 _OU_CACHE = 16
 _BELOW = np.tri(_OU_CHUNK + 1, _OU_CHUNK + 1, -1, dtype=bool)  # [j, l]: l < j
 # A Repeat body of waits, hard pi pulses and acquires of at most this many
-# expanded events is lowered to arrays once per run (_Body), which keeps
-# the powers 0 .. _BODY_POWERS of the pi product of one iteration.
+# expanded events is lowered to arrays once per run (_Body).
 _LOWERED_EVENTS = 4096
-_BODY_POWERS = 64
 # Work budget of one run: members x states x (expanded events + expected
 # telegraph flips + 1 to form and read each state).  Bounds run time.
 _MAX_MEMBER_STEPS = 2e9
@@ -553,44 +552,48 @@ def _decay(relax: RelaxationParams, taus) -> np.ndarray | None:
     return np.stack([e2, e2, np.exp(-taus / relax.t1)], axis=-1)
 
 
-def _materialize(u: np.ndarray, phase: np.ndarray, product, decay) -> np.ndarray:
-    """The states ``D (u R_z(2 pi phase)) P`` of a toggling frame, ``(m, k, 3)``."""
-    angle = 2.0 * math.pi * phase[:, None]  # (m, 1): all of a member's states turn alike
+def _pi_angle(alpha: float, phase: float) -> float:
+    """``2 phase - alpha`` in [-pi, pi], the frame angle after a hard pi pulse;
+    ``phase`` is reduced by atan2 of its cos and sin, as the pulse's axis is."""
+    return math.remainder(2.0 * math.atan2(math.sin(phase), math.cos(phase)) - alpha, 2.0 * math.pi)
+
+
+def _materialize(u: np.ndarray, phase: np.ndarray, alpha: float, sign: float, decay) -> np.ndarray:
+    """The states ``D (u R_z(2 pi phase)) P`` of a toggling frame, ``(m, k, 3)``:
+    ``(x, sign y)`` turns by ``sign 2 pi phase + alpha`` and z by ``sign``."""
+    angle = sign * (2.0 * math.pi * phase[:, None]) + alpha  # (m, 1): a member's states turn alike
     c, s = np.cos(angle), np.sin(angle)
-    x, y = u[..., 0], u[..., 1]
+    x, y = u[..., 0], sign * u[..., 1]
     v = np.empty_like(u)
     v[..., 0] = x * c - y * s
     v[..., 1] = x * s + y * c
-    v[..., 2] = u[..., 2]
-    if product is not None:
-        v = (v.reshape(-1, 3) @ product).reshape(v.shape)
+    v[..., 2] = sign * u[..., 2]
     if decay is not None:
         v *= decay
     return v
 
 
-_IDENTITY = np.eye(3)
-
-
-def _weighted_sums(u: np.ndarray, weights: np.ndarray, phases: np.ndarray, products, decay) -> np.ndarray:
+def _weighted_sums(u: np.ndarray, weights: np.ndarray, phases: np.ndarray, alphas: np.ndarray,
+                   signs: np.ndarray, decay) -> np.ndarray:
     """Weighted member sums of toggling-frame states at R points, flat ``(R, 3 k)``.
 
     Row ``r`` sums ``w_i D_r (u_i R_z(2 pi phases[r, i])) P_r`` over the
-    members ``i``: ``phases`` is ``(R, m)``, ``products`` ``(R, 3, 3)``
-    and ``decay`` None or ``(R, 3)``.  The member sums are numpy pairwise
-    sums, not BLAS calls: each row is summed alone, in the same order
-    whatever R is and on any number of threads.
+    members ``i``: ``phases`` is ``(R, m)``, ``P_r`` the frame ``(alphas[r],
+    signs[r])`` and ``decay`` None or ``(R, 3)``.  The member sums are numpy
+    pairwise sums, not BLAS calls: each row is summed alone, in the same
+    order whatever R is and on any number of threads.
     """
     angle = 2.0 * math.pi * phases[:, None, :]  # (R, 1, m)
     c, s = np.cos(angle), np.sin(angle)
     # members on the last, contiguous axis: each sum is one pairwise sum
     wx, wy, wz = np.ascontiguousarray(u.T) * weights  # each (k, m)
     x = (c * wx - s * wy).sum(axis=-1)  # (R, k)
-    y = (s * wx + c * wy).sum(axis=-1)
-    means = np.empty(x.shape + (3,))
-    means[..., 0], means[..., 1], means[..., 2] = x, y, wz.sum(axis=-1)
     # P commutes with R_z up to the sign of the angle, so it acts on the sum
-    means = means @ products
+    signs = signs[:, None]
+    y = (s * wx + c * wy).sum(axis=-1) * signs
+    ca, sa = np.cos(alphas)[:, None], np.sin(alphas)[:, None]
+    means = np.empty(x.shape + (3,))
+    means[..., 0], means[..., 1], means[..., 2] = x * ca - y * sa, x * sa + y * ca, wz.sum(axis=-1) * signs
     if decay is not None:
         means *= decay[:, None, :]
     return means.reshape(len(means), -1)
@@ -600,40 +603,45 @@ class _Body:
     """A Repeat body of waits, hard pi pulses and acquires, lowered to arrays.
 
     Event ``p`` of the repeat's expansion is body event ``p % size`` of
-    iteration ``p // size``.  Kept per wait of the body: its position,
-    length and switching sign within the body; per read (each acquire, or
-    each event under ``record="events"``): its position, label, the count
-    of waits up to it and the product of the pi pulses up to it within the
-    body.  ``parity`` is the sign of a whole iteration, ``product`` its
-    pi product (None: no pi pulse) and ``powers[k]`` that product to the
-    k-th power, k = 0 .. ``_BODY_POWERS``.
+    iteration ``p // size``.  The pi pulses of the body map the frame's
+    angle ``alpha -> parity alpha + turn`` (see :func:`run_program`), and
+    those up to a point within it ``alpha -> sign alpha + angle``;
+    ``turn`` and each ``angle`` lie in [-pi, pi].  Kept per wait of the
+    body: its position, length and sign within the body; per read (each
+    acquire, or each event under ``record="events"``): its position,
+    label, the count of waits up to it, and its sign and angle within the
+    body.
     """
 
-    def __init__(self, events: list, pi_matrix, record: str):
+    def __init__(self, events: list, record: str):
         self.size = len(events)
         waits, reads = [], []
-        product, sign = None, 1.0
+        sign, angle = 1.0, 0.0
         for pos, ev in enumerate(events):
             if isinstance(ev, Wait):
                 waits.append((pos, ev.duration, sign))
             elif isinstance(ev, Pulse):
-                m = pi_matrix(ev)
-                product, sign = m if product is None else product @ m, -sign
+                sign, angle = -sign, _pi_angle(angle, ev.phase)
             if record == "events" or isinstance(ev, Acquire):
                 label = ev.label if isinstance(ev, Acquire) else None
-                reads.append((pos, label, len(waits), _IDENTITY if product is None else product))
-        self.product, self.parity = product, sign
-        self.powers = np.empty((_BODY_POWERS + 1, 3, 3))
-        self.powers[0] = _IDENTITY
-        for k in range(_BODY_POWERS):
-            self.powers[k + 1] = self.powers[k] if product is None else self.powers[k] @ product
+                reads.append((pos, label, len(waits), sign, angle))
+        self.parity, self.turn = sign, angle
         self.wait_pos = np.array([w[0] for w in waits], dtype=np.intp)
         self.wait_h = np.array([w[1] for w in waits], dtype=float)
         self.wait_sign = np.array([w[2] for w in waits], dtype=float)
         self.read_pos = np.array([r[0] for r in reads], dtype=np.intp)
         self.read_labels = np.array([r[1] for r in reads], dtype=object)
         self.read_waits = np.array([r[2] for r in reads], dtype=np.intp)
-        self.read_products = np.array([r[3] for r in reads]).reshape(-1, 3, 3)
+        self.read_sign = np.array([r[3] for r in reads], dtype=float)
+        self.read_angle = np.array([r[4] for r in reads], dtype=float)
+
+    def frame(self, q: np.ndarray, alpha: float, sign: float) -> tuple:
+        """``(alphas, signs)`` of the frame before iterations ``q`` of a repeat
+        entered with the frame ``(alpha, sign)``."""
+        if self.parity > 0:
+            return alpha + q * self.turn, sign
+        odd = q % 2 == 1
+        return np.where(odd, self.turn - alpha, alpha), np.where(odd, -sign, sign)
 
     def before(self, positions: np.ndarray, p: int) -> int:
         """How many events at body ``positions`` come before event ``p`` of the expansion."""
@@ -648,9 +656,9 @@ class _Body:
 class _Run:
     """The state of one :func:`run_program` pass (see its docstring).
 
-    ``psi``, ``product`` (None: no pi pulse), ``sign`` and ``t_ref`` make
-    up the toggling frame; ``waits`` (bath interval, length, sign) and
-    ``reads`` (wait count, P, tau) are those taken since the last settle.
+    ``psi``, ``alpha``, ``sign`` and ``t_ref`` make up the toggling frame;
+    ``waits`` (bath interval, length, sign) and ``reads`` (wait count,
+    alpha, sign, tau) are those taken since the last settle.
     """
 
     def __init__(self, det, weights, u, baths, finite, relax, record):
@@ -658,12 +666,12 @@ class _Run:
         self.baths, self.finite, self.relax, self.record = baths, finite, relax, record
         # relaxation toward z_equilibrium != 0 does not commute with pi pulses
         self.affine = math.isfinite(relax.t1) and relax.z_equilibrium != 0.0
-        self.hard: dict = {}  # hard Pulse -> its matrix
+        self.hard: dict = {}  # hard Pulse of another area than pi -> its matrix
         self.bodies: dict = {}  # id(Repeat) -> its _Body, or None: run event by event
         self.edges = np.zeros(1)
         self.integrals = None
         self.psi = np.zeros(len(weights))  # toggling-frame phase in cycles, per member
-        self.product, self.sign = None, 1.0  # hard pi pulses since the last materialization
+        self.alpha, self.sign = 0.0, 1.0  # hard pi pulses since the last materialization
         self.t = self.t_ref = 0.0  # now, and the last materialization
         # the table; flat float buffers: 8 bytes a time, 24 a sample
         self.sample_times, self.sample_labels, self.samples = array("d"), [], array("d")
@@ -690,7 +698,7 @@ class _Run:
                 events = list(body.expand())
                 if all(isinstance(ev, Acquire) or isinstance(ev, Wait) and not self.affine
                        or isinstance(ev, Pulse) and ev.area == math.pi for ev in events):
-                    self.bodies[key] = _Body(events, self.pulse_matrix, self.record)
+                    self.bodies[key] = _Body(events, self.record)
         return self.bodies[key] is not None
 
     def bath(self, lengths: np.ndarray) -> np.ndarray:
@@ -707,20 +715,20 @@ class _Run:
     def read(self, label) -> None:  # a table row at t, summed at the next settle
         self.sample_times.append(self.t)
         self.sample_labels.append(label)
-        self.reads.append((len(self.waits), self.product, self.t - self.t_ref))
+        self.reads.append((len(self.waits), self.alpha, self.sign, self.t - self.t_ref))
 
     def settle(self) -> None:
         """Add the pending waits to ``psi`` and sum the pending reads."""
         ks, hs, signs = (np.array(col) for col in zip(*self.waits)) if self.waits else ((),) * 3
-        rows, products, taus = zip(*self.reads) if self.reads else ((),) * 3
-        products = np.array([_IDENTITY if p is None else p for p in products]).reshape(-1, 3, 3)
-        self._settle(ks, hs, signs, list(rows), products, taus)
+        rows, alphas, frame_signs, taus = (np.array(col) for col in zip(*self.reads)) if self.reads else ((),) * 4
+        self._settle(ks, hs, signs, rows, alphas, frame_signs, taus)
         self.waits, self.reads = [], []
 
-    def _settle(self, ks, hs, signs, rows, products, taus) -> None:
+    def _settle(self, ks, hs, signs, rows, alphas, frame_signs, taus) -> None:
         """Add waits (bath interval ``ks``, length ``hs``, switching sign) to
         ``psi``; sum reads (row of the phases after that many of the waits,
-        P, time since the frame's start) into the table."""
+        the frame's angle and sign, time since the frame's start) into the
+        table."""
         phases = self.psi[None]  # phases[j]: after the first j waits
         if len(hs):
             phases = np.empty((len(hs) + 1, len(self.psi)))
@@ -736,7 +744,8 @@ class _Run:
             else:  # the same sum; cumsum costs one inner loop per member
                 phases[1] += phases[0]
         if len(rows):
-            sums = _weighted_sums(self.u, self.weights, phases[rows], products, _decay(self.relax, taus))
+            sums = _weighted_sums(self.u, self.weights, phases[rows], alphas, frame_signs,
+                                  _decay(self.relax, taus))
             self.samples.frombytes(sums.tobytes())
         self.psi = phases[-1]
 
@@ -760,26 +769,24 @@ class _Run:
             elif ev.mode == "finite":
                 materialize = True
             else:
-                m = self.pulse_matrix(ev)
                 materialize = ev.area != math.pi
                 if not materialize:
-                    self.product = m if self.product is None else self.product @ m
-                    self.sign = -self.sign
+                    self.alpha, self.sign = _pi_angle(self.alpha, ev.phase), -self.sign
             if materialize:
                 self.settle()
                 decay = _decay(self.relax, self.t - self.t_ref)
-                u = _materialize(self.u, self.psi, self.product, decay)
+                u = _materialize(self.u, self.psi, self.alpha, self.sign, decay)
                 if isinstance(ev, Wait):  # z relaxes toward z_equilibrium, not 0
                     u[..., 2] += self.relax.z_equilibrium * (1.0 - decay[2])
                 elif ev.mode == "hard":
-                    u = (u.reshape(-1, 3) @ m).reshape(u.shape)
+                    u = (u.reshape(-1, 3) @ self.pulse_matrix(ev)).reshape(u.shape)
                 else:  # a finite pulse, with the bath value frozen at its start
                     # one matrix per member, applied to each of its states
                     u = u @ self.finite.matrices(ev, starts[k] if self.baths else None)
                     self.t += ev.elapsed
                     k += 1
                 self.u, self.psi = u, np.zeros(len(self.weights))
-                self.product, self.sign, self.t_ref = None, 1.0, self.t
+                self.alpha, self.sign, self.t_ref = 0.0, 1.0, self.t
             if self.record == "events" or isinstance(ev, Acquire):
                 self.read(ev.label if isinstance(ev, Acquire) else None)
         self.settle()
@@ -789,35 +796,20 @@ class _Run:
 
         A slice of the expansion is index arithmetic on the body's arrays:
         wait ``w`` is body wait ``w % W`` of iteration ``w // W``, signed
-        by the iteration's parity.  The product before iteration ``q =
-        cK + k`` (K = ``_BODY_POWERS``) is ``A_c`` times the body's k-th
-        power, where ``A_c``, the product before iteration cK, is carried
-        from one c to the next by the K-th power: a read takes that times
-        its product within the body, and no product depends on the blocks.
+        by the frame before its iteration, and a read takes that frame
+        (:meth:`_Body.frame`, a function of the iteration alone) through
+        its own sign and angle within the body.  No frame depends on the
+        blocks.
         """
         body = self.bodies[id(rep)]
-        sign0, n_waits = self.sign, len(body.wait_pos)
-        c0, anchor = 0, _IDENTITY if self.product is None else self.product  # A_c0
-
-        def before(q: np.ndarray) -> np.ndarray:
-            """The products before iterations ``q`` (ascending, not empty), ``(len(q), 3, 3)``."""
-            nonlocal c0, anchor
-            c, k = np.divmod(q, _BODY_POWERS)
-            anchors = []
-            for cc in range(c[0], c[-1] + 1):
-                for _ in range(cc - c0):
-                    anchor = anchor @ body.powers[-1]
-                c0 = cc
-                anchors.append(anchor)
-            return np.array(anchors)[c - c[0]] @ body.powers[k]
-
+        alpha0, sign0, n_waits = self.alpha, self.sign, len(body.wait_pos)
         n = rep.count * body.size
         for p in range(0, n, _DRAW_BLOCK):
             p1 = min(p + _DRAW_BLOCK, n)
             w0 = body.before(body.wait_pos, p)
             q, j = body.split(w0, body.before(body.wait_pos, p1), body.wait_pos)
             hs = body.wait_h[j]
-            signs = body.wait_sign[j] * (sign0 if body.parity > 0 else np.where(q % 2, -sign0, sign0))
+            signs = body.wait_sign[j] * body.frame(q, alpha0, sign0)[1]
             if self.baths and len(hs):
                 self.bath(hs)
             # bit for bit the running sum t += h
@@ -825,17 +817,13 @@ class _Run:
             self.t = float(times[-1])
             q, j = body.split(body.before(body.read_pos, p), body.before(body.read_pos, p1), body.read_pos)
             rows = q * n_waits + body.read_waits[j] - w0
-            products = body.read_products[j]
-            if body.product is not None and len(q):
-                products = before(q) @ products
-            elif self.product is not None:
-                products = self.product @ products
+            alphas, frame_signs = body.frame(q, alpha0, sign0)
             self.sample_times.frombytes(times[rows].tobytes())
             self.sample_labels.extend(body.read_labels[j].tolist())
-            self._settle(slice(None), hs, signs, rows, products, times[rows] - self.t_ref)
-        if body.product is not None:
-            self.product = before(np.array([rep.count]))[0]
-        self.sign = sign0 if body.parity > 0 or rep.count % 2 == 0 else -sign0
+            self._settle(slice(None), hs, signs, rows, body.read_sign[j] * alphas + body.read_angle[j],
+                         body.read_sign[j] * frame_signs, times[rows] - self.t_ref)
+        alpha, sign = body.frame(np.array(rep.count), alpha0, sign0)
+        self.alpha, self.sign = math.remainder(float(alpha), 2.0 * math.pi), float(sign)
 
 
 def run_program(
@@ -870,10 +858,14 @@ def run_program(
     last materialization, ``psi`` their phase in cycles since then -- the
     bath and detuning phase of each wait, signed by the switching
     function, the parity of the pi pulses before it -- and ``P`` the
-    product of those pulses, one 3x3 matrix for all members.  A wait adds
-    to ``psi``, a pi pulse multiplies ``P``; no state moves.  T2, and T1
-    toward ``z_equilibrium = 0``, are diagonal factors that commute with
-    both, carried as the time since the last materialization.  An
+    product of those pulses.  A pi pulse at phase phi maps ``w = x + i y``
+    to ``e^{2 i phi} conj(w)`` and z to -z, so ``P`` flips ``(y, z)`` by
+    a sign, the parity of the pulses, and then turns ``(x, y)`` by one
+    angle ``alpha``, the same for all members: a wait adds to ``psi``, a
+    pi pulse sets ``alpha <- 2 phi - alpha`` (in [-pi, pi]) and flips the
+    sign, and no state moves.  T2, and T1 toward ``z_equilibrium = 0``,
+    are diagonal factors that commute with both, carried as the time
+    since the last materialization.  An
     acquire (and every sample of ``record="events"``) reads the weighted
     sum of those states without forming them.  The states are formed
     (materialized), and the frame reset, before any other pulse -- a
@@ -914,17 +906,18 @@ def run_program(
     (at most ``_LOWERED_EVENTS`` of them expanded), and no wait if T1
     relaxes toward a nonzero ``z_equilibrium``, is lowered once per run
     to arrays of its waits and reads (:class:`_Body`).  A block of its
-    expansion is then slices of those arrays: no event is dispatched, no
-    product is formed per pi pulse but one per read, from powers of one
-    iteration's product, and the reads are appended in bulk.  Every other
-    event is read one at a time from a lazy walk of
-    :meth:`PulseProgram.expand`.  The baths draw for the bath intervals
-    of each block at once, O(``_DRAW_BLOCK``) values per member for
-    either bath; the block's waits between two materializations add to
-    ``psi`` in one cumulative sum that starts from the carried ``psi``,
-    and its reads (the t = 0 and end rows too) are summed together
-    straight into the table.  Nothing sized by the expanded program is
-    kept but the table returned.
+    expansion is then slices of those arrays: no event is dispatched, the
+    frame before iteration q is ``alpha + q turn`` (an even count of pi
+    pulses per iteration, ``turn`` the angle they add) or alternates
+    between ``alpha`` and ``turn - alpha`` (an odd count), and the reads
+    are appended in bulk.  Every other event is read one at a time from
+    a lazy walk of :meth:`PulseProgram.expand`.  The baths draw for the
+    bath intervals of each block at once, O(``_DRAW_BLOCK``) values per
+    member for either bath; the block's waits between two
+    materializations add to ``psi`` in one cumulative sum that starts
+    from the carried ``psi``, and its reads (the t = 0 and end rows too)
+    are summed together straight into the table.  Nothing sized by the
+    expanded program is kept but the table returned.
 
     Raises :class:`SimulationBudgetError`, before any work, when the
     ``size * k`` member-states exceed ``_MAX_MEMBER_STATES`` (2**16), or

@@ -26,9 +26,11 @@ from blochdd.ensemble import (
     sample_detunings,
 )
 from blochdd.sequences import (
+    Acquire,
     BangBangParams,
     PulseProgram,
     PulseSpec,
+    Wait,
     build_bangbang,
     build_hahn_echo,
     parse,
@@ -363,9 +365,12 @@ LOWERING_PROGRAMS = {
     # one lowered repeat after another carries the frame across
     "chained": "pulse area=pi/2 phase=0; repeat 5 { pulse area=pi phase=0; wait 0.1ms; acquire a }; "
                "repeat 4 { wait 0.2ms; pulse area=pi phase=90; wait 0.2ms; acquire b }",
-    # no pi pulse: the frame carries a product from before the repeat
+    # no pi pulse: the frame carries a pi pulse from before the repeat
     "no-pi": "pulse area=pi/2 phase=0; pulse area=pi phase=0; repeat 90 { wait 50us; acquire a }; "
              "repeat 4 { }; acquire b",
+    # pi at 0 and 30 degrees: the frame turns 60 degrees per iteration
+    "rotating": "pulse area=pi/2 phase=0; repeat 13 { pulse area=pi phase=0; wait 0.1ms; acquire a; "
+                "pulse area=pi phase=30; wait 0.2ms }; wait 0.1ms; acquire b",
 }
 
 
@@ -373,7 +378,7 @@ LOWERING_PROGRAMS = {
 @pytest.mark.parametrize("baths", [(), INVARIANCE_BATHS], ids=["none", "ou+telegraph"])
 @pytest.mark.parametrize("name", sorted(LOWERING_PROGRAMS))
 def test_lowered_repeats_match_the_event_path(monkeypatch, name, baths, record):
-    # the same draws; only the pi products are formed in another order
+    # the same draws; only the frame angles of the pi pulses are summed in another order
     def run():
         spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=800.0, seed=2)
         return run_program(parse(LOWERING_PROGRAMS[name]), spec, noise=baths, master_seed=3,
@@ -741,6 +746,54 @@ def test_bangbang_against_brute_force_rotation_oracle(size, rabi, relax):
         v = free(pulse(v, math.pi, math.pi), tau_c if k < n_cycles - 1 else tau_c - tau1)
     _, _, means = acquire_table(res)
     np.testing.assert_allclose(means[-1], np.mean(v, axis=0), atol=1e-9)
+
+
+def brute_force_hard_acquires(prog, dets, relax=None):
+    """Mean Bloch vectors at each acquire of a hard-pulse program run from +z:
+    scipy rotations applied member by member, relaxation in closed form
+    after each wait."""
+    v = np.tile([0.0, 0.0, 1.0], (len(dets), 1))
+    means = []
+    for ev in prog.expand():
+        if isinstance(ev, Wait):
+            v = Rotation.from_rotvec(np.outer(2 * math.pi * dets * ev.duration, [0, 0, 1])).apply(v)
+            if relax is not None:
+                v[:, :2] *= math.exp(-ev.duration / relax.t2)
+                v[:, 2] *= math.exp(-ev.duration / relax.t1)
+        elif isinstance(ev, Acquire):
+            means.append(np.mean(v, axis=0))
+        else:
+            rotvec = [math.cos(ev.phase) * ev.area, math.sin(ev.phase) * ev.area, 0.0]
+            v = Rotation.from_rotvec(np.tile(rotvec, (len(dets), 1))).apply(v)
+    return np.array(means)
+
+
+def test_pi_pulses_that_turn_the_frame_against_brute_force_rotation_oracle():
+    # four pi pulses per iteration turn the frame by -120 degrees, so the
+    # frame angle moves from one iteration to the next; 300 iterations
+    # span several draw blocks
+    dets = np.random.default_rng(66).normal(0.0, 4000.0 * SIGMA_FROM_FWHM, 64)
+    spec = EnsembleSpec(size=len(dets), distribution="explicit", detunings=tuple(dets))
+    relax = RelaxationParams(t1=0.3, t2=0.1)
+    prog = parse("pulse area=pi/2; repeat 300 { wait 0.1ms; pulse area=pi phase=30; wait 0.2ms; "
+                 "pulse area=pi phase=0; wait 0.1ms; acquire a; pulse area=pi phase=100; wait 0.05ms; "
+                 "pulse area=pi phase=250; wait 0.05ms }; wait 0.3ms; acquire b")
+    assert prog.expanded_count() > 4 * ensemble._DRAW_BLOCK
+    _, _, means = acquire_table(run_program(prog, spec, relax=relax))
+    np.testing.assert_allclose(means, brute_force_hard_acquires(prog, dets, relax), atol=1e-9)
+
+
+@pytest.mark.parametrize("phase", ["1.7e308rad", "1e300rad"])
+def test_pi_pulses_at_huge_phases_match_brute_force(phase):
+    # a legal phase: the engine reduces it as cos and sin do.  2 phase
+    # would overflow at 1.7e308, and at 1e300 its reduction by a rounded
+    # 2 pi would give another angle
+    dets = np.random.default_rng(67).normal(0.0, 4000.0 * SIGMA_FROM_FWHM, 16)
+    spec = EnsembleSpec(size=len(dets), distribution="explicit", detunings=tuple(dets))
+    prog = parse(f"pulse area=pi/2; repeat 40 {{ pulse area=pi phase={phase}; wait 0.1ms; acquire a; "
+                 "pulse area=pi phase=0; wait 0.1ms }; wait 0.05ms; acquire b")
+    _, _, means = acquire_table(run_program(prog, spec))
+    np.testing.assert_allclose(means, brute_force_hard_acquires(prog, dets), atol=1e-9)
 
 
 def test_finite_pulses_under_a_frozen_telegraph_bath_match_brute_force():

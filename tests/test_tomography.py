@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from blochdd import tomography
+from blochdd.bloch import rotation_matrix
 from blochdd.ensemble import EnsembleSpec, run_program
-from blochdd.sequences import BangBangParams, PulseProgram, PulseSpec, build_bangbang_body, parse
+from blochdd.sequences import BangBangParams, PulseProgram, PulseSpec, Wait, build_bangbang_body, parse
 from blochdd.tomography import (
     assemble_ptm,
     average_gate_fidelity,
@@ -50,6 +51,38 @@ def test_gaussian_dephasing_channel():
     # zero here because the line is symmetric
     assert abs(res.ptm[1, 2]) < 1e-9
     assert abs(res.ptm[0, 1]) == 0.0
+
+
+X_PI, Y_PI = "pulse area=pi phase=0", "pulse area=pi phase=90"
+XY4 = f"{X_PI}; wait 100us; {Y_PI}; wait 100us; {X_PI}; wait 100us; {Y_PI}"
+MATRIX_POWER_BODIES = {
+    "xy4": f"wait 50us; {XY4}; wait 50us",
+    "xy8": f"wait 50us; {XY4}; wait 100us; {Y_PI}; wait 100us; {X_PI}; wait 100us; {Y_PI}; "
+           f"wait 100us; {X_PI}; wait 50us",
+    "0-30": f"wait 70us; {X_PI}; wait 130us; pulse area=pi phase=30; wait 60us",
+}
+
+
+@pytest.mark.parametrize("n", [1, 37, 1000])
+@pytest.mark.parametrize("name", sorted(MATRIX_POWER_BODIES))
+def test_static_line_ptm_is_the_mean_cycle_rotation_to_the_nth_power(name, n):
+    # no bath and hard pulses: member i's n cycles are its one-cycle
+    # rotation M_i to the n-th power, and the channel is unital
+    dets = np.random.default_rng(6).normal(0.0, 3000.0 * SIGMA_FROM_FWHM, 16)
+    spec = EnsembleSpec(size=len(dets), distribution="explicit", detunings=tuple(dets))
+    body = MATRIX_POWER_BODIES[name]
+    res = run_process_tomography(parse(f"repeat {n} {{ {body} }}"), spec)
+    expect = np.zeros((3, 3))
+    for det in dets:
+        m = np.eye(3)
+        for ev in parse(body).expand():
+            if isinstance(ev, Wait):
+                m = m @ rotation_matrix([0.0, 0.0, 1.0], 2 * math.pi * det * ev.duration)
+            else:
+                m = m @ rotation_matrix([math.cos(ev.phase), math.sin(ev.phase), 0.0], ev.area)
+        expect += np.linalg.matrix_power(m, n).T / len(dets)
+    np.testing.assert_allclose(res.ptm[1:, 1:], expect, atol=1e-11)
+    np.testing.assert_allclose(res.ptm[1:, 0], 0.0, atol=1e-11)
 
 
 def test_trace_preservation_row():
