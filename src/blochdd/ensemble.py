@@ -12,14 +12,18 @@ pulse changes one angle and one sign shared by all members, and the
 states themselves move only at the other pulses.  Observables are read
 from that frame directly into the one table a run returns, whose acquire
 rows are labelled; acquire magnitudes and phases are computed from its
-rows.
+rows.  A repeated cycle that holds other pulses but no acquire, run with
+no bath or one telegraph bath, is compiled: each member's cycle is one
+3x3 map, so the states move once per cycle (and with no bath once per
+repeat), not once per pulse.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
 randomness from a stream derived only from ``(master_seed, i)`` and
 consumes it in order, its OU values are computed in chunks aligned to
-its interval count, and each phase is one running sum in event order,
-so results are bit-identical for any draw block size.  Every observable
+its interval count, each phase is one running sum in event order, and a
+compiled repeat applies its maps one iteration at a time, so results
+are bit-identical for any draw block size.  Every observable
 is a numpy pairwise sum over all members, not a BLAS call.  The one BLAS
 reduction, over the intervals of an OU chunk, sums each member's value
 alone in a fixed order, so results do not depend on the number of BLAS
@@ -28,6 +32,7 @@ threads either (CI diffs the outputs at 1 and 2 threads).
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -432,7 +437,9 @@ class _TelegraphBath:
 
     Flip times are cumulative sums of exponential gaps, so the sign is
     piecewise constant between known times and its integral over any
-    interval is exact.
+    interval is exact.  After each block, ``flipped`` marks the intervals
+    in which a member flips at all: a compiled repeat builds those
+    member-iterations exactly (:meth:`_Run.cycle_maps`).
     """
 
     def __init__(self, model: NoiseModel, rngs: list):
@@ -455,11 +462,13 @@ class _TelegraphBath:
         self.col[idx] += 1
 
     def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
-        # flips[k] is -1 where a member flips an odd number of times in interval k
-        flips = np.ones((len(lengths), len(self.rngs)))
-        correction = np.zeros_like(flips)
-        start = np.empty_like(flips)
-        start[0] = self.amplitude * self.sign
+        """``(starts, integrals)`` as :meth:`_OUChain.advance`; ``flipped`` then
+        marks, ``(B, m)``, the intervals in which each member flips."""
+        # odd[k] is true where a member flips an odd number of times in interval k
+        odd = np.zeros((len(lengths), len(self.rngs)), dtype=bool)
+        self.flipped = np.zeros_like(odd)
+        correction = np.zeros(odd.shape)
+        start0 = self.amplitude * self.sign
         # each round takes every member's next flip inside the block
         while True:
             idx = np.flatnonzero(self.next_flip <= edges[-1])
@@ -469,12 +478,17 @@ class _TelegraphBath:
             k = np.searchsorted(edges[1:], f)  # edges[k] < f <= edges[k + 1]
             # flipping s -> -s at f changes the interval's integral by -2 s (edges[k + 1] - f)
             correction[k, idx] -= 2.0 * self.amplitude * self.sign[idx] * (edges[k + 1] - f)
-            flips[k, idx] = -flips[k, idx]
+            odd[k, idx] = ~odd[k, idx]
+            self.flipped[k, idx] = True
             self.sign[idx] = -self.sign[idx]
             self._advance(idx)
-        np.cumprod(flips[:-1], axis=0, out=start[1:])
-        start[1:] *= start[0]
-        return start, start * np.diff(edges)[:, None] + correction
+        # a member's value changes sign after each interval of odd count
+        changed = np.zeros_like(odd)
+        np.logical_xor.accumulate(odd[:-1], axis=0, out=changed[1:])
+        start = np.where(changed, -start0, start0)
+        integrals = start * np.diff(edges)[:, None]
+        integrals += correction
+        return start, integrals
 
 
 class _PulseTable:
@@ -488,7 +502,9 @@ class _PulseTable:
     ``2 i`` or ``2 i + 1`` by the sign of ``b_i``.  Other baths, and pulses
     past ``_PULSE_TABLE_BYTES``, build them at ``det + b`` at every use.
     Each matrix is an elementwise function of its member's detuning, so
-    both ways give the same bits.
+    both ways give the same bits.  A compiled repeat (:class:`_Cycle`)
+    multiplies whole stacks into its cycle maps, and takes the rows of the
+    members whose bath flips within an iteration.
     """
 
     def __init__(self, det: np.ndarray, models: list):
@@ -504,20 +520,35 @@ class _PulseTable:
         self.pulse_nbytes = 72 * len(det) * len(self.offsets or ())  # of one pulse's stacks
         self.rows = 2 * np.arange(len(det))  # of the matrices at +A
 
-    def matrices(self, pulse: Pulse, start) -> np.ndarray:
-        """``(m, 3, 3)`` matrices of ``pulse`` at bath values ``start`` (None: no bath)."""
+    def stack(self, pulse: Pulse) -> np.ndarray:
+        """``(m |offsets|, 3, 3)`` interleaved matrices of ``pulse`` at ``det +
+        offsets``, kept for the run while they fit in ``_PULSE_TABLE_BYTES``."""
         stacks = self.stacks.get(pulse)
         if stacks is None:
-            if self.offsets is None or self.nbytes + self.pulse_nbytes > _PULSE_TABLE_BYTES:
-                eff = self.det if start is None else self.det + start
-                return finite_pulse_matrix(pulse.rabi, pulse.duration, pulse.phase, eff)
-            stacks = self.stacks[pulse] = np.stack([
+            stacks = np.stack([
                 finite_pulse_matrix(pulse.rabi, pulse.duration, pulse.phase,
                                     self.det if b is None else self.det + b)
                 for b in self.offsets
             ], axis=1).reshape(-1, 3, 3)
-            self.nbytes += self.pulse_nbytes
-        return stacks if start is None else stacks.take(self.rows + (start < 0), axis=0)
+            if self.nbytes + self.pulse_nbytes <= _PULSE_TABLE_BYTES:
+                self.stacks[pulse] = stacks
+                self.nbytes += self.pulse_nbytes
+        return stacks
+
+    def matrices(self, pulse: Pulse, start, members=None) -> np.ndarray:
+        """``(n, 3, 3)`` matrices of ``pulse`` for ``members`` (an index array;
+        None: all m) at their bath values ``start`` (None: no bath)."""
+        tabled = self.offsets is not None and (
+            pulse in self.stacks or self.nbytes + self.pulse_nbytes <= _PULSE_TABLE_BYTES)
+        if not tabled:
+            det = self.det if members is None else self.det[members]
+            return finite_pulse_matrix(pulse.rabi, pulse.duration, pulse.phase,
+                                       det if start is None else det + start)
+        stacks = self.stack(pulse)
+        if start is None:
+            return stacks if members is None else stacks.take(members, axis=0)
+        rows = self.rows if members is None else 2 * members
+        return stacks.take(rows + (start < 0), axis=0)
 
 
 def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise, n_states: int) -> None:
@@ -599,6 +630,14 @@ def _weighted_sums(u: np.ndarray, weights: np.ndarray, phases: np.ndarray, alpha
     return means.reshape(len(means), -1)
 
 
+def _ramp(n: int) -> tuple:
+    """``(n, q, j)``: marked event ``k`` of an expansion with ``n`` marks per
+    iteration is mark ``j[k]`` of iteration ``q[k]``, for ``k`` up to ``n +
+    _DRAW_BLOCK``, so a block of marks starting at any mark of an iteration
+    is one slice."""
+    return (n, *np.divmod(np.arange(n + _DRAW_BLOCK), max(n, 1)))
+
+
 class _Body:
     """A Repeat body of waits, hard pi pulses and acquires, lowered to arrays.
 
@@ -626,10 +665,12 @@ class _Body:
                 label = ev.label if isinstance(ev, Acquire) else None
                 reads.append((pos, label, len(waits), sign, angle))
         self.parity, self.turn = sign, angle
-        self.wait_pos = np.array([w[0] for w in waits], dtype=np.intp)
+        self.wait_pos = tuple(w[0] for w in waits)
+        self.wait_ramp = _ramp(len(waits))
         self.wait_h = np.array([w[1] for w in waits], dtype=float)
         self.wait_sign = np.array([w[2] for w in waits], dtype=float)
-        self.read_pos = np.array([r[0] for r in reads], dtype=np.intp)
+        self.read_pos = tuple(r[0] for r in reads)
+        self.read_ramp = _ramp(len(reads))
         self.read_labels = np.array([r[1] for r in reads], dtype=object)
         self.read_waits = np.array([r[2] for r in reads], dtype=np.intp)
         self.read_sign = np.array([r[3] for r in reads], dtype=float)
@@ -643,14 +684,95 @@ class _Body:
         odd = q % 2 == 1
         return np.where(odd, self.turn - alpha, alpha), np.where(odd, -sign, sign)
 
-    def before(self, positions: np.ndarray, p: int) -> int:
+    def before(self, positions: tuple, p: int) -> int:
         """How many events at body ``positions`` come before event ``p`` of the expansion."""
         q, e = divmod(p, self.size)
-        return q * len(positions) + int(np.searchsorted(positions, e))
+        return q * len(positions) + bisect.bisect_left(positions, e)
 
-    def split(self, lo: int, hi: int, positions: np.ndarray) -> tuple:
-        """(iterations, body indices) of the marked events ``lo .. hi - 1`` of the expansion."""
-        return np.divmod(np.arange(lo, hi), max(len(positions), 1))
+    @staticmethod
+    def split(lo: int, hi: int, ramp: tuple) -> tuple:
+        """(iterations, body indices) of the marked events ``lo .. hi - 1`` of the
+        expansion, at most ``_DRAW_BLOCK`` of them: slices of their :func:`_ramp`."""
+        n, iterations, indices = ramp
+        q, j = divmod(lo, max(n, 1))
+        return q + iterations[j:j + hi - lo], indices[j:j + hi - lo]
+
+
+def _rz(cycles: np.ndarray, decay) -> np.ndarray:
+    """``(n, 3, 3)`` matrices ``R_z(2 pi cycles) D``, ``D`` the diagonal ``decay``
+    ``(3,)`` or the identity for None."""
+    c, s = np.cos(2.0 * math.pi * cycles), np.sin(2.0 * math.pi * cycles)
+    m = np.zeros((len(cycles), 3, 3))
+    m[:, 0, 0] = m[:, 1, 1] = c
+    m[:, 0, 1], m[:, 1, 0] = s, -s
+    m[:, 2, 2] = 1.0
+    if decay is not None:
+        m *= decay  # column j times decay[j]: R_z, then D
+    return m
+
+
+def _power(maps: np.ndarray, n: int) -> np.ndarray:
+    """``maps`` ``(..., 3, 3)`` to the power ``n >= 1``, by repeated squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = maps if out is None else out @ maps
+        n >>= 1
+        if not n:
+            return out
+        maps = maps @ maps
+
+
+class _Cycle:
+    """A Repeat body of waits and pulses, compiled to per-member cycle maps.
+
+    With its bath value ``b`` held, member ``i``'s iteration of the body
+    is one 3x3 map (row vectors, applied as ``u @ K``): the product, in
+    body order, of ``R_z(2 pi (det_i + b) h) D(h)`` for each wait of
+    length ``h`` (``D`` the relaxation factor of :func:`_decay`), of each
+    finite pulse's matrix at ``det_i + b`` and of each hard pulse's
+    matrix.  ``maps`` holds these at every bath value of the run's
+    :class:`_PulseTable`, interleaved as its stacks: ``(m |offsets|, 3,
+    3)``.  An iteration in which a member's telegraph bath flips is built
+    by :meth:`walk` from the drawn values instead.  ``lengths`` are the
+    body's bath intervals, its waits and finite pulses, and ``period``
+    their exact sum.
+    """
+
+    def __init__(self, events: list, run: "_Run"):
+        self.events = events
+        self.lengths = np.array([ev.duration for ev in events if isinstance(ev, Wait) or ev.mode == "finite"])
+        self.period = math.fsum(self.lengths)
+        self.decays = _decay(run.relax, [ev.duration for ev in events if isinstance(ev, Wait)])
+        offsets = run.finite.offsets
+        self.maps = self.walk(run, run.det if offsets == (None,) else (run.det[:, None] + offsets).ravel())
+
+    def walk(self, run: "_Run", det: np.ndarray, members=None, starts=None, integrals=None) -> np.ndarray:
+        """``(n, 3, 3)`` maps of one iteration at detunings ``det`` ``(n,)``.
+
+        With no bath values given these are rows of :attr:`maps`, ``det``
+        holding each bath value.  Else they are the iterations of
+        ``members`` (an index array), given their bath values at the start
+        of each interval and the integrals over it, each ``(L, n)``: a wait
+        turns by ``det h + integral`` cycles and a finite pulse takes its
+        matrix at its start's value from the pulse table.
+        """
+        out = None
+        k = w = 0  # bath intervals and waits so far
+        for ev in self.events:
+            if isinstance(ev, Wait):
+                cycles = det * ev.duration
+                if integrals is not None:
+                    cycles += integrals[k]
+                m = _rz(cycles, None if self.decays is None else self.decays[w])
+                k, w = k + 1, w + 1
+            elif ev.mode == "finite":
+                m = run.finite.stack(ev) if starts is None else run.finite.matrices(ev, starts[k], members)
+                k += 1
+            else:
+                m = run.pulse_matrix(ev)
+            out = m if out is None else out @ m
+        return np.broadcast_to(np.eye(3) if out is None else out, (len(det), 3, 3))
 
 
 class _Run:
@@ -667,7 +789,7 @@ class _Run:
         # relaxation toward z_equilibrium != 0 does not commute with pi pulses
         self.affine = math.isfinite(relax.t1) and relax.z_equilibrium != 0.0
         self.hard: dict = {}  # hard Pulse of another area than pi -> its matrix
-        self.bodies: dict = {}  # id(Repeat) -> its _Body, or None: run event by event
+        self.bodies: dict = {}  # id(Repeat) -> its _Body or _Cycle, or None: run event by event
         self.edges = np.zeros(1)
         self.integrals = None
         self.psi = np.zeros(len(weights))  # toggling-frame phase in cycles, per member
@@ -687,9 +809,19 @@ class _Run:
         return m
 
     def lowered(self, rep: Repeat) -> bool:
-        """Whether ``rep`` runs lowered to arrays (:class:`_Body`): a body of
-        at most ``_LOWERED_EVENTS`` waits, hard pi pulses and acquires, and
-        of no wait under relaxation toward a nonzero ``z_equilibrium``."""
+        """Whether ``rep`` runs as one unit, not event by event.  Its body
+        must expand to at most ``_LOWERED_EVENTS`` events, and it is either
+
+        * lowered to arrays (:class:`_Body`): waits, hard pi pulses and
+          acquires, and no wait under relaxation toward a nonzero
+          ``z_equilibrium``; or
+        * compiled to per-member cycle maps (:class:`_Cycle`), under
+          ``record="acquires"``: waits and pulses of any kind, no acquire,
+          no bath or one telegraph bath (the pulse table's cases) and no
+          relaxation toward a nonzero ``z_equilibrium``.
+
+        Every other body runs event by event.
+        """
         key = id(rep)
         if key not in self.bodies:
             body = PulseProgram(rep.body)
@@ -699,6 +831,9 @@ class _Run:
                 if all(isinstance(ev, Acquire) or isinstance(ev, Wait) and not self.affine
                        or isinstance(ev, Pulse) and ev.area == math.pi for ev in events):
                     self.bodies[key] = _Body(events, self.record)
+                elif (self.record == "acquires" and not self.affine and self.finite.offsets is not None
+                      and not any(isinstance(ev, Acquire) for ev in events)):
+                    self.bodies[key] = _Cycle(events, self)
         return self.bodies[key] is not None
 
     def bath(self, lengths: np.ndarray) -> np.ndarray:
@@ -706,6 +841,7 @@ class _Run:
         over them and return the summed values at their starts."""
         # from the last block's end: bit for bit one cumsum over the program
         self.edges = np.cumsum(np.concatenate([self.edges[-1:], lengths]))
+        self.integrals = None  # settled: let the draws reuse its memory
         starts, self.integrals = self.baths[0].block(lengths, self.edges)
         for bath in self.baths[1:]:
             more, integrals = bath.block(lengths, self.edges)
@@ -716,6 +852,16 @@ class _Run:
         self.sample_times.append(self.t)
         self.sample_labels.append(label)
         self.reads.append((len(self.waits), self.alpha, self.sign, self.t - self.t_ref))
+
+    def form(self):
+        """Settle, form the states of the frame into ``u`` and start a new
+        frame at t; return the relaxation factor applied (:func:`_decay`)."""
+        self.settle()
+        decay = _decay(self.relax, self.t - self.t_ref)
+        self.u = _materialize(self.u, self.psi, self.alpha, self.sign, decay)
+        self.psi = np.zeros(len(self.weights))
+        self.alpha, self.sign, self.t_ref = 0.0, 1.0, self.t
+        return decay
 
     def settle(self) -> None:
         """Add the pending waits to ``psi`` and sum the pending reads."""
@@ -773,20 +919,17 @@ class _Run:
                 if not materialize:
                     self.alpha, self.sign = _pi_angle(self.alpha, ev.phase), -self.sign
             if materialize:
-                self.settle()
-                decay = _decay(self.relax, self.t - self.t_ref)
-                u = _materialize(self.u, self.psi, self.alpha, self.sign, decay)
+                decay = self.form()
                 if isinstance(ev, Wait):  # z relaxes toward z_equilibrium, not 0
-                    u[..., 2] += self.relax.z_equilibrium * (1.0 - decay[2])
+                    self.u[..., 2] += self.relax.z_equilibrium * (1.0 - decay[2])
                 elif ev.mode == "hard":
-                    u = (u.reshape(-1, 3) @ self.pulse_matrix(ev)).reshape(u.shape)
+                    self.u = (self.u.reshape(-1, 3) @ self.pulse_matrix(ev)).reshape(self.u.shape)
                 else:  # a finite pulse, with the bath value frozen at its start
                     # one matrix per member, applied to each of its states
-                    u = u @ self.finite.matrices(ev, starts[k] if self.baths else None)
+                    self.u = self.u @ self.finite.matrices(ev, starts[k] if self.baths else None)
                     self.t += ev.elapsed
+                    self.t_ref = self.t
                     k += 1
-                self.u, self.psi = u, np.zeros(len(self.weights))
-                self.alpha, self.sign, self.t_ref = 0.0, 1.0, self.t
             if self.record == "events" or isinstance(ev, Acquire):
                 self.read(ev.label if isinstance(ev, Acquire) else None)
         self.settle()
@@ -802,20 +945,22 @@ class _Run:
         blocks.
         """
         body = self.bodies[id(rep)]
+        if isinstance(body, _Cycle):
+            return self.cycles(rep.count, body)
         alpha0, sign0, n_waits = self.alpha, self.sign, len(body.wait_pos)
         n = rep.count * body.size
         for p in range(0, n, _DRAW_BLOCK):
             p1 = min(p + _DRAW_BLOCK, n)
             w0 = body.before(body.wait_pos, p)
-            q, j = body.split(w0, body.before(body.wait_pos, p1), body.wait_pos)
+            q, j = body.split(w0, body.before(body.wait_pos, p1), body.wait_ramp)
             hs = body.wait_h[j]
             signs = body.wait_sign[j] * body.frame(q, alpha0, sign0)[1]
             if self.baths and len(hs):
                 self.bath(hs)
             # bit for bit the running sum t += h
-            times = np.cumsum(np.concatenate([[self.t], hs]))
+            times = np.concatenate([[self.t], hs]).cumsum()
             self.t = float(times[-1])
-            q, j = body.split(body.before(body.read_pos, p), body.before(body.read_pos, p1), body.read_pos)
+            q, j = body.split(body.before(body.read_pos, p), body.before(body.read_pos, p1), body.read_ramp)
             rows = q * n_waits + body.read_waits[j] - w0
             alphas, frame_signs = body.frame(q, alpha0, sign0)
             self.sample_times.frombytes(times[rows].tobytes())
@@ -824,6 +969,49 @@ class _Run:
                          body.read_sign[j] * frame_signs, times[rows] - self.t_ref)
         alpha, sign = body.frame(np.array(rep.count), alpha0, sign0)
         self.alpha, self.sign = math.remainder(float(alpha), 2.0 * math.pi), float(sign)
+
+    def cycles(self, count: int, body: _Cycle) -> None:
+        """Run ``count`` iterations of a compiled body (see :func:`run_program`):
+        form the states once, then apply each member's maps, one power of
+        them with no bath draw, else one iteration at a time in order."""
+        self.form()
+        if not self.baths or not len(body.lengths):
+            self.u = self.u @ _power(body.maps[::len(self.finite.offsets)], count)
+            self.t += count * body.period
+        else:
+            per = max(1, _DRAW_BLOCK // len(body.lengths))
+            maps, u = np.empty((len(self.weights), 3, 3)), np.empty_like(self.u)
+            for q0 in range(0, count, per):
+                # a block's dense draws die in cycle_maps, before the next block draws
+                table, pick = self.cycle_maps(body, min(per, count - q0))
+                for row in pick:
+                    np.matmul(self.u, table.take(row, axis=0, out=maps), out=u)
+                    self.u, u = u, self.u
+        self.t_ref = self.t
+
+    def cycle_maps(self, body: _Cycle, n: int) -> tuple:
+        """Draw the bath over the next ``n`` iterations of a compiled body, as
+        the event path would, and return ``(table, pick)``: member ``i``'s
+        map of iteration ``q`` is ``table[pick[q, i]]``.
+
+        Where its bath does not flip in the iteration, that is its row of
+        ``body.maps`` at the sign of its value at the iteration's start.
+        The member-iterations in which it flips are built exactly, all at
+        once (:meth:`_Cycle.walk`), and appended to the table.
+        """
+        size = len(body.lengths)
+        lengths = np.tile(body.lengths, n)
+        starts = self.bath(lengths)
+        # bit for bit the running sum t += h
+        self.t = float(np.concatenate([[self.t], lengths]).cumsum()[-1])
+        table, pick = body.maps, self.finite.rows + (starts[::size] < 0)
+        q, i = np.nonzero(self.baths[0].flipped.reshape(n, size, -1).any(axis=1))
+        if len(q):
+            k = q * size + np.arange(size)[:, None]  # (L, flips): their intervals
+            exact = body.walk(self, self.det[i], i, starts[k, i], self.integrals[k, i])
+            table = np.concatenate([table, exact])
+            pick[q, i] = len(body.maps) + np.arange(len(q))
+        return table, pick
 
 
 def run_program(
@@ -910,9 +1098,34 @@ def run_program(
     frame before iteration q is ``alpha + q turn`` (an even count of pi
     pulses per iteration, ``turn`` the angle they add) or alternates
     between ``alpha`` and ``turn - alpha`` (an odd count), and the reads
-    are appended in bulk.  Every other event is read one at a time from
-    a lazy walk of :meth:`PulseProgram.expand`.  The baths draw for the
-    bath intervals of each block at once, O(``_DRAW_BLOCK``) values per
+    are appended in bulk.
+
+    Under ``record="acquires"``, a ``Repeat`` whose body holds waits and
+    pulses of any kind but no acquire (at most ``_LOWERED_EVENTS``
+    expanded), run with no bath or one telegraph bath and with no
+    relaxation or T1/T2 toward ``z_equilibrium = 0``, is compiled once
+    per run (:class:`_Cycle`).  With its bath value held at 0 or ``+-A``,
+    member ``i``'s iteration is one map ``K_i``: the product of its
+    waits' ``R_z(2 pi (det_i + b) h) D(h)`` and its pulses' matrices,
+    finite ones from the pulse table.  The states are formed once at the
+    repeat and move once per iteration, ``u <- u K``, in iteration order.
+    With no bath the ``count`` iterations are one power ``K_i^count``, by
+    repeated squaring, and the time advances by ``count`` times the
+    body's summed length.  With a telegraph bath the draws come for
+    blocks of whole iterations, about ``_DRAW_BLOCK`` intervals each,
+    through the same per-interval draw, so the flips and interval edges
+    are bit-identical to the event path's.  A member-iteration with no
+    flip takes ``K_i`` at the sign of the member's value at its start;
+    those with a flip, all of a block's at once, are built exactly from
+    the drawn values: each wait turns by ``det_i h`` plus the bath's
+    integral over it, and each finite pulse takes its matrix at the value
+    at its start.  No result depends on ``_DRAW_BLOCK``.  The compiled
+    and event paths multiply the same rotations in another order, so
+    they agree to rounding.
+
+    Every other event is read one at a time from a lazy walk of
+    :meth:`PulseProgram.expand`.  The baths draw for the bath intervals
+    of each block at once, O(``_DRAW_BLOCK``) values per
     member for either bath; the block's waits between two
     materializations add to ``psi`` in one cumulative sum that starts
     from the carried ``psi``, and its reads (the t = 0 and end rows too)

@@ -394,6 +394,89 @@ def test_lowered_repeats_match_the_event_path(monkeypatch, name, baths, record):
     np.testing.assert_allclose(lowered.mean_bloch, stepped.mean_bloch, rtol=1e-12, atol=1e-15)
 
 
+FINITE_PI = "pulse rabi=50kHz duration=10us phase={}".format
+COMPILED_PROGRAMS = {
+    "pi-pi": f"pulse area=pi/2 phase=0; wait 0.2ms; repeat 40 {{ {FINITE_PI(0)}; wait 0.3ms; "
+             f"{FINITE_PI(180)}; wait 0.3ms }}; wait 0.1ms; acquire a",
+    # a hard pulse of another area than pi inside the compiled body
+    "xy4-hard": f"pulse area=pi/2 phase=30; repeat 30 {{ {FINITE_PI(0)}; wait 0.1ms; {FINITE_PI(90)}; "
+                f"wait 0.1ms; pulse area=1.1rad phase=30; {FINITE_PI(0)}; wait 0.1ms; {FINITE_PI(90)}; "
+                "wait 0.1ms }; acquire a",
+    # the outer repeat holds an acquire, so it runs event by event and
+    # reaches its compiled inner repeat three times
+    "nested": f"pulse area=pi/2 phase=90; repeat 3 {{ pulse area=pi phase=0; repeat 25 {{ {FINITE_PI(0)}; "
+              f"wait 50us; {FINITE_PI(180)}; wait 50us }}; wait 20us; pulse area=pi phase=180; acquire a; "
+              "wait 7us }; acquire b",
+}
+FOUR_STATES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+
+
+# the counts of the compiled repeats each program runs
+COMPILED_REPEATS = {"pi-pi": [40], "xy4-hard": [30], "nested": [25] * 3}
+
+
+def compiled_run(name, baths, relax):
+    spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=2000.0, seed=2)
+    return run_program(parse(COMPILED_PROGRAMS[name]), spec, noise=baths, master_seed=3, relax=relax,
+                       initial_state=FOUR_STATES)
+
+
+def spy_on_compiled_repeats(monkeypatch):
+    """``{"repeats": [...], "exact": [...]}``, appended to as runs go: the
+    count of each compiled repeat run, and of each block's member-iterations
+    built exactly because their bath flips."""
+    seen = {"repeats": [], "exact": []}
+    cycles, walk = ensemble._Run.cycles, ensemble._Cycle.walk
+
+    def counted_cycles(self, count, body):
+        seen["repeats"].append(count)
+        return cycles(self, count, body)
+
+    def counted_walk(self, run, det, members=None, *args):
+        if members is not None:
+            seen["exact"].append(len(members))
+        return walk(self, run, det, members, *args)
+
+    monkeypatch.setattr(ensemble._Run, "cycles", counted_cycles)
+    monkeypatch.setattr(ensemble._Cycle, "walk", counted_walk)
+    return seen
+
+
+@pytest.mark.parametrize("relax", [RelaxationParams(), RelaxationParams(t1=0.4, t2=0.05)], ids=["none", "t1t2"])
+@pytest.mark.parametrize("baths", [(), (TELEGRAPH,)], ids=["none", "telegraph"])
+@pytest.mark.parametrize("name", sorted(COMPILED_PROGRAMS))
+def test_compiled_repeats_match_the_event_path(monkeypatch, name, baths, relax):
+    # the same draws and flips; the compiled maps multiply the same
+    # rotations in another order, and with no bath the time after a
+    # repeat is count x period, not a running sum
+    seen = spy_on_compiled_repeats(monkeypatch)
+    compiled = compiled_run(name, baths, relax)
+    assert seen["repeats"] == COMPILED_REPEATS[name]
+    assert sum(seen["exact"]) > 20 if baths else not seen["exact"]  # 3000 flips/s: many iterations flip
+    monkeypatch.setattr(ensemble, "_LOWERED_EVENTS", 0)  # every body event by event
+    stepped = compiled_run(name, baths, relax)
+    assert seen["repeats"] == COMPILED_REPEATS[name]  # nothing more compiled
+    assert compiled.sample_labels == stepped.sample_labels
+    np.testing.assert_allclose(compiled.sample_times, stepped.sample_times, rtol=1e-12)
+    if baths:  # the draws keep the running sum of the intervals
+        np.testing.assert_array_equal(compiled.sample_times, stepped.sample_times)
+    assert compiled.duration == pytest.approx(parse(COMPILED_PROGRAMS[name]).duration(), rel=1e-12)
+    assert compiled.mean_bloch.shape == stepped.mean_bloch.shape == (len(compiled.sample_labels), 4, 3)
+    np.testing.assert_allclose(compiled.mean_bloch, stepped.mean_bloch, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["pi-pi", "xy4-hard"])
+def test_compiled_run_is_invariant_to_draw_block(monkeypatch, name):
+    # blocks of 64 iterations, then of one: every iteration's maps are the same
+    relax = RelaxationParams(t1=0.4, t2=0.05)
+    seen = spy_on_compiled_repeats(monkeypatch)
+    default = compiled_run(name, (TELEGRAPH,), relax)
+    assert seen["repeats"] and seen["exact"]
+    for block in (3, 7):
+        monkeypatch.setattr(ensemble, "_DRAW_BLOCK", block)
+        assert_same_run(default, compiled_run(name, (TELEGRAPH,), relax))
+
+
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 1e6)
     spec = EnsembleSpec(size=1000, distribution="gaussian", fwhm=100.0, seed=1)

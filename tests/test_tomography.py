@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochdd import tomography
-from blochdd.bloch import rotation_matrix
+from blochdd.bloch import finite_pulse_matrix, rotation_matrix
 from blochdd.ensemble import EnsembleSpec, run_program
 from blochdd.sequences import BangBangParams, PulseProgram, PulseSpec, Wait, build_bangbang_body, parse
 from blochdd.tomography import (
@@ -55,19 +55,24 @@ def test_gaussian_dephasing_channel():
 
 X_PI, Y_PI = "pulse area=pi phase=0", "pulse area=pi phase=90"
 XY4 = f"{X_PI}; wait 100us; {Y_PI}; wait 100us; {X_PI}; wait 100us; {Y_PI}"
+# pi pulses of 10 us at 50 kHz Rabi
+FX_PI, FY_PI, FMX_PI = (f"pulse rabi=50kHz duration=10us phase={p}" for p in (0, 90, 180))
 MATRIX_POWER_BODIES = {
     "xy4": f"wait 50us; {XY4}; wait 50us",
     "xy8": f"wait 50us; {XY4}; wait 100us; {Y_PI}; wait 100us; {X_PI}; wait 100us; {Y_PI}; "
            f"wait 100us; {X_PI}; wait 50us",
     "0-30": f"wait 70us; {X_PI}; wait 130us; pulse area=pi phase=30; wait 60us",
+    "xy4-finite": f"wait 50us; {FX_PI}; wait 100us; {FY_PI}; wait 100us; {FX_PI}; wait 100us; {FY_PI}; "
+                  "wait 50us",
+    "pi-pi-finite": f"wait 50us; {FX_PI}; wait 100us; {FMX_PI}; wait 50us",
 }
 
 
 @pytest.mark.parametrize("n", [1, 37, 1000])
 @pytest.mark.parametrize("name", sorted(MATRIX_POWER_BODIES))
 def test_static_line_ptm_is_the_mean_cycle_rotation_to_the_nth_power(name, n):
-    # no bath and hard pulses: member i's n cycles are its one-cycle
-    # rotation M_i to the n-th power, and the channel is unital
+    # no bath: member i's n cycles are its one-cycle rotation M_i to the
+    # n-th power, and the channel is unital
     dets = np.random.default_rng(6).normal(0.0, 3000.0 * SIGMA_FROM_FWHM, 16)
     spec = EnsembleSpec(size=len(dets), distribution="explicit", detunings=tuple(dets))
     body = MATRIX_POWER_BODIES[name]
@@ -78,6 +83,8 @@ def test_static_line_ptm_is_the_mean_cycle_rotation_to_the_nth_power(name, n):
         for ev in parse(body).expand():
             if isinstance(ev, Wait):
                 m = m @ rotation_matrix([0.0, 0.0, 1.0], 2 * math.pi * det * ev.duration)
+            elif ev.mode == "finite":
+                m = m @ finite_pulse_matrix(ev.rabi, ev.duration, ev.phase, det)
             else:
                 m = m @ rotation_matrix([math.cos(ev.phase), math.sin(ev.phase), 0.0], ev.area)
         expect += np.linalg.matrix_power(m, n).T / len(dets)
