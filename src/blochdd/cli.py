@@ -368,19 +368,19 @@ _N_LIST = (1, 10, 100, 1000)
 
 
 def parse_tomography_config(cfg: dict, n_list=_N_LIST) -> dict:
-    """For :func:`tomography.tomography_series`: the train's body at each
-    of the non-negative, ascending cycle counts ``n_list``."""
+    """For :func:`tomography.tomography_series`: one program, the train of
+    max(n_list) cycles read at each of the non-negative, ascending cycle
+    counts ``n_list``."""
     errors: list[str] = []
     tau1, tau_c = read_train(cfg, errors)
     pulse_spec = read_pulses(cfg, errors)
-    bodies = None if None in (tau1, tau_c) else _make(errors, "sequence", lambda: {
-        n: sequences.build_bangbang_body(
-            sequences.BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n), pulse_spec)
-        for n in n_list})
+    program = None if None in (tau1, tau_c) else _make(
+        errors, "sequence", sequences._bangbang_series, tau1=tau1, tau_c=tau_c, counts=n_list,
+        pulse_spec=pulse_spec)
     kw = _ensemble_run(cfg, errors)
     _check(errors)
-    _check_within_budget("sequence", bodies.values(), kw, n_states=len(tomography.PREPARATIONS))
-    return dict(kw, bodies=bodies)
+    _check_within_budget("sequence", [program], kw, n_states=len(tomography.PREPARATIONS))
+    return dict(kw, program=program)
 
 
 def parse_sweep_config(cfg: dict) -> dict:

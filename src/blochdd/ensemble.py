@@ -12,10 +12,10 @@ pulse changes one angle and one sign shared by all members, and the
 states themselves move only at the other pulses.  Observables are read
 from that frame directly into the one table a run returns, whose acquire
 rows are labelled; acquire magnitudes and phases are computed from its
-rows.  A repeated cycle that holds other pulses but no acquire, run with
-no bath or one telegraph bath, is compiled: each member's cycle is one
-3x3 map, so the states move once per cycle (and with no bath once per
-repeat), not once per pulse.
+rows.  A repeated cycle with no acquire is compiled when it runs with no
+bath, or holds other pulses than hard pi and runs with one telegraph
+bath: each member's cycle is one 3x3 map, so the states move once per
+cycle (and with no bath once per repeat), not once per pulse.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
@@ -731,12 +731,12 @@ class _Cycle:
     body order, of ``R_z(2 pi (det_i + b) h) D(h)`` for each wait of
     length ``h`` (``D`` the relaxation factor of :func:`_decay`), of each
     finite pulse's matrix at ``det_i + b`` and of each hard pulse's
-    matrix.  ``maps`` holds these at every bath value of the run's
-    :class:`_PulseTable`, interleaved as its stacks: ``(m |offsets|, 3,
-    3)``.  An iteration in which a member's telegraph bath flips is built
-    by :meth:`walk` from the drawn values instead.  ``lengths`` are the
-    body's bath intervals, its waits and finite pulses, and ``period``
-    their exact sum.
+    matrix (:meth:`_Run.pulse_matrix`).  ``maps`` holds these at every
+    bath value of the run's :class:`_PulseTable`, interleaved as its
+    stacks: ``(m |offsets|, 3, 3)``.  An iteration in which a member's
+    telegraph bath flips is built by :meth:`walk` from the drawn values
+    instead.  ``lengths`` are the body's bath intervals, its waits and
+    finite pulses, and ``period`` their exact sum.
     """
 
     def __init__(self, events: list, run: "_Run"):
@@ -788,8 +788,10 @@ class _Run:
         self.baths, self.finite, self.relax, self.record = baths, finite, relax, record
         # relaxation toward z_equilibrium != 0 does not commute with pi pulses
         self.affine = math.isfinite(relax.t1) and relax.z_equilibrium != 0.0
-        self.hard: dict = {}  # hard Pulse of another area than pi -> its matrix
-        self.bodies: dict = {}  # id(Repeat) -> its _Body or _Cycle, or None: run event by event
+        self.hard: dict = {}  # hard Pulse -> its matrix (pulse_matrix)
+        # id(Repeat.body) -> its _Body or _Cycle, or None: run event by event;
+        # repeats of one body tuple (a series' cycles) share it
+        self.bodies: dict = {}
         self.edges = np.zeros(1)
         self.integrals = None
         self.psi = np.zeros(len(weights))  # toggling-frame phase in cycles, per member
@@ -801,39 +803,53 @@ class _Run:
         self.read(None)  # t = 0
 
     def pulse_matrix(self, ev: Pulse) -> np.ndarray:
-        """The matrix of a hard pulse (row j = image of e_j), built once per run."""
+        """The matrix of a hard pulse (row j = image of e_j), built once per run.
+
+        A pi pulse is the toggling frame's ``P`` (see :func:`run_program`),
+        ``(x, y, z) -> (x cos a + y sin a, x sin a - y cos a, -z)`` at its
+        angle ``a``: z is kept apart exactly, and a pi,-pi pair composes to
+        the identity, as in the frame.
+        """
         m = self.hard.get(ev)
         if m is None:
-            axis = np.array([math.cos(ev.phase), math.sin(ev.phase), 0.0])
-            m = self.hard[ev] = rotate(np.eye(3), axis, ev.area)
+            if ev.area == math.pi:
+                a = _pi_angle(0.0, ev.phase)
+                m = np.array([[math.cos(a), math.sin(a), 0.0], [math.sin(a), -math.cos(a), 0.0],
+                              [0.0, 0.0, -1.0]])
+            else:
+                m = rotate(np.eye(3), np.array([math.cos(ev.phase), math.sin(ev.phase), 0.0]), ev.area)
+            self.hard[ev] = m
         return m
 
     def lowered(self, rep: Repeat) -> bool:
         """Whether ``rep`` runs as one unit, not event by event.  Its body
         must expand to at most ``_LOWERED_EVENTS`` events, and it is either
 
-        * lowered to arrays (:class:`_Body`): waits, hard pi pulses and
-          acquires, and no wait under relaxation toward a nonzero
-          ``z_equilibrium``; or
         * compiled to per-member cycle maps (:class:`_Cycle`), under
           ``record="acquires"``: waits and pulses of any kind, no acquire,
           no bath or one telegraph bath (the pulse table's cases) and no
-          relaxation toward a nonzero ``z_equilibrium``.
+          relaxation toward a nonzero ``z_equilibrium``; or
+        * lowered to arrays (:class:`_Body`): waits, hard pi pulses and
+          acquires, and no wait under relaxation toward a nonzero
+          ``z_equilibrium``.  Such a body compiles instead when it can and
+          no bath is drawn: its iterations are then one power.
 
         Every other body runs event by event.
         """
-        key = id(rep)
+        key = id(rep.body)
         if key not in self.bodies:
             body = PulseProgram(rep.body)
             self.bodies[key] = None
             if body.expanded_count() <= _LOWERED_EVENTS:
                 events = list(body.expand())
-                if all(isinstance(ev, Acquire) or isinstance(ev, Wait) and not self.affine
-                       or isinstance(ev, Pulse) and ev.area == math.pi for ev in events):
-                    self.bodies[key] = _Body(events, self.record)
-                elif (self.record == "acquires" and not self.affine and self.finite.offsets is not None
-                      and not any(isinstance(ev, Acquire) for ev in events)):
+                hard_pi = all(isinstance(ev, Acquire) or isinstance(ev, Wait) and not self.affine
+                              or isinstance(ev, Pulse) and ev.area == math.pi for ev in events)
+                compiles = (self.record == "acquires" and not self.affine and self.finite.offsets is not None
+                            and not any(isinstance(ev, Acquire) for ev in events))
+                if compiles and not (hard_pi and self.baths):
                     self.bodies[key] = _Cycle(events, self)
+                elif hard_pi:
+                    self.bodies[key] = _Body(events, self.record)
         return self.bodies[key] is not None
 
     def bath(self, lengths: np.ndarray) -> np.ndarray:
@@ -944,7 +960,7 @@ class _Run:
         its own sign and angle within the body.  No frame depends on the
         blocks.
         """
-        body = self.bodies[id(rep)]
+        body = self.bodies[id(rep.body)]
         if isinstance(body, _Cycle):
             return self.cycles(rep.count, body)
         alpha0, sign0, n_waits = self.alpha, self.sign, len(body.wait_pos)
@@ -1093,28 +1109,29 @@ def run_program(
     ``Repeat`` whose body holds only waits, hard pi pulses and acquires
     (at most ``_LOWERED_EVENTS`` of them expanded), and no wait if T1
     relaxes toward a nonzero ``z_equilibrium``, is lowered once per run
-    to arrays of its waits and reads (:class:`_Body`).  A block of its
-    expansion is then slices of those arrays: no event is dispatched, the
-    frame before iteration q is ``alpha + q turn`` (an even count of pi
-    pulses per iteration, ``turn`` the angle they add) or alternates
-    between ``alpha`` and ``turn - alpha`` (an odd count), and the reads
-    are appended in bulk.
+    to arrays of its waits and reads (:class:`_Body`), unless it compiles
+    (below).  A block of its expansion is then slices of those arrays: no
+    event is dispatched, the frame before iteration q is ``alpha + q
+    turn`` (an even count of pi pulses per iteration, ``turn`` the angle
+    they add) or alternates between ``alpha`` and ``turn - alpha`` (an
+    odd count), and the reads are appended in bulk.
 
     Under ``record="acquires"``, a ``Repeat`` whose body holds waits and
     pulses of any kind but no acquire (at most ``_LOWERED_EVENTS``
-    expanded), run with no bath or one telegraph bath and with no
-    relaxation or T1/T2 toward ``z_equilibrium = 0``, is compiled once
-    per run (:class:`_Cycle`).  With its bath value held at 0 or ``+-A``,
-    member ``i``'s iteration is one map ``K_i``: the product of its
-    waits' ``R_z(2 pi (det_i + b) h) D(h)`` and its pulses' matrices,
-    finite ones from the pulse table.  The states are formed once at the
-    repeat and move once per iteration, ``u <- u K``, in iteration order.
-    With no bath the ``count`` iterations are one power ``K_i^count``, by
-    repeated squaring, and the time advances by ``count`` times the
-    body's summed length.  With a telegraph bath the draws come for
-    blocks of whole iterations, about ``_DRAW_BLOCK`` intervals each,
-    through the same per-interval draw, so the flips and interval edges
-    are bit-identical to the event path's.  A member-iteration with no
+    expanded), run with no relaxation or T1/T2 toward ``z_equilibrium =
+    0``, is compiled once per run (:class:`_Cycle`) when no bath is drawn,
+    or when one telegraph bath is and the body holds a pulse other than
+    a hard pi.  With its bath value held at 0 or ``+-A``, member ``i``'s
+    iteration is one map ``K_i``: the product of its waits' ``R_z(2 pi
+    (det_i + b) h) D(h)`` and its pulses' matrices, finite ones from the
+    pulse table and a hard pi pulse as the frame's ``P``.  The states are
+    formed once at the repeat and move once per iteration, ``u <- u K``,
+    in iteration order.  With no bath the ``count`` iterations are one
+    power ``K_i^count``, by repeated squaring, and the time advances by
+    ``count`` times the body's summed length.  With a telegraph bath the
+    draws come for blocks of whole iterations, about ``_DRAW_BLOCK``
+    intervals each, through the same per-interval draw, so the flips and
+    interval edges are bit-identical to the event path's.  A member-iteration with no
     flip takes ``K_i`` at the sign of the member's value at its start;
     those with a flip, all of a block's at once, are built exactly from
     the drawn values: each wait turns by ``det_i h`` plus the bath's

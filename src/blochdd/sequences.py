@@ -572,14 +572,30 @@ def build_inversion_recovery(delay: float, pulse_spec: PulseSpec = HARD_PULSES) 
     )
 
 
+def _bangbang_cycles(p: BangBangParams, pulse_spec: PulseSpec):
+    """``cycles(k, label)``: k pi,-pi cycles, the echo read as ``label`` in the last.
+
+    With pulses every tau_c after the delay tau1 <= tau_c, the static-detuning
+    phase integral returns to zero (tau_c - tau1) into the trailing wait of a
+    cycle: the acquire sits there, and the remaining tau1 completes the period.
+    """
+    pi = pulse_spec.make(math.pi, 0.0)
+    minus_pi = pulse_spec.make(math.pi, math.pi)  # -pi as phase-advanced pi
+    plain = (pi, Wait(p.tau_c), minus_pi, Wait(p.tau_c))
+    refocus = (Wait(p.tau_c - p.tau1),) if p.tau_c > p.tau1 else ()
+
+    def cycles(k: int, label: str = "echo") -> tuple:
+        read = (pi, Wait(p.tau_c), minus_pi, *refocus, Acquire(label), Wait(p.tau1))
+        return ((Repeat(k - 1, plain),) if k > 1 else ()) + read
+
+    return cycles
+
+
 def _bangbang_train(p: BangBangParams, pulse_spec: PulseSpec, acquire_every: int | None) -> list:
     """The train after the preparation pulse: tau1, then the pi,-pi cycles.
 
     An ``echo`` acquire follows every ``acquire_every``-th cycle and the
-    last one (only the last for None).  With pulses every tau_c after the
-    delay tau1 <= tau_c, the static-detuning phase integral returns to
-    zero (tau_c - tau1) into the trailing wait of a cycle: the acquire
-    sits there, and the remaining tau1 completes the period.
+    last one (only the last for None), at the refocusing instant.
     """
     if acquire_every is not None and acquire_every < 1:
         raise ValueError(f"acquire_every must be >= 1, got {acquire_every}")
@@ -587,15 +603,7 @@ def _bangbang_train(p: BangBangParams, pulse_spec: PulseSpec, acquire_every: int
     n = p.n_cycles
     if n == 0:
         return events + [Acquire("echo")]
-    pi = pulse_spec.make(math.pi, 0.0)
-    minus_pi = pulse_spec.make(math.pi, math.pi)  # -pi as phase-advanced pi
-    plain = (pi, Wait(p.tau_c), minus_pi, Wait(p.tau_c))
-    refocus = (Wait(p.tau_c - p.tau1),) if p.tau_c > p.tau1 else ()
-    read = (pi, Wait(p.tau_c), minus_pi, *refocus, Acquire("echo"), Wait(p.tau1))
-
-    def cycles(k: int) -> tuple:  # k cycles, read after the last
-        return ((Repeat(k - 1, plain),) if k > 1 else ()) + read
-
+    cycles = _bangbang_cycles(p, pulse_spec)
     groups, rest = divmod(n, n + 1 if acquire_every is None else acquire_every)
     if groups > 0:
         events.append(Repeat(groups, cycles(acquire_every)))
@@ -627,7 +635,25 @@ def build_bangbang_body(p: BangBangParams, pulse_spec: PulseSpec = HARD_PULSES) 
     injected by the tomography driver.  At ``n_cycles = 0`` it is the
     empty program, the identity.
     """
-    if p.n_cycles == 0:
-        return PulseProgram(())
-    events = _bangbang_train(p, pulse_spec, None)
-    return PulseProgram(tuple(events[:events.index(Acquire("echo"))]))
+    return PulseProgram(_bangbang_series(p.tau1, p.tau_c, [p.n_cycles], pulse_spec).events[:-1])  # all but its read
+
+
+def _bangbang_series(tau1: float, tau_c: float, counts, pulse_spec: PulseSpec) -> PulseProgram:
+    """The bare train (no preparation pulse) read at each of the ascending
+    cycle counts ``counts``: an acquire labelled ``n<N>`` at the refocusing
+    instant ``2*N*tau_c`` of each N (t = 0 for N = 0), and the program ends
+    at the last.
+
+    Up to the acquire of N it is the series of N alone, the N-cycle
+    :func:`build_bangbang_body` and its read, except that each earlier
+    read splits its cycle's trailing wait tau_c into tau_c - tau1 and tau1.
+    """
+    cycles = _bangbang_cycles(BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=max(counts)), pulse_spec)
+    events: list[Event] = [Acquire("n0")] if counts[0] == 0 else []
+    events.append(Wait(tau1))
+    done = 0
+    for n in counts:
+        if n > 0:
+            events.extend(cycles(n - done, f"n{n}"))
+            done = n
+    return PulseProgram(tuple(events[:-1]))  # not the tau1 after the last read

@@ -21,8 +21,10 @@ part in this representation.
 The four preparations travel through one program run as a ``(4, 3)``
 stack of initial states: every ensemble member applies its bath draws
 and pulse matrices to all four at once (see
-:func:`blochdd.ensemble.run_program`), so each cycle count costs one run,
-not four.
+:func:`blochdd.ensemble.run_program`).  A series of cycle counts is one
+run too: the train of the largest count, read by an acquire at the
+refocusing instant of each count, and one matrix is assembled from each
+acquire row, as from the end row of a single body.
 
 Fidelity here is the entanglement (process) fidelity with the identity,
 ``trace(R) / 4``; the average gate fidelity follows as ``(2 F + 1) / 3``.
@@ -31,13 +33,14 @@ Fidelity here is the entanglement (process) fidelity with the identity,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import NO_RELAXATION, RelaxationParams
 from .ensemble import EnsembleSpec, run_program
-from .sequences import PulseProgram
+from .sequences import Acquire, PulseProgram, Repeat
 
 __all__ = [
     "PREPARATIONS",
@@ -97,6 +100,30 @@ def average_gate_fidelity(entanglement_fidelity: float) -> float:
     return (2.0 * entanglement_fidelity + 1.0) / 3.0
 
 
+def _process(outputs, n_cycles: int | None = None) -> ProcessResult:
+    """The result of one ``(4, 3)`` row of preparation outputs."""
+    outputs = dict(zip(PREPARATIONS, outputs))
+    ptm = assemble_ptm(outputs)
+    return ProcessResult(ptm=ptm, fidelity=process_fidelity(ptm), outputs=outputs, n_cycles=n_cycles)
+
+
+def _run(program: PulseProgram, ensemble: EnsembleSpec, noise, relax: RelaxationParams,
+         master_seed: int):
+    """The table of one run of ``program`` with the four preparations stacked."""
+    return run_program(program, ensemble, noise=noise, relax=relax, master_seed=master_seed,
+                       initial_state=np.array(list(PREPARATIONS.values())))
+
+
+def _check_labels(events) -> None:
+    """Raise a ValueError, before any run, unless every acquire in
+    ``events`` (repeat bodies included) is labelled ``n<N>``."""
+    for ev in events:
+        if isinstance(ev, Repeat):
+            _check_labels(ev.body)
+        elif isinstance(ev, Acquire) and not re.fullmatch(r"n\d+", ev.label):
+            raise ValueError(f"tomography acquires are labelled n<cycles>, got {ev.label!r}")
+
+
 def run_process_tomography(
     body: PulseProgram,
     ensemble: EnsembleSpec,
@@ -110,37 +137,32 @@ def run_process_tomography(
     standard preparations are injected as initial Bloch vectors (the -z
     preparation is an assumed-perfect inversion).  One run carries all
     four as a stacked initial state, so every member's noise realization
-    is common mode across preparations.
+    is common mode across preparations.  The channel ends with the body:
+    the result is assembled from the table's end row.
     """
-    res = run_program(body, ensemble, noise=noise, relax=relax, master_seed=master_seed,
-                      initial_state=np.array(list(PREPARATIONS.values())))
-    outputs = dict(zip(PREPARATIONS, res.mean_bloch[-1]))  # the end row
-    ptm = assemble_ptm(outputs)
-    return ProcessResult(
-        ptm=ptm,
-        fidelity=process_fidelity(ptm),
-        outputs=outputs,
-    )
+    return _process(_run(body, ensemble, noise, relax, master_seed).mean_bloch[-1])
 
 
 def tomography_series(
-    bodies,
+    program: PulseProgram,
     ensemble: EnsembleSpec,
     noise=None,
     relax: RelaxationParams = NO_RELAXATION,
     master_seed: int = 0,
 ) -> list[ProcessResult]:
-    """Tomography of each body of ``bodies``, a ``{n_cycles: body}`` mapping.
+    """Tomography at each acquire of ``program``, from one run.
 
-    Returns one result per body, in the order of ``bodies``, tagged with
-    its ``n_cycles``.  Every point reuses the same ensemble spec and
-    master seed so the results differ only in their bodies.
+    Each acquire must be labelled ``n<N>``, N the cycle count of the
+    channel from t = 0 to it.  One run carries the four preparations
+    through the whole program, and each acquire row is assembled as
+    :func:`run_process_tomography` assembles its end row, so the points
+    share each member's noise realization.  Returns one result per
+    acquire, in program order, tagged with its ``n_cycles``.
     """
-    return [
-        replace(run_process_tomography(body, ensemble, noise=noise, relax=relax,
-                                       master_seed=master_seed), n_cycles=n)
-        for n, body in bodies.items()
-    ]
+    _check_labels(program.events)
+    res = _run(program, ensemble, noise, relax, master_seed)
+    return [_process(outputs, int(label[1:]))
+            for label, outputs in zip(res.sample_labels, res.mean_bloch) if label is not None]
 
 
 _PAULI_LABELS = ("I", "X", "Y", "Z")

@@ -284,6 +284,26 @@ def test_tomography_budget_is_checked_at_the_largest_cycle_count(tmp_path, capsy
 
 
 @pytest.mark.parametrize("mode", ["validate", "validate-only", "run"])
+def test_tomography_budget_counts_the_one_program_of_the_largest_count(tmp_path, capsys, monkeypatch, mode):
+    # 4 members x 4 states: the series of 1000 cycles holds ~4,000 events,
+    # past a budget of 40,000; validate reads the default --n-list, up to 1000
+    monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 4e4)
+    if mode == "validate":
+        code = run_validate(tmp_path, TOMOGRAPHY)
+    else:
+        code = run_cli(tmp_path, "tomography", TOMOGRAPHY, "--n-list", "1,1000",
+                       *(("--validate-only",) if mode != "run" else ()))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and "exceeds the budget" in err
+    assert not (tmp_path / "out").exists()
+    if mode != "validate":
+        # one run of 600 cycles reads every count: 1,800 cycles summed are not charged
+        extra = ("--validate-only",) if mode != "run" else ()
+        assert run_cli(tmp_path, "tomography", TOMOGRAPHY, "--n-list", "300,400,500,600", *extra) == 0
+
+
+@pytest.mark.parametrize("mode", ["validate", "validate-only", "run"])
 def test_tomography_of_zero_cycles_is_charged_per_state(tmp_path, capsys, monkeypatch, mode):
     # --n-list 0 runs an empty body, yet 10^12 members x 4 states fill memory
     monkeypatch.setattr(ensemble, "sample_detunings", no_members)

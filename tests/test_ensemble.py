@@ -407,12 +407,21 @@ COMPILED_PROGRAMS = {
     "nested": f"pulse area=pi/2 phase=90; repeat 3 {{ pulse area=pi phase=0; repeat 25 {{ {FINITE_PI(0)}; "
               f"wait 50us; {FINITE_PI(180)}; wait 50us }}; wait 20us; pulse area=pi phase=180; acquire a; "
               "wait 7us }; acquire b",
+    # hard pi pulses alone compile with no bath only; with one they keep _Body
+    "hard-pi-pi": "pulse area=pi/2 phase=0; wait 0.2ms; repeat 40 { pulse area=pi phase=0; wait 0.3ms; "
+                  "pulse area=-pi phase=0; wait 0.3ms }; wait 0.1ms; acquire a",
 }
 FOUR_STATES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
 
 
 # the counts of the compiled repeats each program runs
-COMPILED_REPEATS = {"pi-pi": [40], "xy4-hard": [30], "nested": [25] * 3}
+COMPILED_REPEATS = {"pi-pi": [40], "xy4-hard": [30], "nested": [25] * 3, "hard-pi-pi": [40]}
+COMPILED_CASES = [
+    pytest.param(name, baths, id=f"{name}-{bath_id}")
+    for name in sorted(COMPILED_PROGRAMS)
+    for baths, bath_id in (((), "none"), ((TELEGRAPH,), "telegraph"))
+    if baths == () or name != "hard-pi-pi"
+]
 
 
 def compiled_run(name, baths, relax):
@@ -443,8 +452,7 @@ def spy_on_compiled_repeats(monkeypatch):
 
 
 @pytest.mark.parametrize("relax", [RelaxationParams(), RelaxationParams(t1=0.4, t2=0.05)], ids=["none", "t1t2"])
-@pytest.mark.parametrize("baths", [(), (TELEGRAPH,)], ids=["none", "telegraph"])
-@pytest.mark.parametrize("name", sorted(COMPILED_PROGRAMS))
+@pytest.mark.parametrize("name, baths", COMPILED_CASES)
 def test_compiled_repeats_match_the_event_path(monkeypatch, name, baths, relax):
     # the same draws and flips; the compiled maps multiply the same
     # rotations in another order, and with no bath the time after a
@@ -463,6 +471,23 @@ def test_compiled_repeats_match_the_event_path(monkeypatch, name, baths, relax):
     assert compiled.duration == pytest.approx(parse(COMPILED_PROGRAMS[name]).duration(), rel=1e-12)
     assert compiled.mean_bloch.shape == stepped.mean_bloch.shape == (len(compiled.sample_labels), 4, 3)
     np.testing.assert_allclose(compiled.mean_bloch, stepped.mean_bloch, rtol=1e-12, atol=1e-15)
+
+
+def test_hard_pi_bodies_compile_with_no_bath_and_no_read(monkeypatch):
+    # with no bath and no read a hard pi body is one power of its cycle
+    # maps; a bath draw or a read inside keeps it lowered to arrays (_Body)
+    seen = spy_on_compiled_repeats(monkeypatch)
+    spec = EnsembleSpec(size=4, distribution="gaussian", fwhm=2000.0, seed=1)
+    cycle = "pulse area=pi phase=0; wait 1us; pulse area=-pi phase=0; wait 1us"
+    end = run_program(parse(f"repeat 200000 {{ {cycle} }}"), spec, initial_state=FOUR_STATES)
+    assert seen["repeats"] == [200000]
+    # a pi,-pi pair with equal waits is the identity, in the frame exactly
+    np.testing.assert_allclose(end.mean_bloch[-1], FOUR_STATES, rtol=0, atol=1e-13)
+    assert end.duration == pytest.approx(0.4, rel=1e-15)
+    run_program(parse(f"repeat 5 {{ {cycle} }}"), spec, noise=TELEGRAPH)
+    run_program(parse(f"repeat 5 {{ {cycle}; acquire a }}"), spec)
+    run_program(parse(f"repeat 5 {{ {cycle} }}"), spec, record="events")
+    assert seen["repeats"] == [200000]
 
 
 @pytest.mark.parametrize("name", ["pi-pi", "xy4-hard"])

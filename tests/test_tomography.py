@@ -5,10 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from blochdd import tomography
-from blochdd.bloch import finite_pulse_matrix, rotation_matrix
-from blochdd.ensemble import EnsembleSpec, run_program
-from blochdd.sequences import BangBangParams, PulseProgram, PulseSpec, Wait, build_bangbang_body, parse
+from blochdd import sequences, tomography
+from blochdd.bloch import NO_RELAXATION, RelaxationParams, finite_pulse_matrix, rotation_matrix
+from blochdd.ensemble import EnsembleSpec, NoiseModel, run_program
+from blochdd.sequences import (
+    Acquire,
+    BangBangParams,
+    PulseProgram,
+    PulseSpec,
+    Wait,
+    build_bangbang_body,
+    parse,
+)
 from blochdd.tomography import (
     assemble_ptm,
     average_gate_fidelity,
@@ -130,8 +138,9 @@ def test_assemble_ptm_affine_channel():
 
 
 def train_bodies(tau1, tau_c, n_list, pulse_spec=PulseSpec()):
-    return {n: build_bangbang_body(BangBangParams(tau1=tau1, tau_c=tau_c, n_cycles=n), pulse_spec)
-            for n in n_list}
+    """The train's bodies at the ascending counts ``n_list``, as the one
+    series program the CLI runs: an acquire ``n<N>`` ends each body."""
+    return sequences._bangbang_series(tau1, tau_c, n_list, pulse_spec)
 
 
 def test_series_trivial_case_and_ordering():
@@ -139,11 +148,37 @@ def test_series_trivial_case_and_ordering():
     assert len(res) == 1
     assert res[0].fidelity == pytest.approx(1.0, abs=1e-12)
     assert res[0].n_cycles == 1
-    # results follow the order of the mapping; the CLI orders --n-list
-    res = tomography_series(train_bodies(1e-3, 2e-3, [10, 1]), SINGLE)
-    assert [r.n_cycles for r in res] == [10, 1]
+    # one result per acquire, in program order: the CLI orders --n-list
+    res = tomography_series(train_bodies(1e-3, 2e-3, [1, 10]), SINGLE)
+    assert [r.n_cycles for r in res] == [1, 10]
     for r in res:
         np.testing.assert_allclose(r.ptm, np.eye(4), atol=1e-12)
+
+
+def test_series_program_is_each_body_with_a_read_at_its_end():
+    # up to the acquire of N: the pulses and waits of the N-cycle body, the
+    # trailing tau_c of each earlier read split in two there
+    for tau1 in (0.4e-3, 1e-3):
+        series = train_bodies(tau1, 1e-3, [0, 1, 2, 10])
+        events = list(series.expand())
+        labels = [ev.label for ev in events if isinstance(ev, Acquire)]
+        assert labels == ["n0", "n1", "n2", "n10"]
+        assert events[0] == Acquire("n0") and isinstance(events[-1], Acquire)  # t = 0, and the end
+        for n in (1, 2, 10):
+            cut = events[:events.index(Acquire(f"n{n}"))]
+            body = list(build_bangbang_body(BangBangParams(tau1=tau1, tau_c=1e-3, n_cycles=n)).expand())
+            merged = []  # the cut, each split wait joined again
+            for ev in cut:
+                if isinstance(ev, Acquire):
+                    continue
+                if isinstance(ev, Wait) and merged and isinstance(merged[-1], Wait):
+                    merged[-1] = Wait(merged[-1].duration + ev.duration)
+                else:
+                    merged.append(ev)
+            assert [type(ev) for ev in merged] == [type(ev) for ev in body]
+            for got, want in zip(merged, body):
+                assert got == want or got.duration == pytest.approx(want.duration, rel=1e-12)
+        assert series.duration() == pytest.approx(20e-3, rel=1e-12)
 
 
 def test_zero_cycles_is_the_identity():
@@ -155,6 +190,74 @@ def test_zero_cycles_is_the_identity():
     np.testing.assert_array_equal(zero.ptm, np.eye(4))
     assert zero.fidelity == 1.0
     assert one.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+SERIES_COUNTS = [0, 1, 2, 10, 100, 300]
+SERIES_LINE = EnsembleSpec(size=16, distribution="gaussian", fwhm=2000.0, seed=4)
+TELEGRAPH = NoiseModel(kind="telegraph", amplitude=40.0, flip_rate=200.0)
+OU = NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=5e-3)
+SERIES_CASES = {  # (noise, relaxation, tau1)
+    "none": (None, NO_RELAXATION, 0.5e-3),
+    "telegraph": (TELEGRAPH, NO_RELAXATION, 0.5e-3),
+    "t1t2": (None, RelaxationParams(t1=0.4, t2=0.05), 0.5e-3),
+    "tau1-is-tau_c": (TELEGRAPH, NO_RELAXATION, 1e-3),
+}
+SERIES_PULSES = {"hard": PulseSpec(), "finite": PulseSpec(rabi=50e3)}
+
+
+def one_run_per_series(monkeypatch):
+    """The run_program calls tomography makes, appended to as they come."""
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return run_program(*args, **kw)
+
+    monkeypatch.setattr(tomography, "run_program", counted)
+    return calls
+
+
+def test_series_acquires_need_cycle_count_labels(monkeypatch):
+    calls = one_run_per_series(monkeypatch)
+    for text in ("wait 1ms; acquire echo", "acquire n0; repeat 2 { wait 1ms; acquire n1x }"):
+        with pytest.raises(ValueError, match="labelled n<cycles>"):
+            tomography_series(parse(text), SINGLE)
+    assert calls == []  # before any run
+
+
+@pytest.mark.parametrize("pulses", sorted(SERIES_PULSES))
+@pytest.mark.parametrize("case", list(SERIES_CASES))
+def test_series_points_equal_the_runs_of_their_bodies(monkeypatch, case, pulses):
+    # telegraph flips are continuous-time draws, so the series and each
+    # body see one realization up to the body's end; the runs differ only
+    # in how their waits are split and their repeats grouped
+    noise, relax, tau1 = SERIES_CASES[case]
+    spec = SERIES_PULSES[pulses]
+    kw = dict(noise=noise, relax=relax, master_seed=9)
+    calls = one_run_per_series(monkeypatch)
+    series = tomography_series(train_bodies(tau1, 1e-3, SERIES_COUNTS, spec), SERIES_LINE, **kw)
+    assert len(calls) == 1
+    assert [r.n_cycles for r in series] == SERIES_COUNTS
+    for point in series:
+        body = build_bangbang_body(BangBangParams(tau1=tau1, tau_c=1e-3, n_cycles=point.n_cycles), spec)
+        alone = run_process_tomography(body, SERIES_LINE, **kw)
+        np.testing.assert_allclose(point.ptm, alone.ptm, rtol=0, atol=1e-12)
+        assert point.fidelity == pytest.approx(alone.fidelity, rel=0, abs=1e-12)
+    np.testing.assert_array_equal(series[0].ptm, np.eye(4))
+
+
+@pytest.mark.parametrize("pulses", sorted(SERIES_PULSES))
+def test_ou_series_points_equal_the_series_cut_after_them(monkeypatch, pulses):
+    # an OU bath draws per interval, and the series splits a wait at each
+    # read: each point is the run of the series program up to its acquire
+    program = train_bodies(0.5e-3, 1e-3, SERIES_COUNTS, SERIES_PULSES[pulses])
+    calls = one_run_per_series(monkeypatch)
+    series = tomography_series(program, SERIES_LINE, noise=OU, master_seed=9)
+    assert len(calls) == 1
+    for point in series:
+        end = program.events.index(Acquire(f"n{point.n_cycles}")) + 1
+        cut = run_process_tomography(PulseProgram(program.events[:end]), SERIES_LINE, noise=OU, master_seed=9)
+        np.testing.assert_allclose(point.ptm, cut.ptm, rtol=0, atol=1e-12)
 
 
 def test_one_run_carries_all_four_preparations(monkeypatch):
