@@ -13,9 +13,9 @@ states themselves move only at the other pulses.  Observables are read
 from that frame directly into the one table a run returns, whose acquire
 rows are labelled; acquire magnitudes and phases are computed from its
 rows.  A repeated cycle with no acquire is compiled when it runs with no
-bath, or holds other pulses than hard pi and runs with one telegraph
-bath: each member's cycle is one 3x3 map, so the states move once per
-cycle (and with no bath once per repeat), not once per pulse.
+bath, or holds other pulses than hard pi and fits a draw block under one
+telegraph bath: each member's cycle is one 3x3 map, so the states move
+once per cycle (and with no bath once per repeat), not once per pulse.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
@@ -276,6 +276,9 @@ _BELOW = np.tri(_OU_CHUNK + 1, _OU_CHUNK + 1, -1, dtype=bool)  # [j, l]: l < j
 # A Repeat body of waits, hard pi pulses and acquires of at most this many
 # expanded events is lowered to arrays once per run (_Body).
 _LOWERED_EVENTS = 4096
+# Under a bath a compiled body (_Cycle) draws whole iterations, so it compiles
+# only while an iteration's bath intervals fit the draw block at import.
+_COMPILED_INTERVALS = _DRAW_BLOCK
 # Work budget of one run: members x states x (expanded events + expected
 # telegraph flips + 1 to form and read each state).  Bounds run time.
 _MAX_MEMBER_STEPS = 2e9
@@ -284,9 +287,10 @@ _MAX_MEMBER_STEPS = 2e9
 # reads, so the state array and one block of reads stay within 1 GB.
 _MAX_MEMBER_STATES = 2**16
 _BATH_STREAM_STRIDE = 2**120  # draws between the streams of one member's baths
-# Bytes of the finite-pulse matrix stacks one run keeps (_PulseTable): two
-# stacks of a pulse at 2**16 members take 9.4 MB.  Past it a pulse builds
-# its matrices at every use, with bit-identical results.
+# Bytes of the per-member maps one run keeps (_Run.held): each finite pulse's
+# and compiled body's at the held bath levels, 72 bytes a level, so 9.4 MB
+# for one at 2**16 members and one telegraph bath.  Past it the maps are
+# built again at every use, with bit-identical results.
 _PULSE_TABLE_BYTES = 2**24
 
 
@@ -491,66 +495,6 @@ class _TelegraphBath:
         return start, integrals
 
 
-class _PulseTable:
-    """The member matrices of a run's finite pulses (see :func:`run_program`).
-
-    Member ``i`` meets a finite pulse at detuning ``det_i + b_i``, ``b_i``
-    its summed bath value at the pulse start: 0 with no bath, and exactly
-    ``+A`` or ``-A`` with one telegraph bath (0 when ``A`` is 0).  Each
-    distinct pulse then builds its matrices at ``det``, or at ``det + A``
-    and ``det - A`` interleaved, once; a use picks member ``i``'s from row
-    ``2 i`` or ``2 i + 1`` by the sign of ``b_i``.  Other baths, and pulses
-    past ``_PULSE_TABLE_BYTES``, build them at ``det + b`` at every use.
-    Each matrix is an elementwise function of its member's detuning, so
-    both ways give the same bits.  A compiled repeat (:class:`_Cycle`)
-    multiplies whole stacks into its cycle maps, and takes the rows of the
-    members whose bath flips within an iteration.
-    """
-
-    def __init__(self, det: np.ndarray, models: list):
-        self.det = det
-        if not models:
-            self.offsets = (None,)
-        elif len(models) == 1 and models[0].kind == "telegraph":
-            self.offsets = (models[0].amplitude, -models[0].amplitude)
-        else:
-            self.offsets = None  # OU values, or sums of baths, are not few
-        self.stacks: dict = {}  # Pulse -> its interleaved stacks at det + offsets
-        self.nbytes = 0  # of the stacks kept
-        self.pulse_nbytes = 72 * len(det) * len(self.offsets or ())  # of one pulse's stacks
-        self.rows = 2 * np.arange(len(det))  # of the matrices at +A
-
-    def stack(self, pulse: Pulse) -> np.ndarray:
-        """``(m |offsets|, 3, 3)`` interleaved matrices of ``pulse`` at ``det +
-        offsets``, kept for the run while they fit in ``_PULSE_TABLE_BYTES``."""
-        stacks = self.stacks.get(pulse)
-        if stacks is None:
-            stacks = np.stack([
-                finite_pulse_matrix(pulse.rabi, pulse.duration, pulse.phase,
-                                    self.det if b is None else self.det + b)
-                for b in self.offsets
-            ], axis=1).reshape(-1, 3, 3)
-            if self.nbytes + self.pulse_nbytes <= _PULSE_TABLE_BYTES:
-                self.stacks[pulse] = stacks
-                self.nbytes += self.pulse_nbytes
-        return stacks
-
-    def matrices(self, pulse: Pulse, start, members=None) -> np.ndarray:
-        """``(n, 3, 3)`` matrices of ``pulse`` for ``members`` (an index array;
-        None: all m) at their bath values ``start`` (None: no bath)."""
-        tabled = self.offsets is not None and (
-            pulse in self.stacks or self.nbytes + self.pulse_nbytes <= _PULSE_TABLE_BYTES)
-        if not tabled:
-            det = self.det if members is None else self.det[members]
-            return finite_pulse_matrix(pulse.rabi, pulse.duration, pulse.phase,
-                                       det if start is None else det + start)
-        stacks = self.stack(pulse)
-        if start is None:
-            return stacks if members is None else stacks.take(members, axis=0)
-        rows = self.rows if members is None else 2 * members
-        return stacks.take(rows + (start < 0), axis=0)
-
-
 def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise, n_states: int) -> None:
     """Raise :class:`SimulationBudgetError` if a run would exceed
     ``_MAX_MEMBER_STATES`` or ``_MAX_MEMBER_STEPS``."""
@@ -724,38 +668,36 @@ def _power(maps: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Cycle:
-    """A Repeat body of waits and pulses, compiled to per-member cycle maps.
+    """A Repeat body of waits and pulses, compiled to per-member cycle maps;
+    a finite pulse is a one-event ``_Cycle`` (:meth:`_Run.pulse`).
 
     With its bath value ``b`` held, member ``i``'s iteration of the body
     is one 3x3 map (row vectors, applied as ``u @ K``): the product, in
     body order, of ``R_z(2 pi (det_i + b) h) D(h)`` for each wait of
     length ``h`` (``D`` the relaxation factor of :func:`_decay`), of each
     finite pulse's matrix at ``det_i + b`` and of each hard pulse's
-    matrix (:meth:`_Run.pulse_matrix`).  ``maps`` holds these at every
-    bath value of the run's :class:`_PulseTable`, interleaved as its
-    stacks: ``(m |offsets|, 3, 3)``.  An iteration in which a member's
+    matrix (:meth:`_Run.pulse_matrix`).  The run keeps these at its held
+    bath levels (:meth:`_Run.held`).  An iteration in which a member's
     telegraph bath flips is built by :meth:`walk` from the drawn values
     instead.  ``lengths`` are the body's bath intervals, its waits and
     finite pulses, and ``period`` their exact sum.
     """
 
-    def __init__(self, events: list, run: "_Run"):
+    def __init__(self, events: list, relax: RelaxationParams):
         self.events = events
         self.lengths = np.array([ev.duration for ev in events if isinstance(ev, Wait) or ev.mode == "finite"])
         self.period = math.fsum(self.lengths)
-        self.decays = _decay(run.relax, [ev.duration for ev in events if isinstance(ev, Wait)])
-        offsets = run.finite.offsets
-        self.maps = self.walk(run, run.det if offsets == (None,) else (run.det[:, None] + offsets).ravel())
+        self.decays = _decay(relax, [ev.duration for ev in events if isinstance(ev, Wait)])
 
     def walk(self, run: "_Run", det: np.ndarray, members=None, starts=None, integrals=None) -> np.ndarray:
         """``(n, 3, 3)`` maps of one iteration at detunings ``det`` ``(n,)``.
 
-        With no bath values given these are rows of :attr:`maps`, ``det``
-        holding each bath value.  Else they are the iterations of
+        With no bath values given, ``det`` is each detuning plus its held
+        bath value (:meth:`_Run.maps`).  Else these are the iterations of
         ``members`` (an index array), given their bath values at the start
         of each interval and the integrals over it, each ``(L, n)``: a wait
         turns by ``det h + integral`` cycles and a finite pulse takes its
-        matrix at its start's value from the pulse table.
+        matrix at its start's value (:meth:`_Run.maps`).
         """
         out = None
         k = w = 0  # bath intervals and waits so far
@@ -767,7 +709,8 @@ class _Cycle:
                 m = _rz(cycles, None if self.decays is None else self.decays[w])
                 k, w = k + 1, w + 1
             elif ev.mode == "finite":
-                m = run.finite.stack(ev) if starts is None else run.finite.matrices(ev, starts[k], members)
+                m = (finite_pulse_matrix(ev.rabi, ev.duration, ev.phase, det) if starts is None
+                     else run.maps(run.pulse(ev), starts[k], members))
                 k += 1
             else:
                 m = run.pulse_matrix(ev)
@@ -780,17 +723,29 @@ class _Run:
 
     ``psi``, ``alpha``, ``sign`` and ``t_ref`` make up the toggling frame;
     ``waits`` (bath interval, length, sign) and ``reads`` (wait count,
-    alpha, sign, tau) are those taken since the last settle.
+    alpha, sign, tau) are those taken since the last settle.  ``levels``
+    are the detunings at which members hold their bath value through a
+    finite pulse or a compiled iteration: ``det`` with no bath, ``det +-
+    A`` interleaved with one telegraph bath (its values are exactly
+    ``+-A``), and None for an OU bath or summed baths.
     """
 
-    def __init__(self, det, weights, u, baths, finite, relax, record):
+    def __init__(self, det, weights, u, baths, relax, record):
         self.det, self.weights, self.u = det, weights, u
-        self.baths, self.finite, self.relax, self.record = baths, finite, relax, record
+        self.baths, self.relax, self.record = baths, relax, record
+        if not baths:
+            self.levels = det
+        elif len(baths) == 1 and isinstance(baths[0], _TelegraphBath):
+            self.levels = (det[:, None] + (baths[0].amplitude, -baths[0].amplitude)).ravel()
+        else:
+            self.levels = None
+        self.store: dict = {}  # _Cycle -> its maps at the levels
         # relaxation toward z_equilibrium != 0 does not commute with pi pulses
         self.affine = math.isfinite(relax.t1) and relax.z_equilibrium != 0.0
         self.hard: dict = {}  # hard Pulse -> its matrix (pulse_matrix)
         # id(Repeat.body) -> its _Body or _Cycle, or None: run event by event;
-        # repeats of one body tuple (a series' cycles) share it
+        # repeats of one body tuple (a series' cycles) share it.  A finite
+        # Pulse -> its one-event _Cycle (pulse).
         self.bodies: dict = {}
         self.edges = np.zeros(1)
         self.integrals = None
@@ -821,14 +776,50 @@ class _Run:
             self.hard[ev] = m
         return m
 
+    def pulse(self, ev: Pulse) -> _Cycle:
+        """The one-event body of a finite pulse, made once per run."""
+        body = self.bodies.get(ev)
+        if body is None:
+            body = self.bodies[ev] = _Cycle([ev], self.relax)
+        return body
+
+    def held(self, body: _Cycle) -> np.ndarray | None:
+        """``body``'s maps at the ``levels``, ``(len(levels), 3, 3)``, from the
+        store, which keeps them for the run while all it keeps fits in
+        ``_PULSE_TABLE_BYTES``; None when no level is held or past that."""
+        maps = self.store.get(body)
+        if maps is None and self.levels is not None and (
+                72 * len(self.levels) * (len(self.store) + 1) <= _PULSE_TABLE_BYTES):
+            maps = self.store[body] = body.walk(self, self.levels)
+        return maps
+
+    def rows(self, start, members=None) -> np.ndarray:
+        """Rows of the telegraph levels of ``members`` (None: all m) at bath
+        values ``start``: ``2 i`` at ``+A`` (or None), ``2 i + 1`` at ``-A``."""
+        rows = 2 * (np.arange(len(self.det)) if members is None else members)
+        return rows if start is None else rows + (start < 0)
+
+    def maps(self, body: _Cycle, start=None, members=None) -> np.ndarray:
+        """``(n, 3, 3)`` maps of one iteration of ``body`` for ``members`` (an
+        index array; None: all m), each with its bath value ``start`` held
+        through it (None: no bath): rows of :meth:`held`, or else built at
+        ``det + start``.  Each map is an elementwise function of its
+        member's detuning, so both ways give the same bits."""
+        held = self.held(body)
+        if held is None:
+            det = self.det if members is None else self.det[members]
+            return body.walk(self, det if start is None else det + start)
+        return held if not self.baths else held.take(self.rows(start, members), axis=0)
+
     def lowered(self, rep: Repeat) -> bool:
         """Whether ``rep`` runs as one unit, not event by event.  Its body
         must expand to at most ``_LOWERED_EVENTS`` events, and it is either
 
         * compiled to per-member cycle maps (:class:`_Cycle`), under
           ``record="acquires"``: waits and pulses of any kind, no acquire,
-          no bath or one telegraph bath (the pulse table's cases) and no
-          relaxation toward a nonzero ``z_equilibrium``; or
+          no bath or one telegraph bath (the cases that hold ``levels``),
+          under a bath at most ``_COMPILED_INTERVALS`` bath intervals, and
+          no relaxation toward a nonzero ``z_equilibrium``; or
         * lowered to arrays (:class:`_Body`): waits, hard pi pulses and
           acquires, and no wait under relaxation toward a nonzero
           ``z_equilibrium``.  Such a body compiles instead when it can and
@@ -844,10 +835,12 @@ class _Run:
                 events = list(body.expand())
                 hard_pi = all(isinstance(ev, Acquire) or isinstance(ev, Wait) and not self.affine
                               or isinstance(ev, Pulse) and ev.area == math.pi for ev in events)
-                compiles = (self.record == "acquires" and not self.affine and self.finite.offsets is not None
+                compiles = (self.record == "acquires" and not self.affine and self.levels is not None
                             and not any(isinstance(ev, Acquire) for ev in events))
                 if compiles and not (hard_pi and self.baths):
-                    self.bodies[key] = _Cycle(events, self)
+                    body = _Cycle(events, self.relax)
+                    if not self.baths or len(body.lengths) <= _COMPILED_INTERVALS:
+                        self.bodies[key] = body
                 elif hard_pi:
                     self.bodies[key] = _Body(events, self.record)
         return self.bodies[key] is not None
@@ -942,7 +935,7 @@ class _Run:
                     self.u = (self.u.reshape(-1, 3) @ self.pulse_matrix(ev)).reshape(self.u.shape)
                 else:  # a finite pulse, with the bath value frozen at its start
                     # one matrix per member, applied to each of its states
-                    self.u = self.u @ self.finite.matrices(ev, starts[k] if self.baths else None)
+                    self.u = self.u @ self.maps(self.pulse(ev), starts[k] if self.baths else None)
                     self.t += ev.elapsed
                     self.t_ref = self.t
                     k += 1
@@ -992,7 +985,7 @@ class _Run:
         them with no bath draw, else one iteration at a time in order."""
         self.form()
         if not self.baths or not len(body.lengths):
-            self.u = self.u @ _power(body.maps[::len(self.finite.offsets)], count)
+            self.u = self.u @ _power(self.maps(body), count)
             self.t += count * body.period
         else:
             per = max(1, _DRAW_BLOCK // len(body.lengths))
@@ -1011,22 +1004,26 @@ class _Run:
         map of iteration ``q`` is ``table[pick[q, i]]``.
 
         Where its bath does not flip in the iteration, that is its row of
-        ``body.maps`` at the sign of its value at the iteration's start.
-        The member-iterations in which it flips are built exactly, all at
-        once (:meth:`_Cycle.walk`), and appended to the table.
+        the body's :meth:`held` maps (built for this block past the store)
+        at the sign of its value at the iteration's start.  The
+        member-iterations in which it flips are built exactly, all at once
+        (:meth:`_Cycle.walk`), and appended to the table.
         """
         size = len(body.lengths)
         lengths = np.tile(body.lengths, n)
         starts = self.bath(lengths)
         # bit for bit the running sum t += h
         self.t = float(np.concatenate([[self.t], lengths]).cumsum()[-1])
-        table, pick = body.maps, self.finite.rows + (starts[::size] < 0)
+        table = self.held(body)
+        if table is None:
+            table = body.walk(self, self.levels)
+        pick = self.rows(starts[::size])
         q, i = np.nonzero(self.baths[0].flipped.reshape(n, size, -1).any(axis=1))
         if len(q):
             k = q * size + np.arange(size)[:, None]  # (L, flips): their intervals
             exact = body.walk(self, self.det[i], i, starts[k, i], self.integrals[k, i])
+            pick[q, i] = len(table) + np.arange(len(q))
             table = np.concatenate([table, exact])
-            pick[q, i] = len(body.maps) + np.arange(len(q))
         return table, pick
 
 
@@ -1078,14 +1075,14 @@ def run_program(
     relaxation that does not commute with P.
 
     A finite pulse then multiplies each member's states by that member's
-    matrix.  With no bath, or with one telegraph bath, the matrices come
-    from a table kept for the run: a member's frozen bath value is 0 or
-    exactly ``+-amplitude``, so each distinct finite pulse builds its
-    ``(m, 3, 3)`` stack at each such value on first use, and every use
-    picks each member's matrix by the sign of its bath value.  An OU
-    bath, two or more baths, or stacks that would take the table past
-    ``_PULSE_TABLE_BYTES`` (16 MB) build the stack at every pulse
-    instead; both ways give the same bits.
+    matrix.  With no bath, or with one telegraph bath, a member's frozen
+    bath value is 0 or exactly ``+-amplitude``, so the run holds those
+    levels: each distinct finite pulse, like each compiled body below,
+    builds its per-member maps at every level on first use, into one
+    store kept for the run, and every use picks each member's map by the
+    sign of its bath value.  An OU bath, two or more baths, or maps that
+    would take the store past ``_PULSE_TABLE_BYTES`` (16 MB) are built at
+    every use instead; both ways give the same bits.
 
     ``noise`` may be a single :class:`NoiseModel` or a sequence of them
     (independent processes, detunings summed) -- e.g. two
@@ -1120,11 +1117,13 @@ def run_program(
     pulses of any kind but no acquire (at most ``_LOWERED_EVENTS``
     expanded), run with no relaxation or T1/T2 toward ``z_equilibrium =
     0``, is compiled once per run (:class:`_Cycle`) when no bath is drawn,
-    or when one telegraph bath is and the body holds a pulse other than
-    a hard pi.  With its bath value held at 0 or ``+-A``, member ``i``'s
-    iteration is one map ``K_i``: the product of its waits' ``R_z(2 pi
-    (det_i + b) h) D(h)`` and its pulses' matrices, finite ones from the
-    pulse table and a hard pi pulse as the frame's ``P``.  The states are
+    or when one telegraph bath is, the body holds a pulse other than a
+    hard pi, and its bath intervals fit one draw block (256).  A longer
+    body runs event by event, and its inner repeats compile.  With its
+    bath value held at 0 or ``+-A``, member ``i``'s iteration is one map
+    ``K_i``, kept in the store above: the product of its waits' ``R_z(2 pi
+    (det_i + b) h) D(h)`` and its pulses' matrices, a hard pi pulse as
+    the frame's ``P``.  The states are
     formed once at the repeat and move once per iteration, ``u <- u K``,
     in iteration order.  With no bath the ``count`` iterations are one
     power ``K_i^count``, by repeated squaring, and the time advances by
@@ -1135,10 +1134,10 @@ def run_program(
     flip takes ``K_i`` at the sign of the member's value at its start;
     those with a flip, all of a block's at once, are built exactly from
     the drawn values: each wait turns by ``det_i h`` plus the bath's
-    integral over it, and each finite pulse takes its matrix at the value
-    at its start.  No result depends on ``_DRAW_BLOCK``.  The compiled
-    and event paths multiply the same rotations in another order, so
-    they agree to rounding.
+    integral over it, and each finite pulse takes its map at the value
+    at its start from the store.  No result depends on ``_DRAW_BLOCK``.
+    The compiled and event paths multiply the same rotations in another
+    order, so they agree to rounding.
 
     Every other event is read one at a time from a lazy walk of
     :meth:`PulseProgram.expand`.  The baths draw for the bath intervals
@@ -1174,7 +1173,7 @@ def run_program(
         rngs = [np.random.Generator(np.random.PCG64(s).advance(j * _BATH_STREAM_STRIDE)) for s in seeds]
         baths.append((_OUBath if mod.kind == "ornstein_uhlenbeck" else _TelegraphBath)(mod, rngs))
 
-    run = _Run(det, weights, u, baths, _PulseTable(det, models), relax, record)
+    run = _Run(det, weights, u, baths, relax, record)
     block = []
     for ev in program.expand(keep=run.lowered):
         if isinstance(ev, Repeat):
@@ -1209,36 +1208,35 @@ def ou_fid_coherence(t, sigma: float, tau_b: float):
     """Free-induction coherence under OU noise (Gaussian-phase result).
 
     ``exp(-sigma_w^2 tau_b^2 [t/tau_b - 1 + e^(-t/tau_b)])`` with
-    ``sigma_w = 2*pi*sigma``; ``sigma`` in Hz, times in s.
+    ``sigma_w = 2*pi*sigma``; ``sigma`` in Hz, times in s.  The bracket
+    is summed as ``r + expm1(-r)``, so ``e^-r - 1`` does not cancel.
     """
-    t = np.asarray(t, dtype=float)
+    r = np.asarray(t, dtype=float) / tau_b
     w2 = (2.0 * math.pi * sigma) ** 2
-    return np.exp(-w2 * tau_b**2 * (t / tau_b - 1.0 + np.exp(-t / tau_b)))
+    return np.exp(-w2 * tau_b**2 * (r + np.expm1(-r)))
 
 
 def ou_hahn_coherence(total_time, sigma: float, tau_b: float):
     """Two-pulse-echo coherence at total evolution time ``2*tau``.
 
     ``exp(-sigma_w^2 tau_b^2 [2 tau/tau_b - 3 + 4 e^(-tau/tau_b) -
-    e^(-2 tau/tau_b)])``; reduces to the cubic law
+    e^(-2 tau/tau_b)])``, the bracket summed stably as in the OU draw
+    (:func:`_ou_integral_bracket`); reduces to the cubic law
     ``exp(-(2/3) sigma_w^2 tau^3 / tau_b)`` for ``tau << tau_b``.
     """
-    tau = np.asarray(total_time, dtype=float) / 2.0
-    x = np.exp(-tau / tau_b)
+    r = np.asarray(total_time, dtype=float) / 2.0 / tau_b
     w2 = (2.0 * math.pi * sigma) ** 2
-    return np.exp(-w2 * tau_b**2 * (2.0 * tau / tau_b - 3.0 + 4.0 * x - x * x))
+    return np.exp(-w2 * tau_b**2 * np.vectorize(_ou_integral_bracket, otypes=[float])(r))
 
 
 def calibrate_ou_sigma(tau_b: float) -> float:
     """Noise strength (Hz rms) giving a two-pulse-echo 1/e time of 0.86 s.
 
     The echo exponent scales as sigma^2, so the analytic expression
-    inverts in closed form.  The target is the 0.86 s asymptotic decay
-    time of the material this package models.
+    (:func:`ou_hahn_coherence`) inverts in closed form.  The target is
+    the 0.86 s asymptotic decay time of the material this package models.
     """
-    tau = 0.86 / 2.0
-    x = math.exp(-tau / tau_b)
-    bracket = 2.0 * tau / tau_b - 3.0 + 4.0 * x - x * x
+    bracket = _ou_integral_bracket(0.86 / 2.0 / tau_b)
     return 1.0 / (2.0 * math.pi * tau_b * math.sqrt(bracket))
 
 

@@ -502,6 +502,77 @@ def test_compiled_run_is_invariant_to_draw_block(monkeypatch, name):
         assert_same_run(default, compiled_run(name, (TELEGRAPH,), relax))
 
 
+@pytest.mark.parametrize("name, baths", COMPILED_CASES)
+def test_compiled_repeats_match_with_no_map_store(monkeypatch, name, baths):
+    # with no room in the store every finite pulse and compiled body builds
+    # its maps at each use: elementwise in the detuning, so the same bits
+    relax = RelaxationParams(t1=0.4, t2=0.05)
+    seen = spy_on_compiled_repeats(monkeypatch)
+    stored = compiled_run(name, baths, relax)
+    monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 0)
+    built = compiled_run(name, baths, relax)
+    assert seen["repeats"] == 2 * COMPILED_REPEATS[name]
+    assert_same_run(stored, built)
+    np.testing.assert_array_equal(stored.sample_times, built.sample_times)
+    assert stored.duration == built.duration
+
+
+@pytest.mark.parametrize("baths", [(), (TELEGRAPH,)], ids=["none", "telegraph"])
+def test_kept_maps_do_not_grow_with_distinct_bodies(monkeypatch, baths):
+    # each body holds its own finite pulses, so each has its own maps; the
+    # store keeps two of them, and the others are built at each use
+    spec = EnsembleSpec(size=2000, distribution="gaussian", fwhm=2000.0, seed=1)
+    monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 2 * 72 * 2000 * (1 + len(baths)))
+
+    def peak(n):
+        prog = parse("; ".join(f"repeat 2 {{ {FINITE_PI(j)}; wait 20us; {FINITE_PI(j + 180)}; wait 20us }}"
+                               for j in range(n)))
+        tracemalloc.start()
+        try:
+            run_program(prog, spec, noise=baths, master_seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-use allocations
+    # kept for the run, the maps of 36 more bodies would take 5.2 MB (10.4 MB
+    # with the telegraph bath's two levels)
+    assert peak(40) < peak(4) + 1e6
+
+
+# the outer body holds 320 bath intervals, more than one draw block
+NESTED_LONG = (f"pulse area=pi/2 phase=0; repeat 3 {{ repeat 80 {{ {FINITE_PI(0)}; wait 30us; "
+               f"{FINITE_PI(180)}; wait 30us }} }}; wait 0.1ms; acquire a")
+
+
+@pytest.mark.parametrize("relax", [RelaxationParams(), RelaxationParams(t1=0.4, t2=0.05)], ids=["none", "t1t2"])
+def test_bodies_longer_than_a_draw_block_compile_their_inner_repeats(monkeypatch, relax):
+    # under a bath a compiled body draws whole iterations, so a body of
+    # more intervals than a draw block runs event by event instead
+    seen = spy_on_compiled_repeats(monkeypatch)
+    drawn, bath = [], ensemble._Run.bath
+
+    def counted_bath(self, lengths):
+        drawn.append(len(lengths))
+        return bath(self, lengths)
+
+    monkeypatch.setattr(ensemble._Run, "bath", counted_bath)
+    spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=2000.0, seed=2)
+
+    def run():
+        return run_program(parse(NESTED_LONG), spec, noise=TELEGRAPH, master_seed=3, relax=relax,
+                           initial_state=FOUR_STATES)
+
+    compiled = run()
+    assert seen["repeats"] == [80] * 3 and sum(seen["exact"]) > 20
+    assert sum(drawn) == 3 * 320 + 1 and max(drawn) <= ensemble._DRAW_BLOCK
+    monkeypatch.setattr(ensemble, "_LOWERED_EVENTS", 0)  # every body event by event
+    stepped = run()
+    assert compiled.sample_labels == stepped.sample_labels
+    np.testing.assert_array_equal(compiled.sample_times, stepped.sample_times)
+    np.testing.assert_allclose(compiled.mean_bloch, stepped.mean_bloch, rtol=1e-12, atol=1e-15)
+
+
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 1e6)
     spec = EnsembleSpec(size=1000, distribution="gaussian", fwhm=100.0, seed=1)
@@ -772,6 +843,39 @@ def test_filter_function_reproduces_the_fid_and_hahn_laws():
     assert fid == pytest.approx(float(ou_fid_coherence(t, sigma, tau_b)), rel=1e-12)
     hahn = filter_function_coherence([0, t / 2, t], [1, -1], sigma, tau_b)
     assert hahn == pytest.approx(float(ou_hahn_coherence(t, sigma, tau_b)), rel=1e-12)
+
+
+# the brackets' Taylor series to three terms, r = tau / tau_b
+def fid_bracket_series(r):
+    return r**2 / 2 - r**3 / 6 + r**4 / 24
+
+
+def hahn_bracket_series(r):
+    return 2 * r**3 / 3 - r**4 / 2 + 7 * r**5 / 30
+
+
+@pytest.mark.parametrize("r", [1e-4, 1e-6])
+def test_ou_laws_keep_their_digits_at_short_times(r):
+    # sigma set for a 1/e decay at the short-time laws exp(-w2 t^2 / 2)
+    # and exp(-(2/3) w2 tau^3 / tau_b); subtracting the closed forms
+    # directly loses the digits that these keep.  r + expm1(-r) still
+    # cancels its leading term: its rounding is ~2 eps / r relative.
+    tau_b = 5e-3
+    t = r * tau_b
+    w2_fid, w2_hahn = 2 / t**2, 1.5 * tau_b / t**3
+    fid = float(ou_fid_coherence(t, math.sqrt(w2_fid) / (2 * math.pi), tau_b))
+    assert fid == pytest.approx(math.exp(-w2_fid * tau_b**2 * fid_bracket_series(r)), rel=1e-15 / r)
+    hahn = float(ou_hahn_coherence(2 * t, math.sqrt(w2_hahn) / (2 * math.pi), tau_b))
+    assert hahn == pytest.approx(math.exp(-w2_hahn * tau_b**2 * hahn_bracket_series(r)), rel=1e-12)
+
+
+@pytest.mark.parametrize("tau_b", [1e4, 1e5, 1e6])
+def test_calibrate_ou_sigma_at_long_correlation_times(tau_b):
+    # the echo at 0.86 s is deep in the cubic law's regime
+    bracket = hahn_bracket_series(0.43 / tau_b)
+    expect = 1 / (2 * math.pi * tau_b * math.sqrt(bracket))
+    assert calibrate_ou_sigma(tau_b) == pytest.approx(expect, rel=1e-12)
+    assert float(ou_hahn_coherence(0.86, expect, tau_b)) == pytest.approx(math.exp(-1), rel=1e-12)
 
 
 def test_bangbang_matches_filter_function_oracle():
