@@ -134,6 +134,86 @@ def test_parse_reports_event_checks_as_sequence_errors(text):
         parse("wait 1ms\n  " + text)
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    # the tokenizer
+    ("wait 1ms\n  @", "unexpected character '@'", 2, 3),
+    ("pulse area=pi phase=0 & wait 1ms", "unexpected character '&'", 1, 23),
+    # numbers
+    ("wait ms", "expected a number, got 'ms'", 1, 6),
+    ("wait", "expected a number, got ''", 1, 5),
+    ("\twait x", "expected a number, got 'x'", 1, 7),
+    ("wait - 3ms", "expected a number, got '-'", 1, 6),
+    ("pulse area=pi/x", "expected a number, got 'x'", 1, 15),
+    ("pulse rabi=kHz duration=1us", "expected a number, got 'kHz'", 1, 12),
+    # units
+    ("wait 3 days", "unknown time unit 'days'", 1, 8),
+    ("wait 3 rabi", "unknown time unit 'rabi'", 1, 8),
+    ("wait 3 pulse area=pi", "unknown time unit 'pulse'", 1, 8),
+    ("pulse rabi=1kHz duration=1 days", "unknown time unit 'days'", 1, 28),
+    ("pulse rabi=2GHz duration=1us", "unknown frequency unit 'GHz'", 1, 13),
+    ("pulse area=1 furlongs phase=0", "unknown angle unit 'furlongs'", 1, 14),
+    ("pulse area=pi phase=90 wait 1ms", "unknown angle unit 'wait'", 1, 24),
+    # angles
+    ("pulse area=pi/0 phase=0", "division by zero in angle", 1, 17),
+    ("pulse area=2pi/0.0", "division by zero in angle", 1, 19),
+    ("pulse area=deg", "expected an angle, got 'deg'", 1, 12),
+    ("pulse area=-x", "expected an angle, got 'x'", 1, 13),
+    ("pulse area=pi/2 phase=--pi", "expected an angle, got '-'", 1, 24),
+    # durations
+    ("wait -3ms", "negative duration", 1, 6),
+    ("wait -0.5 us", "negative duration", 1, 6),
+    ("pulse rabi=1kHz duration=-1us", "negative duration", 1, 26),
+    # pulse statements
+    ("pulse", "pulse needs parameters (area= or rabi=/duration=)", 1, 1),
+    ("wait 1ms; pulse foo=1", "pulse needs parameters (area= or rabi=/duration=)", 1, 11),
+    ("pulse phase", "expected '=' after 'phase'", 1, 12),
+    ("pulse area pi", "expected '=' after 'area'", 1, 12),
+    ("pulse rabi=1kHz duration 1us", "expected '=' after 'duration'", 1, 26),
+    # repeats
+    ("repeat x { wait 1ms }", "repeat needs a positive integer count", 1, 8),
+    ("repeat 2.5 { wait 1ms }", "repeat needs a positive integer count", 1, 8),
+    ("repeat -2 { wait 1ms }", "repeat needs a positive integer count", 1, 8),
+    ("repeat 1e3 { wait 1ms }", "repeat needs a positive integer count", 1, 8),
+    ("repeat", "repeat needs a positive integer count", 1, 7),
+    ("repeat 2 wait 1ms", "expected '{' after repeat count", 1, 10),
+    ("repeat 2", "expected '{' after repeat count", 1, 9),
+    ("repeat 2 { wait 1ms", "missing closing '}'", 1, 20),
+    ("repeat 2 {\n  repeat 3 { wait 1ms }\n", "missing closing '}'", 3, 1),
+    ("wait 1ms }", "unmatched '}'", 1, 10),
+    ("repeat 2 { wait 1ms } }", "unmatched '}'", 1, 23),
+    # acquires and statements
+    ("acquire", "acquire needs a label", 1, 8),
+    ("acquire 3", "acquire needs a label", 1, 9),
+    ("acquire {", "acquire needs a label", 1, 9),
+    ("wait 1ms\nbogus 3", "unknown statement 'bogus'", 2, 1),
+    ("pulse area=pi\n  phase=0", "unknown statement 'phase'", 2, 3),
+    ("wait 2 ms ms", "unknown statement 'ms'", 1, 11),
+    ("= 3", "expected a statement, got '='", 1, 1),
+    ("3ms", "expected a statement, got '3'", 1, 1),
+    # the event checks, at the statement's head
+    ("pulse area=0", "pulse area must be positive, got 0.0", 1, 1),
+    ("pulse area=pi rabi=1kHz duration=1us",
+     "give either area (hard) or rabi+duration (finite), not both", 1, 1),
+    ("wait 1ms; pulse rabi=1kHz phase=0", "finite pulse needs both rabi and duration", 1, 11),
+    ("pulse duration=1us", "finite pulse needs both rabi and duration", 1, 1),
+    ("pulse rabi=-1kHz duration=1us", "rabi must be positive, got -1000.0", 1, 1),
+    ("pulse rabi=1kHz duration=0s", "pulse duration must be positive, got 0.0", 1, 1),
+    ("pulse area=1e400", "pulse area must be finite, got inf", 1, 1),
+    ("pulse area=pi phase=1e400rad", "pulse phase must be finite, got inf", 1, 1),
+    ("pulse rabi=1e400Hz duration=1us", "pulse rabi must be finite, got inf", 1, 1),
+    ("pulse rabi=1kHz duration=1e400s", "pulse duration must be finite, got inf", 1, 1),
+    ("wait 1e400s", "wait duration must be finite", 1, 1),
+    ("repeat 0 { wait 1ms }", "repeat count must be a positive integer, got 0", 1, 1),
+    ("wait 1ms\nrepeat 2 { repeat 2 { acquire x } }",
+     "acquire events may sit at most one repeat level deep", 2, 1),
+])
+def test_parse_errors_keep_message_line_and_column(text, message, line, column):
+    with pytest.raises(SequenceError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line, info.value.column) == (
+        f"line {line}, column {column}: {message}", line, column)
+
+
 def test_pulse_validation():
     with pytest.raises(ValueError):
         Pulse(area=-1.0)
