@@ -26,9 +26,9 @@ Grammar (EBNF)::
 
     program    = { statement , { ";" | NEWLINE } } ;
     statement  = pulse | wait | repeat | acquire ;
-    pulse      = "pulse" , param , { param } ;
-    param      = ( "area" "=" angle ) | ( "phase" "=" angle )
-               | ( "rabi" "=" freq ) | ( "duration" "=" time ) ;
+    pulse      = "pulse" , param , { param } ;     (* each name at most once *)
+    param      = ( "area" | "phase" ) , "=" , angle
+               | "rabi" , "=" , freq | "duration" , "=" , time ;
     wait       = "wait" , time ;
     repeat     = "repeat" , INT , "{" , program , "}" ;
     acquire    = "acquire" , IDENT ;
@@ -37,10 +37,10 @@ Grammar (EBNF)::
     angle      = [ SIGN ] , [ NUMBER ] , "pi" , [ "/" NUMBER ]
                | NUMBER , [ "rad" | "deg" ] ;              (* bare = deg *)
 
-Units are normalized internally to seconds, hertz and radians.  Bare
-duration/frequency numbers are SI (s, Hz); bare angle numbers follow the
-NMR convention and are read as degrees -- write ``rad`` or a pi-form for
-radians.  A negative ``area`` is normalized to a positive area with the
+Units are normalized to seconds, hertz and radians; bare angles follow the
+NMR convention and are read as degrees.  Inside a pulse a parameter name is
+never a unit, so a bare number may be followed directly by the next
+parameter.  A negative ``area`` is normalized to a positive area with the
 phase advanced by pi (same axis, reversed sense).
 
 ``serialize`` emits the canonical form: seconds/hertz/radians with
@@ -219,16 +219,24 @@ _TOKEN_RE = re.compile(
     (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[{}=;/+-])
-  | (?P<comment>\#[^\n]*)
   | (?P<newline>\n)
-  | (?P<space>[ \t\r]+)
+  | (?P<skip>[ \t\r]+|\#[^\n]*)
   | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-_TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
-_FREQ_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6}
+# The units of each quantity, as factors to its SI unit, which comes first
+# and is the one serialize writes.  A bare number is SI, and a bare angle is
+# in degrees (the NMR convention).  ``pi`` may stand alone and take a divisor.
+_UNITS = {
+    "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6},
+    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
+    "angle": {"rad": 1.0, "deg": math.pi / 180, "pi": math.pi},
+}
+# The quantity of each pulse parameter, in serialize's order.  Inside a
+# pulse these names start the next parameter and are never read as units.
+_PULSE_PARAMS = {"area": "angle", "rabi": "frequency", "duration": "time", "phase": "angle"}
 
 
 @dataclass
@@ -247,8 +255,8 @@ def _tokenize(text: str) -> list[_Token]:
         s = m.group()
         if kind == "bad":
             raise SequenceError(f"unexpected character {s!r}", line, col)
-        if kind not in ("space", "comment"):
-            tokens.append(_Token("newline" if kind == "newline" else kind, s, line, col))
+        if kind != "skip":
+            tokens.append(_Token(kind, s, line, col))
         if kind == "newline":
             line += 1
             col = 1
@@ -271,13 +279,16 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def skip_separators(self) -> None:
-        while self.peek().kind == "newline" or self.peek().text == ";":
-            self.next()
-
     def error(self, msg: str, tok: _Token | None = None):
         tok = tok or self.peek()
         raise SequenceError(msg, tok.line, tok.col)
+
+    def expect(self, want: str, msg: str) -> _Token:
+        """The next token, which must read ``want`` or be of kind ``want``."""
+        tok = self.next()
+        if want not in (tok.text, tok.kind):
+            self.error(msg, tok)
+        return tok
 
     def build(self, head: _Token, factory, *args, **kw):
         """``factory(...)``; a ValueError it raises names the statement at ``head``."""
@@ -286,95 +297,61 @@ class _Parser:
         except ValueError as exc:
             self.error(str(exc), head)
 
-    # -- value parsers ------------------------------------------------
-
     def parse_number(self) -> float:
         tok = self.next()
         if tok.kind != "number":
             self.error(f"expected a number, got {tok.text!r}", tok)
         return float(tok.text)
 
-    def parse_time(self) -> float:
-        tok = self.peek()
-        value = self.parse_number()
-        unit = 1.0
-        if self.peek().kind == "ident":
-            name = self.peek().text
-            if name in _TIME_UNITS:
-                unit = _TIME_UNITS[name]
-                self.next()
-            else:
-                self.error(f"unknown time unit {name!r}")
-        value *= unit
-        if value < 0:
-            self.error("negative duration", tok)
-        return value
-
-    def parse_freq(self) -> float:
-        value = self.parse_number()
-        unit = 1.0
-        if self.peek().kind == "ident":
-            name = self.peek().text
-            if name in _FREQ_UNITS:
-                unit = _FREQ_UNITS[name]
-                self.next()
-            else:
-                self.error(f"unknown frequency unit {name!r}")
-        return value * unit
-
-    def parse_angle(self) -> float:
-        # [sign] [coef] pi [/ divisor]  |  number [rad|deg]
+    def quantity(self, kind: str, stops=()) -> float:
+        """A ``kind`` of :data:`_UNITS` in its SI unit: a number and an
+        optional unit, or for an angle ``[sign] [coef] pi [/ div]``.  An
+        identifier after the number is its unit unless it is in ``stops``.
+        """
+        first = tok = self.peek()
         sign = 1.0
-        tok = self.peek()
-        if tok.text in ("+", "-"):
-            sign = -1.0 if tok.text == "-" else 1.0
-            self.next()
+        if kind == "angle" and tok.text in ("+", "-"):
+            sign = -1.0 if self.next().text == "-" else 1.0
             tok = self.peek()
-        coef = None
-        if tok.kind == "number":
-            coef = sign * self.parse_number()
-            sign = 1.0
-        if self.peek().kind == "ident" and self.peek().text == "pi":
-            self.next()
-            value = (coef if coef is not None else 1.0) * math.pi * sign
-            if self.peek().text == "/":
+        if kind == "angle" and tok.kind != "number":
+            if tok.text != "pi":
+                self.error(f"expected an angle, got {tok.text!r}", tok)
+            value = sign
+        else:
+            value = sign * self.parse_number()
+        units = _UNITS[kind]
+        unit = self.peek()
+        if unit.kind == "ident" and unit.text not in stops:
+            if unit.text not in units:
+                self.error(f"unknown {kind} unit {unit.text!r}")
+            value *= units[self.next().text]
+            if unit.text == "pi" and self.peek().text == "/":
                 self.next()
                 div = self.parse_number()
                 if div == 0:
                     self.error("division by zero in angle")
                 value /= div
-            return value
-        if coef is None:
-            self.error(f"expected an angle, got {tok.text!r}", tok)
-        # plain number: explicit rad/deg, bare defaults to degrees
-        if self.peek().kind == "ident":
-            name = self.peek().text
-            if name == "rad":
-                self.next()
-                return coef
-            if name == "deg":
-                self.next()
-                return math.radians(coef)
-            self.error(f"unknown angle unit {name!r}")
-        return math.radians(coef)
+        else:
+            value *= units["deg"] if kind == "angle" else 1.0
+        if kind == "time" and value < 0:
+            self.error("negative duration", first)
+        return value
 
-    # -- statements ----------------------------------------------------
-
-    def parse_program(self, stop_at_brace: bool = False) -> tuple:
+    def parse_program(self, nested: bool = False) -> tuple:
+        """The statements up to the end of the text, or up to the '}' that
+        closes a ``nested`` repeat body."""
         events = []
         while True:
-            self.skip_separators()
+            while self.peek().kind == "newline" or self.peek().text == ";":
+                self.next()
             tok = self.peek()
-            if tok.kind == "end":
-                if stop_at_brace:
-                    self.error("missing closing '}'")
-                break
-            if tok.text == "}":
-                if not stop_at_brace:
-                    self.error("unmatched '}'")
-                break
+            if tok.kind == "end" and nested:
+                self.error("missing closing '}'")
+            if tok.text == "}" and not nested:
+                self.error("unmatched '}'")
+            if tok.kind == "end" or tok.text == "}":
+                return tuple(events)
             events.append(self.parse_statement())
-        return tuple(events)
 
     def parse_statement(self) -> Event:
         tok = self.next()
@@ -383,63 +360,39 @@ class _Parser:
         if tok.text == "pulse":
             return self.parse_pulse(tok)
         if tok.text == "wait":
-            return self.build(tok, Wait, self.parse_time())
+            return self.build(tok, Wait, self.quantity("time"))
         if tok.text == "acquire":
-            name = self.next()
-            if name.kind != "ident":
-                self.error("acquire needs a label", name)
-            return Acquire(name.text)
+            return Acquire(self.expect("ident", "acquire needs a label").text)
         if tok.text == "repeat":
             count_tok = self.next()
             if count_tok.kind != "number" or not re.fullmatch(r"\d+", count_tok.text):
                 self.error("repeat needs a positive integer count", count_tok)
-            brace = self.next()
-            if brace.text != "{":
-                self.error("expected '{' after repeat count", brace)
-            body = self.parse_program(stop_at_brace=True)
-            closing = self.next()
-            if closing.text != "}":
-                self.error("expected '}'", closing)
+            self.expect("{", "expected '{' after repeat count")
+            body = self.parse_program(nested=True)
+            self.expect("}", "expected '}'")
             # int() too: a count of over 4300 digits is a ValueError
             return self.build(tok, lambda: Repeat(int(count_tok.text), body))
         self.error(f"unknown statement {tok.text!r}", tok)
 
     def parse_pulse(self, head: _Token) -> Pulse:
         params: dict[str, float] = {}
-        while self.peek().kind == "ident" and self.peek().text in (
-            "area",
-            "phase",
-            "rabi",
-            "duration",
-        ):
-            key = self.next().text
-            eq = self.next()
-            if eq.text != "=":
-                self.error(f"expected '=' after {key!r}", eq)
-            if key in ("area", "phase"):
-                params[key] = self.parse_angle()
-            elif key == "rabi":
-                params[key] = self.parse_freq()
-            else:
-                params[key] = self.parse_time()
+        while self.peek().text in _PULSE_PARAMS:
+            name = self.next()
+            if name.text in params:
+                self.error(f"pulse parameter {name.text!r} given twice", name)
+            self.expect("=", f"expected '=' after {name.text!r}")
+            params[name.text] = self.quantity(_PULSE_PARAMS[name.text], stops=_PULSE_PARAMS)
         if not params:
             self.error("pulse needs parameters (area= or rabi=/duration=)", head)
-        phase = params.pop("phase", 0.0)
-        area = params.pop("area", None)
-        rabi = params.pop("rabi", None)
-        duration = params.pop("duration", None)
-        if area is not None and area < 0:
+        if params.get("area", 0.0) < 0:
             # reversed rotation: same axis area, phase advanced by pi
-            area = -area
-            phase = phase + math.pi
-        return self.build(head, Pulse, phase=phase, area=area, rabi=rabi, duration=duration)
+            params.update(area=-params["area"], phase=params.get("phase", 0.0) + math.pi)
+        return self.build(head, Pulse, **params)
 
 
 def parse(text: str) -> PulseProgram:
     """Parse sequence-language source into a :class:`PulseProgram`."""
-    parser = _Parser(text)
-    events = parser.parse_program()
-    return PulseProgram(events)
+    return PulseProgram(_Parser(text).parse_program())
 
 
 # ---------------------------------------------------------------------------
@@ -452,34 +405,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _serialize_events(events, indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
+def _statements(events, pad: str = ""):
+    """The canonical lines of ``events``, a repeat's body indented by two spaces."""
     for ev in events:
         if isinstance(ev, Pulse):
-            if ev.mode == "hard":
-                lines.append(f"{pad}pulse area={_fmt(ev.area)}rad phase={_fmt(ev.phase)}rad")
-            else:
-                lines.append(
-                    f"{pad}pulse rabi={_fmt(ev.rabi)}Hz duration={_fmt(ev.duration)}s "
-                    f"phase={_fmt(ev.phase)}rad"
-                )
+            params = (f"{name}={_fmt(getattr(ev, name))}{next(iter(_UNITS[kind]))}"
+                      for name, kind in _PULSE_PARAMS.items() if getattr(ev, name) is not None)
+            yield f"{pad}pulse {' '.join(params)}"
         elif isinstance(ev, Wait):
-            lines.append(f"{pad}wait {_fmt(ev.duration)}s")
+            yield f"{pad}wait {_fmt(ev.duration)}s"
         elif isinstance(ev, Acquire):
-            lines.append(f"{pad}acquire {ev.label}")
+            yield f"{pad}acquire {ev.label}"
         elif isinstance(ev, Repeat):
-            lines.append(f"{pad}repeat {ev.count} {{")
-            _serialize_events(ev.body, indent + 1, lines)
-            lines.append(f"{pad}}}")
+            yield f"{pad}repeat {ev.count} {{"
+            yield from _statements(ev.body, pad + "  ")
+            yield f"{pad}}}"
         else:
             raise TypeError(f"unknown event type {type(ev).__name__}")
 
 
 def serialize(program: PulseProgram) -> str:
     """Canonical one-statement-per-line form; inverse of :func:`parse`."""
-    lines: list[str] = []
-    _serialize_events(program.events, 0, lines)
-    return "\n".join(lines) + "\n"
+    return "\n".join(_statements(program.events)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,28 @@ def test_parse_errors_keep_message_line_and_column(text, message, line, column):
         f"line {line}, column {column}: {message}", line, column)
 
 
+@pytest.mark.parametrize("text, same", [
+    ("pulse area=90 phase=0", "pulse area=pi/2 phase=0"),
+    ("pulse phase=180 area=pi", "pulse area=pi phase=pi"),
+    ("pulse rabi=50000 duration=1e-5", "pulse rabi=50000Hz duration=1e-5s"),
+])
+def test_a_bare_number_may_precede_the_next_pulse_parameter(text, same):
+    # a pulse parameter's name starts the next parameter; it is never a unit
+    assert parse(text) == parse(same)
+    assert parse("pulse rabi=50000 duration=1e-5") == PulseProgram((Pulse(rabi=5e4, duration=1e-5),))
+
+
+@pytest.mark.parametrize("text, column", [
+    ("pulse area=pi area=pi/2", 15),
+    ("pulse rabi=1kHz duration=1us duration=2us", 30),
+])
+def test_a_pulse_parameter_given_twice_is_an_error(text, column):
+    with pytest.raises(SequenceError) as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == (1, column)
+    assert "given twice" in str(info.value)
+
+
 def test_pulse_validation():
     with pytest.raises(ValueError):
         Pulse(area=-1.0)
