@@ -1,0 +1,103 @@
+"""Write every CI config and run the CLI on each, into one output directory.
+
+    python .github/cli_runs.py OUT_DIR
+
+Run it from the repository root with the interpreter under test: the CLI
+runs in that interpreter with ``PYTHONPATH=src`` and inherits the
+environment, thread settings included.  Each config is written as
+``OUT_DIR/<name>.json`` and its run's outputs go to ``OUT_DIR/<name>/``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+sys.path.insert(0, "bench")
+import workloads  # noqa: E402
+
+OU_NOISE = {"kind": "ornstein_uhlenbeck", "sigma_hz": 30.0, "tau_b_s": 0.005}
+TELEGRAPH_NOISE = {"kind": "telegraph", "amplitude_hz": 40.0, "flip_rate_hz": 200.0}
+
+# the simulate runs add "record": acquires inside a repeat, hard and finite
+# pulses, an OU bath, and T1/T2 toward a nonzero z_equilibrium
+SIMULATE = {
+    "sequence": {"dsl": "pulse area=pi/2 phase=0; wait 0.3ms; repeat 40 { pulse area=pi phase=0; wait 1ms; "
+                        "pulse rabi=100kHz duration=5us phase=180; wait 0.7ms; acquire echo; wait 0.3ms }; "
+                        "pulse area=pi phase=90; wait 0.5ms; acquire end"},
+    "ensemble": {"size": 64, "fwhm_hz": 500.0, "seed": 3},
+    "noise": OU_NOISE,
+    "relaxation": {"t1_s": 0.05, "t2_s": 0.04, "z_equilibrium": 0.3}, "master_seed": 7,
+}
+# a lowered repeat of hard pi pulses at 0, 90 and 30 degrees with acquires
+# inside, under an OU bath: each read turns its member sums by the frame's
+# angle, elementwise
+PI_FRAME = {
+    "sequence": {"dsl": "pulse area=pi/2 phase=0; repeat 300 { pulse area=pi phase=0; wait 0.4ms; "
+                        "pulse area=pi phase=90; wait 0.3ms; acquire a; pulse area=pi phase=30; wait 0.3ms; "
+                        "acquire b }; wait 0.2ms; acquire end"},
+    "ensemble": {"size": 64, "fwhm_hz": 500.0, "seed": 3},
+    "noise": OU_NOISE,
+    "relaxation": {"t1_s": 0.5, "t2_s": 0.2}, "master_seed": 7,
+}
+# tomography with finite pulses and a telegraph bath, in the shape of the
+# smoke tomo_telegraph config (run with --n-list 0,1,2,10,100: one run reads
+# the t = 0 row and adjacent counts); at 200 flips/s many cycles hold a
+# flip, which the compiled repeats build exactly
+TOMO_FINITE = {
+    "sequence": {"tau1_s": 0.0005, "tau_c_s": 0.001}, "pulses": {"mode": "finite", "rabi_hz": 50000.0},
+    "ensemble": {"size": 64, "distribution": "gaussian", "fwhm_hz": 2000.0, "seed": 3},
+    "noise": TELEGRAPH_NOISE, "master_seed": 7,
+}
+FINITE_CYCLE = ("pulse rabi=50kHz duration=10us phase=0; wait 1ms; "
+                "pulse rabi=50kHz duration=10us phase=180; wait 1ms")
+HARD_CYCLE = "pulse area=pi phase=0; wait 1ms; pulse area=-pi phase=0; wait 1ms"
+WIDE_LINE = {"size": 64, "fwhm_hz": 2000.0, "seed": 3}
+SLOW_RELAXATION = {"t1_s": 5.0, "t2_s": 2.0}
+
+
+def echo(body: str, **config) -> dict:
+    """A config on the wide line whose sequence runs ``body`` between a pi/2
+    pulse and a closing pi pulse, then reads the echo."""
+    dsl = f"pulse area=pi/2 phase=0; wait 0.5ms; {body}; pulse area=pi phase=0; wait 0.5ms; acquire echo"
+    return {"sequence": {"dsl": dsl}, "ensemble": WIDE_LINE, **config, "master_seed": 7}
+
+
+def runs():
+    """``(name, config text, subcommand, extra flags)`` of every run."""
+    smoke = [(name, workloads.make(name, 11, "smoke")) for name in workloads.NAMES]
+    for name, w in smoke + [("ou_sweep_paper", workloads.make("ou_sweep", 21, "paper"))]:
+        yield name, w.config_text(), w.subcommand, list(w.extra_args)
+    for record in ("acquires", "events"):
+        yield f"simulate-{record}", dict(SIMULATE, record=record), "simulate", []
+        yield f"simulate-telegraph-{record}", dict(SIMULATE, noise=TELEGRAPH_NOISE, record=record), "simulate", []
+        yield f"simulate-pi-frame-{record}", dict(PI_FRAME, record=record), "simulate", []
+    yield "tomo-finite", TOMO_FINITE, "tomography", ["--n-list", "0,1,2,10,100"]
+    # a compiled finite-pulse repeat with no bath and T1/T2 toward 0: one
+    # power of each member's cycle map
+    finite = echo(f"repeat 2000 {{ {FINITE_CYCLE} }}", relaxation=SLOW_RELAXATION)
+    yield "finite-repeat", finite, "simulate", []
+    # the same repeat with hard pi pulses: with no bath it compiles too
+    hard = echo(f"repeat 2000 {{ {HARD_CYCLE} }}", relaxation=SLOW_RELAXATION)
+    yield "hard-repeat", hard, "simulate", []
+    # a nested finite-pulse repeat under a telegraph bath: the outer body
+    # holds 400 bath intervals, more than one draw block (256), so it runs
+    # event by event and its inner repeat compiles
+    nested = echo(f"repeat 3 {{ repeat 100 {{ {FINITE_CYCLE} }} }}", noise=TELEGRAPH_NOISE)
+    yield "nested-repeat", nested, "simulate", []
+
+
+def main(out: str) -> None:
+    os.makedirs(out, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH="src")
+    for name, config, subcommand, flags in runs():
+        path = os.path.join(out, f"{name}.json")
+        with open(path, "w") as fh:
+            fh.write(config if isinstance(config, str) else json.dumps(config) + "\n")
+        argv = [subcommand, "--config", path, "--out-dir", os.path.join(out, name), *flags]
+        print("blochdd", *argv, flush=True)
+        subprocess.run([sys.executable, "-m", "blochdd.cli", *argv], env=env, check=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])

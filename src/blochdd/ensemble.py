@@ -1209,11 +1209,14 @@ def ou_fid_coherence(t, sigma: float, tau_b: float):
 
     ``exp(-sigma_w^2 tau_b^2 [t/tau_b - 1 + e^(-t/tau_b)])`` with
     ``sigma_w = 2*pi*sigma``; ``sigma`` in Hz, times in s.  The bracket
-    is summed as ``r + expm1(-r)``, so ``e^-r - 1`` does not cancel.
+    is summed as ``r + expm1(-r)``, and below r = 0.1, where that cancels
+    its leading term, as its Taylor series (as :func:`_ou_integral_bracket`).
     """
     r = np.asarray(t, dtype=float) / tau_b
     w2 = (2.0 * math.pi * sigma) ** 2
-    return np.exp(-w2 * tau_b**2 * (r + np.expm1(-r)))
+    short = np.minimum(r, 0.1)  # the series alone never overflows
+    series = sum((-short) ** n / math.factorial(n) for n in range(17, 1, -1))
+    return np.exp(-w2 * tau_b**2 * np.where(r < 0.1, series, r + np.expm1(-r)))
 
 
 def ou_hahn_coherence(total_time, sigma: float, tau_b: float):

@@ -869,6 +869,17 @@ def test_ou_laws_keep_their_digits_at_short_times(r):
     assert hahn == pytest.approx(math.exp(-w2_hahn * tau_b**2 * hahn_bracket_series(r)), rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_ou_fid_coherence_matches_its_bracket_series(r):
+    # r - 1 + e^-r summed to ten terms; sigma is set for a 1/e decay, so
+    # the coherence carries the bracket's relative error
+    bracket = math.fsum((-r) ** n / math.factorial(n) for n in range(2, 12))
+    tau_b = 5e-3
+    sigma = 1 / (2 * math.pi * tau_b * math.sqrt(bracket))
+    expect = math.exp(-((2 * math.pi * sigma) ** 2) * tau_b**2 * bracket)
+    assert float(ou_fid_coherence(r * tau_b, sigma, tau_b)) == pytest.approx(expect, rel=1e-15)
+
+
 @pytest.mark.parametrize("tau_b", [1e4, 1e5, 1e6])
 def test_calibrate_ou_sigma_at_long_correlation_times(tau_b):
     # the echo at 0.86 s is deep in the cubic law's regime
