@@ -1214,7 +1214,7 @@ def ou_fid_coherence(t, sigma: float, tau_b: float):
     """
     r = np.asarray(t, dtype=float) / tau_b
     w2 = (2.0 * math.pi * sigma) ** 2
-    short = np.minimum(r, 0.1)  # the series alone never overflows
+    short = np.minimum(r, 0.1)  # np.where evaluates both branches: no overflow here
     series = sum((-short) ** n / math.factorial(n) for n in range(17, 1, -1))
     return np.exp(-w2 * tau_b**2 * np.where(r < 0.1, series, r + np.expm1(-r)))
 

@@ -297,6 +297,8 @@ class _Parser:
         except ValueError as exc:
             self.error(str(exc), head)
 
+    # -- value parsers ------------------------------------------------
+
     def parse_number(self) -> float:
         tok = self.next()
         if tok.kind != "number":
@@ -306,8 +308,7 @@ class _Parser:
     def quantity(self, kind: str, stops=()) -> float:
         """A ``kind`` of :data:`_UNITS` in its SI unit: a number and an
         optional unit, or for an angle ``[sign] [coef] pi [/ div]``.  An
-        identifier after the number is its unit unless it is in ``stops``.
-        """
+        identifier after the number is its unit unless it is in ``stops``."""
         first = tok = self.peek()
         sign = 1.0
         if kind == "angle" and tok.text in ("+", "-"):
@@ -337,9 +338,10 @@ class _Parser:
             self.error("negative duration", first)
         return value
 
+    # -- statements ----------------------------------------------------
+
     def parse_program(self, nested: bool = False) -> tuple:
-        """The statements up to the end of the text, or up to the '}' that
-        closes a ``nested`` repeat body."""
+        """The statements to the end of the text, or to a ``nested`` body's '}'."""
         events = []
         while True:
             while self.peek().kind == "newline" or self.peek().text == ";":
