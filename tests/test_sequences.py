@@ -95,6 +95,12 @@ def test_angle_forms():
         assert p.events[0].phase == pytest.approx(value), text
 
 
+def test_a_sign_token_before_a_number_negates_it():
+    # "- 90" is a sign token and a number, where "-90" is one number token
+    for text, value in {"- 90deg": -math.pi / 2, "- 2pi/4": -math.pi / 2, "+ 1.5rad": 1.5}.items():
+        assert parse(f"pulse area=pi phase={text}").events[0].phase == pytest.approx(value), text
+
+
 def test_negative_area_normalizes_to_phase_shift():
     p = parse("pulse area=-pi phase=0")
     ev = p.events[0]
