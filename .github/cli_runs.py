@@ -73,6 +73,11 @@ def runs():
         yield f"simulate-telegraph-{record}", dict(SIMULATE, noise=TELEGRAPH_NOISE, record=record), "simulate", []
         yield f"simulate-pi-frame-{record}", dict(PI_FRAME, record=record), "simulate", []
     yield "tomo-finite", TOMO_FINITE, "tomography", ["--n-list", "0,1,2,10,100"]
+    # the same series out to 10,000 cycles, the north star's scale, at the
+    # tomo_telegraph benchmark's 2 Hz and 20 flips/s: a member's flip-free
+    # stretches last tens of cycles, and a compiled repeat steps by flips
+    slow = dict(TOMO_FINITE, noise={"kind": "telegraph", "amplitude_hz": 2.0, "flip_rate_hz": 20.0})
+    yield "tomo-telegraph-long", slow, "tomography", ["--n-list", "0,1,10,100,1000,10000"]
     # a compiled finite-pulse repeat with no bath and T1/T2 toward 0: one
     # power of each member's cycle map
     finite = echo(f"repeat 2000 {{ {FINITE_CYCLE} }}", relaxation=SLOW_RELAXATION)

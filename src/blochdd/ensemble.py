@@ -15,15 +15,16 @@ rows are labelled; acquire magnitudes and phases are computed from its
 rows.  A repeated cycle with no acquire is compiled when it runs with no
 bath, or holds other pulses than hard pi and fits a draw block under one
 telegraph bath: each member's cycle is one 3x3 map, so the states move
-once per cycle (and with no bath once per repeat), not once per pulse.
+once per repeat with no bath, and under a telegraph bath once per flip,
+not once per pulse.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
 randomness from a stream derived only from ``(master_seed, i)`` and
 consumes it in order, its OU values are computed in chunks aligned to
 its interval count, each phase is one running sum in event order, and a
-compiled repeat applies its maps one iteration at a time, so results
-are bit-identical for any draw block size.  Every observable
+compiled repeat moves each member by runs of iterations set by its flips
+alone, so results are bit-identical for any draw block size.  Every observable
 is a numpy pairwise sum over all members, not a BLAS call.  The one BLAS
 reduction, over the intervals of an OU chunk, sums each member's value
 alone in a fixed order, so results do not depend on the number of BLAS
@@ -260,12 +261,14 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 
 
 # Program events are read this many at a time: a block of single events,
-# or a slice of a lowered repeat's expansion (_Body).  Each member's bath
-# draws come this many intervals (OU) or flips (telegraph) at most at a
-# time.  It bounds memory only: each member's draws are consumed in stream
-# order, the OU values are computed in chunks aligned to the run's
-# interval count (_OUChain), and each phase is one running sum, so
-# results never depend on it.
+# or a slice of a lowered repeat's expansion (_Body); a compiled repeat
+# (_Cycle) advances the bath clock by whole iterations of about this many
+# intervals.  Each member's bath draws come this many intervals (OU) or
+# flips (telegraph) at most at a time.  It bounds memory only: each
+# member's draws are consumed in stream order, the OU values are computed
+# in chunks aligned to the run's interval count (_OUChain), each phase is
+# one running sum, and a compiled repeat's runs between flips carry across
+# blocks, so results never depend on it.
 _DRAW_BLOCK = 256
 # OU values are computed this many intervals at a time (_OUChain), which
 # keeps the factors of at most _OU_CACHE patterns each of chunk and of
@@ -439,11 +442,13 @@ class _OUBath:
 class _TelegraphBath:
     """One random telegraph process per member, integrated exactly.
 
-    Flip times are cumulative sums of exponential gaps, so the sign is
+    Flip times are cumulative sums of exponential gaps, each member's
+    drawn ``_DRAW_BLOCK`` at a time from its stream, so the sign is
     piecewise constant between known times and its integral over any
-    interval is exact.  After each block, ``flipped`` marks the intervals
-    in which a member flips at all: a compiled repeat builds those
-    member-iterations exactly (:meth:`_Run.cycle_maps`).
+    interval is exact.  The flips are kept sparse: :meth:`flips` reads
+    the (member, time) pairs up to a time, and a compiled repeat steps
+    by them (:meth:`_Run.cycles`).  :meth:`block` assembles them into
+    dense per-interval values for the event path and lowered bodies.
     """
 
     def __init__(self, model: NoiseModel, rngs: list):
@@ -465,34 +470,52 @@ class _TelegraphBath:
         self.next_flip[idx] += self.gaps[idx, self.col[idx]] / self.rate
         self.col[idx] += 1
 
-    def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
-        """``(starts, integrals)`` as :meth:`_OUChain.advance`; ``flipped`` then
-        marks, ``(B, m)``, the intervals in which each member flips."""
-        # odd[k] is true where a member flips an odd number of times in interval k
-        odd = np.zeros((len(lengths), len(self.rngs)), dtype=bool)
-        self.flipped = np.zeros_like(odd)
-        correction = np.zeros(odd.shape)
-        start0 = self.amplitude * self.sign
-        # each round takes every member's next flip inside the block
+    def flips(self, end: float) -> tuple:
+        """``(members, times, signs)`` of every flip at or before ``end`` not
+        read yet, and ``sign`` then holds each member's sign after ``end``.
+
+        The flips come in rounds of every member's next one, so each
+        member's are in time order; ``signs`` are the signs before each.
+        """
+        members, times, signs = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
         while True:
-            idx = np.flatnonzero(self.next_flip <= edges[-1])
+            idx = np.flatnonzero(self.next_flip <= end)
             if idx.size == 0:
                 break
-            f = self.next_flip[idx]
-            k = np.searchsorted(edges[1:], f)  # edges[k] < f <= edges[k + 1]
-            # flipping s -> -s at f changes the interval's integral by -2 s (edges[k + 1] - f)
-            correction[k, idx] -= 2.0 * self.amplitude * self.sign[idx] * (edges[k + 1] - f)
-            odd[k, idx] = ~odd[k, idx]
-            self.flipped[k, idx] = True
-            self.sign[idx] = -self.sign[idx]
+            members.append(idx)
+            times.append(self.next_flip[idx])
+            signs.append(self.sign[idx])
+            self.sign[idx] = -signs[-1]
             self._advance(idx)
-        # a member's value changes sign after each interval of odd count
-        changed = np.zeros_like(odd)
-        np.logical_xor.accumulate(odd[:-1], axis=0, out=changed[1:])
-        start = np.where(changed, -start0, start0)
-        integrals = start * np.diff(edges)[:, None]
+        return np.concatenate(members), np.concatenate(times), np.concatenate(signs)
+
+    def values(self, start, h, rows, cols, ends, times, signs) -> tuple:
+        """``(starts, integrals)``, each ``(L, n)``, of n values over L
+        intervals of lengths ``h``: column j starts at ``start[j]``, and flip
+        f, in interval ``rows[f]`` of column ``cols[f]`` (ending at
+        ``ends[f]``), comes at ``times[f]`` after a value of sign
+        ``signs[f]``; each column's flips in time order."""
+        shape = (len(h), len(start))
+        correction, changed = np.zeros(shape), np.zeros(shape, dtype=bool)
+        if len(times):
+            # flipping s -> -s at f changes the interval's integral by -2 s (end - f)
+            np.subtract.at(correction, (rows, cols), 2.0 * self.amplitude * signs * (ends - times))
+            # a value changes sign after each interval of odd count
+            odd = np.zeros(shape, dtype=bool)
+            np.logical_xor.at(odd, (rows, cols), True)
+            np.logical_xor.accumulate(odd[:-1], axis=0, out=changed[1:])
+        starts = np.where(changed, -start, start)
+        integrals = starts * h
         integrals += correction
-        return start, integrals
+        return starts, integrals
+
+    def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
+        """``(starts, integrals)`` as :meth:`_OUChain.advance`, of the
+        intervals between ``edges``."""
+        start = self.amplitude * self.sign
+        members, times, signs = self.flips(edges[-1])
+        k = np.searchsorted(edges[1:], times)  # edges[k] < f <= edges[k + 1]
+        return self.values(start, np.diff(edges)[:, None], k, members, edges[k + 1], times, signs)
 
 
 def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise, n_states: int) -> None:
@@ -655,16 +678,18 @@ def _rz(cycles: np.ndarray, decay) -> np.ndarray:
     return m
 
 
-def _power(maps: np.ndarray, n: int) -> np.ndarray:
-    """``maps`` ``(..., 3, 3)`` to the power ``n >= 1``, by repeated squaring."""
-    out = None
-    while True:
-        if n & 1:
-            out = maps if out is None else out @ maps
-        n >>= 1
-        if not n:
-            return out
-        maps = maps @ maps
+def _power(ladder: list, rows: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``(len(rows), 3, 3)`` powers ``K[rows]^n`` (``n >= 0``) by repeated
+    squaring: ``ladder[b]`` holds the maps ``K^(2^b)``, squared on as far as
+    ``n`` needs, and the rungs of ``n``'s binary digits are multiplied
+    lowest first, as :func:`numpy.linalg.matrix_power` does."""
+    out = np.broadcast_to(np.eye(3), (len(rows), 3, 3)).copy()
+    for b in range(int(n.max(initial=0)).bit_length()):
+        if b == len(ladder):
+            ladder.append(ladder[-1] @ ladder[-1])
+        sel = np.flatnonzero(n >> b & 1)
+        out[sel] = out[sel] @ ladder[b].take(rows[sel], axis=0)
+    return out
 
 
 class _Cycle:
@@ -846,14 +871,19 @@ class _Run:
         return self.bodies[key] is not None
 
     def bath(self, lengths: np.ndarray) -> np.ndarray:
-        """Draw every bath over the next intervals; keep the summed integrals
-        over them and return the summed values at their starts."""
+        """Advance the bath clock over the next intervals; return their edges."""
         # from the last block's end: bit for bit one cumsum over the program
         self.edges = np.cumsum(np.concatenate([self.edges[-1:], lengths]))
+        return self.edges
+
+    def draw(self, lengths: np.ndarray) -> np.ndarray:
+        """Draw every bath over the next intervals; keep the summed integrals
+        over them and return the summed values at their starts."""
+        edges = self.bath(lengths)
         self.integrals = None  # settled: let the draws reuse its memory
-        starts, self.integrals = self.baths[0].block(lengths, self.edges)
+        starts, self.integrals = self.baths[0].block(lengths, edges)
         for bath in self.baths[1:]:
-            more, integrals = bath.block(lengths, self.edges)
+            more, integrals = bath.block(lengths, edges)
             starts, self.integrals = starts + more, self.integrals + integrals
         return starts
 
@@ -911,7 +941,7 @@ class _Run:
             if isinstance(ev, Wait) or isinstance(ev, Pulse) and ev.mode == "finite"
         ] if self.baths else []
         # summed bath values at the start of each bath interval
-        starts = self.bath(np.array(lengths)) if lengths else None
+        starts = self.draw(np.array(lengths)) if lengths else None
         k = 0  # index of the next bath interval in the block
         for ev in run:
             if isinstance(ev, Wait):
@@ -965,7 +995,7 @@ class _Run:
             hs = body.wait_h[j]
             signs = body.wait_sign[j] * body.frame(q, alpha0, sign0)[1]
             if self.baths and len(hs):
-                self.bath(hs)
+                self.draw(hs)
             # bit for bit the running sum t += h
             times = np.concatenate([[self.t], hs]).cumsum()
             self.t = float(times[-1])
@@ -981,50 +1011,62 @@ class _Run:
 
     def cycles(self, count: int, body: _Cycle) -> None:
         """Run ``count`` iterations of a compiled body (see :func:`run_program`):
-        form the states once, then apply each member's maps, one power of
-        them with no bath draw, else one iteration at a time in order."""
+        form the states once, then move them by one power of each member's
+        map with no bath draw, else by its flips: the exact maps of the
+        iterations in which it flips (:meth:`cycle_maps`) and, for each run
+        of ``r`` iterations between them at the sign ``s`` of its value,
+        ``K(s)^r`` from a ladder of the held maps' squares.  A run open at
+        the end of a draw block carries on into the next."""
         self.form()
+        m = len(self.weights)
         if not self.baths or not len(body.lengths):
-            self.u = self.u @ _power(self.maps(body), count)
+            self.u = self.u @ _power([self.maps(body)], np.arange(m), np.full(m, count))
             self.t += count * body.period
         else:
-            per = max(1, _DRAW_BLOCK // len(body.lengths))
-            maps, u = np.empty((len(self.weights), 3, 3)), np.empty_like(self.u)
+            held = self.held(body)
+            ladder = [body.walk(self, self.levels) if held is None else held]
+            open_run = np.zeros(m, dtype=np.intp)  # flip-free iterations not applied yet
+            per = max(1, _DRAW_BLOCK // len(body.lengths))  # whole iterations per draw block
             for q0 in range(0, count, per):
-                # a block's dense draws die in cycle_maps, before the next block draws
-                table, pick = self.cycle_maps(body, min(per, count - q0))
-                for row in pick:
-                    np.matmul(self.u, table.take(row, axis=0, out=maps), out=u)
-                    self.u, u = u, self.u
+                n = min(per, count - q0)
+                i, q, start, exact = self.cycle_maps(body, n)
+                first, last = np.diff(i, prepend=-1) != 0, np.diff(i, append=-1) != 0
+                runs = np.diff(q, prepend=-1) - 1  # since the member's last flip iteration
+                runs[first] = open_run[i[first]] + q[first]
+                steps = _power(ladder, self.rows(start, i), runs) @ exact
+                # a member's steps in order: its j-th flip iteration of the block in round j
+                rank = np.arange(len(i)) - np.flatnonzero(first)[np.cumsum(first) - 1]
+                for j in range(rank.max(initial=-1) + 1):
+                    sel = np.flatnonzero(rank == j)
+                    self.u[i[sel]] = self.u[i[sel]] @ steps[sel]
+                open_run += n
+                open_run[i[last]] = n - 1 - q[last]
+            self.u = self.u @ _power(ladder, self.rows(self.baths[0].sign), open_run)
         self.t_ref = self.t
 
     def cycle_maps(self, body: _Cycle, n: int) -> tuple:
-        """Draw the bath over the next ``n`` iterations of a compiled body, as
-        the event path would, and return ``(table, pick)``: member ``i``'s
-        map of iteration ``q`` is ``table[pick[q, i]]``.
-
-        Where its bath does not flip in the iteration, that is its row of
-        the body's :meth:`held` maps (built for this block past the store)
-        at the sign of its value at the iteration's start.  The
-        member-iterations in which it flips are built exactly, all at once
-        (:meth:`_Cycle.walk`), and appended to the table.
-        """
-        size = len(body.lengths)
+        """Advance the bath clock over the next ``n`` iterations of a compiled
+        body, read the telegraph bath's flips in them and build exactly the
+        member-iterations that flip.  Returns ``(i, q, start, exact)``,
+        ordered by member, then iteration: each such member, its iteration
+        in the block, its bath value at the iteration's start and its map
+        (:meth:`_Cycle.walk`), from the values and integrals the event path
+        would draw."""
+        bath, size = self.baths[0], len(body.lengths)
         lengths = np.tile(body.lengths, n)
-        starts = self.bath(lengths)
+        edges = self.bath(lengths)
         # bit for bit the running sum t += h
         self.t = float(np.concatenate([[self.t], lengths]).cumsum()[-1])
-        table = self.held(body)
-        if table is None:
-            table = body.walk(self, self.levels)
-        pick = self.rows(starts[::size])
-        q, i = np.nonzero(self.baths[0].flipped.reshape(n, size, -1).any(axis=1))
-        if len(q):
-            k = q * size + np.arange(size)[:, None]  # (L, flips): their intervals
-            exact = body.walk(self, self.det[i], i, starts[k, i], self.integrals[k, i])
-            pick[q, i] = len(table) + np.arange(len(q))
-            table = np.concatenate([table, exact])
-        return table, pick
+        members, times, signs = bath.flips(edges[-1])
+        k = np.searchsorted(edges[1:], times)  # edges[k] < f <= edges[k + 1]
+        # a member-iteration's first flip is its earliest: its sign is the start's
+        key, first, col = np.unique(members * n + k // size, return_index=True, return_inverse=True)
+        i, q = np.divmod(key, n)
+        start = bath.amplitude * signs[first]
+        intervals = q * size + np.arange(size)[:, None]  # (L, flip iterations)
+        starts, integrals = bath.values(start, np.diff(edges)[intervals], k % size, col, edges[k + 1],
+                                        times, signs)
+        return i, q, start, body.walk(self, self.det[i], i, starts, integrals)
 
 
 def run_program(
@@ -1123,21 +1165,24 @@ def run_program(
     bath value held at 0 or ``+-A``, member ``i``'s iteration is one map
     ``K_i``, kept in the store above: the product of its waits' ``R_z(2 pi
     (det_i + b) h) D(h)`` and its pulses' matrices, a hard pi pulse as
-    the frame's ``P``.  The states are
-    formed once at the repeat and move once per iteration, ``u <- u K``,
-    in iteration order.  With no bath the ``count`` iterations are one
-    power ``K_i^count``, by repeated squaring, and the time advances by
-    ``count`` times the body's summed length.  With a telegraph bath the
-    draws come for blocks of whole iterations, about ``_DRAW_BLOCK``
-    intervals each, through the same per-interval draw, so the flips and
-    interval edges are bit-identical to the event path's.  A member-iteration with no
-    flip takes ``K_i`` at the sign of the member's value at its start;
-    those with a flip, all of a block's at once, are built exactly from
-    the drawn values: each wait turns by ``det_i h`` plus the bath's
-    integral over it, and each finite pulse takes its map at the value
-    at its start from the store.  No result depends on ``_DRAW_BLOCK``.
-    The compiled and event paths multiply the same rotations in another
-    order, so they agree to rounding.
+    the frame's ``P``.  The states are formed once at the repeat and
+    move as ``u <- u K`` in iteration order.  With no bath the ``count``
+    iterations are one power ``K_i^count``, by repeated squaring, and
+    the time advances by ``count`` times the body's summed length.  With
+    a telegraph bath a member steps by its flips.  The bath clock runs
+    through blocks of whole iterations, about ``_DRAW_BLOCK`` intervals
+    each, as one running sum, and the same flips are drawn, so interval
+    edges and flip times are the event path's, bit for bit.  An
+    iteration in which a member flips is built exactly from the drawn
+    values: each wait turns by ``det_i h`` plus the bath's integral over
+    it, and each finite pulse takes its map at the value at its start
+    from the store.  Each run of ``r`` iterations between flips, at the
+    sign ``s`` of the member's value, is ``K_i(s)^r``, by the binary
+    digits of ``r``.  A run open at a block's end carries on into the
+    next, so no result depends on ``_DRAW_BLOCK``, and nothing is sized
+    by the iterations times the members.  The compiled and event paths
+    multiply the same rotations in another order, so they agree to
+    rounding.
 
     Every other event is read one at a time from a lazy walk of
     :meth:`PulseProgram.expand`.  The baths draw for the bath intervals

@@ -40,8 +40,10 @@ Grammar (EBNF)::
 Units are normalized to seconds, hertz and radians; bare angles follow the
 NMR convention and are read as degrees.  Inside a pulse a parameter name is
 never a unit, so a bare number may be followed directly by the next
-parameter.  A negative ``area`` is normalized to a positive area with the
-phase advanced by pi (same axis, reversed sense).
+parameter.  Nor is a statement keyword, so a bare number may end a
+statement with no separator before the next (``wait 3 pulse area=pi``).
+A negative ``area`` is normalized to a positive area with the phase
+advanced by pi (same axis, reversed sense).
 
 ``serialize`` emits the canonical form: seconds/hertz/radians with
 explicit unit suffixes at 17 significant digits, so
@@ -237,6 +239,8 @@ _UNITS = {
 # The quantity of each pulse parameter, in serialize's order.  Inside a
 # pulse these names start the next parameter and are never read as units.
 _PULSE_PARAMS = {"area": "angle", "rabi": "frequency", "duration": "time", "phase": "angle"}
+# The statement keywords: each starts the next statement, never a unit.
+_STATEMENTS = ("pulse", "wait", "acquire", "repeat")
 
 
 @dataclass
@@ -308,7 +312,8 @@ class _Parser:
     def quantity(self, kind: str, stops=()) -> float:
         """A ``kind`` of :data:`_UNITS` in its SI unit: a number and an
         optional unit, or for an angle ``[sign] [coef] pi [/ div]``.  An
-        identifier after the number is its unit unless it is in ``stops``."""
+        identifier after the number is its unit unless it is in ``stops`` or
+        starts a statement (:data:`_STATEMENTS`)."""
         first = tok = self.peek()
         sign = 1.0
         if kind == "angle" and tok.text in ("+", "-"):
@@ -322,15 +327,16 @@ class _Parser:
             value = sign * self.parse_number()
         units = _UNITS[kind]
         unit = self.peek()
-        if unit.kind == "ident" and unit.text not in stops:
+        if unit.kind == "ident" and unit.text not in stops and unit.text not in _STATEMENTS:
             if unit.text not in units:
                 self.error(f"unknown {kind} unit {unit.text!r}")
             value *= units[self.next().text]
             if unit.text == "pi" and self.peek().text == "/":
                 self.next()
+                div_tok = self.peek()
                 div = self.parse_number()
                 if div == 0:
-                    self.error("division by zero in angle")
+                    self.error("division by zero in angle", div_tok)
                 value /= div
         else:
             value *= units["deg"] if kind == "angle" else 1.0

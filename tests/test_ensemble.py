@@ -10,7 +10,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from blochdd import ensemble
-from blochdd.bloch import RelaxationParams
+from blochdd.bloch import RelaxationParams, finite_pulse_matrix
 from blochdd.ensemble import (
     EnsembleSpec,
     NoiseModel,
@@ -573,6 +573,56 @@ def test_bodies_longer_than_a_draw_block_compile_their_inner_repeats(monkeypatch
     np.testing.assert_allclose(compiled.mean_bloch, stepped.mean_bloch, rtol=1e-12, atol=1e-15)
 
 
+def test_compiled_telegraph_repeats_never_build_dense_draws(monkeypatch):
+    # a compiled repeat reads each member's flips sparse; the dense
+    # (intervals, members) block serves only the event path and _Body
+    seen = spy_on_compiled_repeats(monkeypatch)
+    blocks, block = [], ensemble._TelegraphBath.block
+
+    def counted_block(self, lengths, edges):
+        blocks.append(len(lengths))
+        return block(self, lengths, edges)
+
+    monkeypatch.setattr(ensemble._TelegraphBath, "block", counted_block)
+    spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=2000.0, seed=2)
+    cycle = f"{FINITE_PI(0)}; wait 0.3ms; {FINITE_PI(180)}; wait 0.3ms"
+    run_program(parse(f"pulse area=pi/2 phase=0; repeat 300 {{ {cycle} }}"), spec, noise=TELEGRAPH,
+                master_seed=3, initial_state=FOUR_STATES)
+    assert seen["repeats"] == [300] and sum(seen["exact"]) > 20
+    assert blocks == []
+    # the same body run event by event draws dense blocks
+    monkeypatch.setattr(ensemble, "_LOWERED_EVENTS", 0)
+    run_program(parse(f"pulse area=pi/2 phase=0; repeat 3 {{ {cycle} }}"), spec, noise=TELEGRAPH, master_seed=3)
+    assert blocks == [12]
+
+
+# at 20 flips/s a member flips about once in 50 cycles of 1.01 ms
+SLOW_TELEGRAPH = NoiseModel(kind="telegraph", amplitude=40.0, flip_rate=20.0)
+SLOW_SERIES = ("pulse area=pi/2 phase=0; " + "; ".join(
+    f"repeat 400 {{ {FINITE_PI(0)}; wait 0.5ms; pulse area=pi phase=0; wait 0.5ms }}; acquire n{j}"
+    for j in range(3)))
+
+
+def test_flip_free_runs_across_draw_blocks_are_invariant_to_draw_block(monkeypatch):
+    # a body of 3 bath intervals: blocks of 85 iterations, then of 1 and 2,
+    # so a member's flip-free run spans tens of draw blocks and carries
+    # from block to block; each acquire ends a compiled repeat
+    seen = spy_on_compiled_repeats(monkeypatch)
+    spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=2000.0, seed=2)
+
+    def run():
+        return run_program(parse(SLOW_SERIES), spec, noise=SLOW_TELEGRAPH, master_seed=3,
+                           relax=RelaxationParams(t1=0.4, t2=0.05), initial_state=FOUR_STATES)
+
+    default = run()
+    assert seen["repeats"] == [400] * 3 and 300 < sum(seen["exact"]) < 5000
+    for block in (3, 7):
+        monkeypatch.setattr(ensemble, "_DRAW_BLOCK", block)
+        blocked = run()
+        assert_same_run(default, blocked)
+        np.testing.assert_array_equal(default.sample_times, blocked.sample_times)
+
+
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(ensemble, "_MAX_MEMBER_STEPS", 1e6)
     spec = EnsembleSpec(size=1000, distribution="gaussian", fwhm=100.0, seed=1)
@@ -1058,6 +1108,40 @@ def test_finite_pulses_under_a_frozen_telegraph_bath_match_brute_force():
         v = free(pulse(v, math.pi, math.pi), tau_c if k < n_cycles - 1 else tau_c - tau1)
     _, _, means = acquire_table(res)
     np.testing.assert_allclose(means[-1], np.mean(v, axis=0), atol=1e-9)
+
+
+def test_a_long_compiled_repeat_under_a_frozen_telegraph_bath_is_one_power():
+    # no member flips (checked from the streams, as in the test above), so
+    # each member's 100,000 cycles are one flip-free run at det_i + s_i A:
+    # its states end at u0 K_i^N, K_i its one-cycle map.  An error in K_i
+    # grows N-fold in K_i^N, so K_i is formed as the run forms it: each
+    # wait's R_z(2 pi (eff h)) and each pulse's matrix, in body order
+    size, amplitude, rate, master_seed, n = 64, 300.0, 1e-6, 5, 100_000
+    dets = np.random.default_rng(65).normal(0.0, 4000.0 * SIGMA_FROM_FWHM, size)
+    spec = EnsembleSpec(size=size, distribution="explicit", detunings=tuple(dets))
+    rabi, tau = 100e3, 1e-3
+    prog = parse(f"repeat {n} {{ pulse rabi={rabi} duration={0.5 / rabi} phase=0; wait {tau}; "
+                 f"pulse rabi={rabi} duration={0.5 / rabi} phase=180; wait {tau} }}")
+    noise = NoiseModel(kind="telegraph", amplitude=amplitude, flip_rate=rate)
+    res = run_program(prog, spec, noise=noise, master_seed=master_seed, initial_state=FOUR_STATES)
+
+    streams = [np.random.Generator(np.random.PCG64(s))
+               for s in np.random.SeedSequence(master_seed).spawn(size)]
+    signs = np.array([1.0 if g.random() < 0.5 else -1.0 for g in streams])
+    assert min(g.standard_exponential() / rate for g in streams) > prog.duration()
+    assert 0 < np.count_nonzero(signs > 0) < size
+    eff = dets + signs * amplitude
+    zero, one = np.zeros(size), np.ones(size)
+    k = np.eye(3)
+    for ev in prog.events[0].body:
+        if isinstance(ev, Wait):
+            c, s = np.cos(2 * math.pi * (eff * ev.duration)), np.sin(2 * math.pi * (eff * ev.duration))
+            k = k @ np.stack([c, s, zero, -s, c, zero, zero, zero, one], axis=-1).reshape(size, 3, 3)
+        else:
+            k = k @ finite_pulse_matrix(ev.rabi, ev.duration, ev.phase, eff)
+    expect = (FOUR_STATES @ np.linalg.matrix_power(k, n)).sum(axis=0) / size
+    assert res.duration == pytest.approx(prog.duration(), rel=1e-12)
+    np.testing.assert_allclose(res.mean_bloch[-1], expect, rtol=1e-12)
 
 
 def test_result_exports():

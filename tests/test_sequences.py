@@ -154,14 +154,12 @@ def test_parse_reports_event_checks_as_sequence_errors(text):
     # units
     ("wait 3 days", "unknown time unit 'days'", 1, 8),
     ("wait 3 rabi", "unknown time unit 'rabi'", 1, 8),
-    ("wait 3 pulse area=pi", "unknown time unit 'pulse'", 1, 8),
     ("pulse rabi=1kHz duration=1 days", "unknown time unit 'days'", 1, 28),
     ("pulse rabi=2GHz duration=1us", "unknown frequency unit 'GHz'", 1, 13),
     ("pulse area=1 furlongs phase=0", "unknown angle unit 'furlongs'", 1, 14),
-    ("pulse area=pi phase=90 wait 1ms", "unknown angle unit 'wait'", 1, 24),
     # angles
-    ("pulse area=pi/0 phase=0", "division by zero in angle", 1, 17),
-    ("pulse area=2pi/0.0", "division by zero in angle", 1, 19),
+    ("pulse area=pi/0 phase=0", "division by zero in angle", 1, 15),
+    ("pulse area=2pi/0.0", "division by zero in angle", 1, 16),
     ("pulse area=deg", "expected an angle, got 'deg'", 1, 12),
     ("pulse area=-x", "expected an angle, got 'x'", 1, 13),
     ("pulse area=pi/2 phase=--pi", "expected an angle, got '-'", 1, 24),
@@ -229,6 +227,19 @@ def test_a_bare_number_may_precede_the_next_pulse_parameter(text, same):
     # a pulse parameter's name starts the next parameter; it is never a unit
     assert parse(text) == parse(same)
     assert parse("pulse rabi=50000 duration=1e-5") == PulseProgram((Pulse(rabi=5e4, duration=1e-5),))
+
+
+@pytest.mark.parametrize("text, same", [
+    ("wait 3 pulse area=pi", "wait 3s; pulse area=pi"),
+    ("pulse area=pi phase=90 wait 1ms", "pulse area=pi phase=90deg; wait 1ms"),
+    ("pulse area=90 wait 1ms", "pulse area=pi/2; wait 1ms"),
+    ("pulse rabi=50000 duration=1e-5 acquire a", "pulse rabi=50000Hz duration=1e-5s; acquire a"),
+    ("wait 2 repeat 2 { wait 1 }", "wait 2s; repeat 2 { wait 1s }"),
+])
+def test_a_bare_number_may_end_a_statement_before_the_next(text, same):
+    # separators are optional: a statement keyword starts the next statement, never a unit
+    assert parse(text) == parse(same)
+    assert len(parse(text).events) == 2
 
 
 @pytest.mark.parametrize("text, column", [
