@@ -73,6 +73,9 @@ def runs():
         yield f"simulate-telegraph-{record}", dict(SIMULATE, noise=TELEGRAPH_NOISE, record=record), "simulate", []
         yield f"simulate-pi-frame-{record}", dict(PI_FRAME, record=record), "simulate", []
     yield "tomo-finite", TOMO_FINITE, "tomography", ["--n-list", "0,1,2,10,100"]
+    # a master seed of two 32-bit words: the member streams hash both
+    wide = dict(TOMO_FINITE, master_seed=2**40 + 7)
+    yield "tomo-finite-wide-seed", wide, "tomography", ["--n-list", "0,1,2,10,100"]
     # the same series out to 10,000 cycles, the north star's scale, at the
     # tomo_telegraph benchmark's 2 Hz and 20 flips/s: a member's flip-free
     # stretches last tens of cycles, and a compiled repeat steps by flips

@@ -20,8 +20,9 @@ not once per pulse.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
-randomness from a stream derived only from ``(master_seed, i)`` and
-consumes it in order, its OU values are computed in chunks aligned to
+randomness from a stream derived only from ``(master_seed, i)``, numpy's
+``SeedSequence(master_seed).spawn(n)[i]`` hashed for all members at once,
+and consumes it in order, its OU values are computed in chunks aligned to
 its interval count, each phase is one running sum in event order, and a
 compiled repeat moves each member by runs of iterations set by its flips
 alone, so results are bit-identical for any draw block size.  Every observable
@@ -44,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use: load it with the package, not in a run
+from numpy.random.bit_generator import ISeedSequence
 
 from .bloch import NO_RELAXATION, RelaxationParams, finite_pulse_matrix, rotate
 from .sequences import Acquire, Pulse, PulseProgram, Repeat, Wait
@@ -292,9 +294,11 @@ _MAX_MEMBER_STATES = 2**16
 _BATH_STREAM_STRIDE = 2**120  # draws between the streams of one member's baths
 # Bytes of the per-member maps one run keeps (_Run.held): each finite pulse's
 # and compiled body's at the held bath levels, 72 bytes a level, so 9.4 MB
-# for one at 2**16 members and one telegraph bath.  Past it the maps are
-# built again at every use, with bit-identical results.
+# for one at 2**16 members and one telegraph bath.  The first _HELD_BODIES
+# are kept whatever their size (a pi,-pi train's two pulses); past both
+# bounds the maps are built again at every use, with bit-identical results.
 _PULSE_TABLE_BYTES = 2**24
+_HELD_BODIES = 2
 
 
 def _ou_integral_bracket(r: float) -> float:
@@ -442,8 +446,9 @@ class _OUBath:
 class _TelegraphBath:
     """One random telegraph process per member, integrated exactly.
 
-    Flip times are cumulative sums of exponential gaps, each member's
-    drawn ``_DRAW_BLOCK`` at a time from its stream, so the sign is
+    Each member's stream gives its first sign (``random()`` below 0.5:
+    +1), then exponential gaps ``_DRAW_BLOCK`` at a time, whose cumulative
+    sums over the rate are the flip times, so the sign is
     piecewise constant between known times and its integral over any
     interval is exact.  The flips are kept sparse: :meth:`flips` reads
     the (member, time) pairs up to a time, and a compiled repeat steps
@@ -455,12 +460,14 @@ class _TelegraphBath:
         self.rngs = rngs
         self.amplitude = model.amplitude
         self.rate = model.flip_rate
-        self.sign = np.array([1.0 if rng.random() < 0.5 else -1.0 for rng in rngs])
         m = len(rngs)
-        self.gaps = np.empty((m, _DRAW_BLOCK))
-        self.col = np.full(m, _DRAW_BLOCK)
-        self.next_flip = np.zeros(m)
-        self._advance(np.arange(m))
+        first, self.gaps = np.empty(m), np.empty((m, _DRAW_BLOCK))
+        for i, rng in enumerate(rngs):  # each stream: its sign, then its first gaps
+            first[i] = rng.random()
+            rng.standard_exponential(out=self.gaps[i])
+        self.sign = np.where(first < 0.5, 1.0, -1.0)
+        self.next_flip = self.gaps[:, 0] / self.rate
+        self.col = np.ones(m, dtype=np.intp)
 
     def _advance(self, idx: np.ndarray) -> None:
         """Move members ``idx`` on to their next flip time."""
@@ -516,6 +523,53 @@ class _TelegraphBath:
         members, times, signs = self.flips(edges[-1])
         k = np.searchsorted(edges[1:], times)  # edges[k] < f <= edges[k + 1]
         return self.values(start, np.diff(edges)[:, None], k, members, edges[k + 1], times, signs)
+
+
+class _StreamSeed(ISeedSequence):
+    """Hands PCG64 one row of :func:`_stream_seeds`."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+def _stream_seeds(master_seed: int, n: int) -> np.ndarray:
+    """``(n, 4)`` uint64, row i ``SeedSequence(master_seed).spawn(n)[i]
+    .generate_state(4, np.uint64)``: numpy's hash (O'Neill's seed_seq) of
+    each child's entropy, the seed's 32-bit words padded with zeros to the
+    pool's 4 and then i, as uint32 array arithmetic over all members."""
+    seed = int(np.random.SeedSequence(master_seed).entropy)  # numpy checks the seed
+    words = [seed >> b & 0xFFFFFFFF for b in range(0, max(seed.bit_length(), 1), 32)]
+    words = [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
+    words.append(np.arange(n, dtype=np.uint32))
+    const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        value = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return value ^ value >> np.uint32(16)
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const = 0x8B51F9DD  # generate_state: the same step, on its own constants
+    out = np.empty((n, 8), dtype="<u4")  # little-endian pairs of 32-bit words
+    for k in range(8):
+        out[:, k] = hashmix(pool[k % 4], 0x58F38DED)
+    return out.view("<u8").astype(np.uint64, copy=False)
 
 
 def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise, n_states: int) -> None:
@@ -810,10 +864,11 @@ class _Run:
 
     def held(self, body: _Cycle) -> np.ndarray | None:
         """``body``'s maps at the ``levels``, ``(len(levels), 3, 3)``, from the
-        store, which keeps them for the run while all it keeps fits in
-        ``_PULSE_TABLE_BYTES``; None when no level is held or past that."""
+        store, which keeps them for the run while it holds fewer than
+        ``_HELD_BODIES`` bodies or all it keeps fits in ``_PULSE_TABLE_BYTES``;
+        None when no level is held or past both."""
         maps = self.store.get(body)
-        if maps is None and self.levels is not None and (
+        if maps is None and self.levels is not None and (len(self.store) < _HELD_BODIES or
                 72 * len(self.levels) * (len(self.store) + 1) <= _PULSE_TABLE_BYTES):
             maps = self.store[body] = body.walk(self, self.levels)
         return maps
@@ -1123,14 +1178,16 @@ def run_program(
     builds its per-member maps at every level on first use, into one
     store kept for the run, and every use picks each member's map by the
     sign of its bath value.  An OU bath, two or more baths, or maps that
-    would take the store past ``_PULSE_TABLE_BYTES`` (16 MB) are built at
-    every use instead; both ways give the same bits.
+    would take the store past ``_PULSE_TABLE_BYTES`` (16 MB) once it holds
+    two bodies are built at every use instead; both ways give the same bits.
 
     ``noise`` may be a single :class:`NoiseModel` or a sequence of them
     (independent processes, detunings summed) -- e.g. two
     Ornstein-Uhlenbeck components standing in for a structured bath.
-    Member ``i`` draws from one PCG64 stream seeded by ``(master_seed,
-    i)``; bath ``j`` of the member starts ``j * 2**120`` draws along it.
+    Member ``i`` draws from one PCG64 stream seeded as by
+    ``SeedSequence(master_seed).spawn(n)[i]``, all members' seeds hashed
+    at once (:func:`_stream_seeds`); bath ``j`` of the member starts ``j *
+    2**120`` draws along it.
     An OU bath draws two standard normals per interval (Gillespie, PRE
     54, 2084 (1996)) and computes its values ``_OU_CHUNK`` intervals at a
     time, in chunks aligned to the run's interval count, so that they
@@ -1212,10 +1269,11 @@ def run_program(
     det, weights = sample_detunings(ensemble)
     # every member carries each initial state; all see its detuning and baths
     u = np.tile(initial.reshape(1, -1, 3), (len(weights), 1, 1))
-    seeds = np.random.SeedSequence(master_seed).spawn(ensemble.size) if models else None
+    seeds = _stream_seeds(master_seed, ensemble.size) if models else None
     baths = []
     for j, mod in enumerate(models):
-        rngs = [np.random.Generator(np.random.PCG64(s).advance(j * _BATH_STREAM_STRIDE)) for s in seeds]
+        bits = [np.random.PCG64(_StreamSeed(s)) for s in seeds]
+        rngs = [np.random.Generator(b.advance(j * _BATH_STREAM_STRIDE) if j else b) for b in bits]
         baths.append((_OUBath if mod.kind == "ornstein_uhlenbeck" else _TelegraphBath)(mod, rngs))
 
     run = _Run(det, weights, u, baths, relax, record)

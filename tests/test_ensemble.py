@@ -204,6 +204,67 @@ def test_ou_interval_variances_are_never_negative():
     assert ensemble._ou_integral_bracket(r * (1 - 1e-12)) == pytest.approx(closed, rel=1e-10)
 
 
+# 2**128 + 5 has five 32-bit words, more than the seed pool's four
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**128 + 5])
+def test_stream_seeds_match_the_spawned_children(seed):
+    # each row is the PCG64 seed numpy's spawned child would give
+    big = 2**16
+    seeds = {n: ensemble._stream_seeds(seed, n) for n in (1, 3, big)}
+    for n, rows in ((1, range(1)), (3, range(3)), (big, (0, 1, 2, 3, 40_000, big - 1))):
+        assert seeds[n].shape == (n, 4) and seeds[n].dtype == np.uint64
+        children = np.random.SeedSequence(seed).spawn(n)
+        for i in rows:
+            np.testing.assert_array_equal(seeds[n][i], children[i].generate_state(4, np.uint64))
+    # member i's row does not depend on the member count
+    np.testing.assert_array_equal(seeds[big][:3], seeds[3])
+    np.testing.assert_array_equal(seeds[3][:1], seeds[1])
+
+
+def test_bath_streams_start_where_the_spawned_children_do(monkeypatch):
+    # bath j of member i starts j * _BATH_STREAM_STRIDE draws along the
+    # PCG64 stream of SeedSequence(master_seed).spawn(n)[i]
+    size, master_seed, stride = 5, 2**40 + 7, ensemble._BATH_STREAM_STRIDE
+    given, init = [], ensemble._TelegraphBath.__init__
+
+    def recorded_init(self, model, rngs):
+        given.append([rng.bit_generator.state for rng in rngs])
+        init(self, model, rngs)
+
+    monkeypatch.setattr(ensemble._TelegraphBath, "__init__", recorded_init)
+    spec = EnsembleSpec(size=size, distribution="gaussian", fwhm=500.0, seed=1)
+    run_program(parse("wait 1ms; acquire a"), spec, noise=(TELEGRAPH, TELEGRAPH), master_seed=master_seed)
+    assert len(given) == 2
+    for j, states in enumerate(given):
+        for state, child in zip(states, np.random.SeedSequence(master_seed).spawn(size), strict=True):
+            old = np.random.Generator(np.random.PCG64(child).advance(j * stride))
+            assert state == old.bit_generator.state
+            new = np.random.Generator(np.random.PCG64(0))
+            new.bit_generator.state = state
+            assert new.random() == old.random() and new.standard_exponential() == old.standard_exponential()
+
+
+def test_telegraph_bath_starts_from_its_streams_in_order():
+    # draw scheme v2 at the bath's start: each stream's first random() is
+    # the sign (below 0.5: +1), and its next exponentials g0, g1 set the
+    # first flip at g0 / rate and the second at g0 / rate + g1 / rate
+    rate, size = 30.0, 7
+    model = NoiseModel(kind="telegraph", amplitude=5.0, flip_rate=rate)
+    bath = ensemble._TelegraphBath(model, [np.random.default_rng(s) for s in range(size)])
+    signs, first, second = [], [], []
+    for s in range(size):
+        stream = np.random.default_rng(s)
+        signs.append(1.0 if stream.random() < 0.5 else -1.0)
+        g0, g1 = stream.standard_exponential(), stream.standard_exponential()
+        first.append(g0 / rate)
+        second.append(g0 / rate + g1 / rate)
+    assert bath.sign.tolist() == signs and 0 < signs.count(1.0) < size
+    members, times, before = bath.flips(max(second))
+    for i in range(size):
+        mine = np.flatnonzero(members == i)
+        assert times[mine[:2]].tolist() == [first[i], second[i]]
+        assert before[mine[:2]].tolist() == [signs[i], -signs[i]]
+
+
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(kind="ornstein_uhlenbeck", sigma=1.0, tau_b=0.0)
@@ -304,6 +365,7 @@ def test_pulse_table_matches_per_pulse_build(monkeypatch, baths):
     states = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     tabled = invariance_run(baths, initial_state=states)
     monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 0)
+    monkeypatch.setattr(ensemble, "_HELD_BODIES", 0)
     built = invariance_run(baths, initial_state=states)
     assert tabled.mean_bloch.shape == (33, 3, 3)
     np.testing.assert_array_equal(tabled.mean_bloch, built.mean_bloch)
@@ -510,6 +572,7 @@ def test_compiled_repeats_match_with_no_map_store(monkeypatch, name, baths):
     seen = spy_on_compiled_repeats(monkeypatch)
     stored = compiled_run(name, baths, relax)
     monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 0)
+    monkeypatch.setattr(ensemble, "_HELD_BODIES", 0)
     built = compiled_run(name, baths, relax)
     assert seen["repeats"] == 2 * COMPILED_REPEATS[name]
     assert_same_run(stored, built)
@@ -538,6 +601,26 @@ def test_kept_maps_do_not_grow_with_distinct_bodies(monkeypatch, baths):
     # kept for the run, the maps of 36 more bodies would take 5.2 MB (10.4 MB
     # with the telegraph bath's two levels)
     assert peak(40) < peak(4) + 1e6
+
+
+def test_the_store_keeps_two_bodies_whatever_their_size(monkeypatch):
+    # each finite pulse's maps fill the byte bound alone; the store still
+    # keeps a pi,-pi train's two pulses, and builds a third at each use
+    spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=2000.0, seed=2)
+    monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 72 * 2 * spec.size)  # levels at +-A
+    walks, walk = {}, ensemble._Cycle.walk
+
+    def counted_walk(self, run, det, *args):
+        walks.setdefault(self.events[0].phase, []).append(det is run.levels)
+        return walk(self, run, det, *args)
+
+    monkeypatch.setattr(ensemble._Cycle, "walk", counted_walk)
+    # the acquire keeps the repeat on the event path: one lookup per pulse
+    third = "pulse rabi=50kHz duration=5us phase=90"
+    prog = parse(f"pulse area=pi/2 phase=0; repeat 3 {{ {FINITE_PI(0)}; wait 0.3ms; {FINITE_PI(180)}; "
+                 f"wait 0.3ms; {third}; wait 0.1ms; acquire a }}")
+    run_program(prog, spec, noise=TELEGRAPH, master_seed=3)
+    assert walks == {0.0: [True], math.pi: [True], math.pi / 2: [False] * 3}
 
 
 # the outer body holds 320 bath intervals, more than one draw block
