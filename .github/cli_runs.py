@@ -3,12 +3,15 @@
     python .github/cli_runs.py OUT_DIR
 
 Run it from the repository root with the interpreter under test: the CLI
-runs in that interpreter with ``PYTHONPATH=src`` and inherits the
+runs in that interpreter with ``src`` on ``PYTHONPATH`` and inherits the
 environment, thread settings included.  Each config is written as
-``OUT_DIR/<name>.json`` and its run's outputs go to ``OUT_DIR/<name>/``.
+``OUT_DIR/<name>.json`` (a ``fit`` run's curve as ``OUT_DIR/<name>.csv``)
+and its run's outputs go to ``OUT_DIR/<name>/``.  The CLI runs in
+``OUT_DIR`` and is given relative paths, so no output names the directory.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +57,19 @@ FINITE_CYCLE = ("pulse rabi=50kHz duration=10us phase=0; wait 1ms; "
 HARD_CYCLE = "pulse area=pi phase=0; wait 1ms; pulse area=-pi phase=0; wait 1ms"
 WIDE_LINE = {"size": 64, "fwhm_hz": 2000.0, "seed": 3}
 SLOW_RELAXATION = {"t1_s": 5.0, "t2_s": 2.0}
+# the sequence templates, each under an OU bath
+TEMPLATES = {
+    "hahn-echo": {"template": "hahn_echo", "tau_s": 0.002},
+    "inversion-recovery": {"template": "inversion_recovery", "delay_s": 0.01},
+    "bangbang-every": {"template": "bangbang", "tau1_s": 0.0005, "tau_c_s": 0.001, "n_cycles": 60,
+                       "acquire_every": 7, "initial_area_rad": 1.2},
+}
+# curves for fit: an echo decay with a +-1% ripple, so that the fits leave
+# residuals, and an inversion recovery with a sigma column
+DECAY = "time_s,amplitude\n" + "".join(
+    f"{0.05 * k:g},{math.exp(-0.05 * k / 0.3) * (1 + 0.01 * (-1) ** k):.6f}\n" for k in range(12))
+RECOVERY = "time_s,amplitude,sigma\n" + "".join(
+    f"{0.1 * k:g},{0.2 - 1.2 * math.exp(-0.1 * k / 0.5) + 0.005 * (-1) ** k:.6f},0.01\n" for k in range(12))
 
 
 def echo(body: str, **config) -> dict:
@@ -93,18 +109,24 @@ def runs():
     # event by event and its inner repeat compiles
     nested = echo(f"repeat 3 {{ repeat 100 {{ {FINITE_CYCLE} }} }}", noise=TELEGRAPH_NOISE)
     yield "nested-repeat", nested, "simulate", []
+    for name, sequence in TEMPLATES.items():
+        config = {"sequence": sequence, "ensemble": WIDE_LINE, "noise": OU_NOISE,
+                  "relaxation": {"t1_s": 0.5, "t2_s": 0.2, "z_equilibrium": 0.1}, "master_seed": 7}
+        yield name, config, "simulate", []
+    for model, curve in (("single_exp", DECAY), ("stretched", DECAY), ("inv_recovery", RECOVERY)):
+        yield f"fit-{model}", curve, "fit", ["--model", model]
 
 
 def main(out: str) -> None:
     os.makedirs(out, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH="src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
     for name, config, subcommand, flags in runs():
-        path = os.path.join(out, f"{name}.json")
-        with open(path, "w") as fh:
+        flag, path = ("--csv", f"{name}.csv") if subcommand == "fit" else ("--config", f"{name}.json")
+        with open(os.path.join(out, path), "w") as fh:
             fh.write(config if isinstance(config, str) else json.dumps(config) + "\n")
-        argv = [subcommand, "--config", path, "--out-dir", os.path.join(out, name), *flags]
+        argv = [subcommand, flag, path, "--out-dir", name, *flags]
         print("blochdd", *argv, flush=True)
-        subprocess.run([sys.executable, "-m", "blochdd.cli", *argv], env=env, check=True)
+        subprocess.run([sys.executable, "-m", "blochdd.cli", *argv], cwd=out, env=env, check=True)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Subpackage map:
 
-* :mod:`blochdd.bloch` -- single-spin rotation kernels: hard and finite
-  pulse matrices (closed form, no integrators).
+* :mod:`blochdd.bloch` -- single-spin rotation kernels: rotations (a
+  hard pulse is one) and finite pulse matrices (closed form, no
+  integrators).
 * :mod:`blochdd.sequences` -- pulse-program objects (a self-checking
   ``Pulse``, ``Wait``, ``Acquire``, ``Repeat``), text language, canonical
   sequence builders.
@@ -20,11 +21,7 @@ Subpackage map:
 * :mod:`blochdd.cli` -- the ``blochdd`` command.
 """
 
-from .bloch import (
-    NO_RELAXATION,
-    RelaxationParams,
-    apply_hard_pulse,
-)
+from .bloch import NO_RELAXATION, RelaxationParams
 from .sequences import (
     Acquire,
     BangBangParams,
@@ -44,7 +41,6 @@ from .ensemble import (
     NoiseModel,
     SimulationResult,
     calibrate_ou_sigma,
-    echo_amplitude,
     ou_fid_coherence,
     ou_hahn_coherence,
     run_program,

@@ -1,8 +1,9 @@
 """Single-spin Bloch-vector rotation kernels in the rotating frame.
 
-The module holds only kernels -- rotations and hard and finite pulse
-matrices -- and the relaxation times that ``run_program`` applies.  A
-pulse itself is a :class:`blochdd.sequences.Pulse`.
+The module holds only kernels -- rotations, of which a hard pulse is one
+about an equatorial axis, and the finite pulse matrix -- and the
+relaxation times that ``run_program`` applies.  A pulse itself is a
+:class:`blochdd.sequences.Pulse`.
 States are plain numpy arrays of shape ``(3,)`` (or ``(..., 3)`` for
 batches; every operation broadcasts over leading axes).  All evolutions
 are closed-form rotations and exponential relaxation factors -- there is
@@ -43,7 +44,6 @@ import numpy as np
 __all__ = [
     "RelaxationParams",
     "NO_RELAXATION",
-    "apply_hard_pulse",
     "finite_pulse_matrix",
     "rotate",
     "rotation_matrix",
@@ -101,15 +101,9 @@ def rotate(state: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
 
 
 def apply_hard_pulse(state: np.ndarray, area: float, phase: float = 0.0) -> np.ndarray:
-    """Instantaneous rotation by ``area`` about ``(cos phase, sin phase, 0)``.
-
-    Norm-preserving; detuning plays no role because the pulse takes zero
-    time.  ``area=pi, phase=0`` maps (0,0,1) to (0,0,-1); following it
-    with ``area=pi, phase=pi`` undoes it exactly (the pi,-pi pair is the
-    identity on the whole sphere).
-    """
-    axis = np.array([math.cos(phase), math.sin(phase), 0.0])
-    return rotate(state, axis, area)
+    """Rotate by ``area`` about ``(cos phase, sin phase, 0)``.  Not exported:
+    the benchmark's tracer test calls it; remove it together with that call."""
+    return rotate(state, np.array([math.cos(phase), math.sin(phase), 0.0]), area)
 
 
 def rotation_matrix(axis, angle) -> np.ndarray:

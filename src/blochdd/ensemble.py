@@ -58,7 +58,6 @@ __all__ = [
     "SimulationBudgetError",
     "sample_detunings",
     "run_program",
-    "echo_amplitude",
     "acquire_series",
     "ou_fid_coherence",
     "ou_hahn_coherence",
@@ -225,14 +224,6 @@ def _acquired(result: SimulationResult, label: str | None = None) -> tuple:
     return rows, np.hypot(mx, my), phases
 
 
-def echo_amplitude(result: SimulationResult, label: str) -> tuple[float, float]:
-    """(magnitude, phase) of the mean transverse vector at the last acquire
-    of a label: the last point of :func:`acquire_series` and its phase
-    ``atan2(my, mx)``."""
-    _, mags, phases = _acquired(result, label)
-    return float(mags[-1]), float(phases[-1])
-
-
 def acquire_series(result: SimulationResult, label: str) -> tuple[np.ndarray, np.ndarray]:
     """(times, magnitudes) over every occurrence of a label."""
     rows, mags, _ = _acquired(result, label)
@@ -264,7 +255,7 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 
 # Program events are read this many at a time: a block of single events,
 # or a slice of a lowered repeat's expansion (_Body); a compiled repeat
-# (_Cycle) advances the bath clock by whole iterations of about this many
+# (_Cycle) advances the run's time by whole iterations of about this many
 # intervals.  Each member's bath draws come this many intervals (OU) or
 # flips (telegraph) at most at a time.  It bounds memory only: each
 # member's draws are consumed in stream order, the OU values are computed
@@ -273,8 +264,8 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 # blocks, so results never depend on it.
 _DRAW_BLOCK = 256
 # OU values are computed this many intervals at a time (_OUChain), which
-# keeps the factors of at most _OU_CACHE patterns each of chunk and of
-# block lengths.
+# keeps the factors and stacked chunk weights of at most _OU_CACHE block
+# patterns.
 _OU_CHUNK = 32
 _OU_CACHE = 16
 _BELOW = np.tri(_OU_CHUNK + 1, _OU_CHUNK + 1, -1, dtype=bool)  # [j, l]: l < j
@@ -293,12 +284,11 @@ _MAX_MEMBER_STEPS = 2e9
 _MAX_MEMBER_STATES = 2**16
 _BATH_STREAM_STRIDE = 2**120  # draws between the streams of one member's baths
 # Bytes of the per-member maps one run keeps (_Run.held): each finite pulse's
-# and compiled body's at the held bath levels, 72 bytes a level, so 9.4 MB
-# for one at 2**16 members and one telegraph bath.  The first _HELD_BODIES
-# are kept whatever their size (a pi,-pi train's two pulses); past both
-# bounds the maps are built again at every use, with bit-identical results.
-_PULSE_TABLE_BYTES = 2**24
-_HELD_BODIES = 2
+# and compiled body's at the held bath levels, 72 bytes a level.  Two bodies
+# at the most levels a run holds (2**16 members, one telegraph bath's two),
+# 18.9 MB, so a pi,-pi train keeps both pulses; past it the maps are built
+# again at every use, with bit-identical results.
+_PULSE_TABLE_BYTES = 2 * 72 * 2 * _MAX_MEMBER_STATES
 
 
 def _ou_integral_bracket(r: float) -> float:
@@ -349,33 +339,25 @@ class _OUChain:
     inside is computed again from its start value and its draws so far,
     and its earlier rows come out bit for bit as before: the values do
     not depend on how the intervals are split into blocks.  The factors
-    are kept per pattern of lengths (at most ``_OU_CACHE`` each of chunks
-    and of blocks), since the blocks of a repeated body repeat them.
+    are kept per pattern of block lengths (at most ``_OU_CACHE``), since
+    the blocks of a repeated body repeat them.
     """
 
     def __init__(self, x0: np.ndarray, sigma: float, tau_b: float):
         self.x = x0  # at the start of the current chunk
         self.sigma, self.tau_b = sigma, tau_b
         self.plans: dict = {}  # see _plan
-        self.weights: dict = {}  # see _weights
         self.lengths = np.empty(0)  # of the current chunk's intervals so far
         self.kicks = np.empty((0, len(x0)))  # their l11 z
 
     def _weights(self, lengths: np.ndarray) -> tuple:
         """``(A, M)``, shaped ``(C + 1,)`` and ``(C + 1, C)``, of a chunk that
         begins with ``lengths``: row j of M needs only the first j of them."""
-        key = lengths.tobytes()
-        out = self.weights.get(key)
-        if out is None:
-            r = np.zeros(_OU_CHUNK + 1)
-            r[:len(lengths)] = lengths / self.tau_b
-            # s[j, l] = r_{j-1} + ... + r_l, summed in that order; 0 for l >= j
-            s = np.where(_BELOW, r, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
-            out = np.exp(-s[:, 0]), np.where(_BELOW[:, :-1], np.exp(-s[:, 1:]), 0.0)
-            if len(self.weights) >= _OU_CACHE:
-                self.weights.clear()
-            self.weights[key] = out
-        return out
+        r = np.zeros(_OU_CHUNK + 1)
+        r[:len(lengths)] = lengths / self.tau_b
+        # s[j, l] = r_{j-1} + ... + r_l, summed in that order; 0 for l >= j
+        s = np.where(_BELOW, r, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
+        return np.exp(-s[:, 0]), np.where(_BELOW[:, :-1], np.exp(-s[:, 1:]), 0.0)
 
     def _plan(self, lengths: np.ndarray, done: int) -> tuple:
         """``(b, l11, l21, l22), A, M`` of a block: the factors of its intervals
@@ -826,7 +808,6 @@ class _Run:
         # repeats of one body tuple (a series' cycles) share it.  A finite
         # Pulse -> its one-event _Cycle (pulse).
         self.bodies: dict = {}
-        self.edges = np.zeros(1)
         self.integrals = None
         self.psi = np.zeros(len(weights))  # toggling-frame phase in cycles, per member
         self.alpha, self.sign = 0.0, 1.0  # hard pi pulses since the last materialization
@@ -864,11 +845,10 @@ class _Run:
 
     def held(self, body: _Cycle) -> np.ndarray | None:
         """``body``'s maps at the ``levels``, ``(len(levels), 3, 3)``, from the
-        store, which keeps them for the run while it holds fewer than
-        ``_HELD_BODIES`` bodies or all it keeps fits in ``_PULSE_TABLE_BYTES``;
-        None when no level is held or past both."""
+        store, which keeps them for the run while all it keeps fits in
+        ``_PULSE_TABLE_BYTES``; None when no level is held or past it."""
         maps = self.store.get(body)
-        if maps is None and self.levels is not None and (len(self.store) < _HELD_BODIES or
+        if maps is None and self.levels is not None and (
                 72 * len(self.levels) * (len(self.store) + 1) <= _PULSE_TABLE_BYTES):
             maps = self.store[body] = body.walk(self, self.levels)
         return maps
@@ -926,15 +906,14 @@ class _Run:
         return self.bodies[key] is not None
 
     def bath(self, lengths: np.ndarray) -> np.ndarray:
-        """Advance the bath clock over the next intervals; return their edges."""
-        # from the last block's end: bit for bit one cumsum over the program
-        self.edges = np.cumsum(np.concatenate([self.edges[-1:], lengths]))
-        return self.edges
+        """The edges of the next intervals, from the run's time ``t``: bit for
+        bit the running sum ``t += h`` that every interval adds to it."""
+        return np.concatenate([[self.t], lengths]).cumsum()
 
-    def draw(self, lengths: np.ndarray) -> np.ndarray:
-        """Draw every bath over the next intervals; keep the summed integrals
-        over them and return the summed values at their starts."""
-        edges = self.bath(lengths)
+    def draw(self, lengths: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Draw every bath over the next intervals, between ``edges``
+        (:meth:`bath`); keep the summed integrals over them and return the
+        summed values at their starts."""
         self.integrals = None  # settled: let the draws reuse its memory
         starts, self.integrals = self.baths[0].block(lengths, edges)
         for bath in self.baths[1:]:
@@ -996,7 +975,7 @@ class _Run:
             if isinstance(ev, Wait) or isinstance(ev, Pulse) and ev.mode == "finite"
         ] if self.baths else []
         # summed bath values at the start of each bath interval
-        starts = self.draw(np.array(lengths)) if lengths else None
+        starts = self.draw(np.array(lengths), self.bath(lengths)) if lengths else None
         k = 0  # index of the next bath interval in the block
         for ev in run:
             if isinstance(ev, Wait):
@@ -1049,10 +1028,9 @@ class _Run:
             q, j = body.split(w0, body.before(body.wait_pos, p1), body.wait_ramp)
             hs = body.wait_h[j]
             signs = body.wait_sign[j] * body.frame(q, alpha0, sign0)[1]
+            times = self.bath(hs)
             if self.baths and len(hs):
-                self.draw(hs)
-            # bit for bit the running sum t += h
-            times = np.concatenate([[self.t], hs]).cumsum()
+                self.draw(hs, times)
             self.t = float(times[-1])
             q, j = body.split(body.before(body.read_pos, p), body.before(body.read_pos, p1), body.read_ramp)
             rows = q * n_waits + body.read_waits[j] - w0
@@ -1100,8 +1078,8 @@ class _Run:
         self.t_ref = self.t
 
     def cycle_maps(self, body: _Cycle, n: int) -> tuple:
-        """Advance the bath clock over the next ``n`` iterations of a compiled
-        body, read the telegraph bath's flips in them and build exactly the
+        """Advance ``t`` over the next ``n`` iterations of a compiled body,
+        read the telegraph bath's flips in them and build exactly the
         member-iterations that flip.  Returns ``(i, q, start, exact)``,
         ordered by member, then iteration: each such member, its iteration
         in the block, its bath value at the iteration's start and its map
@@ -1110,8 +1088,7 @@ class _Run:
         bath, size = self.baths[0], len(body.lengths)
         lengths = np.tile(body.lengths, n)
         edges = self.bath(lengths)
-        # bit for bit the running sum t += h
-        self.t = float(np.concatenate([[self.t], lengths]).cumsum()[-1])
+        self.t = float(edges[-1])
         members, times, signs = bath.flips(edges[-1])
         k = np.searchsorted(edges[1:], times)  # edges[k] < f <= edges[k + 1]
         # a member-iteration's first flip is its earliest: its sign is the start's
@@ -1178,8 +1155,9 @@ def run_program(
     builds its per-member maps at every level on first use, into one
     store kept for the run, and every use picks each member's map by the
     sign of its bath value.  An OU bath, two or more baths, or maps that
-    would take the store past ``_PULSE_TABLE_BYTES`` (16 MB) once it holds
-    two bodies are built at every use instead; both ways give the same bits.
+    would take the store past ``_PULSE_TABLE_BYTES`` (18.9 MB, two bodies
+    at 2**16 members) are built at every use instead; both ways give the
+    same bits.
 
     ``noise`` may be a single :class:`NoiseModel` or a sequence of them
     (independent processes, detunings summed) -- e.g. two
@@ -1198,8 +1176,8 @@ def run_program(
     draws and pulse matrices serve every state, so the result equals
     ``k`` single-state runs with the same seed.  ``mean_bloch`` is then
     ``(n_samples, k, 3)``, else ``(n_samples, 3)``, the only shape that
-    :func:`echo_amplitude`, :func:`acquire_series` and the exports read;
-    the acquire readers raise a ValueError for a stack.
+    :func:`acquire_series` and the exports read; they raise a ValueError
+    for a stack.
 
     The program is streamed in blocks of ``_DRAW_BLOCK`` events.  A
     ``Repeat`` whose body holds only waits, hard pi pulses and acquires

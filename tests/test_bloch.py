@@ -8,7 +8,6 @@ from scipy.spatial.transform import Rotation
 
 from blochdd.bloch import (
     RelaxationParams,
-    apply_hard_pulse,
     finite_pulse_matrix,
     rotation_matrix,
 )
@@ -24,17 +23,22 @@ def oracle_rotation(axis, angle, v):
     return Rotation.from_rotvec(angle * axis).apply(v)
 
 
+def hard(area, phase):
+    """Matrix of a hard pulse: a rotation by ``area`` about ``(cos phase, sin phase, 0)``."""
+    return rotation_matrix((math.cos(phase), math.sin(phase), 0.0), area)
+
+
 # ---------------------------------------------------------------------------
 # hard pulses
 # ---------------------------------------------------------------------------
 
 def test_pi_pulse_inverts():
-    out = apply_hard_pulse(UP, math.pi, 0.0)
+    out = UP @ hard(math.pi, 0.0)
     np.testing.assert_allclose(out, [0, 0, -1], atol=1e-12)
 
 
 def test_half_pi_quarter_turn():
-    out = apply_hard_pulse(UP, math.pi / 2, 0.0)
+    out = UP @ hard(math.pi / 2, 0.0)
     np.testing.assert_allclose(out, [0, -1, 0], atol=1e-12)
 
 
@@ -43,7 +47,7 @@ def test_pi_minus_pi_identity_random_states():
     for _ in range(200):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        out = apply_hard_pulse(apply_hard_pulse(v, math.pi, 0.0), math.pi, math.pi)
+        out = v @ hard(math.pi, 0.0) @ hard(math.pi, math.pi)
         np.testing.assert_allclose(out, v, atol=1e-12)
 
 
@@ -54,7 +58,7 @@ def test_hard_pulse_matches_rotation_oracle():
         area = rng.uniform(0, 4 * math.pi)
         phase = rng.uniform(-math.pi, math.pi)
         expected = oracle_rotation([math.cos(phase), math.sin(phase), 0.0], area, v)
-        np.testing.assert_allclose(apply_hard_pulse(v, area, phase), expected, atol=1e-12)
+        np.testing.assert_allclose(v @ hard(area, phase), expected, atol=1e-12)
 
 
 def test_norm_preserved_under_pulse_compositions():
@@ -65,7 +69,7 @@ def test_norm_preserved_under_pulse_compositions():
         for _ in range(20):
             kind = rng.integers(3)
             if kind == 0:
-                v = apply_hard_pulse(v, rng.uniform(0, 7), rng.uniform(0, 7))
+                v = v @ hard(rng.uniform(0, 7), rng.uniform(0, 7))
             elif kind == 1:
                 v = v @ finite_pulse_matrix(1e5, rng.uniform(0, 2e-5), rng.uniform(0, 7),
                                             rng.uniform(-5e3, 5e3))
@@ -76,7 +80,7 @@ def test_norm_preserved_under_pulse_compositions():
 
 def test_batched_states():
     vs = np.tile(UP, (5, 1))
-    out = apply_hard_pulse(vs, math.pi, 0.0)
+    out = vs @ hard(math.pi, 0.0)
     np.testing.assert_allclose(out, np.tile([0, 0, -1.0], (5, 1)), atol=1e-12)
 
 
@@ -92,7 +96,7 @@ def test_finite_pulse_on_resonance_equals_hard():
         duration = 0.5 / rabi  # nominal pi
         phase = rng.uniform(0, 2 * math.pi)
         a = v @ finite_pulse_matrix(rabi, duration, phase, detuning=0.0)
-        b = apply_hard_pulse(v, math.pi, phase)
+        b = v @ hard(math.pi, phase)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -154,8 +158,8 @@ def test_finite_pulse_converges_to_hard_pulse():
             area = rng.uniform(0.1, 2 * math.pi)
             phase = rng.uniform(0, 2 * math.pi)
             fin = v @ finite_pulse_matrix(rabi, area / (2 * math.pi * rabi), phase, det)
-            hard = apply_hard_pulse(v, area, phase)
-            assert np.linalg.norm(fin - hard) <= 10.0 * ratio
+            ideal = v @ hard(area, phase)
+            assert np.linalg.norm(fin - ideal) <= 10.0 * ratio
 
 
 # ---------------------------------------------------------------------------

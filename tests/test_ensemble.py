@@ -17,7 +17,6 @@ from blochdd.ensemble import (
     SimulationBudgetError,
     acquire_series,
     calibrate_ou_sigma,
-    echo_amplitude,
     ou_fid_coherence,
     ou_hahn_coherence,
     result_to_csv,
@@ -43,6 +42,11 @@ def acquire_table(res):
     """(labels, times, means) of the acquire rows of a run's table."""
     rows = [i for i, label in enumerate(res.sample_labels) if label is not None]
     return [res.sample_labels[i] for i in rows], res.sample_times[rows], res.mean_bloch[rows]
+
+
+def echo(res, label):
+    """Magnitude of the mean transverse vector at the last acquire of a label."""
+    return acquire_series(res, label)[1][-1]
 
 
 def gaussian_fid_oracle(t, fwhm):
@@ -191,6 +195,56 @@ def test_ou_chunks_do_not_depend_on_the_blocks(cuts):
     np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), whole[1])
 
 
+def spy_on_ou_plans(monkeypatch, fresh=False):
+    """Whether each block of an OU chain finds its plan cached, in order;
+    with ``fresh`` the cache is emptied first, so every block builds it."""
+    hits, plan = [], ensemble._OUChain._plan
+
+    def spied(self, lengths, done):
+        if fresh:
+            self.plans.clear()
+        hits.append((done, lengths.tobytes()) in self.plans)
+        return plan(self, lengths, done)
+
+    monkeypatch.setattr(ensemble._OUChain, "_plan", spied)
+    return hits
+
+
+@pytest.mark.parametrize("cuts", [(1,), (31, 32, 33), tuple(range(1, 150))], ids=["1", "31-33", "each"])
+def test_cached_ou_plans_match_plans_built_anew(monkeypatch, cuts):
+    monkeypatch.setattr(ensemble, "_OU_CACHE", 10**6)  # keep every plan
+    hits = spy_on_ou_plans(monkeypatch)
+    sigma, tau_b, x0, lengths, z = ou_chain_inputs()
+    bounds = list(zip((0, *cuts), (*cuts, len(lengths))))
+
+    def advance(chain):
+        parts = [chain.advance(lengths[lo:hi], z[:, lo:hi]) for lo, hi in bounds]
+        return [np.concatenate(values) for values in zip(*parts)]
+
+    first = ensemble._OUChain(x0, sigma, tau_b)
+    built = advance(first)
+    again = ensemble._OUChain(x0, sigma, tau_b)
+    again.plans = first.plans
+    cached = advance(again)
+    assert len(hits) == 2 * len(bounds) and all(hits[len(bounds):])
+    np.testing.assert_array_equal(cached[0], built[0])
+    np.testing.assert_array_equal(cached[1], built[1])
+
+
+def test_ou_runs_do_not_depend_on_the_plan_cache(monkeypatch):
+    # a bangbang train read every cycle repeats its blocks' patterns
+    spec = EnsembleSpec(size=20, distribution="gaussian", fwhm=500.0, seed=4)
+    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=2e-3)
+    prog = build_bangbang(BangBangParams(tau1=0.3e-3, tau_c=0.5e-3, n_cycles=400), acquire_every=1)
+    hits = spy_on_ou_plans(monkeypatch)
+    cached = run_program(prog, spec, noise=noise, master_seed=7)
+    assert sum(hits) > len(hits) / 2
+    hits = spy_on_ou_plans(monkeypatch, fresh=True)
+    built = run_program(prog, spec, noise=noise, master_seed=7)
+    assert hits and not any(hits)
+    assert_same_run(cached, built)
+
+
 def test_ou_interval_variances_are_never_negative():
     sigma, tau_b = 3.0, 1e-3
     for r in np.logspace(-15, 3, 400):
@@ -281,7 +335,7 @@ def test_hahn_refocusing_over_gaussian_line():
                         sampling="gauss_quadrature")
     for tau in (1e-3, 10e-3, 100e-3):
         res = run_program(build_hahn_echo(tau), spec)
-        mag, _ = echo_amplitude(res, "echo")
+        mag = echo(res, "echo")
         assert abs(mag - 1.0) <= 1e-9
 
 
@@ -295,7 +349,7 @@ def test_fid_quadrature_matches_oracle():
     res = run_program(prog, spec)
     for k in range(10):
         t = (k + 1) * 1e-4
-        mag, _ = echo_amplitude(res, f"p{k}")
+        mag = echo(res, f"p{k}")
         assert abs(mag - gaussian_fid_oracle(t, 4000.0)) < 1e-3
 
 
@@ -304,8 +358,8 @@ def test_quadrature_and_monte_carlo_agree():
     quad = EnsembleSpec(size=256, distribution="gaussian", fwhm=4000.0,
                         sampling="gauss_quadrature")
     mc = EnsembleSpec(size=4096, distribution="gaussian", fwhm=4000.0, seed=12)
-    m_quad, _ = echo_amplitude(run_program(prog, quad), "a")
-    m_mc, _ = echo_amplitude(run_program(prog, mc), "a")
+    m_quad = echo(run_program(prog, quad), "a")
+    m_mc = echo(run_program(prog, mc), "a")
     # MC standard error of the mean transverse amplitude is below
     # sqrt(1/2N) for unit-magnitude members
     se = math.sqrt(0.5 / 4096)
@@ -365,7 +419,6 @@ def test_pulse_table_matches_per_pulse_build(monkeypatch, baths):
     states = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     tabled = invariance_run(baths, initial_state=states)
     monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 0)
-    monkeypatch.setattr(ensemble, "_HELD_BODIES", 0)
     built = invariance_run(baths, initial_state=states)
     assert tabled.mean_bloch.shape == (33, 3, 3)
     np.testing.assert_array_equal(tabled.mean_bloch, built.mean_bloch)
@@ -572,7 +625,6 @@ def test_compiled_repeats_match_with_no_map_store(monkeypatch, name, baths):
     seen = spy_on_compiled_repeats(monkeypatch)
     stored = compiled_run(name, baths, relax)
     monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 0)
-    monkeypatch.setattr(ensemble, "_HELD_BODIES", 0)
     built = compiled_run(name, baths, relax)
     assert seen["repeats"] == 2 * COMPILED_REPEATS[name]
     assert_same_run(stored, built)
@@ -603,11 +655,10 @@ def test_kept_maps_do_not_grow_with_distinct_bodies(monkeypatch, baths):
     assert peak(40) < peak(4) + 1e6
 
 
-def test_the_store_keeps_two_bodies_whatever_their_size(monkeypatch):
-    # each finite pulse's maps fill the byte bound alone; the store still
-    # keeps a pi,-pi train's two pulses, and builds a third at each use
-    spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=2000.0, seed=2)
-    monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 72 * 2 * spec.size)  # levels at +-A
+def store_walks(monkeypatch, spec):
+    """``{phase: [built at the levels?, ...]}``, one entry per map build of
+    each finite pulse in a run of a pi,-pi train and a third pulse under a
+    telegraph bath."""
     walks, walk = {}, ensemble._Cycle.walk
 
     def counted_walk(self, run, det, *args):
@@ -620,7 +671,25 @@ def test_the_store_keeps_two_bodies_whatever_their_size(monkeypatch):
     prog = parse(f"pulse area=pi/2 phase=0; repeat 3 {{ {FINITE_PI(0)}; wait 0.3ms; {FINITE_PI(180)}; "
                  f"wait 0.3ms; {third}; wait 0.1ms; acquire a }}")
     run_program(prog, spec, noise=TELEGRAPH, master_seed=3)
-    assert walks == {0.0: [True], math.pi: [True], math.pi / 2: [False] * 3}
+    return walks
+
+
+# the pi,-pi train's two pulses are built once at the levels, the third at each use
+TWO_KEPT = {0.0: [True], math.pi: [True], math.pi / 2: [False] * 3}
+
+
+def test_the_store_keeps_bodies_while_they_fit_its_bound(monkeypatch):
+    # room for two finite pulses' maps at the levels +-A, and no more
+    spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=2000.0, seed=2)
+    monkeypatch.setattr(ensemble, "_PULSE_TABLE_BYTES", 72 * 2 * 2 * spec.size)
+    assert store_walks(monkeypatch, spec) == TWO_KEPT
+
+
+def test_the_store_keeps_two_bodies_at_the_most_levels_a_run_holds(monkeypatch):
+    # 2**16 members under one telegraph bath: two bodies fit the shipped bound, three do not
+    monkeypatch.setattr(ensemble, "_DRAW_BLOCK", 8)  # the bath's first gaps: 4 MB, not 134
+    spec = EnsembleSpec(size=ensemble._MAX_MEMBER_STATES, distribution="gaussian", fwhm=2000.0, seed=2)
+    assert store_walks(monkeypatch, spec) == TWO_KEPT
 
 
 # the outer body holds 320 bath intervals, more than one draw block
@@ -864,7 +933,7 @@ def test_ou_fid_through_simulator_matches_analytic():
     res = run_program(prog, spec, noise=noise, master_seed=8)
     for k in range(5):
         t = 2e-3 * (k + 1)
-        mag, _ = echo_amplitude(res, f"p{k}")
+        mag = echo(res, f"p{k}")
         expect = float(ou_fid_coherence(t, sigma, tau_b))
         s_phase = -2.0 * math.log(expect)
         var_cos = (1 + math.exp(-2 * s_phase)) / 2 - math.exp(-s_phase)
@@ -882,7 +951,7 @@ def test_two_ou_components_multiply():
     n2 = NoiseModel(kind="ornstein_uhlenbeck", sigma=45.0, tau_b=1.5e-3)
     prog = parse("pulse area=pi/2 phase=0\nwait 4ms\nacquire a")
     res = run_program(prog, spec, noise=(n1, n2), master_seed=21)
-    mag, _ = echo_amplitude(res, "a")
+    mag = echo(res, "a")
     expect = float(ou_fid_coherence(4e-3, 30.0, 5e-3) * ou_fid_coherence(4e-3, 45.0, 1.5e-3))
     assert abs(mag - expect) < 4 * math.sqrt(0.5 / n)
 
@@ -897,7 +966,7 @@ def test_telegraph_noise_dephases():
     noise = NoiseModel(kind="telegraph", amplitude=amp_hz, flip_rate=flip)
     prog = parse("pulse area=pi/2 phase=0\nwait 5ms\nacquire a")
     res = run_program(prog, spec, noise=noise, master_seed=31)
-    mag, _ = echo_amplitude(res, "a")
+    mag = echo(res, "a")
     w = 2 * math.pi * amp_hz
     k = math.sqrt(flip**2 - w**2)
     t = 5e-3
@@ -910,18 +979,18 @@ def test_echo_amplitude_semantics():
     prog = parse("pulse area=pi/2 phase=0\nacquire a")
     spec = EnsembleSpec(size=1, distribution="explicit", detunings=(0.0,))
     res = run_program(prog, spec)
-    mag, phase = echo_amplitude(res, "a")
-    assert mag == pytest.approx(1.0)
-    assert phase == pytest.approx(-math.pi / 2)  # pi/2 about x sends +z to -y
+    assert echo(res, "a") == pytest.approx(1.0)
+    (row,) = json.loads(result_to_json(res, config={}))["acquires"]
+    assert row["phase_rad"] == pytest.approx(-math.pi / 2)  # pi/2 about x sends +z to -y
     with pytest.raises(KeyError):
-        echo_amplitude(res, "nope")
+        acquire_series(res, "nope")
 
 
 def test_echo_amplitude_of_longitudinal_mean_is_zero():
     prog = parse("wait 1ms\nacquire a")
     spec = EnsembleSpec(size=1, distribution="explicit", detunings=(0.0,))
     res = run_program(prog, spec, initial_state=(0, 0, 0.5))
-    mag, _ = echo_amplitude(res, "a")
+    mag = echo(res, "a")
     assert mag == pytest.approx(0.0, abs=1e-15)
 
 
@@ -930,7 +999,7 @@ def test_hahn_homogeneous_t2_amplitude():
                         sampling="gauss_quadrature")
     relax = RelaxationParams(t2=0.5)
     res = run_program(build_hahn_echo(0.2), spec, relax=relax)
-    mag, _ = echo_amplitude(res, "echo")
+    mag = echo(res, "echo")
     assert mag == pytest.approx(math.exp(-0.4 / 0.5), abs=1e-9)
 
 
@@ -947,8 +1016,8 @@ def test_decoupling_beats_two_pulse_echo_in_fast_pulsing_regime():
     n_cycles = int(round(total / (2 * tau_c)))
     bb = build_bangbang(BangBangParams(tau1=1e-3, tau_c=tau_c, n_cycles=n_cycles))
     hahn = build_hahn_echo(total / 2)
-    bb_mag, _ = echo_amplitude(run_program(bb, spec, noise=noise, master_seed=5), "echo")
-    hahn_mag, _ = echo_amplitude(run_program(hahn, spec, noise=noise, master_seed=5), "echo")
+    bb_mag = echo(run_program(bb, spec, noise=noise, master_seed=5), "echo")
+    hahn_mag = echo(run_program(hahn, spec, noise=noise, master_seed=5), "echo")
     assert bb_mag > hahn_mag
     # and the two-pulse value itself should sit near the analytic law
     assert hahn_mag == pytest.approx(float(ou_hahn_coherence(total, sigma, tau_b)), abs=0.1)
@@ -1244,8 +1313,7 @@ def test_acquire_readers_reject_stacked_states():
     prog = parse("pulse area=pi/2 phase=0\nwait 1ms\nacquire a")
     spec = EnsembleSpec(size=2, distribution="explicit", detunings=(0.0, 100.0))
     res = run_program(prog, spec, initial_state=np.eye(3)[:2])
-    for read in (lambda: acquire_series(res, "a"), lambda: echo_amplitude(res, "a"),
-                 lambda: result_to_json(res, config={})):
+    for read in (lambda: acquire_series(res, "a"), lambda: result_to_json(res, config={})):
         with pytest.raises(ValueError, match=r"\(3, 2, 3\)"):
             read()
 
