@@ -7,7 +7,9 @@ runs in that interpreter with ``src`` on ``PYTHONPATH`` and inherits the
 environment, thread settings included.  Each config is written as
 ``OUT_DIR/<name>.json`` (a ``fit`` run's curve as ``OUT_DIR/<name>.csv``)
 and its run's outputs go to ``OUT_DIR/<name>/``.  The CLI runs in
-``OUT_DIR`` and is given relative paths, so no output names the directory.
+``OUT_DIR`` and is given relative paths, except that one ``fit`` run
+(``ABSOLUTE_CSV``) is given its curve by absolute path.  No output may
+name the directory, so the outputs of two directories must be identical.
 """
 
 import json
@@ -70,6 +72,9 @@ DECAY = "time_s,amplitude\n" + "".join(
     f"{0.05 * k:g},{math.exp(-0.05 * k / 0.3) * (1 + 0.01 * (-1) ** k):.6f}\n" for k in range(12))
 RECOVERY = "time_s,amplitude,sigma\n" + "".join(
     f"{0.1 * k:g},{0.2 - 1.2 * math.exp(-0.1 * k / 0.5) + 0.005 * (-1) ** k:.6f},0.01\n" for k in range(12))
+# the fit run given its curve by absolute path: fit.json records only the
+# file's name, so the path of OUT_DIR must not reach it
+ABSOLUTE_CSV = "fit-absolute-path"
 
 
 def echo(body: str, **config) -> dict:
@@ -115,6 +120,7 @@ def runs():
         yield name, config, "simulate", []
     for model, curve in (("single_exp", DECAY), ("stretched", DECAY), ("inv_recovery", RECOVERY)):
         yield f"fit-{model}", curve, "fit", ["--model", model]
+    yield ABSOLUTE_CSV, DECAY, "fit", ["--model", "single_exp"]
 
 
 def main(out: str) -> None:
@@ -124,6 +130,8 @@ def main(out: str) -> None:
         flag, path = ("--csv", f"{name}.csv") if subcommand == "fit" else ("--config", f"{name}.json")
         with open(os.path.join(out, path), "w") as fh:
             fh.write(config if isinstance(config, str) else json.dumps(config) + "\n")
+        if name == ABSOLUTE_CSV:
+            path = os.path.abspath(os.path.join(out, path))
         argv = [subcommand, flag, path, "--out-dir", name, *flags]
         print("blochdd", *argv, flush=True)
         subprocess.run([sys.executable, "-m", "blochdd.cli", *argv], cwd=out, env=env, check=True)

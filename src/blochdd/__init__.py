@@ -48,7 +48,6 @@ from .ensemble import (
 )
 from .tomography import (
     ProcessResult,
-    process_fidelity,
     run_process_tomography,
     tomography_series,
 )

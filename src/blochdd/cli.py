@@ -531,7 +531,7 @@ def cmd_fit(args) -> int:
         return 2
     except ValueError as exc:  # the curve does not suit the model
         raise ConfigError(f"cannot fit {args.csv}: {exc}")
-    _write(args.out_dir, "fit.json", analysis.fit_to_json(fit, config={"csv": args.csv}))
+    _write(args.out_dir, "fit.json", analysis.fit_to_json(fit, config={"csv": os.path.basename(args.csv)}))
     for name in sorted(fit.params):
         print(f"{name} = {fit.params[name]:.6g} +- {fit.uncertainties[name]:.2g}")
     return 0

@@ -451,14 +451,6 @@ class _TelegraphBath:
         self.next_flip = self.gaps[:, 0] / self.rate
         self.col = np.ones(m, dtype=np.intp)
 
-    def _advance(self, idx: np.ndarray) -> None:
-        """Move members ``idx`` on to their next flip time."""
-        for i in idx[self.col[idx] == self.gaps.shape[1]]:
-            self.gaps[i] = self.rngs[i].standard_exponential(self.gaps.shape[1])
-            self.col[i] = 0
-        self.next_flip[idx] += self.gaps[idx, self.col[idx]] / self.rate
-        self.col[idx] += 1
-
     def flips(self, end: float) -> tuple:
         """``(members, times, signs)`` of every flip at or before ``end`` not
         read yet, and ``sign`` then holds each member's sign after ``end``.
@@ -467,6 +459,7 @@ class _TelegraphBath:
         member's are in time order; ``signs`` are the signs before each.
         """
         members, times, signs = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
+        width = self.gaps.shape[1]
         while True:
             idx = np.flatnonzero(self.next_flip <= end)
             if idx.size == 0:
@@ -475,7 +468,13 @@ class _TelegraphBath:
             times.append(self.next_flip[idx])
             signs.append(self.sign[idx])
             self.sign[idx] = -signs[-1]
-            self._advance(idx)
+            # move each on to its next flip, refilling the gaps of those that ran out
+            col = self.col[idx]
+            for k in np.flatnonzero(col == width):
+                self.gaps[idx[k]] = self.rngs[idx[k]].standard_exponential(width)
+                col[k] = 0
+            self.next_flip[idx] += self.gaps[idx, col] / self.rate
+            self.col[idx] = col + 1
         return np.concatenate(members), np.concatenate(times), np.concatenate(signs)
 
     def values(self, start, h, rows, cols, ends, times, signs) -> tuple:

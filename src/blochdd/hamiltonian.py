@@ -40,7 +40,6 @@ __all__ = [
     "frequency_hessian",
     "find_critical_point",
     "spin_system_from_dict",
-    "spin_system_to_dict",
     "critical_point_report_json",
 ]
 
@@ -282,13 +281,6 @@ def spin_system_from_dict(doc: dict) -> SpinSystem:
     return SpinSystem(q_tensor=q, m_tensor=m)
 
 
-def spin_system_to_dict(system: SpinSystem) -> dict:
-    return {
-        "q_tensor_hz": [[float(x) for x in row] for row in system.q_tensor],
-        "m_tensor_hz_per_g": [[float(x) for x in row] for row in system.m_tensor],
-    }
-
-
 def critical_point_report_json(
     result: CriticalPointResult, system: SpinSystem, i: int, j: int, config: dict,
 ) -> str:
@@ -297,7 +289,10 @@ def critical_point_report_json(
     doc = {
         "config": config,
         "level_pair": [i, j],
-        "spin_system": spin_system_to_dict(system),
+        "spin_system": {
+            "q_tensor_hz": system.q_tensor.tolist(),
+            "m_tensor_hz_per_g": system.m_tensor.tolist(),
+        },
         "b_cp_g": [float(x) for x in result.b_cp],
         "frequency_hz": result.frequency,
         "residual_gradient_norm_hz_per_g": result.residual_gradient_norm,

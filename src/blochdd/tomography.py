@@ -40,13 +40,11 @@ import numpy as np
 
 from .bloch import NO_RELAXATION, RelaxationParams
 from .ensemble import EnsembleSpec, run_program
-from .sequences import Acquire, PulseProgram, Repeat
+from .sequences import PulseProgram
 
 __all__ = [
     "PREPARATIONS",
     "ProcessResult",
-    "assemble_ptm",
-    "process_fidelity",
     "average_gate_fidelity",
     "run_process_tomography",
     "tomography_series",
@@ -72,39 +70,23 @@ class ProcessResult:
     n_cycles: int | None = None
 
 
-def assemble_ptm(outputs: dict) -> np.ndarray:
-    """Pauli transfer matrix from the four preparation outputs."""
-    c = (outputs["+z"] + outputs["-z"]) / 2.0
-    t_z = (outputs["+z"] - outputs["-z"]) / 2.0
-    t_x = outputs["+x"] - c
-    t_y = outputs["+y"] - c
-    r = np.zeros((4, 4))
-    r[0, 0] = 1.0
-    r[1:, 0] = c
-    r[1:, 1] = t_x
-    r[1:, 2] = t_y
-    r[1:, 3] = t_z
-    return r
-
-
-def process_fidelity(ptm: np.ndarray) -> float:
-    """Entanglement fidelity with the identity, ``trace(ptm) / 4``."""
-    ptm = np.asarray(ptm, dtype=float)
-    if ptm.shape != (4, 4):
-        raise ValueError(f"ptm must be 4x4, got {ptm.shape}")
-    return float(np.trace(ptm)) / 4.0
-
-
 def average_gate_fidelity(entanglement_fidelity: float) -> float:
     """Convert entanglement fidelity to average gate fidelity (2F+1)/3."""
     return (2.0 * entanglement_fidelity + 1.0) / 3.0
 
 
 def _process(outputs, n_cycles: int | None = None) -> ProcessResult:
-    """The result of one ``(4, 3)`` row of preparation outputs."""
+    """The result of one ``(4, 3)`` row of preparation outputs: the PTM of
+    the module docstring, and its fidelity ``trace(R) / 4``."""
     outputs = dict(zip(PREPARATIONS, outputs))
-    ptm = assemble_ptm(outputs)
-    return ProcessResult(ptm=ptm, fidelity=process_fidelity(ptm), outputs=outputs, n_cycles=n_cycles)
+    c = (outputs["+z"] + outputs["-z"]) / 2.0
+    ptm = np.zeros((4, 4))
+    ptm[0, 0] = 1.0
+    ptm[1:, 0] = c
+    ptm[1:, 1] = outputs["+x"] - c
+    ptm[1:, 2] = outputs["+y"] - c
+    ptm[1:, 3] = (outputs["+z"] - outputs["-z"]) / 2.0
+    return ProcessResult(ptm=ptm, fidelity=float(np.trace(ptm)) / 4.0, outputs=outputs, n_cycles=n_cycles)
 
 
 def _run(program: PulseProgram, ensemble: EnsembleSpec, noise, relax: RelaxationParams,
@@ -112,16 +94,6 @@ def _run(program: PulseProgram, ensemble: EnsembleSpec, noise, relax: Relaxation
     """The table of one run of ``program`` with the four preparations stacked."""
     return run_program(program, ensemble, noise=noise, relax=relax, master_seed=master_seed,
                        initial_state=np.array(list(PREPARATIONS.values())))
-
-
-def _check_labels(events) -> None:
-    """Raise a ValueError, before any run, unless every acquire in
-    ``events`` (repeat bodies included) is labelled ``n<N>``."""
-    for ev in events:
-        if isinstance(ev, Repeat):
-            _check_labels(ev.body)
-        elif isinstance(ev, Acquire) and not re.fullmatch(r"n\d+", ev.label):
-            raise ValueError(f"tomography acquires are labelled n<cycles>, got {ev.label!r}")
 
 
 def run_process_tomography(
@@ -152,16 +124,16 @@ def tomography_series(
 ) -> list[ProcessResult]:
     """Tomography at each acquire of ``program``, from one run.
 
-    Each acquire must be labelled ``n<N>``, N the cycle count of the
-    channel from t = 0 to it.  One run carries the four preparations
-    through the whole program, and each acquire row is assembled as
-    :func:`run_process_tomography` assembles its end row, so the points
-    share each member's noise realization.  Returns one result per
-    acquire, in program order, tagged with its ``n_cycles``.
+    One run carries the four preparations through the whole program, and
+    each acquire row is assembled as :func:`run_process_tomography`
+    assembles its end row, so the points share each member's noise
+    realization.  Returns one result per acquire, in program order.  An
+    acquire labelled ``n<N>`` marks the channel of N cycles from t = 0 to
+    it, and its result carries ``n_cycles`` N; any other label gives
+    ``n_cycles`` None.
     """
-    _check_labels(program.events)
     res = _run(program, ensemble, noise, relax, master_seed)
-    return [_process(outputs, int(label[1:]))
+    return [_process(outputs, int(label[1:]) if re.fullmatch(r"n\d+", label) else None)
             for label, outputs in zip(res.sample_labels, res.mean_bloch) if label is not None]
 
 

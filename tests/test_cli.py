@@ -447,3 +447,62 @@ def test_fit_rejects_malformed_csv_rows(tmp_path, capsys, text, message):
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "fit.json").exists()
+
+
+# an echo decay with a +-1% ripple, and an inversion recovery with a sigma column
+DECAY_CSV = "time_s,amplitude\n" + "".join(
+    f"{0.05 * k:g},{math.exp(-0.05 * k / 0.3) * (1 + 0.01 * (-1) ** k):.6f}\n" for k in range(12))
+RECOVERY_CSV = "time_s,amplitude,sigma\n" + "".join(
+    f"{0.1 * k:g},{0.2 - 1.2 * math.exp(-0.1 * k / 0.5) + 0.005 * (-1) ** k:.6f},0.01\n" for k in range(12))
+
+
+@pytest.mark.parametrize("model,curve", [("single_exp", DECAY_CSV), ("stretched", DECAY_CSV),
+                                         ("inv_recovery", RECOVERY_CSV)])
+def test_fit_json_is_the_same_wherever_the_curve_lies(tmp_path, model, curve):
+    # the same curve in two directories, given by absolute path: fit.json
+    # records only the file's name
+    written = []
+    for where in ("one", "two"):
+        csv = tmp_path / where / "curve.csv"
+        csv.parent.mkdir()
+        csv.write_text(curve)
+        out = tmp_path / where / "out"
+        assert cli.main(["fit", "--csv", str(csv.resolve()), "--model", model, "--out-dir", str(out)]) == 0
+        written.append((out / "fit.json").read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["config"] == {"csv": "curve.csv"}
+
+
+def test_critical_point_on_zero_tensors_exits_2(tmp_path, capsys):
+    zero = [[0.0] * 3] * 3
+    cfg = dict(critical_point_config(n_starts=4), spin_system={"q_tensor_hz": zero, "m_tensor_hz_per_g": zero})
+    assert run_cli(tmp_path, "critical-point", cfg) == 2
+    assert "degenerate everywhere the search looked" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_of_a_flat_recovery_exits_2(tmp_path, capsys):
+    csv = tmp_path / "curve.csv"
+    csv.write_text("time_s,amplitude\n0,0.5\n0.1,0.4\n0.2,0.6\n0.3,0.45\n0.4,0.5\n")
+    code = cli.main(["fit", "--csv", str(csv), "--model", "inv_recovery", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "flat data" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "tomography"])
+def test_seed_flag_is_the_master_seed_key(tmp_path, command):
+    # --seed 5 writes the same bytes as the config's "master_seed": 5
+    extra = ("--n-list", "0,1,10") if command == "tomography" else ()
+    flag, key = tmp_path / "flag", tmp_path / "key"
+    flag.mkdir()
+    key.mkdir()
+    assert run_cli(flag, command, dict(BASES[command], master_seed=9), "--seed", "5", *extra) == 0
+    assert run_cli(key, command, dict(BASES[command], master_seed=5), *extra) == 0
+    names = sorted(os.listdir(key / "out"))
+    assert names and sorted(os.listdir(flag / "out")) == names
+    for name in names:
+        assert (flag / "out" / name).read_bytes() == (key / "out" / name).read_bytes()
+    # a different seed writes different results
+    assert run_cli(key, command, dict(BASES[command], master_seed=6), *extra) == 0
+    assert any((flag / "out" / name).read_bytes() != (key / "out" / name).read_bytes() for name in names)

@@ -16,15 +16,16 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from blochdd.hamiltonian import (
+    CriticalPointResult,
     DegenerateLevelsError,
     SpinSystem,
+    critical_point_report_json,
     field_gradient,
     find_critical_point,
     frequency_hessian,
     hamiltonian_matrix,
     spin_operators,
     spin_system_from_dict,
-    spin_system_to_dict,
     transition_frequency,
 )
 
@@ -322,8 +323,11 @@ def test_spin_system_validation_and_json():
                    m_tensor=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         SpinSystem(q_tensor=np.zeros((2, 2)), m_tensor=np.zeros((3, 3)))
-    doc = spin_system_to_dict(SYNTH)
-    back = spin_system_from_dict(json.loads(json.dumps(doc)))
+    # the report's spin_system entry reads back as the system it was written from
+    result = CriticalPointResult(b_cp=B_CP_NOMINAL, residual_gradient_norm=0.0, curvature=np.eye(3),
+                                 converged=True, n_evaluations=1, frequency=0.0)
+    report = json.loads(critical_point_report_json(result, SYNTH, 2, 3, config={}))
+    back = spin_system_from_dict(report["spin_system"])
     np.testing.assert_array_equal(back.q_tensor, SYNTH.q_tensor)
     np.testing.assert_array_equal(back.m_tensor, SYNTH.m_tensor)
     with pytest.raises(ValueError, match="missing key"):

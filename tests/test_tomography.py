@@ -18,9 +18,7 @@ from blochdd.sequences import (
     parse,
 )
 from blochdd.tomography import (
-    assemble_ptm,
     average_gate_fidelity,
-    process_fidelity,
     process_result_to_json,
     ptm_to_csv,
     run_process_tomography,
@@ -114,23 +112,25 @@ def test_unitary_channel_block_is_orthogonal():
 
 
 def test_fidelity_examples():
-    eye = np.eye(4)
-    assert process_fidelity(eye) == pytest.approx(1.0)
-    assert process_fidelity(np.diag([1.0, 0, 0, 1.0])) == pytest.approx(0.5)
-    assert process_fidelity(np.diag([1.0, 1, 1, -1.0])) == pytest.approx(0.5)
+    # trace(R) / 4 of channels of known trace: the identity (4), a quarter
+    # turn about z (2) and about x (2), a half turn about x (0)
+    quarter = EnsembleSpec(size=1, distribution="explicit", detunings=(250.0,))
+    for program, spec, trace in (("", SINGLE, 4.0), ("wait 1ms", quarter, 2.0),
+                                 ("pulse area=pi/2 phase=0", SINGLE, 2.0),
+                                 ("pulse area=pi phase=0", SINGLE, 0.0)):
+        res = run_process_tomography(parse(program), spec)
+        assert res.fidelity == pytest.approx(trace / 4.0, abs=1e-12)
+        assert res.fidelity == float(np.trace(res.ptm)) / 4.0
     assert average_gate_fidelity(1.0) == pytest.approx(1.0)
     assert average_gate_fidelity(0.25) == pytest.approx(0.5)
 
 
-def test_assemble_ptm_affine_channel():
-    # synthetic channel: contraction 0.5 plus shift 0.2 along z
-    outputs = {
-        "+z": np.array([0.0, 0.0, 0.7]),
-        "-z": np.array([0.0, 0.0, -0.3]),
-        "+x": np.array([0.5, 0.0, 0.2]),
-        "+y": np.array([0.0, 0.5, 0.2]),
-    }
-    ptm = assemble_ptm(outputs)
+def test_relaxation_channel_ptm_is_affine():
+    # T1 = T2 = h / ln 2 over a wait h toward z_equilibrium 0.4: contraction
+    # 0.5 plus shift 0.2 along z
+    h = 1e-3
+    relax = RelaxationParams(t1=h / math.log(2), t2=h / math.log(2), z_equilibrium=0.4)
+    ptm = run_process_tomography(PulseProgram((Wait(h),)), SINGLE, relax=relax).ptm
     expected = np.eye(4)
     expected[1, 1] = expected[2, 2] = expected[3, 3] = 0.5
     expected[3, 0] = 0.2
@@ -217,12 +217,17 @@ def one_run_per_series(monkeypatch):
     return calls
 
 
-def test_series_acquires_need_cycle_count_labels(monkeypatch):
+def test_series_reads_any_acquire_label(monkeypatch):
+    # an n<N> label gives its count, any other label none; one result per
+    # acquire, in program order, from one run of each program
     calls = one_run_per_series(monkeypatch)
-    for text in ("wait 1ms; acquire echo", "acquire n0; repeat 2 { wait 1ms; acquire n1x }"):
-        with pytest.raises(ValueError, match="labelled n<cycles>"):
-            tomography_series(parse(text), SINGLE)
-    assert calls == []  # before any run
+    for text, counts in (("wait 1ms; acquire echo", [None]),
+                         ("acquire n0; repeat 2 { wait 1ms; acquire n1x }", [0, None, None])):
+        res = tomography_series(parse(text), SINGLE)
+        assert [r.n_cycles for r in res] == counts
+        for r in res:
+            np.testing.assert_allclose(r.ptm, np.eye(4), atol=1e-12)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("pulses", sorted(SERIES_PULSES))
@@ -294,8 +299,3 @@ def test_exports():
     doc = process_result_to_json(res, config={"x": 1})
     assert '"fidelity": 1.0' in doc
     assert '"config"' in doc
-
-
-def test_fidelity_input_validation():
-    with pytest.raises(ValueError):
-        process_fidelity(np.eye(3))
