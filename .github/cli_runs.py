@@ -87,8 +87,11 @@ def echo(body: str, **config) -> dict:
 def runs():
     """``(name, config text, subcommand, extra flags)`` of every run."""
     smoke = [(name, workloads.make(name, 11, "smoke")) for name in workloads.NAMES]
-    for name, w in smoke + [("ou_sweep_paper", workloads.make("ou_sweep", 21, "paper"))]:
+    paper = workloads.make("ou_sweep", 21, "paper")
+    for name, w in smoke + [("ou_sweep_paper", paper)]:
         yield name, w.config_text(), w.subcommand, list(w.extra_args)
+    # the paper sweep over a 30 s record, the north star's scale
+    yield "ou_sweep_30s", dict(paper.config, sweep=dict(paper.config["sweep"], total_time_s=30.0)), "sweep", []
     for record in ("acquires", "events"):
         yield f"simulate-{record}", dict(SIMULATE, record=record), "simulate", []
         yield f"simulate-telegraph-{record}", dict(SIMULATE, noise=TELEGRAPH_NOISE, record=record), "simulate", []

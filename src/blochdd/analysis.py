@@ -10,7 +10,8 @@ inv_recovery        m(t) = m_eq - (m_eq - m0) exp(-t / t1)
 
 Fits are nonlinear least squares, solved in the package by
 Levenberg-Marquardt on each model's analytic Jacobian and initialized
-from a log-amplitude linear regression.  Parameter uncertainties are
+from a log-amplitude linear regression (the stretched law from a
+Weibull plot, ln(-ln(a / A)) against ln t).  Parameter uncertainties are
 linearized from the same Jacobian (1-sigma).
 """
 
@@ -211,6 +212,21 @@ def _log_slope_init(t, a):
     return math.exp(intercept), max(-slope, 1e-300)
 
 
+def _weibull_init(t, a) -> list | None:
+    """``[A, t_m, x]`` for the stretched law from a Weibull plot: with ``A``
+    the largest amplitude, ``ln(-ln(a / A)) = x ln t - x ln t_m`` is a line
+    over the points with ``t > 0`` and ``0 < a < A``.  None when fewer than
+    two such points remain or the slope is not positive."""
+    amp = float(np.max(a))
+    use = (t > 0) & (a > 0) & (a < amp)
+    if use.sum() < 2:
+        return None
+    slope, intercept = np.polyfit(np.log(t[use]), np.log(-np.log(a[use] / amp)), 1)
+    if not 0 < slope < math.inf:
+        return None
+    return [amp, math.exp(-intercept / slope), float(slope)]
+
+
 def fit_decay(curve: DecayCurve, model: str = "single_exp") -> DecayFit:
     """Fit a decay law; see the module docstring for the model forms.
 
@@ -228,9 +244,11 @@ def fit_decay(curve: DecayCurve, model: str = "single_exp") -> DecayFit:
     elif model == "stretched":
         if len(t) < 6:
             raise ValueError(f"stretched needs >= 6 points, got {len(t)}")
-        amp0, rate0 = _log_slope_init(t, a)
-        fit = _lsq(_stretched, curve, [amp0, 1.0 / rate0, 1.0],
-                   ["amplitude", "t_m", "exponent"], model)
+        start = _weibull_init(t, a)
+        if start is None:
+            amp0, rate0 = _log_slope_init(t, a)
+            start = [amp0, 1.0 / rate0, 1.0]
+        fit = _lsq(_stretched, curve, start, ["amplitude", "t_m", "exponent"], model)
         if fit.params["t_m"] <= 0 or not 0 < fit.params["exponent"] <= 5:
             raise FitError(f"stretched fit left the physical domain: t_m={fit.params['t_m']}, "
                            f"x={fit.params['exponent']}")
@@ -270,10 +288,6 @@ class SweepPoint:
     n_points: int
 
 
-# a longer echo series is thinned to this many evenly spaced points for the fit
-_MAX_FIT_POINTS = 200
-
-
 def sweep_t2_vs_tauc(
     programs,
     *,
@@ -285,12 +299,10 @@ def sweep_t2_vs_tauc(
     """Extract the decoupled coherence time at each pulse spacing.
 
     ``programs`` maps each spacing ``tau_c`` to the pulse train run for
-    it, which reads an ``echo`` acquire every cycle.  A
-    single-exponential fit of each echo decay, thinned to at most 200
-    evenly spaced echoes, gives T2.  All points share the same master
-    seed so member noise realizations are common mode across the sweep,
-    which makes the extracted trend insensitive to Monte-Carlo
-    fluctuations.
+    it, which reads ``echo`` acquires.  A single-exponential fit of every
+    echo it reads gives T2.  All points share the same master seed.
+    ``t2_sigma`` is the fit's linearized error; it does not include the
+    Monte-Carlo error of the finite ensemble, which can be much larger.
 
     A fitted rate that is non-positive means the decay is below the
     noise floor of the run; the point is flagged ``no_measurable_decay``
@@ -302,9 +314,6 @@ def sweep_t2_vs_tauc(
     for tau_c, program in programs.items():
         result = run_program(program, ensemble, noise=noise, relax=relax, master_seed=master_seed)
         times, mags = acquire_series(result, "echo")
-        if len(times) > _MAX_FIT_POINTS:
-            idx = np.linspace(0, len(times) - 1, _MAX_FIT_POINTS).astype(int)
-            times, mags = times[idx], mags[idx]
         try:
             fit = fit_decay(DecayCurve(times=times, amplitudes=mags), "single_exp")
             t2, t2_sigma = fit.params["t2"], fit.uncertainties["t2"]

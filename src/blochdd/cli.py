@@ -247,14 +247,20 @@ def read_record(cfg: dict, errors: list) -> str:
     return record
 
 
+# the most echoes a sweep point's program reads for its fit
+_MAX_FIT_POINTS = 200
+
+
 def _sweep_programs(errors: list, tau_c_values, total_time: float, tau1, pulse_spec) -> dict:
     """``{tau_c: program}`` of the sweep, sorted by ``tau_c``.
 
     Each spacing runs ``n_cycles = floor(total_time / (2 tau_c))`` cycles
     of the bang-bang train after the delay ``tau1`` (None: ``min(tau_c /
-    2, 0.25 ms)``), and reads one echo per cycle.  A spacing that is
-    repeated, gives fewer than the 4 echoes a single_exp fit needs, or is
-    shorter than ``tau1`` is an error.
+    2, 0.25 ms)``), and reads the echo every ``ceil(n_cycles / 200)``
+    cycles and at the last: at most 200 echoes (``_MAX_FIT_POINTS``),
+    all of which the fit uses.  A spacing that is repeated, gives fewer
+    than the 4 echoes a single_exp fit needs, or is shorter than
+    ``tau1`` is an error.
     """
     programs = {}
     values = sorted(tau_c_values)
@@ -269,7 +275,8 @@ def _sweep_programs(errors: list, tau_c_values, total_time: float, tau1, pulse_s
             params = _make(errors, "sweep", sequences.BangBangParams, tau_c=tau_c, n_cycles=n_cycles,
                            tau1=min(0.5 * tau_c, 0.25e-3) if tau1 is None else tau1)
             if params is not None:
-                programs[tau_c] = sequences.build_bangbang(params, pulse_spec, acquire_every=1)
+                every = math.ceil(n_cycles / _MAX_FIT_POINTS)
+                programs[tau_c] = sequences.build_bangbang(params, pulse_spec, acquire_every=every)
     return programs
 
 

@@ -4,7 +4,10 @@ An ensemble member is a Bloch vector with a static detuning drawn from
 the inhomogeneous line, optionally riding on its own stochastic
 detuning trajectory (Ornstein-Uhlenbeck or random telegraph).  Members
 evolve independently; observables are weighted means.  A bath has one
-implementation: the exact per-interval draw inside :func:`run_program`.
+implementation, the exact draw inside :func:`run_program`: per interval,
+or under OU baths alone, in a lowered repeat of waits, hard pi pulses and
+acquires, per read interval, the waits between two reads composed to one
+exact step (draw scheme v3).
 
 :func:`run_program` keeps the members in the toggling frame of the hard
 pi pulses: a wait adds each member's signed phase to one number, a pi
@@ -23,13 +26,15 @@ spec, noise model, relaxation, master seed).  Member ``i`` draws its
 randomness from a stream derived only from ``(master_seed, i)``, numpy's
 ``SeedSequence(master_seed).spawn(n)[i]`` hashed for all members at once,
 and consumes it in order, its OU values are computed in chunks aligned to
-its interval count, each phase is one running sum in event order, and a
-compiled repeat moves each member by runs of iterations set by its flips
-alone, so results are bit-identical for any draw block size.  Every observable
-is a numpy pairwise sum over all members, not a BLAS call.  The one BLAS
-reduction, over the intervals of an OU chunk, sums each member's value
-alone in a fixed order, so results do not depend on the number of BLAS
-threads either (CI diffs the outputs at 1 and 2 threads).
+its interval count and handed between the chunks and the read-interval
+steps of v3 at repeat boundaries only, each phase is one running sum in
+event order, and a compiled repeat moves each member by runs of
+iterations set by its flips alone, so results are bit-identical for any
+draw block size.  Every observable is a numpy pairwise sum over all
+members, not a BLAS call.  The one BLAS reduction, over the intervals of
+an OU chunk, sums each member's value alone in a fixed order, so results
+do not depend on the number of BLAS threads either (CI diffs the outputs
+at 1 and 2 threads).
 """
 
 from __future__ import annotations
@@ -254,12 +259,13 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 
 
 # Program events are read this many at a time: a block of single events,
-# or a slice of a lowered repeat's expansion (_Body); a compiled repeat
-# (_Cycle) advances the run's time by whole iterations of about this many
-# intervals.  Each member's bath draws come this many intervals (OU) or
-# flips (telegraph) at most at a time.  It bounds memory only: each
-# member's draws are consumed in stream order, the OU values are computed
-# in chunks aligned to the run's interval count (_OUChain), each phase is
+# a slice of a lowered repeat's expansion (_Body), or of its read
+# intervals under OU baths alone; a compiled repeat (_Cycle) advances the
+# run's time by whole iterations of about this many intervals.  Each
+# member's bath draws come this many intervals (OU) or flips (telegraph)
+# at most at a time.  It bounds memory only: each member's draws are
+# consumed in stream order, the OU values are computed in chunks aligned
+# to the run's interval count or step by step (_OUChain), each phase is
 # one running sum, and a compiled repeat's runs between flips carry across
 # blocks, so results never depend on it.
 _DRAW_BLOCK = 256
@@ -302,23 +308,63 @@ def _ou_integral_bracket(r: float) -> float:
     return 2.0 * r + 4.0 * math.expm1(-r) - math.expm1(-2.0 * r)
 
 
-def _ou_factors(h: float, sigma: float, tau_b: float) -> tuple:
-    """Exact one-interval OU draw as ``(a, b, l11, l21, l22)``.
+def _ou_span(h: float, sigma: float, tau_b: float) -> tuple:
+    """Exact one-interval OU moments ``(a, b, var_x, cov, var_int)``.
 
-    Given ``x0`` and standard normals ``z1, z2``, the value after ``h`` is
-    ``a x0 + l11 z1`` and the integral over ``h`` is ``b x0 + l21 z1 +
-    l22 z2``: the Cholesky factor of their bivariate Gaussian (Gillespie,
-    PRE 54, 2084 (1996)).
+    Given ``x0``, the value after ``h`` has mean ``a x0`` and variance
+    ``var_x``, the integral over ``h`` mean ``b x0`` and variance
+    ``var_int``, and ``cov`` is their covariance (Gillespie, PRE 54, 2084
+    (1996)).
     """
     r = h / tau_b
     one_minus_a = -math.expm1(-r)
-    var_x = sigma**2 * -math.expm1(-2.0 * r)
-    var_int = (sigma * tau_b) ** 2 * _ou_integral_bracket(r)
-    cov = sigma**2 * tau_b * one_minus_a**2
-    l11 = math.sqrt(var_x)
-    l21 = cov / l11 if l11 > 0 else 0.0
-    l22 = math.sqrt(max(var_int - l21 * l21, 0.0))
-    return math.exp(-r), tau_b * one_minus_a, l11, l21, l22
+    return (math.exp(-r), tau_b * one_minus_a, sigma**2 * -math.expm1(-2.0 * r),
+            sigma**2 * tau_b * one_minus_a**2, (sigma * tau_b) ** 2 * _ou_integral_bracket(r))
+
+
+def _cholesky(a, b, var_x, cov, var_int) -> tuple:
+    """``(a, b, l11, l21, l22)`` of moments ``(a, b, var_x, cov, var_int)``
+    (numbers or arrays): given ``x0`` and standard normals ``z1, z2``, the
+    value is ``a x0 + l11 z1`` and the integral ``b x0 + l21 z1 + l22 z2``."""
+    l11 = np.sqrt(var_x)
+    l21 = cov / np.where(l11 > 0, l11, np.inf)
+    return a, b, l11, l21, np.sqrt(np.maximum(var_int - l21 * l21, 0.0))
+
+
+def _ou_factors(h: float, sigma: float, tau_b: float) -> tuple:
+    """Exact one-interval OU draw as ``(a, b, l11, l21, l22)`` (:func:`_cholesky`
+    of :func:`_ou_span`)."""
+    return _cholesky(*_ou_span(h, sigma, tau_b))
+
+
+def _compose(first: tuple, then: tuple, sign: float) -> tuple:
+    """The span of waits ``first`` followed by ``then``, whose switching
+    function is ``sign`` (+-1) times its own.  A span is ``(duration, signed
+    duration)`` and then each OU bath's moments as :func:`_ou_span`'s: the
+    integral is the signed one, and ``b`` multiplies the value at the start
+    of ``first``."""
+    out = [first[0] + then[0], first[1] + sign * then[1]]
+    for k in range(2, len(first), 5):
+        a1, b1, xx1, xi1, ii1 = first[k:k + 5]
+        a2, b2, xx2, xi2, ii2 = then[k:k + 5]
+        b2, xi2 = sign * b2, sign * xi2
+        out += (a2 * a1, b1 + b2 * a1, a2 * a2 * xx1 + xx2, a2 * (xi1 + b2 * xx1) + xi2,
+                ii1 + b2 * (2.0 * xi1 + b2 * xx1) + ii2)
+    return tuple(out)
+
+
+def _span_power(span: tuple, n: int, parity: float) -> tuple:
+    """``n`` iterations of ``span`` (``n >= 1``), each signed ``parity`` times
+    the one before it, by doubling: O(log n) compositions."""
+    out, sign = None, 1.0
+    while True:
+        if n & 1:
+            out = span if out is None else _compose(out, span, sign)
+            sign *= parity
+        n >>= 1
+        if not n:
+            return out
+        span, parity = _compose(span, span, parity), 1.0
 
 
 class _OUChain:
@@ -341,6 +387,13 @@ class _OUChain:
     not depend on how the intervals are split into blocks.  The factors
     are kept per pattern of block lengths (at most ``_OU_CACHE``), since
     the blocks of a repeated body repeat them.
+
+    A lowered body under OU baths alone steps instead (:meth:`steps`), by
+    the composed factors of its read intervals, one step after another:
+    it takes the value at the end of the intervals so far (:meth:`now`)
+    and leaves its own, and the event path's next interval starts a new
+    chunk there.  Both hand-overs fall at a repeat's start and end, so no
+    value depends on the blocks either.
     """
 
     def __init__(self, x0: np.ndarray, sigma: float, tau_b: float):
@@ -409,20 +462,58 @@ class _OUChain:
         integrals += l22 * z[:, 1]
         return xs, integrals
 
+    def now(self) -> np.ndarray:
+        """The values at the end of the intervals so far, which also start a
+        new chunk: the current chunk's intervals stepped one at a time."""
+        x = self.x
+        for h, kick in zip(self.lengths.tolist(), self.kicks):
+            x = math.exp(-h / self.tau_b) * x + kick
+        self.x, self.lengths, self.kicks = x, np.empty(0), np.empty((0, len(x)))
+        return x
+
+    def steps(self, factors: np.ndarray, z: np.ndarray) -> tuple:
+        """``(starts, integrals)`` of ``B`` steps from now, each ``(B, m)``,
+        as :meth:`advance` with ``factors`` ``(5, B, 1)`` of any spans
+        (:func:`_cholesky`) in place of intervals: one step at a time, and
+        the next interval starts a new chunk."""
+        a, b, l11, l21, l22 = factors
+        z = np.ascontiguousarray(z.transpose(1, 2, 0))  # (B, 2, m)
+        kicks = l11 * z[:, 0]
+        starts, x = np.empty_like(kicks), self.now()
+        for ak, kick, start in zip(a.ravel().tolist(), kicks, starts):
+            start[...] = x
+            x = x * ak + kick
+        self.x = x
+        integrals = b * starts
+        integrals += l21 * z[:, 0]
+        integrals += l22 * z[:, 1]
+        return starts, integrals
+
 
 class _OUBath:
-    """One Ornstein-Uhlenbeck process per member, drawn exactly per interval."""
+    """One Ornstein-Uhlenbeck process per member, drawn exactly (:class:`_OUChain`).
+
+    Each member's stream gives its stationary start, then two standard
+    normals per step: ``(z1, z2)`` per interval of the event path (draw
+    scheme v2), ``(z2, z1)`` per read interval of a lowered body under OU
+    baths alone (v3, :meth:`_Run.spans`), where ``z1`` drives the value
+    and ``z2`` is the integral's own part (:func:`_cholesky`).
+    """
 
     def __init__(self, model: NoiseModel, rngs: list):
         self.rngs = rngs
         x0 = model.sigma * np.array([rng.standard_normal() for rng in rngs])
         self.chain = _OUChain(x0, model.sigma, model.tau_b)
 
-    def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
-        z = np.empty((len(self.rngs), len(lengths), 2))
+    def normals(self, n: int) -> np.ndarray:
+        """``(m, n, 2)``: each member's next ``2 n`` standard normals, in stream order."""
+        z = np.empty((len(self.rngs), n, 2))
         for member, rng in zip(z, self.rngs):
             rng.standard_normal(out=member)
-        return self.chain.advance(lengths, z)
+        return z
+
+    def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
+        return self.chain.advance(lengths, self.normals(len(lengths)))
 
 
 class _TelegraphBath:
@@ -651,7 +742,8 @@ class _Body:
     body: its position, length and sign within the body; per read (each
     acquire, or each event under ``record="events"``): its position,
     label, the count of waits up to it, and its sign and angle within the
-    body.
+    body.  Under OU baths alone the run steps by read intervals instead
+    of waits (draw scheme v3), from the composed tables of :meth:`spans`.
     """
 
     def __init__(self, events: list, record: str):
@@ -677,6 +769,41 @@ class _Body:
         self.read_waits = np.array([r[2] for r in reads], dtype=np.intp)
         self.read_sign = np.array([r[3] for r in reads], dtype=float)
         self.read_angle = np.array([r[4] for r in reads], dtype=float)
+        self.tables: dict = {}  # see spans
+
+    def spans(self, baths: list, count: int) -> tuple:
+        """Draw scheme v3's read intervals of ``count`` iterations under OU
+        baths alone, as ``(duration, signed, drawn, factors)`` over their
+        types: the waits' summed and signed summed lengths, whether any
+        wait lies in it, and per bath ``(5, T, 1)`` :func:`_cholesky`
+        factors of its waits composed (:func:`_compose`), each signed
+        within the body.  With R reads per iteration, type ``j <= R`` is
+        the waits before read ``j`` of an iteration (``j = R``: after its
+        last read) and type ``R + 1`` the last ones of an iteration and
+        the first ones of the next, which counts with ``parity``; with no
+        read, type 0 is all ``count`` iterations, composed by doubling.
+        Built once per run, and per ``count`` with no read."""
+        key = None if len(self.read_pos) else count
+        if key not in self.tables:
+            waits = {h: (h, h, *[m for b in baths for m in _ou_span(h, b.chain.sigma, b.chain.tau_b)])
+                     for h in set(self.wait_h.tolist())}
+            bounds = (0, *self.read_waits.tolist(), len(self.wait_h))
+            spans = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                span = (0.0, 0.0) + (1.0, 0.0, 0.0, 0.0, 0.0) * len(baths)
+                for h, sign in zip(self.wait_h[lo:hi].tolist(), self.wait_sign[lo:hi].tolist()):
+                    span = _compose(span, waits[h], sign)
+                spans.append(span)
+            drawn = np.diff(bounds) > 0
+            if key is None:
+                spans.append(_compose(spans[-1], spans[0], self.parity))
+                drawn = np.append(drawn, drawn[0] | drawn[-1])
+            else:
+                spans = [_span_power(spans[0], count, self.parity)]
+            cols = np.array(spans).T
+            factors = [np.array(_cholesky(*cols[k:k + 5]))[:, :, None] for k in range(2, len(cols), 5)]
+            self.tables[key] = cols[0], cols[1], drawn, factors
+        return self.tables[key]
 
     def frame(self, q: np.ndarray, alpha: float, sign: float) -> tuple:
         """``(alphas, signs)`` of the frame before iterations ``q`` of a repeat
@@ -799,6 +926,8 @@ class _Run:
             self.levels = (det[:, None] + (baths[0].amplitude, -baths[0].amplitude)).ravel()
         else:
             self.levels = None
+        # OU baths alone: lowered bodies step by read intervals (draw scheme v3)
+        self.ou = bool(baths) and not any(isinstance(b, _TelegraphBath) for b in baths)
         self.store: dict = {}  # _Cycle -> its maps at the levels
         # relaxation toward z_equilibrium != 0 does not commute with pi pulses
         self.affine = math.isfinite(relax.t1) and relax.z_equilibrium != 0.0
@@ -1014,32 +1143,72 @@ class _Run:
         by the frame before its iteration, and a read takes that frame
         (:meth:`_Body.frame`, a function of the iteration alone) through
         its own sign and angle within the body.  No frame depends on the
-        blocks.
+        blocks.  Under OU baths alone a body with a wait steps by its read
+        intervals instead (:meth:`spans`, draw scheme v3).
         """
         body = self.bodies[id(rep.body)]
         if isinstance(body, _Cycle):
             return self.cycles(rep.count, body)
         alpha0, sign0, n_waits = self.alpha, self.sign, len(body.wait_pos)
-        n = rep.count * body.size
-        for p in range(0, n, _DRAW_BLOCK):
-            p1 = min(p + _DRAW_BLOCK, n)
-            w0 = body.before(body.wait_pos, p)
-            q, j = body.split(w0, body.before(body.wait_pos, p1), body.wait_ramp)
-            hs = body.wait_h[j]
-            signs = body.wait_sign[j] * body.frame(q, alpha0, sign0)[1]
-            times = self.bath(hs)
-            if self.baths and len(hs):
-                self.draw(hs, times)
-            self.t = float(times[-1])
-            q, j = body.split(body.before(body.read_pos, p), body.before(body.read_pos, p1), body.read_ramp)
-            rows = q * n_waits + body.read_waits[j] - w0
-            alphas, frame_signs = body.frame(q, alpha0, sign0)
-            self.sample_times.frombytes(times[rows].tobytes())
-            self.sample_labels.extend(body.read_labels[j].tolist())
-            self._settle(slice(None), hs, signs, rows, body.read_sign[j] * alphas + body.read_angle[j],
-                         body.read_sign[j] * frame_signs, times[rows] - self.t_ref)
+        if self.ou and n_waits:
+            self.spans(rep.count, body)
+        else:
+            n = rep.count * body.size
+            for p in range(0, n, _DRAW_BLOCK):
+                p1 = min(p + _DRAW_BLOCK, n)
+                w0 = body.before(body.wait_pos, p)
+                q, j = body.split(w0, body.before(body.wait_pos, p1), body.wait_ramp)
+                hs = body.wait_h[j]
+                signs = body.wait_sign[j] * body.frame(q, alpha0, sign0)[1]
+                times = self.bath(hs)
+                if self.baths and len(hs):
+                    self.draw(hs, times)
+                self.t = float(times[-1])
+                q, j = body.split(body.before(body.read_pos, p), body.before(body.read_pos, p1), body.read_ramp)
+                rows = q * n_waits + body.read_waits[j] - w0
+                self.body_reads(body, q, j, times[rows], hs, signs, rows)
         alpha, sign = body.frame(np.array(rep.count), alpha0, sign0)
         self.alpha, self.sign = math.remainder(float(alpha), 2.0 * math.pi), float(sign)
+
+    def body_reads(self, body: _Body, q, j, times, hs, signs, rows) -> None:
+        """Settle the waits ``hs`` (signed ``signs``) of a block of a lowered
+        repeat and its reads ``j`` of iterations ``q``, each at ``times``,
+        after ``rows`` of the waits, in the frame the repeat began in."""
+        alphas, frame_signs = body.frame(q, self.alpha, self.sign)
+        self.sample_times.frombytes(times.tobytes())
+        self.sample_labels.extend(body.read_labels[j].tolist())
+        self._settle(slice(None), hs, signs, rows, body.read_sign[j] * alphas + body.read_angle[j],
+                     body.read_sign[j] * frame_signs, times - self.t_ref)
+
+    def spans(self, count: int, body: _Body) -> None:
+        """Run ``count`` iterations of a lowered body with waits under OU
+        baths alone by its read intervals (draw scheme v3).
+
+        Each OU bath's waits between two reads, and from the repeat's start
+        or to its end, compose to one exact step of (x, phase)
+        (:meth:`_Body.spans`), signed by the frame of the iteration it
+        begins in: each member draws two standard normals per bath per
+        interval that holds a wait, ``_DRAW_BLOCK`` intervals at a time.
+        The value ``x`` carries on from the event path and back to it.
+        """
+        duration, signed, drawn, factors = body.spans(self.baths, count)
+        n, per = count * len(body.read_pos), max(len(body.read_pos), 1)
+        for lo in range(0, n + 1, _DRAW_BLOCK):
+            i = np.arange(lo, min(lo + _DRAW_BLOCK, n + 1))  # interval i ends at read i (n: the end)
+            q, j = np.divmod(i, per)
+            wrap = (j == 0) & (i > 0)  # begun in the iteration before
+            types = np.where(i == n, len(body.read_pos), np.where(wrap, len(body.read_pos) + 1, j))
+            steps = np.flatnonzero(drawn[types])
+            if len(steps):  # each member's normals as (z2, z1) per interval
+                self.integrals = sum(
+                    bath.chain.steps(f[:, types[steps]], bath.normals(len(steps))[..., ::-1])[1]
+                    for bath, f in zip(self.baths, factors))
+            edges = self.bath(duration[types])
+            signs = np.broadcast_to(body.frame(q - wrap, self.alpha, self.sign)[1], i.shape)[steps]
+            k = np.flatnonzero(i < n)
+            rows = np.cumsum(drawn[types])[k]  # the steps up to each read
+            self.body_reads(body, q[k], j[k], edges[k + 1], signed[types[steps]], signs, rows)
+            self.t = float(edges[-1])
 
     def cycles(self, count: int, body: _Cycle) -> None:
         """Run ``count`` iterations of a compiled body (see :func:`run_program`):
@@ -1168,7 +1337,21 @@ def run_program(
     An OU bath draws two standard normals per interval (Gillespie, PRE
     54, 2084 (1996)) and computes its values ``_OU_CHUNK`` intervals at a
     time, in chunks aligned to the run's interval count, so that they
-    do not depend on how the intervals are split into blocks.
+    do not depend on how the intervals are split into blocks (draw
+    scheme v2).  Under OU baths alone -- no telegraph bath -- a lowered
+    repeat (below) with a wait takes draw scheme v3: per bath, the waits
+    between two reads, and from the repeat's start to its first read or
+    from its last read to its end, compose to one exact step of the
+    member's pair (x, phase), ``x' = a x + l11 z1`` and ``dphase = b x +
+    l21 z1 + l22 z2``, signed by the frame of the iteration it begins in,
+    so each member draws two normals per bath per read interval that
+    holds a wait.  Each step's factors are built once per run per kind
+    of interval; a repeat with no read is one step whatever its count,
+    its iterations composed by doubling.  A bath's value passes between
+    the event path and these steps exactly, at the repeat's start and
+    end.  v3 moves OU outputs statistically, not in their last bits, and
+    its streams still depend only on ``(master_seed, i)``; a telegraph
+    bath, alone or summed with OU baths, keeps draw scheme v2.
 
     ``initial_state`` is one Bloch vector ``(3,)`` or a stack ``(k, 3)``.
     A stack runs all ``k`` states through one pass: each member's bath

@@ -195,6 +195,22 @@ def test_ou_chunks_do_not_depend_on_the_blocks(cuts):
     np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), whole[1])
 
 
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 70])
+def test_ou_steps_take_x_from_the_chunks_and_give_it_back(k):
+    # a lowered body under OU baths steps from the event path's x and hands
+    # its own back: interval k stepped as a span gives the chunks' values
+    sigma, tau_b, x0, lengths, z = ou_chain_inputs()
+    whole = ensemble._OUChain(x0, sigma, tau_b).advance(lengths, z)
+    chain = ensemble._OUChain(x0, sigma, tau_b)
+    chain.advance(lengths[:k], z[:, :k])
+    factors = np.array(ensemble._ou_factors(lengths[k], sigma, tau_b))[:, None, None]
+    stepped = chain.steps(factors, z[:, k:k + 1])
+    rest = chain.advance(lengths[k + 1:], z[:, k + 1:])
+    for part, values in zip((stepped, rest), ((w[k:k + 1] for w in whole), (w[k + 1:] for w in whole))):
+        for got, want in zip(part, values):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * sigma)
+
+
 def spy_on_ou_plans(monkeypatch, fresh=False):
     """Whether each block of an OU chain finds its plan cached, in order;
     with ``fresh`` the cache is emptied first, so every block builds it."""
@@ -232,7 +248,9 @@ def test_cached_ou_plans_match_plans_built_anew(monkeypatch, cuts):
 
 
 def test_ou_runs_do_not_depend_on_the_plan_cache(monkeypatch):
-    # a bangbang train read every cycle repeats its blocks' patterns
+    # a bangbang train read every cycle, run event by event (lowered, it
+    # draws by read intervals), repeats its blocks' patterns
+    monkeypatch.setattr(ensemble, "_LOWERED_EVENTS", 0)
     spec = EnsembleSpec(size=20, distribution="gaussian", fwhm=500.0, seed=4)
     noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=2e-3)
     prog = build_bangbang(BangBangParams(tau1=0.3e-3, tau_c=0.5e-3, n_cycles=400), acquire_every=1)
@@ -432,14 +450,19 @@ def TWO_HALF_PI(phase):
     return f"pulse area=pi/2 phase={phase}; pulse area=pi/2 phase={phase}"
 
 
-def hard_train_run(pi, record, mid=""):
+def hard_train_run(pi, record, mid="", baths=INVARIANCE_BATHS):
     # hard pulses only, acquires inside the repeats; ``mid`` sits between them
     cycle = f"{pi(0)}; wait 1ms; {pi(180)}; wait 0.7ms; acquire echo; wait 0.3ms"
     prog = parse(f"pulse area=pi/2 phase=0\nwait 0.3ms\nrepeat 4 {{ {cycle} }}\n{mid}\n"
                  f"repeat 3 {{ {cycle} }}")
     spec = EnsembleSpec(size=300, distribution="gaussian", fwhm=500.0, seed=4)
-    return run_program(prog, spec, noise=INVARIANCE_BATHS, relax=RelaxationParams(t2=0.02),
+    return run_program(prog, spec, noise=baths, relax=RelaxationParams(t2=0.02),
                        master_seed=7, record=record)
+
+
+OU = INVARIANCE_BATHS[0]
+# OU baths alone: the lowered repeats draw by read intervals (draw scheme v3)
+OU_ONLY_BATHS = ((OU,), (OU, OU))
 
 
 HARD_TRAIN_CASES = [(record, mid) for record in ("events", "acquires")
@@ -448,10 +471,13 @@ HARD_TRAIN_CASES = [(record, mid) for record in ("events", "acquires")
 
 @pytest.mark.parametrize("record, mid", HARD_TRAIN_CASES)
 def test_hard_pulse_run_is_invariant_to_draw_block(monkeypatch, record, mid):
-    # the pi pulses stay in the toggling frame: phases carried across blocks
-    default = hard_train_run(ONE_PI, record, mid)
-    monkeypatch.setattr(ensemble, "_DRAW_BLOCK", 3)
-    assert_same_run(default, hard_train_run(ONE_PI, record, mid))
+    # the pi pulses stay in the toggling frame: phases carried across blocks;
+    # under OU baths alone each bath's x too, between the event path and v3
+    for baths in (INVARIANCE_BATHS, *OU_ONLY_BATHS):
+        monkeypatch.undo()
+        default = hard_train_run(ONE_PI, record, mid, baths)
+        monkeypatch.setattr(ensemble, "_DRAW_BLOCK", 3)
+        assert_same_run(default, hard_train_run(ONE_PI, record, mid, baths))
 
 
 @pytest.mark.parametrize("record, mid", HARD_TRAIN_CASES)
@@ -1114,6 +1140,121 @@ def test_bangbang_matches_filter_function_oracle():
         var_phase = -2.0 * math.log(expect)
         var_cos = (1 + math.exp(-2 * var_phase)) / 2 - math.exp(-var_phase)
         assert abs(-mean[1] - expect) < 3 * math.sqrt(var_cos / n)
+
+
+def switching_functions(prog):
+    """``(edges, signs)`` of the switching function up to each acquire of a
+    program of waits, hard pi pulses and acquires after its first pulse."""
+    t, sign, edges, signs, reads = 0.0, 1.0, [0.0], [], []
+    for k, ev in enumerate(prog.expand()):
+        if isinstance(ev, Wait):
+            t += ev.duration
+            edges.append(t)
+            signs.append(sign)
+        elif isinstance(ev, Acquire):
+            reads.append((list(edges), list(signs)))
+        else:
+            assert ev.area == math.pi or k == 0
+            sign = -sign if k else sign
+    return reads
+
+
+SLOW_OU = NoiseModel(kind="ornstein_uhlenbeck", sigma=25.0, tau_b=7e-3)
+FAST_OU = NoiseModel(kind="ornstein_uhlenbeck", sigma=80.0, tau_b=2e-3)
+V3_BANGBANG = BangBangParams(tau1=1e-3, tau_c=2e-3, n_cycles=10)
+V3_ORACLE_CASES = {
+    "pi,-pi-every-1": (build_bangbang(V3_BANGBANG, acquire_every=1), (FAST_OU,)),
+    "pi,-pi-every-5": (build_bangbang(V3_BANGBANG, acquire_every=5), (FAST_OU,)),
+    # an odd pi count: the switching sign alternates between iterations
+    "odd": (parse(LOWERING_PROGRAMS["odd"]), (SLOW_OU,)),
+    "two-ou": (build_bangbang(V3_BANGBANG, acquire_every=2), (FAST_OU, SLOW_OU)),
+    # a free decay: x passes from the event path's waits into the repeat and back
+    "handover": (parse("pulse area=pi/2 phase=0; wait 0.5ms; wait 1ms; wait 1.5ms; repeat 6 { wait 0.5ms; "
+                       "acquire a; wait 0.5ms }; wait 1ms; acquire b"), (SLOW_OU,)),
+    # one draw for all 60 iterations, carried into the event path's acquire
+    "read-free": (parse("pulse area=pi/2 phase=0; wait 0.5ms; repeat 60 { pulse area=pi phase=0; wait 0.4ms; "
+                        "pulse area=-pi phase=0; wait 0.4ms }; wait 0.3ms; acquire a"), (FAST_OU,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(V3_ORACLE_CASES))
+def test_ou_lowered_bodies_match_the_filter_function_oracle(name):
+    # zero-detuning members, so each read is the noiseless one with its
+    # transverse part times the mean of cos(phase): z-scores of that mean
+    # against the O(n^2) filter-function integral, over 24 seeds
+    prog, baths = V3_ORACLE_CASES[name]
+    n = 64
+    spec = EnsembleSpec(size=n, distribution="explicit", detunings=(0.0,) * n)
+    expect = np.array([math.prod(filter_function_coherence(edges, signs, b.sigma, b.tau_b) for b in baths)
+                       for edges, signs in switching_functions(prog)])
+    var_phase = -2.0 * np.log(expect)
+    se = np.sqrt(((1 + np.exp(-2 * var_phase)) / 2 - np.exp(-var_phase)) / n)
+    _, _, ideal = acquire_table(run_program(prog, spec))
+    zs = []
+    for seed in range(24):
+        _, _, means = acquire_table(run_program(prog, spec, noise=baths, master_seed=seed))
+        coherence = np.sum(means[:, :2] * ideal[:, :2], axis=1) / np.sum(ideal[:, :2] ** 2, axis=1)
+        zs.append((coherence - expect) / se)
+    assert len(expect) > 1 or name == "read-free"
+    assert abs(np.mean(zs)) < 0.5 and 0.5 <= np.std(zs) <= 2.0
+
+
+def test_composed_spans_match_the_filter_function():
+    # a bangbang train's waits composed into one span (draw scheme v3):
+    # from a stationary start its phase variance is the filter function's
+    sigma, tau_b, tau1, tau_c = 80.0, 2e-3, 1e-3, 2e-3
+    for c in (1, 4, 9):
+        edges = [0.0] + [tau1 + k * tau_c for k in range(2 * c)] + [2 * c * tau_c]
+        signs = [(-1) ** j for j in range(2 * c + 1)]
+        span = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        for h, sign in zip(np.diff(edges).tolist(), signs):
+            span = ensemble._compose(span, (h, h, *ensemble._ou_span(h, sigma, tau_b)), sign)
+        assert span[0] == pytest.approx(edges[-1], rel=1e-15)
+        assert span[1] == pytest.approx(np.dot(np.diff(edges), signs), abs=1e-15)
+        _, b, _, _, var_int = span[2:]
+        got = math.exp(-0.5 * (2 * math.pi) ** 2 * (b * b * sigma**2 + var_int))
+        assert got == pytest.approx(filter_function_coherence(edges, signs, sigma, tau_b), rel=1e-12)
+    # and n iterations by doubling are the iterations one after another
+    cycle = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    for h, sign in ((3e-4, 1.0), (7e-4, -1.0), (2e-4, -1.0)):
+        cycle = ensemble._compose(cycle, (h, h, *ensemble._ou_span(h, sigma, tau_b)), sign)
+    for parity in (1.0, -1.0):
+        chained = cycle
+        for k in range(1, 13):
+            chained = ensemble._compose(chained, cycle, parity**k)
+        doubled = ensemble._span_power(cycle, 13, parity)
+        np.testing.assert_allclose(doubled, chained, rtol=1e-12, atol=1e-18)
+
+
+def spy_on_ou_normals(monkeypatch):
+    """The standard normals each OU bath draws per member, summed over calls."""
+    drawn, normals = {}, ensemble._OUBath.normals
+
+    def counted(self, n):
+        z = normals(self, n)
+        drawn[id(self)] = drawn.get(id(self), 0) + z[0].size
+        return z
+
+    monkeypatch.setattr(ensemble._OUBath, "normals", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("record, intervals", [("acquires", 8), ("events", 21)])
+def test_lowered_ou_bodies_draw_two_normals_per_read_interval(monkeypatch, record, intervals):
+    # 7 iterations: under record="acquires" 7 reads and the wait after the
+    # last, under "events" 6 reads per iteration, 3 of them after a wait;
+    # each member draws 2 normals per bath and interval that holds a wait
+    drawn = spy_on_ou_normals(monkeypatch)
+    spec = EnsembleSpec(size=5, distribution="gaussian", fwhm=500.0, seed=1)
+    prog = parse(LOWERING_PROGRAMS["bangbang"].replace("wait 0.2ms; ", ""))
+    run_program(prog, spec, noise=(OU, OU), master_seed=3, record=record)
+    assert list(drawn.values()) == [2 * intervals] * 2
+    # a read-free repeat is one interval, whatever its count
+    for count in (1, 1000, 10**7):
+        drawn.clear()
+        run_program(parse(f"repeat {count} {{ pulse area=pi phase=0; wait 1us; pulse area=pi phase=180; "
+                          "wait 1us }; acquire a"), spec, noise=OU, master_seed=3)
+        assert list(drawn.values()) == [2]
 
 
 ORACLE_RELAXATION = {

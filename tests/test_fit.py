@@ -102,6 +102,16 @@ def test_hitting_a_work_cap_raises(monkeypatch, cap):
         fit_decay(noisy_decay(), "single_exp")
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 2.0, 3.0, 4.5])
+def test_stretched_fit_recovers_compressed_and_stretched_laws(exponent):
+    # noiseless exp(-(t/2)^x) from t = 0: the Weibull-plot start lies on the
+    # answer; a log-linear start sent x = 4.5 to t_m 0.0548 and x 1.000
+    t = np.linspace(0.0, 6.0, 30)
+    fit = fit_decay(DecayCurve(t, np.exp(-((t / 2.0) ** exponent))), "stretched")
+    got = [fit.params[name] for name in ("amplitude", "t_m", "exponent")]
+    np.testing.assert_allclose(got, [1.0, 2.0, exponent], rtol=1e-6)
+
+
 @pytest.mark.parametrize("model", ["single_exp", "stretched", "inv_recovery"])
 def test_each_model_recovers_its_parameters(model):
     t = np.linspace(0.0, 3.0, 60)
