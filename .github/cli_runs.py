@@ -96,6 +96,12 @@ def runs():
         yield f"simulate-{record}", dict(SIMULATE, record=record), "simulate", []
         yield f"simulate-telegraph-{record}", dict(SIMULATE, noise=TELEGRAPH_NOISE, record=record), "simulate", []
         yield f"simulate-pi-frame-{record}", dict(PI_FRAME, record=record), "simulate", []
+    # SIMULATE's program over 400 iterations, with no relaxation: its finite
+    # pulses keep the OU bath on the event path, 1,600 intervals over about
+    # ten draw blocks
+    long = {key: value for key, value in SIMULATE.items() if key != "relaxation"}
+    long["sequence"] = {"dsl": SIMULATE["sequence"]["dsl"].replace("repeat 40 ", "repeat 400 ")}
+    yield "simulate-ou-long", long, "simulate", []
     yield "tomo-finite", TOMO_FINITE, "tomography", ["--n-list", "0,1,2,10,100"]
     # a master seed of two 32-bit words: the member streams hash both
     wide = dict(TOMO_FINITE, master_seed=2**40 + 7)

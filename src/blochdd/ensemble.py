@@ -25,16 +25,13 @@ Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
 randomness from a stream derived only from ``(master_seed, i)``, numpy's
 ``SeedSequence(master_seed).spawn(n)[i]`` hashed for all members at once,
-and consumes it in order, its OU values are computed in chunks aligned to
-its interval count and handed between the chunks and the read-interval
-steps of v3 at repeat boundaries only, each phase is one running sum in
+and consumes it in order, its OU value is stepped one interval (or, in
+v3, one read interval) after another, each phase is one running sum in
 event order, and a compiled repeat moves each member by runs of
 iterations set by its flips alone, so results are bit-identical for any
 draw block size.  Every observable is a numpy pairwise sum over all
-members, not a BLAS call.  The one BLAS reduction, over the intervals of
-an OU chunk, sums each member's value alone in a fixed order, so results
-do not depend on the number of BLAS threads either (CI diffs the outputs
-at 1 and 2 threads).
+members, not a BLAS call, so results do not depend on the number of
+BLAS threads either (CI diffs the outputs at 1 and 2 threads).
 """
 
 from __future__ import annotations
@@ -264,17 +261,11 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 # run's time by whole iterations of about this many intervals.  Each
 # member's bath draws come this many intervals (OU) or flips (telegraph)
 # at most at a time.  It bounds memory only: each member's draws are
-# consumed in stream order, the OU values are computed in chunks aligned
-# to the run's interval count or step by step (_OUChain), each phase is
-# one running sum, and a compiled repeat's runs between flips carry across
-# blocks, so results never depend on it.
+# consumed in stream order, the OU values are stepped one interval after
+# another (_OUBath.steps), each phase is one running sum, and a compiled
+# repeat's runs between flips carry across blocks, so results never
+# depend on it.
 _DRAW_BLOCK = 256
-# OU values are computed this many intervals at a time (_OUChain), which
-# keeps the factors and stacked chunk weights of at most _OU_CACHE block
-# patterns.
-_OU_CHUNK = 32
-_OU_CACHE = 16
-_BELOW = np.tri(_OU_CHUNK + 1, _OU_CHUNK + 1, -1, dtype=bool)  # [j, l]: l < j
 # A Repeat body of waits, hard pi pulses and acquires of at most this many
 # expanded events is lowered to arrays once per run (_Body).
 _LOWERED_EVENTS = 4096
@@ -367,143 +358,23 @@ def _span_power(span: tuple, n: int, parity: float) -> tuple:
         span, parity = _compose(span, span, parity), 1.0
 
 
-class _OUChain:
-    """Exact OU values of m members over consecutive intervals.
-
-    The recursion ``x_{k+1} = a_k x_k + l11_k z_k`` of :func:`_ou_factors`
-    runs in chunks of ``C = _OU_CHUNK`` intervals aligned to the interval
-    count: chunk c covers intervals [cC, (c+1)C), and only chunk start
-    values are carried from one chunk to the next.  Within a chunk, with
-    ``r_l = h_l / tau_b``,
-
-        x_{c0+j} = A_j x_{c0} + sum_{i<j} M_{j,i} l11_i z_i,
-        A_j = exp(-(r_{j-1} + ... + r_0)),  M_{j,i} = exp(-(r_{j-1} + ... + r_{i+1})),
-
-    each exponent summed from ``r_{j-1}`` down, with no division, so long
-    intervals underflow cleanly to 0.  Row j is one product over all C
-    columns, with exact zeros for ``i >= j``.  A chunk that a block ends
-    inside is computed again from its start value and its draws so far,
-    and its earlier rows come out bit for bit as before: the values do
-    not depend on how the intervals are split into blocks.  The factors
-    are kept per pattern of block lengths (at most ``_OU_CACHE``), since
-    the blocks of a repeated body repeat them.
-
-    A lowered body under OU baths alone steps instead (:meth:`steps`), by
-    the composed factors of its read intervals, one step after another:
-    it takes the value at the end of the intervals so far (:meth:`now`)
-    and leaves its own, and the event path's next interval starts a new
-    chunk there.  Both hand-overs fall at a repeat's start and end, so no
-    value depends on the blocks either.
-    """
-
-    def __init__(self, x0: np.ndarray, sigma: float, tau_b: float):
-        self.x = x0  # at the start of the current chunk
-        self.sigma, self.tau_b = sigma, tau_b
-        self.plans: dict = {}  # see _plan
-        self.lengths = np.empty(0)  # of the current chunk's intervals so far
-        self.kicks = np.empty((0, len(x0)))  # their l11 z
-
-    def _weights(self, lengths: np.ndarray) -> tuple:
-        """``(A, M)``, shaped ``(C + 1,)`` and ``(C + 1, C)``, of a chunk that
-        begins with ``lengths``: row j of M needs only the first j of them."""
-        r = np.zeros(_OU_CHUNK + 1)
-        r[:len(lengths)] = lengths / self.tau_b
-        # s[j, l] = r_{j-1} + ... + r_l, summed in that order; 0 for l >= j
-        s = np.where(_BELOW, r, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
-        return np.exp(-s[:, 0]), np.where(_BELOW[:, :-1], np.exp(-s[:, 1:]), 0.0)
-
-    def _plan(self, lengths: np.ndarray, done: int) -> tuple:
-        """``(b, l11, l21, l22), A, M`` of a block: the factors of its intervals
-        ``lengths[done:]``, each ``(B, 1)``, and the stacked :meth:`_weights`
-        of the chunks of ``lengths``, which starts at a chunk's start."""
-        key = (done, lengths.tobytes())
-        plan = self.plans.get(key)
-        if plan is None:
-            distinct, which = np.unique(lengths[done:], return_inverse=True)
-            rows = np.array([_ou_factors(h, self.sigma, self.tau_b)[1:] for h in distinct.tolist()])
-            factors = rows[which.ravel()].T[:, :, None]
-            a, m = zip(*(self._weights(lengths[c:c + _OU_CHUNK]) for c in range(0, len(lengths), _OU_CHUNK)))
-            if len(self.plans) >= _OU_CACHE:
-                self.plans.clear()
-            plan = self.plans[key] = factors, np.array(a)[:, :, None], np.array(m)
-        return plan
-
-    def advance(self, lengths: np.ndarray, z: np.ndarray) -> tuple:
-        """``(starts, integrals)`` of the next ``B`` intervals, each ``(B, m)``.
-
-        ``lengths`` is ``(B,)`` and ``z`` ``(m, B, 2)``: each member's
-        standard normals in its stream order.  ``starts`` are the values at
-        the start of each interval and ``integrals`` the integrals over them.
-        """
-        z = np.ascontiguousarray(z.transpose(1, 2, 0))  # (B, 2, m)
-        done, n = len(self.lengths), len(self.lengths) + len(lengths)
-        lengths = np.concatenate([self.lengths, lengths])
-        (b, l11, l21, l22), a, m = self._plan(lengths, done)
-        chunks = len(a)
-        # the chunks' kicks; zeros stand for the draws still to come
-        kicks = np.zeros((chunks, _OU_CHUNK, len(self.x)))
-        flat = kicks.reshape(chunks * _OU_CHUNK, -1)
-        flat[:done] = self.kicks
-        np.multiply(l11, z[:, 0], out=flat[done:n])
-        # each chunk from a zero start: its values, and its end for the next start
-        values = m[:, :-1] @ kicks
-        ends = m[:, -1:] @ kicks
-        starts = np.empty((chunks, len(self.x)))
-        starts[0] = self.x
-        for c in range(1, chunks):
-            starts[c] = ends[c - 1, 0] + starts[c - 1] * a[c - 1, -1]
-        self.x = starts[-1] if n % _OU_CHUNK else ends[-1, 0] + starts[-1] * a[-1, -1]
-        values += starts[:, None] * a[:, :-1]
-        whole = n - n % _OU_CHUNK
-        self.lengths, self.kicks = lengths[whole:], flat[whole:n].copy()
-        xs = values.reshape(chunks * _OU_CHUNK, -1)[done:n]
-        integrals = b * xs
-        integrals += l21 * z[:, 0]
-        integrals += l22 * z[:, 1]
-        return xs, integrals
-
-    def now(self) -> np.ndarray:
-        """The values at the end of the intervals so far, which also start a
-        new chunk: the current chunk's intervals stepped one at a time."""
-        x = self.x
-        for h, kick in zip(self.lengths.tolist(), self.kicks):
-            x = math.exp(-h / self.tau_b) * x + kick
-        self.x, self.lengths, self.kicks = x, np.empty(0), np.empty((0, len(x)))
-        return x
-
-    def steps(self, factors: np.ndarray, z: np.ndarray) -> tuple:
-        """``(starts, integrals)`` of ``B`` steps from now, each ``(B, m)``,
-        as :meth:`advance` with ``factors`` ``(5, B, 1)`` of any spans
-        (:func:`_cholesky`) in place of intervals: one step at a time, and
-        the next interval starts a new chunk."""
-        a, b, l11, l21, l22 = factors
-        z = np.ascontiguousarray(z.transpose(1, 2, 0))  # (B, 2, m)
-        kicks = l11 * z[:, 0]
-        starts, x = np.empty_like(kicks), self.now()
-        for ak, kick, start in zip(a.ravel().tolist(), kicks, starts):
-            start[...] = x
-            x = x * ak + kick
-        self.x = x
-        integrals = b * starts
-        integrals += l21 * z[:, 0]
-        integrals += l22 * z[:, 1]
-        return starts, integrals
-
-
 class _OUBath:
-    """One Ornstein-Uhlenbeck process per member, drawn exactly (:class:`_OUChain`).
+    """One Ornstein-Uhlenbeck process per member, drawn exactly.
 
-    Each member's stream gives its stationary start, then two standard
-    normals per step: ``(z1, z2)`` per interval of the event path (draw
-    scheme v2), ``(z2, z1)`` per read interval of a lowered body under OU
-    baths alone (v3, :meth:`_Run.spans`), where ``z1`` drives the value
-    and ``z2`` is the integral's own part (:func:`_cholesky`).
+    ``x`` holds each member's current value.  Each member's stream gives
+    its stationary start, then two standard normals per step:
+    ``(z1, z2)`` per interval of the event path (draw scheme v2, by
+    :func:`_ou_factors`), ``(z2, z1)`` per read interval of a lowered body
+    under OU baths alone (v3, :meth:`_Run.spans`), where ``z1`` drives the
+    value and ``z2`` is the integral's own part (:func:`_cholesky`).  Both
+    take the same :meth:`steps`, so the value passes between them exactly
+    and no value depends on the blocks.
     """
 
     def __init__(self, model: NoiseModel, rngs: list):
         self.rngs = rngs
-        x0 = model.sigma * np.array([rng.standard_normal() for rng in rngs])
-        self.chain = _OUChain(x0, model.sigma, model.tau_b)
+        self.sigma, self.tau_b = model.sigma, model.tau_b
+        self.x = model.sigma * np.array([rng.standard_normal() for rng in rngs])
 
     def normals(self, n: int) -> np.ndarray:
         """``(m, n, 2)``: each member's next ``2 n`` standard normals, in stream order."""
@@ -512,8 +383,33 @@ class _OUBath:
             rng.standard_normal(out=member)
         return z
 
+    def steps(self, factors: np.ndarray, z: np.ndarray) -> tuple:
+        """``(starts, integrals)`` of ``B`` steps from ``x``, each ``(B, m)``.
+
+        ``factors`` are ``(5, B, 1)`` :func:`_cholesky` factors of each
+        step and ``z`` ``(m, B, 2)`` its normals, ``z1`` first: one step
+        after another, ``x' = a x + l11 z1``.  ``starts`` are the values at
+        the start of each step and ``integrals`` the integrals over them.
+        """
+        a, b, l11, l21, l22 = factors
+        z = np.ascontiguousarray(z.transpose(1, 2, 0))  # (B, 2, m)
+        xs = np.empty((len(z) + 1, len(self.x)))
+        xs[0] = self.x
+        np.multiply(l11, z[:, 0], out=xs[1:])  # the kicks, then each row's carry
+        for ak, prev, row in zip(a.ravel().tolist(), xs[:-1], xs[1:]):
+            row += ak * prev
+        self.x, starts = xs[-1].copy(), xs[:-1]  # x holds no view of the block
+        integrals = b * starts
+        integrals += l21 * z[:, 0]
+        integrals += l22 * z[:, 1]
+        return starts, integrals
+
     def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
-        return self.chain.advance(lengths, self.normals(len(lengths)))
+        """``(starts, integrals)`` of intervals ``lengths``, each ``(B, m)``,
+        by :meth:`steps`: their factors are built once per distinct length."""
+        distinct, which = np.unique(lengths, return_inverse=True)
+        rows = np.array([_ou_factors(h, self.sigma, self.tau_b) for h in distinct.tolist()])
+        return self.steps(rows[which.ravel()].T[:, :, None], self.normals(len(lengths)))
 
 
 class _TelegraphBath:
@@ -589,7 +485,7 @@ class _TelegraphBath:
         return starts, integrals
 
     def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
-        """``(starts, integrals)`` as :meth:`_OUChain.advance`, of the
+        """``(starts, integrals)`` as :meth:`_OUBath.block`, of the
         intervals between ``edges``."""
         start = self.amplitude * self.sign
         members, times, signs = self.flips(edges[-1])
@@ -785,7 +681,7 @@ class _Body:
         Built once per run, and per ``count`` with no read."""
         key = None if len(self.read_pos) else count
         if key not in self.tables:
-            waits = {h: (h, h, *[m for b in baths for m in _ou_span(h, b.chain.sigma, b.chain.tau_b)])
+            waits = {h: (h, h, *[m for b in baths for m in _ou_span(h, b.sigma, b.tau_b)])
                      for h in set(self.wait_h.tolist())}
             bounds = (0, *self.read_waits.tolist(), len(self.wait_h))
             spans = []
@@ -1201,7 +1097,7 @@ class _Run:
             steps = np.flatnonzero(drawn[types])
             if len(steps):  # each member's normals as (z2, z1) per interval
                 self.integrals = sum(
-                    bath.chain.steps(f[:, types[steps]], bath.normals(len(steps))[..., ::-1])[1]
+                    bath.steps(f[:, types[steps]], bath.normals(len(steps))[..., ::-1])[1]
                     for bath, f in zip(self.baths, factors))
             edges = self.bath(duration[types])
             signs = np.broadcast_to(body.frame(q - wrap, self.alpha, self.sign)[1], i.shape)[steps]
@@ -1335,21 +1231,20 @@ def run_program(
     at once (:func:`_stream_seeds`); bath ``j`` of the member starts ``j *
     2**120`` draws along it.
     An OU bath draws two standard normals per interval (Gillespie, PRE
-    54, 2084 (1996)) and computes its values ``_OU_CHUNK`` intervals at a
-    time, in chunks aligned to the run's interval count, so that they
-    do not depend on how the intervals are split into blocks (draw
-    scheme v2).  Under OU baths alone -- no telegraph bath -- a lowered
-    repeat (below) with a wait takes draw scheme v3: per bath, the waits
-    between two reads, and from the repeat's start to its first read or
-    from its last read to its end, compose to one exact step of the
-    member's pair (x, phase), ``x' = a x + l11 z1`` and ``dphase = b x +
-    l21 z1 + l22 z2``, signed by the frame of the iteration it begins in,
-    so each member draws two normals per bath per read interval that
-    holds a wait.  Each step's factors are built once per run per kind
-    of interval; a repeat with no read is one step whatever its count,
-    its iterations composed by doubling.  A bath's value passes between
-    the event path and these steps exactly, at the repeat's start and
-    end.  v3 moves OU outputs statistically, not in their last bits, and
+    54, 2084 (1996)) and steps its value one interval after another,
+    ``x' = a x + l11 z1``, so its values do not depend on how the
+    intervals are split into blocks (draw scheme v2).  Under OU baths
+    alone -- no telegraph bath -- a lowered repeat (below) with a wait
+    takes draw scheme v3: per bath, the waits between two reads, and
+    from the repeat's start to its first read or from its last read to
+    its end, compose to one exact step of the member's pair (x, phase),
+    ``x' = a x + l11 z1`` and ``dphase = b x + l21 z1 + l22 z2``, signed
+    by the frame of the iteration it begins in, so each member draws two
+    normals per bath per read interval that holds a wait.  Each step's
+    factors are built once per run per kind of interval; a repeat with
+    no read is one step whatever its count, its iterations composed by
+    doubling.  Both schemes take the same step, so a bath's value passes
+    between the event path and a lowered repeat exactly.  v3 moves OU outputs statistically, not in their last bits, and
     its streams still depend only on ``(master_seed, i)``; a telegraph
     bath, alone or summed with OU baths, keeps draw scheme v2.
 

@@ -138,15 +138,27 @@ def ou_interval_moments_exact(r, sigma, tau_b, x0):
     return [float(m) for m in moments]
 
 
+def ou_bath(x0, sigma, tau_b, rngs=()):
+    """An OU bath of ``len(x0)`` members at values ``x0``, drawing from ``rngs``."""
+    bath = ensemble._OUBath(NoiseModel(kind="ornstein_uhlenbeck", sigma=sigma, tau_b=tau_b), list(rngs))
+    bath.x = np.array(x0, dtype=float)
+    return bath
+
+
+def interval_factors(lengths, sigma, tau_b):
+    """``(5, B, 1)`` factors of one OU step per interval, as :meth:`_OUBath.steps` takes them."""
+    return np.array([ensemble._ou_factors(h, sigma, tau_b) for h in lengths]).T[:, :, None]
+
+
 @pytest.mark.parametrize("r", [1e-9, 1e-3, 1.0, 50.0])
 def test_ou_interval_draw_matches_closed_form(r):
     # one exact OU interval from a fixed start: the sample mean and
     # covariance of (x_h, integral) against the bivariate Gaussian
     sigma, tau_b, x0, n = 25.0, 4e-3, 17.0, 200_000
-    chain = ensemble._OUChain(np.full(n, x0), sigma, tau_b)
     z = np.random.default_rng(11).standard_normal((n, 2, 2))
     # the value after the first interval is the start of the second
-    starts, integrals = chain.advance(np.full(2, r * tau_b), z)
+    factors = interval_factors([r * tau_b] * 2, sigma, tau_b)
+    starts, integrals = ou_bath(np.full(n, x0), sigma, tau_b).steps(factors, z)
     x, s = starts[1], integrals[0]
     mx, ms, vx, vs, cov = ou_interval_moments_exact(r, sigma, tau_b, x0)
     assert vx > 0 and vs > 0
@@ -163,104 +175,59 @@ OU_RATIOS = (1e-9, 1e-3, 1.0, 50.0, 800.0)
 
 
 def ou_chain_inputs():
+    """``(sigma, tau_b, lengths, make)``: 150 mixed interval lengths, and
+    ``make()`` a new bath of 9 members, each with its own seeded stream."""
     sigma, tau_b, m = 25.0, 4e-3, 9
     rng = np.random.default_rng(8)
-    lengths = rng.choice(OU_RATIOS, size=150) * tau_b  # four whole chunks and a part
-    return sigma, tau_b, sigma * rng.standard_normal(m), lengths, rng.standard_normal((m, 150, 2))
+    lengths = rng.choice(OU_RATIOS, size=150) * tau_b
+    x0 = sigma * rng.standard_normal(m)
+    return sigma, tau_b, lengths, lambda: ou_bath(x0, sigma, tau_b, [np.random.default_rng([8, i]) for i in range(m)])
 
 
-def test_ou_chunks_match_the_sequential_recursion():
-    sigma, tau_b, x0, lengths, z = ou_chain_inputs()
+def ou_blocks(bath, lengths, cuts=()):
+    """``(starts, integrals)`` of the event path's blocks of ``lengths``, cut at ``cuts``."""
+    parts = [bath.block(lengths[lo:hi], None) for lo, hi in zip((0, *cuts), (*cuts, len(lengths)))]
+    return [np.concatenate(values) for values in zip(*parts)]
+
+
+def test_ou_blocks_match_the_sequential_recursion():
+    sigma, tau_b, lengths, make = ou_chain_inputs()
     assert set(np.round(lengths / tau_b, 12)) == set(OU_RATIOS)
-    starts, integrals = ensemble._OUChain(x0, sigma, tau_b).advance(lengths, z)
+    bath = make()
+    x, z = bath.x, make().normals(len(lengths))  # the normals the bath will draw
+    starts, integrals = ou_blocks(bath, lengths)
     # one interval at a time: x_{k+1} = a_k x_k + l11_k z_k
-    x = x0
     for k, h in enumerate(lengths):
         a, b, l11, l21, l22 = ensemble._ou_factors(h, sigma, tau_b)
-        np.testing.assert_allclose(starts[k], x, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(integrals[k], b * x + l21 * z[:, k, 0] + l22 * z[:, k, 1],
-                                   rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(starts[k], x)
+        np.testing.assert_array_equal(integrals[k], b * x + l21 * z[:, k, 0] + l22 * z[:, k, 1])
         x = a * x + l11 * z[:, k, 0]
+    np.testing.assert_array_equal(bath.x, x)
 
 
 @pytest.mark.parametrize("cuts", [(1,), (31, 32, 33), (20, 84, 149), tuple(range(1, 150))],
                          ids=["1", "31-33", "20-84-149", "each"])
-def test_ou_chunks_do_not_depend_on_the_blocks(cuts):
-    sigma, tau_b, x0, lengths, z = ou_chain_inputs()
-    whole = ensemble._OUChain(x0, sigma, tau_b).advance(lengths, z)
-    chain = ensemble._OUChain(x0, sigma, tau_b)
-    parts = [chain.advance(lengths[lo:hi], z[:, lo:hi])
-             for lo, hi in zip((0, *cuts), (*cuts, len(lengths)))]
-    np.testing.assert_array_equal(np.concatenate([p[0] for p in parts]), whole[0])
-    np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), whole[1])
+def test_ou_values_do_not_depend_on_the_blocks(cuts):
+    sigma, tau_b, lengths, make = ou_chain_inputs()
+    whole = ou_blocks(make(), lengths)
+    parts = ou_blocks(make(), lengths, cuts)
+    np.testing.assert_array_equal(parts[0], whole[0])
+    np.testing.assert_array_equal(parts[1], whole[1])
 
 
 @pytest.mark.parametrize("k", [1, 31, 32, 33, 70])
-def test_ou_steps_take_x_from_the_chunks_and_give_it_back(k):
+def test_ou_steps_take_x_from_the_event_path_and_give_it_back(k):
     # a lowered body under OU baths steps from the event path's x and hands
-    # its own back: interval k stepped as a span gives the chunks' values
-    sigma, tau_b, x0, lengths, z = ou_chain_inputs()
-    whole = ensemble._OUChain(x0, sigma, tau_b).advance(lengths, z)
-    chain = ensemble._OUChain(x0, sigma, tau_b)
-    chain.advance(lengths[:k], z[:, :k])
-    factors = np.array(ensemble._ou_factors(lengths[k], sigma, tau_b))[:, None, None]
-    stepped = chain.steps(factors, z[:, k:k + 1])
-    rest = chain.advance(lengths[k + 1:], z[:, k + 1:])
+    # its own back: interval k stepped as a span gives the event path's values
+    sigma, tau_b, lengths, make = ou_chain_inputs()
+    whole = ou_blocks(make(), lengths)
+    bath = make()
+    ou_blocks(bath, lengths[:k])
+    stepped = bath.steps(interval_factors(lengths[k:k + 1], sigma, tau_b), bath.normals(1))
+    rest = ou_blocks(bath, lengths[k + 1:])
     for part, values in zip((stepped, rest), ((w[k:k + 1] for w in whole), (w[k + 1:] for w in whole))):
         for got, want in zip(part, values):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * sigma)
-
-
-def spy_on_ou_plans(monkeypatch, fresh=False):
-    """Whether each block of an OU chain finds its plan cached, in order;
-    with ``fresh`` the cache is emptied first, so every block builds it."""
-    hits, plan = [], ensemble._OUChain._plan
-
-    def spied(self, lengths, done):
-        if fresh:
-            self.plans.clear()
-        hits.append((done, lengths.tobytes()) in self.plans)
-        return plan(self, lengths, done)
-
-    monkeypatch.setattr(ensemble._OUChain, "_plan", spied)
-    return hits
-
-
-@pytest.mark.parametrize("cuts", [(1,), (31, 32, 33), tuple(range(1, 150))], ids=["1", "31-33", "each"])
-def test_cached_ou_plans_match_plans_built_anew(monkeypatch, cuts):
-    monkeypatch.setattr(ensemble, "_OU_CACHE", 10**6)  # keep every plan
-    hits = spy_on_ou_plans(monkeypatch)
-    sigma, tau_b, x0, lengths, z = ou_chain_inputs()
-    bounds = list(zip((0, *cuts), (*cuts, len(lengths))))
-
-    def advance(chain):
-        parts = [chain.advance(lengths[lo:hi], z[:, lo:hi]) for lo, hi in bounds]
-        return [np.concatenate(values) for values in zip(*parts)]
-
-    first = ensemble._OUChain(x0, sigma, tau_b)
-    built = advance(first)
-    again = ensemble._OUChain(x0, sigma, tau_b)
-    again.plans = first.plans
-    cached = advance(again)
-    assert len(hits) == 2 * len(bounds) and all(hits[len(bounds):])
-    np.testing.assert_array_equal(cached[0], built[0])
-    np.testing.assert_array_equal(cached[1], built[1])
-
-
-def test_ou_runs_do_not_depend_on_the_plan_cache(monkeypatch):
-    # a bangbang train read every cycle, run event by event (lowered, it
-    # draws by read intervals), repeats its blocks' patterns
-    monkeypatch.setattr(ensemble, "_LOWERED_EVENTS", 0)
-    spec = EnsembleSpec(size=20, distribution="gaussian", fwhm=500.0, seed=4)
-    noise = NoiseModel(kind="ornstein_uhlenbeck", sigma=30.0, tau_b=2e-3)
-    prog = build_bangbang(BangBangParams(tau1=0.3e-3, tau_c=0.5e-3, n_cycles=400), acquire_every=1)
-    hits = spy_on_ou_plans(monkeypatch)
-    cached = run_program(prog, spec, noise=noise, master_seed=7)
-    assert sum(hits) > len(hits) / 2
-    hits = spy_on_ou_plans(monkeypatch, fresh=True)
-    built = run_program(prog, spec, noise=noise, master_seed=7)
-    assert hits and not any(hits)
-    assert_same_run(cached, built)
+            np.testing.assert_array_equal(got, want)
 
 
 def test_ou_interval_variances_are_never_negative():
@@ -423,7 +390,8 @@ TELEGRAPH = INVARIANCE_BATHS[1]
 
 # the mixed tuple builds each finite pulse's matrices at every use; one
 # telegraph bath reads them from the run's pulse table
-@pytest.mark.parametrize("baths", [INVARIANCE_BATHS, (TELEGRAPH,)], ids=["ou+telegraph", "telegraph"])
+@pytest.mark.parametrize("baths", [INVARIANCE_BATHS, (TELEGRAPH,), (INVARIANCE_BATHS[0],)],
+                         ids=["ou+telegraph", "telegraph", "ou"])
 def test_run_is_invariant_to_draw_block(monkeypatch, baths):
     default = invariance_run(baths)
     # 3 intervals or flips per draw: every member refills many times
@@ -1177,11 +1145,15 @@ V3_ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(V3_ORACLE_CASES))
-def test_ou_lowered_bodies_match_the_filter_function_oracle(name):
+@pytest.mark.parametrize("name,path", [pytest.param(name, path, id=name if path == "lowered" else f"{name}-events")
+                                       for path in ("lowered", "events") for name in sorted(V3_ORACLE_CASES)])
+def test_ou_lowered_bodies_match_the_filter_function_oracle(monkeypatch, name, path):
     # zero-detuning members, so each read is the noiseless one with its
     # transverse part times the mean of cos(phase): z-scores of that mean
-    # against the O(n^2) filter-function integral, over 24 seeds
+    # against the O(n^2) filter-function integral, over 24 seeds; "events"
+    # runs every repeat event by event, draw scheme v2
+    if path == "events":
+        monkeypatch.setattr(ensemble, "_LOWERED_EVENTS", 0)
     prog, baths = V3_ORACLE_CASES[name]
     n = 64
     spec = EnsembleSpec(size=n, distribution="explicit", detunings=(0.0,) * n)
