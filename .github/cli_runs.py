@@ -127,6 +127,11 @@ def runs():
         config = {"sequence": sequence, "ensemble": WIDE_LINE, "noise": OU_NOISE,
                   "relaxation": {"t1_s": 0.5, "t2_s": 0.2, "z_equilibrium": 0.1}, "master_seed": 7}
         yield name, config, "simulate", []
+    # the bangbang template under a telegraph bath, relaxing toward 0: its
+    # repeats lower to arrays and draw the bath wait by wait
+    yield "bangbang-every-telegraph", {"sequence": TEMPLATES["bangbang-every"], "ensemble": WIDE_LINE,
+                                       "noise": TELEGRAPH_NOISE, "relaxation": {"t1_s": 0.5, "t2_s": 0.2},
+                                       "master_seed": 7}, "simulate", []
     for model, curve in (("single_exp", DECAY), ("stretched", DECAY), ("inv_recovery", RECOVERY)):
         yield f"fit-{model}", curve, "fit", ["--model", model]
     yield ABSOLUTE_CSV, DECAY, "fit", ["--model", "single_exp"]

@@ -5,7 +5,7 @@ the inhomogeneous line, optionally riding on its own stochastic
 detuning trajectory (Ornstein-Uhlenbeck or random telegraph).  Members
 evolve independently; observables are weighted means.  A bath has one
 implementation, the exact draw inside :func:`run_program`: per interval,
-or under OU baths alone, in a lowered repeat of waits, hard pi pulses and
+or under an OU bath, in a lowered repeat of waits, hard pi pulses and
 acquires, per read interval, the waits between two reads composed to one
 exact step (draw scheme v3).
 
@@ -16,14 +16,14 @@ states themselves move only at the other pulses.  Observables are read
 from that frame directly into the one table a run returns, whose acquire
 rows are labelled; acquire magnitudes and phases are computed from its
 rows.  A repeated cycle with no acquire is compiled when it runs with no
-bath, or holds other pulses than hard pi and fits a draw block under one
+bath, or holds other pulses than hard pi and fits a draw block under a
 telegraph bath: each member's cycle is one 3x3 map, so the states move
 once per repeat with no bath, and under a telegraph bath once per flip,
 not once per pulse.
 
 Determinism contract: a run is a pure function of (program, ensemble
 spec, noise model, relaxation, master seed).  Member ``i`` draws its
-randomness from a stream derived only from ``(master_seed, i)``, numpy's
+randomness from one stream derived only from ``(master_seed, i)``, numpy's
 ``SeedSequence(master_seed).spawn(n)[i]`` hashed for all members at once,
 and consumes it in order, its OU value is stepped one interval (or, in
 v3, one read interval) after another, each phase is one running sum in
@@ -232,11 +232,6 @@ def acquire_series(result: SimulationResult, label: str) -> tuple[np.ndarray, np
     return result.sample_times[rows], mags
 
 
-def _noise_list(noise) -> list[NoiseModel]:
-    models = [] if noise is None else [noise] if isinstance(noise, NoiseModel) else noise
-    return [m for m in models if m.kind != "none"]
-
-
 def _wait_steps(duration: float, dt: float) -> list[float]:
     """Split a wait into full dt steps plus a remainder (sum == duration).
 
@@ -257,7 +252,7 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 
 # Program events are read this many at a time: a block of single events,
 # a slice of a lowered repeat's expansion (_Body), or of its read
-# intervals under OU baths alone; a compiled repeat (_Cycle) advances the
+# intervals under an OU bath; a compiled repeat (_Cycle) advances the
 # run's time by whole iterations of about this many intervals.  Each
 # member's bath draws come this many intervals (OU) or flips (telegraph)
 # at most at a time.  It bounds memory only: each member's draws are
@@ -279,10 +274,9 @@ _MAX_MEMBER_STEPS = 2e9
 # and ~57 bytes per read summed: 14.7 kB measured for a block of _DRAW_BLOCK
 # reads, so the state array and one block of reads stay within 1 GB.
 _MAX_MEMBER_STATES = 2**16
-_BATH_STREAM_STRIDE = 2**120  # draws between the streams of one member's baths
 # Bytes of the per-member maps one run keeps (_Run.held): each finite pulse's
 # and compiled body's at the held bath levels, 72 bytes a level.  Two bodies
-# at the most levels a run holds (2**16 members, one telegraph bath's two),
+# at the most levels a run holds (2**16 members, a telegraph bath's two),
 # 18.9 MB, so a pi,-pi train keeps both pulses; past it the maps are built
 # again at every use, with bit-identical results.
 _PULSE_TABLE_BYTES = 2 * 72 * 2 * _MAX_MEMBER_STATES
@@ -331,17 +325,14 @@ def _ou_factors(h: float, sigma: float, tau_b: float) -> tuple:
 def _compose(first: tuple, then: tuple, sign: float) -> tuple:
     """The span of waits ``first`` followed by ``then``, whose switching
     function is ``sign`` (+-1) times its own.  A span is ``(duration, signed
-    duration)`` and then each OU bath's moments as :func:`_ou_span`'s: the
-    integral is the signed one, and ``b`` multiplies the value at the start
-    of ``first``."""
-    out = [first[0] + then[0], first[1] + sign * then[1]]
-    for k in range(2, len(first), 5):
-        a1, b1, xx1, xi1, ii1 = first[k:k + 5]
-        a2, b2, xx2, xi2, ii2 = then[k:k + 5]
-        b2, xi2 = sign * b2, sign * xi2
-        out += (a2 * a1, b1 + b2 * a1, a2 * a2 * xx1 + xx2, a2 * (xi1 + b2 * xx1) + xi2,
-                ii1 + b2 * (2.0 * xi1 + b2 * xx1) + ii2)
-    return tuple(out)
+    duration, a, b, var_x, cov, var_int)``, the OU bath's moments as
+    :func:`_ou_span`'s: the integral is the signed one, and ``b`` multiplies
+    the value at the start of ``first``."""
+    h1, s1, a1, b1, xx1, xi1, ii1 = first
+    h2, s2, a2, b2, xx2, xi2, ii2 = then
+    b2, xi2 = sign * b2, sign * xi2
+    return (h1 + h2, s1 + sign * s2, a2 * a1, b1 + b2 * a1, a2 * a2 * xx1 + xx2, a2 * (xi1 + b2 * xx1) + xi2,
+            ii1 + b2 * (2.0 * xi1 + b2 * xx1) + ii2)
 
 
 def _span_power(span: tuple, n: int, parity: float) -> tuple:
@@ -365,10 +356,10 @@ class _OUBath:
     its stationary start, then two standard normals per step:
     ``(z1, z2)`` per interval of the event path (draw scheme v2, by
     :func:`_ou_factors`), ``(z2, z1)`` per read interval of a lowered body
-    under OU baths alone (v3, :meth:`_Run.spans`), where ``z1`` drives the
-    value and ``z2`` is the integral's own part (:func:`_cholesky`).  Both
-    take the same :meth:`steps`, so the value passes between them exactly
-    and no value depends on the blocks.
+    (v3, :meth:`_Run.spans`), where ``z1`` drives the value and ``z2`` is
+    the integral's own part (:func:`_cholesky`).  Both take the same
+    :meth:`steps`, so the value passes between them exactly and no value
+    depends on the blocks.
     """
 
     def __init__(self, model: NoiseModel, rngs: list):
@@ -540,16 +531,16 @@ def _stream_seeds(master_seed: int, n: int) -> np.ndarray:
     return out.view("<u8").astype(np.uint64, copy=False)
 
 
-def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise, n_states: int) -> None:
+def _check_budget(program: PulseProgram, ensemble: EnsembleSpec, noise: NoiseModel | None, n_states: int) -> None:
     """Raise :class:`SimulationBudgetError` if a run would exceed
-    ``_MAX_MEMBER_STATES`` or ``_MAX_MEMBER_STEPS``."""
+    ``_MAX_MEMBER_STATES`` or ``_MAX_MEMBER_STEPS``, a telegraph bath's flips counted."""
     if ensemble.size * n_states > _MAX_MEMBER_STATES:
         raise SimulationBudgetError(
             f"{ensemble.size} members x {n_states} states exceeds the limit of "
             f"{_MAX_MEMBER_STATES} member-states; use fewer members"
         )
     n_events = program.expanded_count()
-    flips = sum(m.flip_rate for m in _noise_list(noise) if m.kind == "telegraph") * program.duration()
+    flips = noise.flip_rate * program.duration() if noise is not None and noise.kind == "telegraph" else 0
     if ensemble.size * n_states * (n_events + flips + 1) > _MAX_MEMBER_STEPS:
         raise SimulationBudgetError(
             f"{ensemble.size} members x {n_states} states x ({n_events} events + "
@@ -638,8 +629,8 @@ class _Body:
     body: its position, length and sign within the body; per read (each
     acquire, or each event under ``record="events"``): its position,
     label, the count of waits up to it, and its sign and angle within the
-    body.  Under OU baths alone the run steps by read intervals instead
-    of waits (draw scheme v3), from the composed tables of :meth:`spans`.
+    body.  Under an OU bath the run steps by read intervals instead of
+    waits (draw scheme v3), from the composed tables of :meth:`spans`.
     """
 
     def __init__(self, events: list, record: str):
@@ -667,26 +658,25 @@ class _Body:
         self.read_angle = np.array([r[4] for r in reads], dtype=float)
         self.tables: dict = {}  # see spans
 
-    def spans(self, baths: list, count: int) -> tuple:
-        """Draw scheme v3's read intervals of ``count`` iterations under OU
-        baths alone, as ``(duration, signed, drawn, factors)`` over their
+    def spans(self, bath: _OUBath, count: int) -> tuple:
+        """Draw scheme v3's read intervals of ``count`` iterations under
+        ``bath``, as ``(duration, signed, drawn, factors)`` over their
         types: the waits' summed and signed summed lengths, whether any
-        wait lies in it, and per bath ``(5, T, 1)`` :func:`_cholesky`
-        factors of its waits composed (:func:`_compose`), each signed
-        within the body.  With R reads per iteration, type ``j <= R`` is
-        the waits before read ``j`` of an iteration (``j = R``: after its
-        last read) and type ``R + 1`` the last ones of an iteration and
-        the first ones of the next, which counts with ``parity``; with no
-        read, type 0 is all ``count`` iterations, composed by doubling.
-        Built once per run, and per ``count`` with no read."""
+        wait lies in it, and the ``(5, T, 1)`` :func:`_cholesky` factors
+        of its waits composed (:func:`_compose`), each signed within the
+        body.  With R reads per iteration, type ``j <= R`` is the waits
+        before read ``j`` of an iteration (``j = R``: after its last read)
+        and type ``R + 1`` the last ones of an iteration and the first
+        ones of the next, which counts with ``parity``; with no read, type
+        0 is all ``count`` iterations, composed by doubling.  Built once
+        per run, and per ``count`` with no read."""
         key = None if len(self.read_pos) else count
         if key not in self.tables:
-            waits = {h: (h, h, *[m for b in baths for m in _ou_span(h, b.sigma, b.tau_b)])
-                     for h in set(self.wait_h.tolist())}
+            waits = {h: (h, h, *_ou_span(h, bath.sigma, bath.tau_b)) for h in set(self.wait_h.tolist())}
             bounds = (0, *self.read_waits.tolist(), len(self.wait_h))
             spans = []
             for lo, hi in zip(bounds[:-1], bounds[1:]):
-                span = (0.0, 0.0) + (1.0, 0.0, 0.0, 0.0, 0.0) * len(baths)
+                span = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
                 for h, sign in zip(self.wait_h[lo:hi].tolist(), self.wait_sign[lo:hi].tolist()):
                     span = _compose(span, waits[h], sign)
                 spans.append(span)
@@ -697,8 +687,7 @@ class _Body:
             else:
                 spans = [_span_power(spans[0], count, self.parity)]
             cols = np.array(spans).T
-            factors = [np.array(_cholesky(*cols[k:k + 5]))[:, :, None] for k in range(2, len(cols), 5)]
-            self.tables[key] = cols[0], cols[1], drawn, factors
+            self.tables[key] = cols[0], cols[1], drawn, np.array(_cholesky(*cols[2:]))[:, :, None]
         return self.tables[key]
 
     def frame(self, q: np.ndarray, alpha: float, sign: float) -> tuple:
@@ -804,26 +793,25 @@ class _Cycle:
 class _Run:
     """The state of one :func:`run_program` pass (see its docstring).
 
-    ``psi``, ``alpha``, ``sign`` and ``t_ref`` make up the toggling frame;
-    ``waits`` (bath interval, length, sign) and ``reads`` (wait count,
-    alpha, sign, tau) are those taken since the last settle.  ``levels``
-    are the detunings at which members hold their bath value through a
-    finite pulse or a compiled iteration: ``det`` with no bath, ``det +-
-    A`` interleaved with one telegraph bath (its values are exactly
-    ``+-A``), and None for an OU bath or summed baths.
+    ``noise`` is the run's bath (:class:`_OUBath`, :class:`_TelegraphBath`)
+    or None; ``psi``, ``alpha``, ``sign`` and ``t_ref`` make up the
+    toggling frame; ``waits`` (bath interval, length, sign) and ``reads``
+    (wait count, alpha, sign, tau) are those taken since the last settle.
+    ``levels`` are the detunings at which members hold their bath value
+    through a finite pulse or a compiled iteration: ``det`` with no bath,
+    ``det +- A`` interleaved with a telegraph bath (its values are
+    exactly ``+-A``), and None for an OU bath.
     """
 
-    def __init__(self, det, weights, u, baths, relax, record):
+    def __init__(self, det, weights, u, noise, relax, record):
         self.det, self.weights, self.u = det, weights, u
-        self.baths, self.relax, self.record = baths, relax, record
-        if not baths:
+        self.noise, self.relax, self.record = noise, relax, record
+        if noise is None:
             self.levels = det
-        elif len(baths) == 1 and isinstance(baths[0], _TelegraphBath):
-            self.levels = (det[:, None] + (baths[0].amplitude, -baths[0].amplitude)).ravel()
+        elif isinstance(noise, _TelegraphBath):
+            self.levels = (det[:, None] + (noise.amplitude, -noise.amplitude)).ravel()
         else:
             self.levels = None
-        # OU baths alone: lowered bodies step by read intervals (draw scheme v3)
-        self.ou = bool(baths) and not any(isinstance(b, _TelegraphBath) for b in baths)
         self.store: dict = {}  # _Cycle -> its maps at the levels
         # relaxation toward z_equilibrium != 0 does not commute with pi pulses
         self.affine = math.isfinite(relax.t1) and relax.z_equilibrium != 0.0
@@ -893,7 +881,7 @@ class _Run:
         if held is None:
             det = self.det if members is None else self.det[members]
             return body.walk(self, det if start is None else det + start)
-        return held if not self.baths else held.take(self.rows(start, members), axis=0)
+        return held if not self.noise else held.take(self.rows(start, members), axis=0)
 
     def lowered(self, rep: Repeat) -> bool:
         """Whether ``rep`` runs as one unit, not event by event.  Its body
@@ -901,7 +889,7 @@ class _Run:
 
         * compiled to per-member cycle maps (:class:`_Cycle`), under
           ``record="acquires"``: waits and pulses of any kind, no acquire,
-          no bath or one telegraph bath (the cases that hold ``levels``),
+          no bath or a telegraph bath (the cases that hold ``levels``),
           under a bath at most ``_COMPILED_INTERVALS`` bath intervals, and
           no relaxation toward a nonzero ``z_equilibrium``; or
         * lowered to arrays (:class:`_Body`): waits, hard pi pulses and
@@ -921,9 +909,9 @@ class _Run:
                               or isinstance(ev, Pulse) and ev.area == math.pi for ev in events)
                 compiles = (self.record == "acquires" and not self.affine and self.levels is not None
                             and not any(isinstance(ev, Acquire) for ev in events))
-                if compiles and not (hard_pi and self.baths):
+                if compiles and not (hard_pi and self.noise):
                     body = _Cycle(events, self.relax)
-                    if not self.baths or len(body.lengths) <= _COMPILED_INTERVALS:
+                    if not self.noise or len(body.lengths) <= _COMPILED_INTERVALS:
                         self.bodies[key] = body
                 elif hard_pi:
                     self.bodies[key] = _Body(events, self.record)
@@ -935,14 +923,11 @@ class _Run:
         return np.concatenate([[self.t], lengths]).cumsum()
 
     def draw(self, lengths: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """Draw every bath over the next intervals, between ``edges``
-        (:meth:`bath`); keep the summed integrals over them and return the
-        summed values at their starts."""
+        """Draw the bath over the next intervals, between ``edges``
+        (:meth:`bath`); keep its integrals over them and return its values
+        at their starts."""
         self.integrals = None  # settled: let the draws reuse its memory
-        starts, self.integrals = self.baths[0].block(lengths, edges)
-        for bath in self.baths[1:]:
-            more, integrals = bath.block(lengths, edges)
-            starts, self.integrals = starts + more, self.integrals + integrals
+        starts, self.integrals = self.noise.block(lengths, edges)
         return starts
 
     def read(self, label) -> None:  # a table row at t, summed at the next settle
@@ -977,7 +962,7 @@ class _Run:
             phases = np.empty((len(hs) + 1, len(self.psi)))
             phases[0] = self.psi
             angles = np.multiply(hs[:, None], self.det, out=phases[1:])
-            if self.baths:
+            if self.noise:
                 angles += self.integrals[ks]
             angles *= signs[:, None]
             # from the carried phase: bit for bit one running sum since the
@@ -997,8 +982,7 @@ class _Run:
         lengths = [
             ev.duration for ev in run
             if isinstance(ev, Wait) or isinstance(ev, Pulse) and ev.mode == "finite"
-        ] if self.baths else []
-        # summed bath values at the start of each bath interval
+        ] if self.noise else []
         starts = self.draw(np.array(lengths), self.bath(lengths)) if lengths else None
         k = 0  # index of the next bath interval in the block
         for ev in run:
@@ -1023,7 +1007,7 @@ class _Run:
                     self.u = (self.u.reshape(-1, 3) @ self.pulse_matrix(ev)).reshape(self.u.shape)
                 else:  # a finite pulse, with the bath value frozen at its start
                     # one matrix per member, applied to each of its states
-                    self.u = self.u @ self.maps(self.pulse(ev), starts[k] if self.baths else None)
+                    self.u = self.u @ self.maps(self.pulse(ev), starts[k] if self.noise else None)
                     self.t += ev.elapsed
                     self.t_ref = self.t
                     k += 1
@@ -1039,14 +1023,14 @@ class _Run:
         by the frame before its iteration, and a read takes that frame
         (:meth:`_Body.frame`, a function of the iteration alone) through
         its own sign and angle within the body.  No frame depends on the
-        blocks.  Under OU baths alone a body with a wait steps by its read
+        blocks.  Under an OU bath a body with a wait steps by its read
         intervals instead (:meth:`spans`, draw scheme v3).
         """
         body = self.bodies[id(rep.body)]
         if isinstance(body, _Cycle):
             return self.cycles(rep.count, body)
         alpha0, sign0, n_waits = self.alpha, self.sign, len(body.wait_pos)
-        if self.ou and n_waits:
+        if isinstance(self.noise, _OUBath) and n_waits:
             self.spans(rep.count, body)
         else:
             n = rep.count * body.size
@@ -1057,7 +1041,7 @@ class _Run:
                 hs = body.wait_h[j]
                 signs = body.wait_sign[j] * body.frame(q, alpha0, sign0)[1]
                 times = self.bath(hs)
-                if self.baths and len(hs):
+                if self.noise and len(hs):
                     self.draw(hs, times)
                 self.t = float(times[-1])
                 q, j = body.split(body.before(body.read_pos, p), body.before(body.read_pos, p1), body.read_ramp)
@@ -1077,17 +1061,17 @@ class _Run:
                      body.read_sign[j] * frame_signs, times - self.t_ref)
 
     def spans(self, count: int, body: _Body) -> None:
-        """Run ``count`` iterations of a lowered body with waits under OU
-        baths alone by its read intervals (draw scheme v3).
+        """Run ``count`` iterations of a lowered body with waits under an OU
+        bath by its read intervals (draw scheme v3).
 
-        Each OU bath's waits between two reads, and from the repeat's start
-        or to its end, compose to one exact step of (x, phase)
-        (:meth:`_Body.spans`), signed by the frame of the iteration it
-        begins in: each member draws two standard normals per bath per
-        interval that holds a wait, ``_DRAW_BLOCK`` intervals at a time.
-        The value ``x`` carries on from the event path and back to it.
+        The waits between two reads, and from the repeat's start or to its
+        end, compose to one exact step of (x, phase) (:meth:`_Body.spans`),
+        signed by the frame of the iteration it begins in: each member
+        draws two standard normals per interval that holds a wait,
+        ``_DRAW_BLOCK`` intervals at a time.  The value ``x`` carries on
+        from the event path and back to it.
         """
-        duration, signed, drawn, factors = body.spans(self.baths, count)
+        duration, signed, drawn, factors = body.spans(self.noise, count)
         n, per = count * len(body.read_pos), max(len(body.read_pos), 1)
         for lo in range(0, n + 1, _DRAW_BLOCK):
             i = np.arange(lo, min(lo + _DRAW_BLOCK, n + 1))  # interval i ends at read i (n: the end)
@@ -1096,9 +1080,8 @@ class _Run:
             types = np.where(i == n, len(body.read_pos), np.where(wrap, len(body.read_pos) + 1, j))
             steps = np.flatnonzero(drawn[types])
             if len(steps):  # each member's normals as (z2, z1) per interval
-                self.integrals = sum(
-                    bath.steps(f[:, types[steps]], bath.normals(len(steps))[..., ::-1])[1]
-                    for bath, f in zip(self.baths, factors))
+                z = self.noise.normals(len(steps))[..., ::-1]
+                self.integrals = self.noise.steps(factors[:, types[steps]], z)[1]
             edges = self.bath(duration[types])
             signs = np.broadcast_to(body.frame(q - wrap, self.alpha, self.sign)[1], i.shape)[steps]
             k = np.flatnonzero(i < n)
@@ -1116,7 +1099,7 @@ class _Run:
         the end of a draw block carries on into the next."""
         self.form()
         m = len(self.weights)
-        if not self.baths or not len(body.lengths):
+        if not self.noise or not len(body.lengths):
             self.u = self.u @ _power([self.maps(body)], np.arange(m), np.full(m, count))
             self.t += count * body.period
         else:
@@ -1138,7 +1121,7 @@ class _Run:
                     self.u[i[sel]] = self.u[i[sel]] @ steps[sel]
                 open_run += n
                 open_run[i[last]] = n - 1 - q[last]
-            self.u = self.u @ _power(ladder, self.rows(self.baths[0].sign), open_run)
+            self.u = self.u @ _power(ladder, self.rows(self.noise.sign), open_run)
         self.t_ref = self.t
 
     def cycle_maps(self, body: _Cycle, n: int) -> tuple:
@@ -1149,7 +1132,7 @@ class _Run:
         in the block, its bath value at the iteration's start and its map
         (:meth:`_Cycle.walk`), from the values and integrals the event path
         would draw."""
-        bath, size = self.baths[0], len(body.lengths)
+        bath, size = self.noise, len(body.lengths)
         lengths = np.tile(body.lengths, n)
         edges = self.bath(lengths)
         self.t = float(edges[-1])
@@ -1213,40 +1196,38 @@ def run_program(
     relaxation that does not commute with P.
 
     A finite pulse then multiplies each member's states by that member's
-    matrix.  With no bath, or with one telegraph bath, a member's frozen
+    matrix.  With no bath, or with a telegraph bath, a member's frozen
     bath value is 0 or exactly ``+-amplitude``, so the run holds those
     levels: each distinct finite pulse, like each compiled body below,
     builds its per-member maps at every level on first use, into one
     store kept for the run, and every use picks each member's map by the
-    sign of its bath value.  An OU bath, two or more baths, or maps that
-    would take the store past ``_PULSE_TABLE_BYTES`` (18.9 MB, two bodies
-    at 2**16 members) are built at every use instead; both ways give the
-    same bits.
+    sign of its bath value.  Under an OU bath, or where the maps would
+    take the store past ``_PULSE_TABLE_BYTES`` (18.9 MB, two bodies at
+    2**16 members), they are built at every use instead; both ways give
+    the same bits.
 
-    ``noise`` may be a single :class:`NoiseModel` or a sequence of them
-    (independent processes, detunings summed) -- e.g. two
-    Ornstein-Uhlenbeck components standing in for a structured bath.
-    Member ``i`` draws from one PCG64 stream seeded as by
-    ``SeedSequence(master_seed).spawn(n)[i]``, all members' seeds hashed
-    at once (:func:`_stream_seeds`); bath ``j`` of the member starts ``j *
-    2**120`` draws along it.
+    ``noise`` is one :class:`NoiseModel` or None; None and
+    :data:`NO_NOISE` both mean no bath, and any other type raises a
+    TypeError.  Member ``i`` draws its bath from one PCG64 stream seeded
+    as by ``SeedSequence(master_seed).spawn(n)[i]``, all members' seeds
+    hashed at once (:func:`_stream_seeds`).
     An OU bath draws two standard normals per interval (Gillespie, PRE
     54, 2084 (1996)) and steps its value one interval after another,
     ``x' = a x + l11 z1``, so its values do not depend on how the
-    intervals are split into blocks (draw scheme v2).  Under OU baths
-    alone -- no telegraph bath -- a lowered repeat (below) with a wait
-    takes draw scheme v3: per bath, the waits between two reads, and
-    from the repeat's start to its first read or from its last read to
-    its end, compose to one exact step of the member's pair (x, phase),
-    ``x' = a x + l11 z1`` and ``dphase = b x + l21 z1 + l22 z2``, signed
-    by the frame of the iteration it begins in, so each member draws two
-    normals per bath per read interval that holds a wait.  Each step's
-    factors are built once per run per kind of interval; a repeat with
-    no read is one step whatever its count, its iterations composed by
-    doubling.  Both schemes take the same step, so a bath's value passes
-    between the event path and a lowered repeat exactly.  v3 moves OU outputs statistically, not in their last bits, and
-    its streams still depend only on ``(master_seed, i)``; a telegraph
-    bath, alone or summed with OU baths, keeps draw scheme v2.
+    intervals are split into blocks (draw scheme v2).  Under an OU bath
+    a lowered repeat (below) with a wait takes draw scheme v3: the waits
+    between two reads, and from the repeat's start to its first read or
+    from its last read to its end, compose to one exact step of the
+    member's pair (x, phase), ``x' = a x + l11 z1`` and ``dphase = b x +
+    l21 z1 + l22 z2``, signed by the frame of the iteration it begins
+    in, so each member draws two normals per read interval that holds a
+    wait.  Each step's factors are built once per run per kind of
+    interval; a repeat with no read is one step whatever its count, its
+    iterations composed by doubling.  Both schemes take the same step,
+    so the bath's value passes between the event path and a lowered
+    repeat exactly.  v3 moves OU outputs statistically, not in their
+    last bits, and its streams still depend only on ``(master_seed,
+    i)``; a telegraph bath keeps draw scheme v2.
 
     ``initial_state`` is one Bloch vector ``(3,)`` or a stack ``(k, 3)``.
     A stack runs all ``k`` states through one pass: each member's bath
@@ -1297,19 +1278,19 @@ def run_program(
     rounding.
 
     Every other event is read one at a time from a lazy walk of
-    :meth:`PulseProgram.expand`.  The baths draw for the bath intervals
-    of each block at once, O(``_DRAW_BLOCK``) values per
-    member for either bath; the block's waits between two
-    materializations add to ``psi`` in one cumulative sum that starts
-    from the carried ``psi``, and its reads (the t = 0 and end rows too)
-    are summed together straight into the table.  Nothing sized by the
-    expanded program is kept but the table returned.
+    :meth:`PulseProgram.expand`.  The bath draws for the bath intervals
+    of each block at once, O(``_DRAW_BLOCK``) values per member for
+    either kind; the block's waits between two materializations add to
+    ``psi`` in one cumulative sum that starts from the carried ``psi``,
+    and its reads (the t = 0 and end rows too) are summed together
+    straight into the table.  Nothing sized by the expanded program is
+    kept but the table returned.
 
     Raises :class:`SimulationBudgetError`, before any work, when the
     ``size * k`` member-states exceed ``_MAX_MEMBER_STATES`` (2**16), or
     they times the work of each -- the expanded events
     (:meth:`PulseProgram.expanded_count`), the expected telegraph flips
-    (``flip_rate * duration`` summed over telegraph baths), and 1 to form
+    (``flip_rate * duration`` of a telegraph bath), and 1 to form
     and read the state -- exceed ``_MAX_MEMBER_STEPS`` (2e9).
     """
     if record not in ("acquires", "events"):
@@ -1318,20 +1299,19 @@ def run_program(
     if initial.shape[-1:] != (3,) or initial.ndim > 2 or initial.size == 0:
         raise ValueError(f"initial_state must be a 3-vector or a (k, 3) stack, got shape {initial.shape}")
 
-    models = _noise_list(noise)
-    _check_budget(program, ensemble, models, initial.size // 3)
+    if noise is not None and not isinstance(noise, NoiseModel):
+        raise TypeError(f"noise must be a NoiseModel or None, got {type(noise).__name__}")
+    _check_budget(program, ensemble, noise, initial.size // 3)
 
     det, weights = sample_detunings(ensemble)
-    # every member carries each initial state; all see its detuning and baths
+    # every member carries each initial state; all see its detuning and bath
     u = np.tile(initial.reshape(1, -1, 3), (len(weights), 1, 1))
-    seeds = _stream_seeds(master_seed, ensemble.size) if models else None
-    baths = []
-    for j, mod in enumerate(models):
-        bits = [np.random.PCG64(_StreamSeed(s)) for s in seeds]
-        rngs = [np.random.Generator(b.advance(j * _BATH_STREAM_STRIDE) if j else b) for b in bits]
-        baths.append((_OUBath if mod.kind == "ornstein_uhlenbeck" else _TelegraphBath)(mod, rngs))
-
-    run = _Run(det, weights, u, baths, relax, record)
+    bath = None
+    if noise is not None and noise.kind != "none":
+        rngs = [np.random.Generator(np.random.PCG64(_StreamSeed(s)))
+                for s in _stream_seeds(master_seed, ensemble.size)]
+        bath = (_OUBath if noise.kind == "ornstein_uhlenbeck" else _TelegraphBath)(noise, rngs)
+    run = _Run(det, weights, u, bath, relax, record)
     block = []
     for ev in program.expand(keep=run.lowered):
         if isinstance(ev, Repeat):
