@@ -88,8 +88,12 @@ def runs():
     """``(name, config text, subcommand, extra flags)`` of every run."""
     smoke = [(name, workloads.make(name, 11, "smoke")) for name in workloads.NAMES]
     paper = workloads.make("ou_sweep", 21, "paper")
-    for name, w in smoke + [("ou_sweep_paper", paper)]:
+    search = workloads.make("critical_point", 21, "paper")
+    for name, w in smoke + [("ou_sweep_paper", paper), ("critical_point_paper", search)]:
         yield name, w.config_text(), w.subcommand, list(w.extra_args)
+    # the search at the CLI's limit of starts (cli._MAX_STARTS), all evaluated as one batch
+    yield ("critical_point_max_starts", dict(search.config, search=dict(search.config["search"], n_starts=10_000)),
+           "critical-point", [])
     # the paper sweep over a 30 s record, the north star's scale
     yield "ou_sweep_30s", dict(paper.config, sweep=dict(paper.config["sweep"], total_time_s=30.0)), "sweep", []
     for record in ("acquires", "events"):
@@ -127,11 +131,13 @@ def runs():
         config = {"sequence": sequence, "ensemble": WIDE_LINE, "noise": OU_NOISE,
                   "relaxation": {"t1_s": 0.5, "t2_s": 0.2, "z_equilibrium": 0.1}, "master_seed": 7}
         yield name, config, "simulate", []
-    # the bangbang template under a telegraph bath, relaxing toward 0: its
-    # repeats lower to arrays and draw the bath wait by wait
-    yield "bangbang-every-telegraph", {"sequence": TEMPLATES["bangbang-every"], "ensemble": WIDE_LINE,
-                                       "noise": TELEGRAPH_NOISE, "relaxation": {"t1_s": 0.5, "t2_s": 0.2},
-                                       "master_seed": 7}, "simulate", []
+    # the bangbang template relaxing toward 0, under a telegraph bath and
+    # with none: its repeats hold acquires, so they lower to arrays and step
+    # by read intervals, summing the flips in each under the bath
+    every = {"sequence": TEMPLATES["bangbang-every"], "ensemble": WIDE_LINE,
+             "relaxation": {"t1_s": 0.5, "t2_s": 0.2}, "master_seed": 7}
+    yield "bangbang-every-telegraph", dict(every, noise=TELEGRAPH_NOISE), "simulate", []
+    yield "bangbang-every-no-bath", every, "simulate", []
     for model, curve in (("single_exp", DECAY), ("stretched", DECAY), ("inv_recovery", RECOVERY)):
         yield f"fit-{model}", curve, "fit", ["--model", model]
     yield ABSOLUTE_CSV, DECAY, "fit", ["--model", "single_exp"]

@@ -5,9 +5,10 @@ the inhomogeneous line, optionally riding on its own stochastic
 detuning trajectory (Ornstein-Uhlenbeck or random telegraph).  Members
 evolve independently; observables are weighted means.  A bath has one
 implementation, the exact draw inside :func:`run_program`: per interval,
-or under an OU bath, in a lowered repeat of waits, hard pi pulses and
-acquires, per read interval, the waits between two reads composed to one
-exact step (draw scheme v3).
+or in a lowered repeat of waits, hard pi pulses and acquires, per read
+interval: under an OU bath the waits between two reads compose to one
+exact step (draw scheme v3), and a telegraph bath's integral is summed
+from the flips in them.
 
 :func:`run_program` keeps the members in the toggling frame of the hard
 pi pulses: a wait adds each member's signed phase to one number, a pi
@@ -27,16 +28,16 @@ randomness from one stream derived only from ``(master_seed, i)``, numpy's
 ``SeedSequence(master_seed).spawn(n)[i]`` hashed for all members at once,
 and consumes it in order, its OU value is stepped one interval (or, in
 v3, one read interval) after another, each phase is one running sum in
-event order, and a compiled repeat moves each member by runs of
-iterations set by its flips alone, so results are bit-identical for any
-draw block size.  Every observable is a numpy pairwise sum over all
+event order, a lowered repeat sums each interval's flip terms in time
+order, and a compiled repeat moves each member by runs of iterations set
+by its flips alone, so results are bit-identical for any draw block
+size.  Every observable is a numpy pairwise sum over all
 members, not a BLAS call, so results do not depend on the number of
 BLAS threads either (CI diffs the outputs at 1 and 2 threads).
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import os
@@ -251,16 +252,19 @@ def _wait_steps(duration: float, dt: float) -> list[float]:
 
 
 # Program events are read this many at a time: a block of single events,
-# a slice of a lowered repeat's expansion (_Body), or of its read
-# intervals under an OU bath; a compiled repeat (_Cycle) advances the
-# run's time by whole iterations of about this many intervals.  Each
-# member's bath draws come this many intervals (OU) or flips (telegraph)
-# at most at a time.  It bounds memory only: each member's draws are
-# consumed in stream order, the OU values are stepped one interval after
-# another (_OUBath.steps), each phase is one running sum, and a compiled
-# repeat's runs between flips carry across blocks, so results never
-# depend on it.
+# or of a lowered repeat's read intervals (_Body); a compiled repeat
+# (_Cycle) advances the run's time by whole iterations of about this many
+# intervals.  Each member's bath draws come this many intervals (OU) or
+# flips (telegraph) at most at a time.  It bounds memory only: each
+# member's draws are consumed in stream order, the OU values are stepped
+# one interval after another (_OUBath.steps), each phase is one running
+# sum, a lowered interval's flip terms are summed in time order, and a
+# compiled repeat's runs between flips carry across blocks, so results
+# never depend on it.
 _DRAW_BLOCK = 256
+# A lowered repeat (_Body) sums its times t += h over whole iterations of
+# about this many waits (16 kB) at a time.  It bounds memory only.
+_TIME_CHUNK = 2048
 # A Repeat body of waits, hard pi pulses and acquires of at most this many
 # expanded events is lowered to arrays once per run (_Body).
 _LOWERED_EVENTS = 4096
@@ -411,9 +415,10 @@ class _TelegraphBath:
     sums over the rate are the flip times, so the sign is
     piecewise constant between known times and its integral over any
     interval is exact.  The flips are kept sparse: :meth:`flips` reads
-    the (member, time) pairs up to a time, and a compiled repeat steps
-    by them (:meth:`_Run.cycles`).  :meth:`block` assembles them into
-    dense per-interval values for the event path and lowered bodies.
+    the (member, time) pairs up to a time, a compiled repeat steps by
+    them (:meth:`_Run.cycles`), and a lowered body sums them into its
+    read intervals (:meth:`spans`).  :meth:`block` assembles them into
+    dense per-interval values for the event path alone.
     """
 
     def __init__(self, model: NoiseModel, rngs: list):
@@ -482,6 +487,36 @@ class _TelegraphBath:
         members, times, signs = self.flips(edges[-1])
         k = np.searchsorted(edges[1:], times)  # edges[k] < f <= edges[k + 1]
         return self.values(start, np.diff(edges)[:, None], k, members, edges[k + 1], times, signs)
+
+    def spans(self, body: "_Body", edges: np.ndarray, q0: int, first: int, signed: np.ndarray, end: float,
+              carry: np.ndarray) -> tuple:
+        """``(integrals, carry)``: the ``(L, m)`` integrals over a lowered body's
+        read intervals ``first ... first + L - 1`` (:meth:`_Run.spans`), of signed
+        lengths ``signed``, from the flips up to ``end``, each located on the
+        wait ``edges`` of iterations ``q0`` on.  With G the signed time from an
+        interval's start (:meth:`_Body.signed_time`), its integral is ``A s1
+        G(t1) + 2A sum_f s_f G(t_f)``, ``s1`` the sign at its end: by parts ``A
+        s0 G(t1) - 2A sum_f s_f [G(t1) - G(t_f)]``.  The flip terms are summed in
+        time order, interval ``first``'s from ``carry``; the new carry holds
+        those of interval ``first + L``."""
+        start = self.amplitude * self.sign
+        members, times, signs = self.flips(end)
+        if not (len(times) or len(signed)):  # nothing flips, nothing ends: the carry stands
+            return signed[:, None], carry
+        w = np.searchsorted(edges[1:], times)  # edges[w] < f <= edges[w + 1]
+        qf, jf = np.divmod(w, max(len(body.wait_h), 1))
+        n_reads = len(body.read_waits)
+        i = (q0 + qf) * n_reads + np.searchsorted(body.read_waits, jf, "right")  # the interval each lies in
+        qs, js = np.divmod(np.maximum(i - 1, 0), max(n_reads, 1))  # it begins at read i - 1 of iteration qs
+        g0 = np.where(i > 0, body.g[body.read_waits[js]], 0.0) if n_reads else 0.0  # (i = 0: at the start)
+        lever = body.signed_time(q0 + qf - qs, jf, times - edges[w]) - g0
+        shape = (len(signed) + 1, len(start))
+        terms, odd = np.zeros(shape), np.zeros(shape, dtype=bool)
+        terms[0] = carry
+        np.add.at(terms, (i - first, members), 2.0 * self.amplitude * signs * lever)
+        np.logical_xor.at(odd, (i - first, members), True)
+        ends = np.where(np.logical_xor.accumulate(odd[:-1], axis=0), -start, start)
+        return ends * signed[:, None] + terms[:-1], terms[-1].copy()
 
 
 class _StreamSeed(ISeedSequence):
@@ -610,69 +645,56 @@ def _weighted_sums(u: np.ndarray, weights: np.ndarray, phases: np.ndarray, alpha
     return means.reshape(len(means), -1)
 
 
-def _ramp(n: int) -> tuple:
-    """``(n, q, j)``: marked event ``k`` of an expansion with ``n`` marks per
-    iteration is mark ``j[k]`` of iteration ``q[k]``, for ``k`` up to ``n +
-    _DRAW_BLOCK``, so a block of marks starting at any mark of an iteration
-    is one slice."""
-    return (n, *np.divmod(np.arange(n + _DRAW_BLOCK), max(n, 1)))
-
-
 class _Body:
     """A Repeat body of waits, hard pi pulses and acquires, lowered to arrays.
 
-    Event ``p`` of the repeat's expansion is body event ``p % size`` of
-    iteration ``p // size``.  The pi pulses of the body map the frame's
-    angle ``alpha -> parity alpha + turn`` (see :func:`run_program`), and
-    those up to a point within it ``alpha -> sign alpha + angle``;
-    ``turn`` and each ``angle`` lie in [-pi, pi].  Kept per wait of the
-    body: its position, length and sign within the body; per read (each
-    acquire, or each event under ``record="events"``): its position,
-    label, the count of waits up to it, and its sign and angle within the
-    body.  Under an OU bath the run steps by read intervals instead of
-    waits (draw scheme v3), from the composed tables of :meth:`spans`.
+    The pi pulses of the body map the frame's angle ``alpha -> parity
+    alpha + turn`` (see :func:`run_program`), and those up to a point
+    within it ``alpha -> sign alpha + angle``; ``turn`` and each ``angle``
+    lie in [-pi, pi].  Kept per wait of the body: its length and sign
+    within the body, and ``g``, the signed time up to each wait (W + 1
+    entries); per read (each acquire, or each event under
+    ``record="events"``): its label, the count of waits up to it, and its
+    sign and angle within the body.  The run steps by read intervals
+    (:meth:`_Run.spans`), from the composed tables of :meth:`spans`.
     """
 
     def __init__(self, events: list, record: str):
-        self.size = len(events)
         waits, reads = [], []
         sign, angle = 1.0, 0.0
-        for pos, ev in enumerate(events):
+        for ev in events:
             if isinstance(ev, Wait):
-                waits.append((pos, ev.duration, sign))
+                waits.append((ev.duration, sign))
             elif isinstance(ev, Pulse):
                 sign, angle = -sign, _pi_angle(angle, ev.phase)
             if record == "events" or isinstance(ev, Acquire):
-                label = ev.label if isinstance(ev, Acquire) else None
-                reads.append((pos, label, len(waits), sign, angle))
+                reads.append((ev.label if isinstance(ev, Acquire) else None, len(waits), sign, angle))
         self.parity, self.turn = sign, angle
-        self.wait_pos = tuple(w[0] for w in waits)
-        self.wait_ramp = _ramp(len(waits))
-        self.wait_h = np.array([w[1] for w in waits], dtype=float)
-        self.wait_sign = np.array([w[2] for w in waits], dtype=float)
-        self.read_pos = tuple(r[0] for r in reads)
-        self.read_ramp = _ramp(len(reads))
-        self.read_labels = np.array([r[1] for r in reads], dtype=object)
-        self.read_waits = np.array([r[2] for r in reads], dtype=np.intp)
-        self.read_sign = np.array([r[3] for r in reads], dtype=float)
-        self.read_angle = np.array([r[4] for r in reads], dtype=float)
+        self.wait_h = np.array([w[0] for w in waits], dtype=float)
+        self.wait_sign = np.array([w[1] for w in waits], dtype=float)
+        self.g = np.concatenate([[0.0], np.cumsum(self.wait_sign * self.wait_h)])
+        self.read_labels = np.array([r[0] for r in reads], dtype=object)
+        self.read_waits = np.array([r[1] for r in reads], dtype=np.intp)
+        self.read_sign = np.array([r[2] for r in reads], dtype=float)
+        self.read_angle = np.array([r[3] for r in reads], dtype=float)
         self.tables: dict = {}  # see spans
 
-    def spans(self, bath: _OUBath, count: int) -> tuple:
-        """Draw scheme v3's read intervals of ``count`` iterations under
-        ``bath``, as ``(duration, signed, drawn, factors)`` over their
-        types: the waits' summed and signed summed lengths, whether any
-        wait lies in it, and the ``(5, T, 1)`` :func:`_cholesky` factors
-        of its waits composed (:func:`_compose`), each signed within the
-        body.  With R reads per iteration, type ``j <= R`` is the waits
-        before read ``j`` of an iteration (``j = R``: after its last read)
-        and type ``R + 1`` the last ones of an iteration and the first
-        ones of the next, which counts with ``parity``; with no read, type
-        0 is all ``count`` iterations, composed by doubling.  Built once
-        per run, and per ``count`` with no read."""
-        key = None if len(self.read_pos) else count
+    def spans(self, bath, count: int) -> tuple:
+        """The read intervals of ``count`` iterations under ``bath`` (or none),
+        as ``(signed, drawn, factors)`` over their types: the waits' signed summed
+        length, whether any wait lies in it, and under an OU bath the ``(5, T,
+        1)`` :func:`_cholesky` factors of its waits composed (:func:`_compose`,
+        draw scheme v3), else None; each signed within the body.  With R reads
+        per iteration, type ``j <= R`` is the waits before read ``j`` of an
+        iteration (``j = R``: after its last read) and type ``R + 1`` the last
+        ones of an iteration and the first ones of the next, which counts with
+        ``parity``; with no read, type 0 is all ``count`` iterations, composed
+        by doubling.  Built once per run, and per ``count`` with no read."""
+        key = None if len(self.read_waits) else count
         if key not in self.tables:
-            waits = {h: (h, h, *_ou_span(h, bath.sigma, bath.tau_b)) for h in set(self.wait_h.tolist())}
+            ou = isinstance(bath, _OUBath)
+            waits = {h: (h, h, *(_ou_span(h, bath.sigma, bath.tau_b) if ou else (1.0, 0.0, 0.0, 0.0, 0.0)))
+                     for h in set(self.wait_h.tolist())}
             bounds = (0, *self.read_waits.tolist(), len(self.wait_h))
             spans = []
             for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -687,7 +709,7 @@ class _Body:
             else:
                 spans = [_span_power(spans[0], count, self.parity)]
             cols = np.array(spans).T
-            self.tables[key] = cols[0], cols[1], drawn, np.array(_cholesky(*cols[2:]))[:, :, None]
+            self.tables[key] = cols[1], drawn, np.array(_cholesky(*cols[2:]))[:, :, None] if ou else None
         return self.tables[key]
 
     def frame(self, q: np.ndarray, alpha: float, sign: float) -> tuple:
@@ -698,18 +720,12 @@ class _Body:
         odd = q % 2 == 1
         return np.where(odd, self.turn - alpha, alpha), np.where(odd, -sign, sign)
 
-    def before(self, positions: tuple, p: int) -> int:
-        """How many events at body ``positions`` come before event ``p`` of the expansion."""
-        q, e = divmod(p, self.size)
-        return q * len(positions) + bisect.bisect_left(positions, e)
-
-    @staticmethod
-    def split(lo: int, hi: int, ramp: tuple) -> tuple:
-        """(iterations, body indices) of the marked events ``lo .. hi - 1`` of the
-        expansion, at most ``_DRAW_BLOCK`` of them: slices of their :func:`_ramp`."""
-        n, iterations, indices = ramp
-        q, j = divmod(lo, max(n, 1))
-        return q + iterations[j:j + hi - lo], indices[j:j + hi - lo]
+    def signed_time(self, d: np.ndarray, j: np.ndarray, part: np.ndarray) -> np.ndarray:
+        """G, the body's signed-time function: the signed time from the start
+        of an iteration to ``part`` into wait ``j`` of the ``d``-th iteration
+        after it, each wait signed in the frame of the first."""
+        odd = d % 2 if self.parity < 0 else 0
+        return (odd if self.parity < 0 else d) * self.g[-1] + (1 - 2 * odd) * (self.g[j] + self.wait_sign[j] * part)
 
 
 def _rz(cycles: np.ndarray, decay) -> np.ndarray:
@@ -917,18 +933,13 @@ class _Run:
                     self.bodies[key] = _Body(events, self.record)
         return self.bodies[key] is not None
 
-    def bath(self, lengths: np.ndarray) -> np.ndarray:
-        """The edges of the next intervals, from the run's time ``t``: bit for
-        bit the running sum ``t += h`` that every interval adds to it."""
-        return np.concatenate([[self.t], lengths]).cumsum()
-
-    def draw(self, lengths: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """Draw the bath over the next intervals, between ``edges``
-        (:meth:`bath`); keep its integrals over them and return its values
-        at their starts."""
-        self.integrals = None  # settled: let the draws reuse its memory
-        starts, self.integrals = self.noise.block(lengths, edges)
-        return starts
+    def bath(self, lengths, reps: int = 1) -> np.ndarray:
+        """The edges of the next intervals, ``lengths`` ``reps`` times, from ``t``:
+        bit for bit the running sum ``t += h`` that every interval adds to it."""
+        edges = np.empty(reps * len(lengths) + 1)
+        edges[0] = self.t
+        edges[1:].reshape(reps, len(lengths))[:] = lengths
+        return np.cumsum(edges, out=edges)
 
     def read(self, label) -> None:  # a table row at t, summed at the next settle
         self.sample_times.append(self.t)
@@ -983,7 +994,10 @@ class _Run:
             ev.duration for ev in run
             if isinstance(ev, Wait) or isinstance(ev, Pulse) and ev.mode == "finite"
         ] if self.noise else []
-        starts = self.draw(np.array(lengths), self.bath(lengths)) if lengths else None
+        starts = None
+        if lengths:  # the bath's values at each interval's start; its integrals are kept
+            self.integrals = None  # settled: let the draws reuse its memory
+            starts, self.integrals = self.noise.block(np.array(lengths), self.bath(lengths))
         k = 0  # index of the next bath interval in the block
         for ev in run:
             if isinstance(ev, Wait):
@@ -1016,78 +1030,59 @@ class _Run:
         self.settle()
 
     def repeat(self, rep: Repeat) -> None:
-        """Run a lowered repeat, ``_DRAW_BLOCK`` events of its expansion at a time.
-
-        A slice of the expansion is index arithmetic on the body's arrays:
-        wait ``w`` is body wait ``w % W`` of iteration ``w // W``, signed
-        by the frame before its iteration, and a read takes that frame
-        (:meth:`_Body.frame`, a function of the iteration alone) through
-        its own sign and angle within the body.  No frame depends on the
-        blocks.  Under an OU bath a body with a wait steps by its read
-        intervals instead (:meth:`spans`, draw scheme v3).
-        """
+        """Run a lowered repeat: a compiled body (:meth:`cycles`) or one lowered to arrays (:meth:`spans`)."""
         body = self.bodies[id(rep.body)]
-        if isinstance(body, _Cycle):
-            return self.cycles(rep.count, body)
-        alpha0, sign0, n_waits = self.alpha, self.sign, len(body.wait_pos)
-        if isinstance(self.noise, _OUBath) and n_waits:
-            self.spans(rep.count, body)
-        else:
-            n = rep.count * body.size
-            for p in range(0, n, _DRAW_BLOCK):
-                p1 = min(p + _DRAW_BLOCK, n)
-                w0 = body.before(body.wait_pos, p)
-                q, j = body.split(w0, body.before(body.wait_pos, p1), body.wait_ramp)
-                hs = body.wait_h[j]
-                signs = body.wait_sign[j] * body.frame(q, alpha0, sign0)[1]
-                times = self.bath(hs)
-                if self.noise and len(hs):
-                    self.draw(hs, times)
-                self.t = float(times[-1])
-                q, j = body.split(body.before(body.read_pos, p), body.before(body.read_pos, p1), body.read_ramp)
-                rows = q * n_waits + body.read_waits[j] - w0
-                self.body_reads(body, q, j, times[rows], hs, signs, rows)
-        alpha, sign = body.frame(np.array(rep.count), alpha0, sign0)
-        self.alpha, self.sign = math.remainder(float(alpha), 2.0 * math.pi), float(sign)
-
-    def body_reads(self, body: _Body, q, j, times, hs, signs, rows) -> None:
-        """Settle the waits ``hs`` (signed ``signs``) of a block of a lowered
-        repeat and its reads ``j`` of iterations ``q``, each at ``times``,
-        after ``rows`` of the waits, in the frame the repeat began in."""
-        alphas, frame_signs = body.frame(q, self.alpha, self.sign)
-        self.sample_times.frombytes(times.tobytes())
-        self.sample_labels.extend(body.read_labels[j].tolist())
-        self._settle(slice(None), hs, signs, rows, body.read_sign[j] * alphas + body.read_angle[j],
-                     body.read_sign[j] * frame_signs, times - self.t_ref)
+        (self.cycles if isinstance(body, _Cycle) else self.spans)(rep.count, body)
 
     def spans(self, count: int, body: _Body) -> None:
-        """Run ``count`` iterations of a lowered body with waits under an OU
-        bath by its read intervals (draw scheme v3).
+        """Run ``count`` iterations of a lowered body by its read intervals.
 
-        The waits between two reads, and from the repeat's start or to its
-        end, compose to one exact step of (x, phase) (:meth:`_Body.spans`),
-        signed by the frame of the iteration it begins in: each member
-        draws two standard normals per interval that holds a wait,
-        ``_DRAW_BLOCK`` intervals at a time.  The value ``x`` carries on
-        from the event path and back to it.
-        """
-        duration, signed, drawn, factors = body.spans(self.noise, count)
-        n, per = count * len(body.read_pos), max(len(body.read_pos), 1)
-        for lo in range(0, n + 1, _DRAW_BLOCK):
-            i = np.arange(lo, min(lo + _DRAW_BLOCK, n + 1))  # interval i ends at read i (n: the end)
-            q, j = np.divmod(i, per)
-            wrap = (j == 0) & (i > 0)  # begun in the iteration before
-            types = np.where(i == n, len(body.read_pos), np.where(wrap, len(body.read_pos) + 1, j))
-            steps = np.flatnonzero(drawn[types])
-            if len(steps):  # each member's normals as (z2, z1) per interval
-                z = self.noise.normals(len(steps))[..., ::-1]
-                self.integrals = self.noise.steps(factors[:, types[steps]], z)[1]
-            edges = self.bath(duration[types])
-            signs = np.broadcast_to(body.frame(q - wrap, self.alpha, self.sign)[1], i.shape)[steps]
-            k = np.flatnonzero(i < n)
-            rows = np.cumsum(drawn[types])[k]  # the steps up to each read
-            self.body_reads(body, q[k], j[k], edges[k + 1], signed[types[steps]], signs, rows)
+        Interval ``i`` runs from read ``i - 1`` (or the start) to read ``i``
+        (``i = n``: the end) and adds one step to ``psi``, the sign of the
+        frame it begins in times ``det signed + integral`` (:meth:`_Body.spans`):
+        no integral with no bath, v3's exact OU step of the composed waits, or
+        the sum over the flips (:meth:`_TelegraphBath.spans`).  The times are
+        the event path's running sum ``t += h``, over whole iterations of about
+        ``_TIME_CHUNK`` waits at a time, and the intervals settle ``_DRAW_BLOCK``
+        at a time: no result depends on either.  Then the frame moves on."""
+        signed, drawn, factors = body.spans(self.noise, count)
+        n_reads, n_waits = len(body.read_waits), len(body.wait_h)
+        n, per = count * n_reads, max(n_reads, 1)
+        carry = np.zeros(len(self.det))  # telegraph: the flip terms of the interval under way
+        chunk = max(1, _TIME_CHUNK // n_waits) if n_waits else count
+        for q0 in range(0, count, chunk):
+            q1 = min(q0 + chunk, count)
+            edges = self.bath(body.wait_h, q1 - q0)
             self.t = float(edges[-1])
+            top = q1 * n_reads + (q1 == count)  # intervals up to top - 1 end in iterations q0 ... q1 - 1
+            if top == q0 * n_reads and isinstance(self.noise, _TelegraphBath):  # none ends: the flips carry
+                carry = self.noise.spans(body, edges, q0, top, signed[:0], self.t, carry)[1]
+            for lo in range(q0 * n_reads, top, _DRAW_BLOCK):
+                i = np.arange(lo, min(lo + _DRAW_BLOCK, top))
+                q, j = np.divmod(i, per)
+                wrap = (j == 0) & (i > 0)  # begun in the iteration before
+                types = np.where(i == n, n_reads, np.where(wrap, n_reads + 1, j))
+                steps = np.flatnonzero(drawn[types])
+                k = np.flatnonzero(i < n)  # the intervals that end at a read
+                times = edges[(q[k] - q0) * n_waits + body.read_waits[j[k]]]
+                if isinstance(self.noise, _OUBath) and len(steps):  # each member's normals as (z2, z1)
+                    z = self.noise.normals(len(steps))[..., ::-1]
+                    self.integrals = self.noise.steps(factors[:, types[steps]], z)[1]
+                elif isinstance(self.noise, _TelegraphBath):  # flips to the last read, or to the iterations' end
+                    end = edges[-1] if lo + _DRAW_BLOCK >= top else times[-1]
+                    integrals, carry = self.noise.spans(body, edges, q0, lo, signed[types], end, carry)
+                    self.integrals = integrals[steps]
+                signs = np.broadcast_to(body.frame(q - wrap, self.alpha, self.sign)[1], i.shape)[steps]
+                alphas, frame_signs = body.frame(q[k], self.alpha, self.sign)
+                j = j[k]
+                self.sample_times.frombytes(times.tobytes())
+                self.sample_labels.extend(body.read_labels[j].tolist())
+                self._settle(slice(None), signed[types[steps]], signs, np.cumsum(drawn[types])[k],
+                             body.read_sign[j] * alphas + body.read_angle[j], body.read_sign[j] * frame_signs,
+                             times - self.t_ref)
+            edges = None  # let the next iterations' times reuse its memory
+        alpha, sign = body.frame(np.array(count), self.alpha, self.sign)
+        self.alpha, self.sign = math.remainder(float(alpha), 2.0 * math.pi), float(sign)
 
     def cycles(self, count: int, body: _Cycle) -> None:
         """Run ``count`` iterations of a compiled body (see :func:`run_program`):
@@ -1133,8 +1128,7 @@ class _Run:
         (:meth:`_Cycle.walk`), from the values and integrals the event path
         would draw."""
         bath, size = self.noise, len(body.lengths)
-        lengths = np.tile(body.lengths, n)
-        edges = self.bath(lengths)
+        edges = self.bath(body.lengths, n)
         self.t = float(edges[-1])
         members, times, signs = bath.flips(edges[-1])
         k = np.searchsorted(edges[1:], times)  # edges[k] < f <= edges[k + 1]
@@ -1242,11 +1236,13 @@ def run_program(
     (at most ``_LOWERED_EVENTS`` of them expanded), and no wait if T1
     relaxes toward a nonzero ``z_equilibrium``, is lowered once per run
     to arrays of its waits and reads (:class:`_Body`), unless it compiles
-    (below).  A block of its expansion is then slices of those arrays: no
-    event is dispatched, the frame before iteration q is ``alpha + q
-    turn`` (an even count of pi pulses per iteration, ``turn`` the angle
-    they add) or alternates between ``alpha`` and ``turn - alpha`` (an
-    odd count), and the reads are appended in bulk.
+    (below).  It then runs by read intervals: no event is dispatched, the
+    frame before iteration q is ``alpha + q turn`` (an even count of pi
+    pulses per iteration, ``turn`` the angle they add) or alternates
+    between ``alpha`` and ``turn - alpha`` (an odd count), each interval
+    adds one step to each member's phase (v3's under an OU bath, the sum
+    over its flips under a telegraph bath), and the reads are appended in
+    bulk at the event path's times: O(reads + flips) per member.
 
     Under ``record="acquires"``, a ``Repeat`` whose body holds waits and
     pulses of any kind but no acquire (at most ``_LOWERED_EVENTS``

@@ -89,6 +89,8 @@ class SpinSystem:
         hq = np.einsum("kl,kab,lbc->ac", q, _IOPS, _IOPS)
         object.__setattr__(self, "_h_quad", hq)
         object.__setattr__(self, "_zeeman", np.einsum("kl,lab->kab", m, _IOPS))
+        # rows[a, 6 k + b] = <a|A_k|b>: a bra times it is every <p|A_k|b> at once
+        object.__setattr__(self, "_zeeman_rows", self._zeeman.transpose(1, 0, 2).reshape(_DIM, 3 * _DIM))
 
 
 class DegenerateLevelsError(ValueError):
@@ -129,12 +131,13 @@ def _derivatives(system: SpinSystem, b: np.ndarray, i: int, j: int):
     """
     w, v = np.linalg.eigh(hamiltonian_matrix(system, b))
     levels = [i, j]
-    # a[n, k, p, m] = <p|A_k|m> for p in (i, j)
-    a = np.einsum("nap,kab,nbm->nkpm", v[:, :, levels].conj(), system._zeeman, v)
+    # a[n, p, k, m] = <p|A_k|m> for p in (i, j): two stacked products per point
+    bras = v[:, :, levels].conj().transpose(0, 2, 1) @ system._zeeman_rows  # (n, 2, 18)
+    a = (bras.reshape(-1, 2 * 3, _DIM) @ v).reshape(-1, 2, 3, _DIM)
     de = w[:, levels, None] - w[:, None, :]  # E_p - E_m, exactly 0 for m = p
     inv = np.divide(1.0, de, out=np.zeros_like(de), where=de != 0.0)
-    second = 2.0 * np.einsum("nkpm,nlpm,npm->npkl", a, a.conj(), inv).real
-    grad = a[:, :, 1, j].real - a[:, :, 0, i].real
+    second = 2.0 * np.einsum("npkm,nplm,npm->npkl", a, a.conj(), inv).real
+    grad = a[:, 1, :, j].real - a[:, 0, :, i].real
     gap = np.where(np.eye(_DIM, dtype=bool)[levels], math.inf, np.abs(de)).min(axis=-1)
     return grad, second[:, 1] - second[:, 0], gap
 

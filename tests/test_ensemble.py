@@ -513,6 +513,113 @@ def test_lowered_repeats_match_the_event_path(monkeypatch, name, noise, record):
     np.testing.assert_allclose(lowered.mean_bloch, stepped.mean_bloch, rtol=1e-12, atol=1e-15)
 
 
+# read-free repeats under a telegraph bath: each is one read interval, an
+# odd pi count alternating the switching sign from iteration to iteration
+READ_FREE_PROGRAMS = {
+    "read-free-odd": "pulse area=pi/2 phase=0; repeat 301 { wait 0.2ms; pulse area=pi phase=45deg }; "
+                     "wait 0.1ms; acquire b",
+    "read-free-even": "pulse area=pi/2 phase=0; wait 0.1ms; repeat 150 { pulse area=pi phase=0; wait 0.3ms; "
+                      "pulse area=pi phase=90; wait 0.1ms }; acquire b",
+}
+
+
+def lowered_and_stepped(monkeypatch, program, noise, record="acquires"):
+    """One run of ``program`` with its repeats lowered, one event by event."""
+    def run():
+        spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=800.0, seed=2)
+        return run_program(parse(program), spec, noise=noise, master_seed=3,
+                           relax=RelaxationParams(t1=0.4, t2=0.05), record=record,
+                           initial_state=np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]))
+
+    lowered = run()
+    monkeypatch.setattr(ensemble, "_LOWERED_EVENTS", 0)
+    stepped = run()
+    monkeypatch.undo()
+    assert lowered.sample_labels == stepped.sample_labels
+    np.testing.assert_array_equal(lowered.sample_times, stepped.sample_times)
+    assert lowered.duration == stepped.duration
+    return lowered, stepped
+
+
+@pytest.mark.parametrize("record", ["acquires", "events"])
+@pytest.mark.parametrize("name", sorted(LOWERING_PROGRAMS))
+def test_lowered_ou_repeats_keep_the_event_paths_times(monkeypatch, name, record):
+    # v3 draws per read interval and the event path per wait, so the means
+    # differ; the times are one running sum of the waits on both paths
+    lowered_and_stepped(monkeypatch, LOWERING_PROGRAMS[name], OU, record)
+
+
+@pytest.mark.parametrize("name", sorted(READ_FREE_PROGRAMS))
+def test_read_free_telegraph_repeats_match_the_event_path(monkeypatch, name):
+    # the flips of 60-120 ms at 3000 flips/s, summed into one interval
+    lowered, stepped = lowered_and_stepped(monkeypatch, READ_FREE_PROGRAMS[name], TELEGRAPH)
+    np.testing.assert_allclose(lowered.mean_bloch, stepped.mean_bloch, rtol=1e-12, atol=1e-15)
+
+
+def spy_on_lowered_telegraph(monkeypatch):
+    """``{"block": [...], "rows": [...]}``, appended to as runs go: the
+    intervals of each dense telegraph block drawn, and the phase rows of
+    each settle."""
+    seen = {"block": [], "rows": []}
+    block, settle = ensemble._TelegraphBath.block, ensemble._Run._settle
+
+    def counted_block(self, lengths, edges):
+        seen["block"].append(len(lengths))
+        return block(self, lengths, edges)
+
+    def counted_settle(self, ks, hs, *args):
+        seen["rows"].append(len(hs))
+        return settle(self, ks, hs, *args)
+
+    monkeypatch.setattr(ensemble._TelegraphBath, "block", counted_block)
+    monkeypatch.setattr(ensemble._Run, "_settle", counted_settle)
+    return seen
+
+
+def test_lowered_telegraph_bodies_step_by_read_intervals(monkeypatch):
+    # a lowered body sums each member's sparse flips into its read
+    # intervals: no dense block, and one phase row per read interval
+    seen = spy_on_lowered_telegraph(monkeypatch)
+    spec = EnsembleSpec(size=4, distribution="gaussian", fwhm=2000.0, seed=1)
+    slow = NoiseModel(kind="telegraph", amplitude=2.0, flip_rate=20.0)
+    cycle = "pulse area=pi phase=0; wait 1us; pulse area=-pi phase=0; wait 1us"
+    end = run_program(parse(f"repeat 200000 {{ {cycle} }}"), spec, noise=slow, master_seed=3)
+    assert end.duration == pytest.approx(0.4, rel=1e-10)  # the running sum of 400,000 waits
+    assert sum(seen["rows"]) == 1 and seen["block"] == []  # one read interval, no dense block
+    seen["rows"].clear()
+    res = run_program(parse(LOWERING_PROGRAMS["bangbang"]), spec, noise=TELEGRAPH, master_seed=3)
+    assert sum(seen["rows"]) == 1 + 7 + 1  # the wait before the repeat, 7 reads and the wait after the last
+    assert len(res.sample_times) == 7 + 2 and seen["block"] == [1]  # the wait before the repeat
+    seen["block"].clear()
+    for name in READ_FREE_PROGRAMS:
+        run_program(parse(READ_FREE_PROGRAMS[name]), spec, noise=TELEGRAPH, master_seed=3)
+    assert seen["block"] == [1, 1]  # each program's one wait outside its repeat
+    monkeypatch.setattr(ensemble, "_LOWERED_EVENTS", 0)
+    run_program(parse(f"repeat 3 {{ {cycle} }}"), spec, noise=slow, master_seed=3)
+    assert seen["block"][-1] == 6  # event by event, the bath is drawn dense
+
+
+@pytest.mark.parametrize("noise", [None, TELEGRAPH, OU], ids=["none", "telegraph", "ou"])
+def test_lowered_runs_are_invariant_to_the_time_chunk(monkeypatch, noise):
+    # the times are one running sum and each interval's flip terms one sum
+    # in time order, however the iterations and intervals are chunked
+    program = f"{LOWERING_PROGRAMS['nested']}; {READ_FREE_PROGRAMS['read-free-odd']}"
+    spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=800.0, seed=2)
+
+    def run():
+        return run_program(parse(program), spec, noise=noise, master_seed=3,
+                           relax=RelaxationParams(t1=0.4, t2=0.05))
+
+    default = run()
+    for chunk, block in ((1, 256), (5, 2), (2**20, 1)):
+        monkeypatch.setattr(ensemble, "_TIME_CHUNK", chunk)
+        monkeypatch.setattr(ensemble, "_DRAW_BLOCK", block)
+        chunked = run()
+        assert_same_run(default, chunked)
+        np.testing.assert_array_equal(default.sample_times, chunked.sample_times)
+        assert default.duration == chunked.duration
+
+
 FINITE_PI = "pulse rabi=50kHz duration=10us phase={}".format
 COMPILED_PROGRAMS = {
     "pi-pi": f"pulse area=pi/2 phase=0; wait 0.2ms; repeat 40 {{ {FINITE_PI(0)}; wait 0.3ms; "
@@ -708,9 +815,9 @@ def test_bodies_longer_than_a_draw_block_compile_their_inner_repeats(monkeypatch
     seen = spy_on_compiled_repeats(monkeypatch)
     drawn, bath = [], ensemble._Run.bath
 
-    def counted_bath(self, lengths):
-        drawn.append(len(lengths))
-        return bath(self, lengths)
+    def counted_bath(self, lengths, reps=1):
+        drawn.append(reps * len(lengths))
+        return bath(self, lengths, reps)
 
     monkeypatch.setattr(ensemble._Run, "bath", counted_bath)
     spec = EnsembleSpec(size=50, distribution="gaussian", fwhm=2000.0, seed=2)
@@ -731,7 +838,7 @@ def test_bodies_longer_than_a_draw_block_compile_their_inner_repeats(monkeypatch
 
 def test_compiled_telegraph_repeats_never_build_dense_draws(monkeypatch):
     # a compiled repeat reads each member's flips sparse; the dense
-    # (intervals, members) block serves only the event path and _Body
+    # (intervals, members) block serves only the event path
     seen = spy_on_compiled_repeats(monkeypatch)
     blocks, block = [], ensemble._TelegraphBath.block
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from blochdd import hamiltonian
 from blochdd.hamiltonian import (
     CriticalPointResult,
     DegenerateLevelsError,
@@ -340,6 +341,18 @@ def test_batch_frequencies_match_scalar():
     batch = transition_frequency(SYNTH, pts, 1, 4)
     for k in range(10):
         assert batch[k] == pytest.approx(transition_frequency(SYNTH, pts[k], 1, 4), rel=1e-12)
+
+
+def test_derivatives_do_not_depend_on_the_batch():
+    # the search evaluates its starts together: each point's gradient,
+    # Hessian and gaps must be the bits it has when evaluated alone
+    rng = np.random.default_rng(16)
+    pts = B_CP_NOMINAL + rng.uniform(-400, 400, (300, 3))
+    grad, hess, gap = hamiltonian._derivatives(SYNTH, pts, 2, 3)
+    for k in range(len(pts)):
+        one = hamiltonian._derivatives(SYNTH, pts[k:k + 1], 2, 3)
+        for alone, batched in zip(one, (grad, hess, gap)):
+            np.testing.assert_array_equal(alone[0], batched[k])
 
 
 def test_hamiltonian_is_hermitian():
