@@ -106,6 +106,12 @@ def runs():
     long = {key: value for key, value in SIMULATE.items() if key != "relaxation"}
     long["sequence"] = {"dsl": SIMULATE["sequence"]["dsl"].replace("repeat 40 ", "repeat 400 ")}
     yield "simulate-ou-long", long, "simulate", []
+    # SIMULATE on the two lines that no other run draws: explicit detunings,
+    # and a lorentzian (gauss_quadrature is left out: it needs scipy)
+    explicit = {"size": 4, "distribution": "explicit", "detunings_hz": [-310.0, -25.0, 40.0, 420.0]}
+    lorentzian = {"size": 64, "distribution": "lorentzian", "fwhm_hz": 500.0, "seed": 3}
+    yield "simulate-explicit-line", dict(SIMULATE, ensemble=explicit), "simulate", []
+    yield "simulate-lorentzian-line", dict(SIMULATE, ensemble=lorentzian), "simulate", []
     yield "tomo-finite", TOMO_FINITE, "tomography", ["--n-list", "0,1,2,10,100"]
     # a master seed of two 32-bit words: the member streams hash both
     wide = dict(TOMO_FINITE, master_seed=2**40 + 7)
@@ -127,6 +133,11 @@ def runs():
     # event by event and its inner repeat compiles
     nested = echo(f"repeat 3 {{ repeat 100 {{ {FINITE_CYCLE} }} }}", noise=TELEGRAPH_NOISE)
     yield "nested-repeat", nested, "simulate", []
+    # acquires two repeat levels deep under a telegraph bath: the outer body
+    # is lowered with its inner repeat unrolled, and steps by read intervals
+    deep = echo(f"repeat 5 {{ repeat 4 {{ {HARD_CYCLE}; acquire a }}; wait 0.3ms; acquire b }}",
+                noise=TELEGRAPH_NOISE, relaxation=SLOW_RELAXATION)
+    yield "deep-acquires-telegraph", deep, "simulate", []
     for name, sequence in TEMPLATES.items():
         config = {"sequence": sequence, "ensemble": WIDE_LINE, "noise": OU_NOISE,
                   "relaxation": {"t1_s": 0.5, "t2_s": 0.2, "z_equilibrium": 0.1}, "master_seed": 7}

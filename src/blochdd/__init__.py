@@ -9,8 +9,8 @@ Subpackage map:
   ``Pulse``, ``Wait``, ``Acquire``, ``Repeat``), text language, canonical
   sequence builders.
 * :mod:`blochdd.ensemble` -- inhomogeneous ensembles, stochastic baths
-  drawn exactly per interval inside deterministic seeded program runs,
-  analytic dephasing expressions.
+  drawn exactly per interval or read interval inside deterministic
+  seeded program runs, analytic dephasing expressions.
 * :mod:`blochdd.tomography` -- Pauli-transfer-matrix process tomography
   of simulated channels.
 * :mod:`blochdd.hamiltonian` -- I=5/2 quadrupole+Zeeman Hamiltonian,
@@ -34,7 +34,6 @@ from .sequences import (
     build_hahn_echo,
     build_inversion_recovery,
     parse,
-    serialize,
 )
 from .ensemble import (
     EnsembleSpec,

@@ -15,11 +15,12 @@ Rotation matrices act on row vectors: ``v' = v @ M``, so row ``j`` of
 stacked ``matmul``, which is how :func:`blochdd.ensemble.run_program`
 applies a per-member pulse to all of a member's states at once.
 Free evolution and relaxation live in ``run_program``, which draws each
-member's bath exactly once per interval.  It sums the phases of the
-waits in the toggling frame of its hard pi pulses and rotates the states
-about z by such a sum itself, before a pulse that leaves that frame; a
-finite pulse takes the bath value into :func:`finite_pulse_matrix`, once
-per distinct pulse and bath value where it can.
+member's bath exactly, per interval or per read interval of a lowered
+repeat.  It sums the phases of the waits in the toggling frame of its
+hard pi pulses and rotates the states about z by such a sum itself,
+before a pulse that leaves that frame; a finite pulse takes the bath
+value into :func:`finite_pulse_matrix`, once per distinct pulse and bath
+value where it can.
 
 Conventions (fixed once, used everywhere in this package):
 

@@ -1,8 +1,8 @@
 """Pulse-program representation, textual language, and sequence builders.
 
 A program is an ordered tuple of events: ``Pulse``, ``Wait``, ``Acquire``
-and ``Repeat`` (one nesting level of acquires inside repeats is allowed,
-so decay curves can be read out once per cycle).  A ``Pulse`` is hard
+and ``Repeat``, which may nest and hold acquires at any depth, so decay
+curves can be read out once per cycle.  A ``Pulse`` is hard
 (``area``) or finite (``rabi`` and ``duration``) about the equatorial
 axis at ``phase``.  Each event checks its own values when it is made:
 every pulse value and every wait must be finite, and a repeat's count
@@ -44,10 +44,6 @@ parameter.  Nor is a statement keyword, so a bare number may end a
 statement with no separator before the next (``wait 3 pulse area=pi``).
 A negative ``area`` is normalized to a positive area with the phase
 advanced by pi (same axis, reversed sense).
-
-``serialize`` emits the canonical form: seconds/hertz/radians with
-explicit unit suffixes at 17 significant digits, so
-``parse(serialize(p)) == p`` exactly.
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ __all__ = [
     "PulseProgram",
     "SequenceError",
     "parse",
-    "serialize",
     "PulseSpec",
     "HARD_PULSES",
     "BangBangParams",
@@ -148,10 +143,6 @@ class Repeat:
         if not isinstance(self.count, int) or self.count < 1:
             raise ValueError(f"repeat count must be a positive integer, got {self.count}")
         object.__setattr__(self, "body", tuple(self.body))
-        # an inner repeat has checked its own body, so one level down suffices
-        if any(isinstance(ev, Repeat) and any(isinstance(e, Acquire) for e in ev.body)
-               for ev in self.body):
-            raise ValueError("acquire events may sit at most one repeat level deep")
 
 
 @dataclass(frozen=True)
@@ -228,16 +219,16 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# The units of each quantity, as factors to its SI unit, which comes first
-# and is the one serialize writes.  A bare number is SI, and a bare angle is
-# in degrees (the NMR convention).  ``pi`` may stand alone and take a divisor.
+# The units of each quantity, as factors to its SI unit.  A bare number is
+# SI, and a bare angle is in degrees (the NMR convention).  ``pi`` may stand
+# alone and take a divisor.
 _UNITS = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6},
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
     "angle": {"rad": 1.0, "deg": math.pi / 180, "pi": math.pi},
 }
-# The quantity of each pulse parameter, in serialize's order.  Inside a
-# pulse these names start the next parameter and are never read as units.
+# The quantity of each pulse parameter.  Inside a pulse these names start
+# the next parameter and are never read as units.
 _PULSE_PARAMS = {"area": "angle", "rabi": "frequency", "duration": "time", "phase": "angle"}
 # The statement keywords: each starts the next statement, never a unit.
 _STATEMENTS = ("pulse", "wait", "acquire", "repeat")
@@ -401,40 +392,6 @@ class _Parser:
 def parse(text: str) -> PulseProgram:
     """Parse sequence-language source into a :class:`PulseProgram`."""
     return PulseProgram(_Parser(text).parse_program())
-
-
-# ---------------------------------------------------------------------------
-# serialization (canonical form)
-# ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    # 17 significant digits: exact float round-trip, well past the
-    # 12-digit minimum the canonical form guarantees.
-    return format(float(x), ".16e")
-
-
-def _statements(events, pad: str = ""):
-    """The canonical lines of ``events``, a repeat's body indented by two spaces."""
-    for ev in events:
-        if isinstance(ev, Pulse):
-            params = (f"{name}={_fmt(getattr(ev, name))}{next(iter(_UNITS[kind]))}"
-                      for name, kind in _PULSE_PARAMS.items() if getattr(ev, name) is not None)
-            yield f"{pad}pulse {' '.join(params)}"
-        elif isinstance(ev, Wait):
-            yield f"{pad}wait {_fmt(ev.duration)}s"
-        elif isinstance(ev, Acquire):
-            yield f"{pad}acquire {ev.label}"
-        elif isinstance(ev, Repeat):
-            yield f"{pad}repeat {ev.count} {{"
-            yield from _statements(ev.body, pad + "  ")
-            yield f"{pad}}}"
-        else:
-            raise TypeError(f"unknown event type {type(ev).__name__}")
-
-
-def serialize(program: PulseProgram) -> str:
-    """Canonical one-statement-per-line form; inverse of :func:`parse`."""
-    return "\n".join(_statements(program.events)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,13 @@ LOWERING_PROGRAMS = {
     # pi at 0 and 30 degrees: the frame turns 60 degrees per iteration
     "rotating": "pulse area=pi/2 phase=0; repeat 13 { pulse area=pi phase=0; wait 0.1ms; acquire a; "
                 "pulse area=pi phase=30; wait 0.2ms }; wait 0.1ms; acquire b",
+    # acquires two repeat levels deep: the outer body is lowered with its inner repeat unrolled
+    "deep": "pulse area=pi/2 phase=0; repeat 4 { repeat 3 { pulse area=pi phase=0; wait 0.2ms; "
+            "pulse area=pi phase=180; wait 0.2ms; acquire a }; wait 0.1ms; acquire b }; acquire c",
+    # the outer body expands to 4,102 events, past _LOWERED_EVENTS: it runs
+    # event by event, and its inner repeat, acquire and all, is lowered
+    "deep-long": "pulse area=pi/2 phase=0; repeat 2 { repeat 820 { pulse area=pi phase=0; wait 20us; "
+                 "pulse area=pi phase=180; wait 20us; acquire a }; wait 0.1ms; acquire b }; acquire c",
 }
 
 
