@@ -121,6 +121,13 @@ def runs():
     # stretches last tens of cycles, and a compiled repeat steps by flips
     slow = dict(TOMO_FINITE, noise={"kind": "telegraph", "amplitude_hz": 2.0, "flip_rate_hz": 20.0})
     yield "tomo-telegraph-long", slow, "tomography", ["--n-list", "0,1,10,100,1000,10000"]
+    # the series with hard pulses on 4 members at 0.05 flips/s: its repeats
+    # hold no read, so they lower to arrays, and most of their time chunks
+    # end no read interval and hold no flip: the telegraph bath's read-free
+    # fast paths (in _Run.spans and _TelegraphBath.spans)
+    rare = dict(TOMO_FINITE, pulses={"mode": "hard"}, ensemble=dict(TOMO_FINITE["ensemble"], size=4),
+                noise={"kind": "telegraph", "amplitude_hz": 2.0, "flip_rate_hz": 0.05})
+    yield "tomo-hard-rare-flips", rare, "tomography", ["--n-list", "0,1,10,100,1000,10000"]
     # a compiled finite-pulse repeat with no bath and T1/T2 toward 0: one
     # power of each member's cycle map
     finite = echo(f"repeat 2000 {{ {FINITE_CYCLE} }}", relaxation=SLOW_RELAXATION)

@@ -38,6 +38,7 @@ Conventions (fixed once, used everywhere in this package):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,20 @@ __all__ = [
     "rotate",
     "rotation_matrix",
 ]
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number; a bool or a str is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_real(owner, *names) -> None:
+    """Raise a TypeError naming the first of ``owner``'s fields ``names``
+    that is given (not None) but is not a real number."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not _real(value):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,7 @@ class RelaxationParams:
     z_equilibrium: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_real(self, "t1", "t2", "z_equilibrium")
         if not self.t1 > 0:
             raise ValueError(f"t1 must be positive, got {self.t1}")
         if not self.t2 > 0:

@@ -206,13 +206,16 @@ def read_ensemble(cfg: dict, errors: list) -> ensemble.EnsembleSpec | None:
     )
 
 
-def read_noise(cfg: dict, errors: list) -> ensemble.NoiseModel:
+def read_noise(cfg: dict, errors: list) -> ensemble.NoiseModel | None:
+    """The noise model; None when the section or the model is invalid."""
+    n_errors = len(errors)
     doc = _section(cfg, "noise", errors)
-    return _make(
+    noise = _make(
         errors, "noise", ensemble.NoiseModel, kind=doc.get("kind", "none"),
         sigma=doc.get("sigma_hz", 0.0), tau_b=doc.get("tau_b_s"),
         amplitude=doc.get("amplitude_hz", 0.0), flip_rate=doc.get("flip_rate_hz"),
-    ) or ensemble.NO_NOISE
+    )
+    return noise if len(errors) == n_errors else None
 
 
 def read_relaxation(cfg: dict, errors: list) -> RelaxationParams | None:
@@ -395,7 +398,7 @@ def parse_sweep_config(cfg: dict) -> dict:
     errors: list[str] = []
     programs = read_sweep(cfg, errors, read_pulses(cfg, errors))
     kw = _ensemble_run(cfg, errors)
-    if kw["noise"].kind == "none":
+    if kw["noise"] is not None and kw["noise"].kind == "none":
         errors.append("sweep needs a stochastic noise model (noise.kind != 'none')")
     _check(errors)
     _check_within_budget("sweep", programs.values(), kw, n_states=1)

@@ -7,8 +7,9 @@ evolve independently; observables are weighted means.  A bath has one
 implementation, the exact draw inside :func:`run_program`: per interval,
 or in a lowered repeat of waits, hard pi pulses and acquires, per read
 interval: under an OU bath the waits between two reads compose to one
-exact step (draw scheme v3), and a telegraph bath's integral is summed
-from the flips in them.
+exact step (draw scheme v3).  A telegraph bath's integral over any
+interval, of the event path, a compiled repeat or a lowered one, is one
+sum by parts over the flips in it (:meth:`_TelegraphBath.values`).
 
 :func:`run_program` keeps the members in the toggling frame of the hard
 pi pulses: a wait adds each member's signed phase to one number, a pi
@@ -28,7 +29,7 @@ randomness from one stream derived only from ``(master_seed, i)``, numpy's
 ``SeedSequence(master_seed).spawn(n)[i]`` hashed for all members at once,
 and consumes it in order, its OU value is stepped one interval (or, in
 v3, one read interval) after another, each phase is one running sum in
-event order, a lowered repeat sums each interval's flip terms in time
+event order, each interval's telegraph flip terms are summed in time
 order, and a compiled repeat moves each member by runs of iterations set
 by its flips alone, so results are bit-identical for any draw block
 size.  Every observable is a numpy pairwise sum over all
@@ -50,7 +51,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use: load it with the package, not in a run
 from numpy.random.bit_generator import ISeedSequence
 
-from .bloch import NO_RELAXATION, RelaxationParams, finite_pulse_matrix, rotate
+from .bloch import NO_RELAXATION, RelaxationParams, _check_real, _real, finite_pulse_matrix, rotate
 from .sequences import Acquire, Pulse, PulseProgram, Repeat, Wait
 
 __all__ = [
@@ -98,6 +99,12 @@ class EnsembleSpec:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_real(self, "fwhm")
+        if self.detunings is not None:
+            listed = isinstance(self.detunings, (list, tuple)) or (
+                isinstance(self.detunings, np.ndarray) and self.detunings.ndim == 1)
+            if not (listed and all(map(_real, self.detunings))):
+                raise TypeError(f"detunings must be a sequence of real numbers, got {self.detunings!r}")
         if self.distribution not in ("gaussian", "lorentzian", "explicit"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.sampling not in ("monte_carlo", "gauss_quadrature"):
@@ -165,6 +172,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "ornstein_uhlenbeck", "telegraph"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        _check_real(self, "sigma", "tau_b", "amplitude", "flip_rate")
         if self.kind == "none":
             return
         if self.kind == "ornstein_uhlenbeck":
@@ -415,10 +423,12 @@ class _TelegraphBath:
     sums over the rate are the flip times, so the sign is
     piecewise constant between known times and its integral over any
     interval is exact.  The flips are kept sparse: :meth:`flips` reads
-    the (member, time) pairs up to a time, a compiled repeat steps by
-    them (:meth:`_Run.cycles`), and a lowered body sums them into its
-    read intervals (:meth:`spans`).  :meth:`block` assembles them into
-    dense per-interval values for the event path alone.
+    the (member, time) pairs up to a time, and :meth:`values`, the one
+    sum of an interval's flips, integrates them by parts from the signed
+    time of each in its interval: on the event path's intervals
+    (:meth:`block`), in a compiled repeat's iterations that flip
+    (:meth:`_Run.cycle_maps`), and in a lowered body's read intervals
+    (:meth:`spans`).
     """
 
     def __init__(self, model: NoiseModel, rngs: list):
@@ -460,45 +470,45 @@ class _TelegraphBath:
             self.col[idx] = col + 1
         return np.concatenate(members), np.concatenate(times), np.concatenate(signs)
 
-    def values(self, start, h, rows, cols, ends, times, signs) -> tuple:
-        """``(starts, integrals)``, each ``(L, n)``, of n values over L
-        intervals of lengths ``h``: column j starts at ``start[j]``, and flip
-        f, in interval ``rows[f]`` of column ``cols[f]`` (ending at
-        ``ends[f]``), comes at ``times[f]`` after a value of sign
-        ``signs[f]``; each column's flips in time order."""
-        shape = (len(h), len(start))
-        correction, changed = np.zeros(shape), np.zeros(shape, dtype=bool)
-        if len(times):
-            # flipping s -> -s at f changes the interval's integral by -2 s (end - f)
-            np.subtract.at(correction, (rows, cols), 2.0 * self.amplitude * signs * (ends - times))
-            # a value changes sign after each interval of odd count
-            odd = np.zeros(shape, dtype=bool)
-            np.logical_xor.at(odd, (rows, cols), True)
-            np.logical_xor.accumulate(odd[:-1], axis=0, out=changed[1:])
-        starts = np.where(changed, -start, start)
-        integrals = starts * h
-        integrals += correction
-        return starts, integrals
+    def values(self, start, length, rows, cols, lever, signs, carry) -> tuple:
+        """``(starts, integrals, carry)`` of n values over L intervals of
+        (signed) lengths ``length``, each ``(L, n)``: column j starts at
+        ``start[j]``, and flip f, in interval ``rows[f]`` of column
+        ``cols[f]``, comes ``lever[f]`` (signed time) after its start, after a
+        value of sign ``signs[f]``; each column's flips in time order.  By
+        parts, an interval's integral is ``A s_end length + 2A sum_f s_f
+        lever_f``, ``s_end`` the sign at its end.  The flip terms are summed
+        in time order, interval 0's from ``carry``; those in row L, after the
+        last interval, are the new carry.  ``starts`` are the values at each
+        interval's start."""
+        shape = (len(length) + 1, len(start))
+        terms, odd = np.zeros(shape), np.zeros(shape, dtype=bool)
+        terms[0] = carry
+        np.add.at(terms, (rows, cols), 2.0 * self.amplitude * signs * lever)
+        np.logical_xor.at(odd, (rows, cols), True)
+        # sides[r]: the value at the start of interval r, and at the end of r - 1
+        sides = np.empty(shape)
+        sides[0] = start
+        sides[1:] = np.where(np.logical_xor.accumulate(odd[:-1], axis=0), -start, start)
+        return sides[:-1], sides[1:] * length + terms[:-1], terms[-1].copy()
 
     def block(self, lengths: np.ndarray, edges: np.ndarray) -> tuple:
         """``(starts, integrals)`` as :meth:`_OUBath.block`, of the
-        intervals between ``edges``."""
+        intervals between ``edges``, by :meth:`values`."""
         start = self.amplitude * self.sign
         members, times, signs = self.flips(edges[-1])
         k = np.searchsorted(edges[1:], times)  # edges[k] < f <= edges[k + 1]
-        return self.values(start, np.diff(edges)[:, None], k, members, edges[k + 1], times, signs)
+        return self.values(start, np.diff(edges)[:, None], k, members, times - edges[k], signs, 0.0)[:2]
 
     def spans(self, body: "_Body", edges: np.ndarray, q0: int, first: int, signed: np.ndarray, end: float,
               carry: np.ndarray) -> tuple:
-        """``(integrals, carry)``: the ``(L, m)`` integrals over a lowered body's
-        read intervals ``first ... first + L - 1`` (:meth:`_Run.spans`), of signed
+        """``(integrals, carry)`` of :meth:`values` over a lowered body's read
+        intervals ``first ... first + L - 1`` (:meth:`_Run.spans`), of signed
         lengths ``signed``, from the flips up to ``end``, each located on the
-        wait ``edges`` of iterations ``q0`` on.  With G the signed time from an
-        interval's start (:meth:`_Body.signed_time`), its integral is ``A s1
-        G(t1) + 2A sum_f s_f G(t_f)``, ``s1`` the sign at its end: by parts ``A
-        s0 G(t1) - 2A sum_f s_f [G(t1) - G(t_f)]``.  The flip terms are summed in
-        time order, interval ``first``'s from ``carry``; the new carry holds
-        those of interval ``first + L``."""
+        wait ``edges`` of iterations ``q0`` on: its lever is the signed time
+        (:meth:`_Body.signed_time`) from the start of its read interval.  The
+        carry holds the flip terms of interval ``first``, and then of
+        ``first + L``."""
         start = self.amplitude * self.sign
         members, times, signs = self.flips(end)
         if not (len(times) or len(signed)):  # nothing flips, nothing ends: the carry stands
@@ -510,13 +520,7 @@ class _TelegraphBath:
         qs, js = np.divmod(np.maximum(i - 1, 0), max(n_reads, 1))  # it begins at read i - 1 of iteration qs
         g0 = np.where(i > 0, body.g[body.read_waits[js]], 0.0) if n_reads else 0.0  # (i = 0: at the start)
         lever = body.signed_time(q0 + qf - qs, jf, times - edges[w]) - g0
-        shape = (len(signed) + 1, len(start))
-        terms, odd = np.zeros(shape), np.zeros(shape, dtype=bool)
-        terms[0] = carry
-        np.add.at(terms, (i - first, members), 2.0 * self.amplitude * signs * lever)
-        np.logical_xor.at(odd, (i - first, members), True)
-        ends = np.where(np.logical_xor.accumulate(odd[:-1], axis=0), -start, start)
-        return ends * signed[:, None] + terms[:-1], terms[-1].copy()
+        return self.values(start, signed[:, None], i - first, members, lever, signs, carry)[1:]
 
 
 class _StreamSeed(ISeedSequence):
@@ -1139,8 +1143,8 @@ class _Run:
         i, q = np.divmod(key, n)
         start = bath.amplitude * signs[first]
         intervals = q * size + np.arange(size)[:, None]  # (L, flip iterations)
-        starts, integrals = bath.values(start, np.diff(edges)[intervals], k % size, col, edges[k + 1],
-                                        times, signs)
+        starts, integrals, _ = bath.values(start, np.diff(edges)[intervals], k % size, col, times - edges[k],
+                                           signs, 0.0)
         return i, q, start, body.walk(self, self.det[i], i, starts, integrals)
 
 
@@ -1267,10 +1271,11 @@ def run_program(
     edges and flip times are the event path's, bit for bit.  An
     iteration in which a member flips is built exactly from the drawn
     values: each wait turns by ``det_i h`` plus the bath's integral over
-    it, and each finite pulse takes its map at the value at its start
-    from the store.  Each run of ``r`` iterations between flips, at the
-    sign ``s`` of the member's value, is ``K_i(s)^r``, by the binary
-    digits of ``r``.  A run open at a block's end carries on into the
+    it, summed by parts from its flips as on the event path
+    (:meth:`_TelegraphBath.values`), and each finite pulse takes its map
+    at the value at its start from the store.  Each run of ``r``
+    iterations between flips, at the sign ``s`` of the member's value, is
+    ``K_i(s)^r``, by the binary digits of ``r``.  A run open at a block's end carries on into the
     next, so no result depends on ``_DRAW_BLOCK``, and nothing is sized
     by the iterations times the members.  The compiled and event paths
     multiply the same rotations in another order, so they agree to

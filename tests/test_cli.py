@@ -176,6 +176,16 @@ BAD_CONFIGS = [
     ("simulate", "noise.tau_b_s", math.inf),
     ("tomography", "noise.amplitude_hz", math.inf),
     ("tomography", "noise.flip_rate_hz", math.inf),
+    # a JSON boolean or string where a number belongs
+    ("simulate", "ensemble.fwhm_hz", True),
+    ("simulate", "ensemble.fwhm_hz", "500"),
+    ("simulate", "ensemble", {"size": 4, "distribution": "explicit", "detunings_hz": "1234"}),
+    ("simulate", "noise.sigma_hz", True),
+    ("sweep", "noise.tau_b_s", True),
+    ("tomography", "noise.amplitude_hz", "2"),
+    ("simulate", "relaxation", {"t1_s": True}),
+    ("tomography", "relaxation", {"t2_s": True}),
+    ("sweep", "relaxation", {"z_equilibrium": True}),
     # tau1 > tau_c: the train has no refocusing instant
     ("tomography", "sequence.tau1_s", 1.5e-3),
     ("sweep", "sweep", {"tau_c_s": [1e-3, 4e-3], "total_time_s": 0.04, "tau1_s": 2e-3}),
@@ -224,6 +234,15 @@ def test_bad_config_exits_1_in_every_mode(tmp_path, capsys, monkeypatch, command
     out, err = capsys.readouterr()
     assert err.startswith("error: invalid config")
     assert "config ok" not in out
+
+
+@pytest.mark.parametrize("noise", [{"kind": "ornstein_uhlenbeck", "sigma_hz": -1, "tau_b_s": 0.005}, [1]])
+def test_sweep_lists_only_the_noise_problem_of_an_invalid_noise_section(noise):
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_sweep_config(with_value("sweep", "noise", noise))
+    assert len(str(exc.value).splitlines()) == 2  # the heading and one problem
+    assert "noise" in str(exc.value).splitlines()[1]
+    assert "stochastic" not in str(exc.value)
 
 
 def test_bath_cutoff_warning(tmp_path, capsys):

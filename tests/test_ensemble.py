@@ -304,6 +304,46 @@ def test_telegraph_bath_starts_from_its_streams_in_order():
         assert before[mine[:2]].tolist() == [signs[i], -signs[i]]
 
 
+def test_telegraph_values_match_a_sum_over_constant_sign_pieces():
+    # _TelegraphBath.values sums an interval's flips by parts.  Columns run
+    # intervals 0 ... L of random signed lengths; interval 0's first flips
+    # are read by one call (as its row L, whose terms come back as the
+    # carry) and the rest by a second, which ends in row L.  Against a
+    # direct sum of sign x signed time over the pieces between flips.
+    rng = np.random.default_rng(5)
+    amp, n, size = 1.7, 40, 6  # L = size intervals in the second call
+    bath = ensemble._TelegraphBath(NoiseModel(kind="telegraph", amplitude=amp, flip_rate=1.0),
+                                   [np.random.default_rng(0)])
+    lengths = rng.uniform(0.1, 2.0, (size + 1, n)) * rng.choice([-1.0, 1.0], (size + 1, n))
+    s0 = rng.choice([-1.0, 1.0], n)
+    first, second = [], []  # per flip: (rank in its column, row, column, lever, sign before it)
+    starts, integrals = np.empty((size + 1, n)), np.empty((size + 1, n))
+    ends = np.empty(n)
+    for j in range(n):
+        s, rank = s0[j], 0
+        for r in range(size + 1):
+            levers = np.sort(rng.uniform(0.0, 1.0, rng.integers(0, 4))) * lengths[r, j]
+            split = rng.integers(0, len(levers) + 1) if r == 0 else 0  # read by the first call
+            starts[r, j], total, g = s, 0.0, 0.0
+            for k, lever in enumerate(levers.tolist()):
+                (first if k < split else second).append((rank, r, j, lever, s))
+                total, g, s, rank = total + s * (lever - g), lever, -s, rank + 1
+            integrals[r, j] = amp * (total + s * (lengths[r, j] - g))
+        ends[j] = s
+    flips = [np.array(sorted(f, key=lambda f: f[0])).T for f in (first, second)]  # in rounds
+    rows, cols, levers, signs = flips[0][1:]
+    _, _, carry = bath.values(amp * s0, np.empty((0, n)), rows.astype(int), cols.astype(int), levers, signs, 0.0)
+    at_start = np.where(np.bincount(cols.astype(int), minlength=n) % 2, -s0, s0)
+    assert np.any(carry != 0)
+    rows, cols, levers, signs = flips[1][1:]
+    got = bath.values(amp * at_start, lengths[:size], rows.astype(int), cols.astype(int), levers, signs, carry)
+    assert np.any(rows == size)
+    # the second call starts at interval 0's value after the first call's flips
+    np.testing.assert_array_equal(got[0], amp * np.vstack([at_start, starts[1:size]]))
+    np.testing.assert_allclose(got[1], integrals[:size], rtol=1e-12)
+    np.testing.assert_allclose(got[2], integrals[size] - amp * ends * lengths[size], rtol=1e-12)
+
+
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(kind="ornstein_uhlenbeck", sigma=1.0, tau_b=0.0)
